@@ -348,7 +348,7 @@ def cmd_cauchy(args):
     )
     k = idx["k"]
     tower = build_s_chain(
-        sys_, k, samples=args.samples, seed=args.seed, max_dim=args.max_dim
+        sys_, k, samples=args.samples, seed=args.seed, max_dim=args.max_dim, k=k
     )
     base = t if k == 0 else t.view_at_level(k, args.max_dim)
     nf = normal_form(base, samples=args.samples, seed=args.seed,

@@ -366,9 +366,6 @@ class CartanDecomposition:
             raise NotInImage("vector lies outside the requested subspace")
         return c
 
-    def coords_b(self, v):
-        return self.coords_in(self.b, v)
-
     def coords_p(self, v):
         return self.coords_in(self.p, v)
 

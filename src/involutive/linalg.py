@@ -1,10 +1,13 @@
 """Exact linear algebra over the rationals.
 
 Matrices are stored dense, row-major, as lists of fractions.Fraction, but
-products skip zero entries: the Koszul and embedding matrices of the
-Spencer layer are mostly 0 or +-1.  Skipping a zero drops only a zero
-term, so products stay exact and the canonical bases below do not depend
-on which entries were skipped.  Rank and dimension decisions throughout
+products (matmul and matvec) skip zero entries: the Koszul, embedding and
+contraction matrices of the Spencer and tableau layers are mostly 0 or
++-1.  Skipping a zero drops only a zero term, so products stay exact and
+the canonical bases below do not depend on which entries were skipped.
+A full-column-rank matrix that is solved against many times is factored
+once as a ColumnCoordinates, which reads a solution off pivot rows and
+proves it by multiplying back.  Rank and dimension decisions throughout
 the package reduce to the row echelon computations implemented here, so
 everything is exact: no floating point, no tolerance thresholds.
 
@@ -50,11 +53,6 @@ def vec_sub(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
 def vec_scale(c, v: Sequence[Fraction]) -> Vector:
     c = frac(c)
     return [c * a for a in v]
-
-def vec_dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    if len(u) != len(v):
-        raise DimensionMismatch("vector length mismatch")
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 def vec_is_zero(v: Sequence[Fraction]) -> bool:
     return all(a == 0 for a in v)
@@ -112,9 +110,6 @@ class Matrix:
     def __repr__(self) -> str:
         return f"Matrix({self.nrows}x{self.ncols})"
 
-    def copy(self) -> "Matrix":
-        return Matrix([row[:] for row in self.rows], ncols=self.ncols)
-
     def transpose(self) -> "Matrix":
         return Matrix(
             [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
@@ -122,9 +117,19 @@ class Matrix:
         )
 
     def matvec(self, v: Sequence[Fraction]) -> Vector:
+        """Exact product self * v, skipping zero entries of both factors."""
         if len(v) != self.ncols:
             raise DimensionMismatch("matvec length mismatch")
-        return [vec_dot(row, v) for row in self.rows]
+        nonzeros = [(j, b) for j, b in enumerate(v) if b]
+        product = []
+        for row in self.rows:
+            acc = Fraction(0)
+            for j, b in nonzeros:
+                a = row[j]
+                if a:
+                    acc += a * b
+            product.append(acc)
+        return product
 
     def matmul(self, other: "Matrix") -> "Matrix":
         """Exact product self * other, skipping zero entries of both factors."""
@@ -244,6 +249,55 @@ class Matrix:
         if pivots != list(range(self.nrows)):
             raise Inconsistent("matrix is singular")
         return Matrix([row[self.nrows:] for row in red.rows], ncols=self.nrows)
+
+
+class ColumnCoordinates:
+    """Coordinates over the columns of a full-column-rank matrix, factored once.
+
+    `rows` picks m.ncols rows of m on which m is invertible and `inverse`
+    is the inverse of m restricted to them (None when that restriction is
+    the identity).  Both default to the first independent rows, found by
+    one rref of the transpose.  The coordinates of v are read off as
+    inverse * v[rows]; they solve m * x = v exactly when the product
+    m * x reproduces v, which is checked, so a wrong choice of rows can
+    only reject a vector, never return a false solution.  Full column
+    rank makes the solution unique, hence equal to Matrix.solve.
+    """
+
+    __slots__ = ("matrix", "rows", "inverse")
+
+    def __init__(self, m: Matrix, rows: Sequence[int] | None = None,
+                 inverse: Matrix | None = None):
+        if rows is None:
+            _, rows = m.transpose().rref()
+            if len(rows) != m.ncols:
+                raise Inconsistent("columns are linearly dependent")
+            inverse = Matrix([m.rows[i] for i in rows], ncols=m.ncols).inverse()
+        self.matrix = m
+        self.rows = list(rows)
+        self.inverse = inverse
+
+    def of_vector(self, v: Sequence[Fraction]) -> Vector:
+        """The x with m * x = v; Inconsistent when v is outside the column space."""
+        if len(v) != self.matrix.nrows:
+            raise DimensionMismatch("rhs length mismatch")
+        x = [frac(v[i]) for i in self.rows]
+        if self.inverse is not None:
+            x = self.inverse.matvec(x)
+        if self.matrix.matvec(x) != list(v):
+            raise Inconsistent("right-hand side is not in the column space")
+        return x
+
+    def of_columns(self, b: Matrix) -> Matrix:
+        """The X with m * X = b; Inconsistent when a column of b is outside."""
+        if b.nrows != self.matrix.nrows:
+            raise DimensionMismatch("rhs height mismatch")
+        x = Matrix([b.rows[i] for i in self.rows], ncols=b.ncols)
+        if self.inverse is not None:
+            x = self.inverse.matmul(x)
+        if self.matrix.matmul(x) != b:
+            raise Inconsistent("a right-hand side is not in the column space")
+        return x
 
 
 def solve_affine(m: Matrix, rhs: Sequence[Fraction]) -> tuple[Vector, list[Vector]]:

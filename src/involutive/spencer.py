@@ -25,7 +25,12 @@ not the bare transpose, because the cell bases are not orthonormal.
 
 Cell coordinates order the basis of A^(q-1) first (tableau generators for
 q = 1, the canonical reduced basis of the cached prolongation for q >= 2)
-and the wedge index last: index = alpha * C(n, p) + k.
+and the wedge index last: index = alpha * C(n, p) + k.  Each cell is
+factored once when it is built: coordinates are read off the pivot rows
+of its embedding (through the inverse of the generators on their pivot
+columns for q = 1), with no elimination per vector, and membership in the
+cell is proved by multiplying back, so a vector or a differential that
+leaves the cell is still rejected exactly.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from .errors import (
     NotInImage,
     StructureViolation,
 )
-from .linalg import Matrix, Subspace, kernel
+from .linalg import ColumnCoordinates, Matrix, Subspace, kernel
 from .tableau import DEFAULT_MAX_DIM, involutive_index
 
 
@@ -83,6 +88,7 @@ class SpencerCell:
                         col[pos * wedge.size + k] = c
                 cols.append(col)
         self.embed = Matrix.from_columns(cols, nrows=full_dim)
+        self._coords = _factor_embedding(self.embed, a_basis, q, wedge.size)
         g_full = gram_diagonal(n, r, q, p)
         scaled = Matrix(
             [[g_full[i] * x for x in row] for i, row in enumerate(self.embed.rows)],
@@ -97,11 +103,40 @@ class SpencerCell:
     def coordinates_of(self, full_vec):
         """Full-space vector -> cell coordinates; NotInImage if outside."""
         try:
-            return self.embed.solve(full_vec)
+            return self._coords.of_vector(full_vec)
         except Inconsistent as exc:
             raise NotInImage(
                 "vector does not lie in the Spencer cell C^{%d,%d}" % (self.q, self.p)
             ) from exc
+
+
+def _factor_embedding(embed, a_basis, q, wedge_size):
+    """Pivot rows of the cell embedding, and the inverse on them for q = 1.
+
+    Cell coordinate alpha * C(n,p) + k is read from full-space row
+    pivot_alpha * C(n,p) + k.  For q = 0 (identity) and q >= 2 (canonical
+    reduced basis of A^(q-1)) the embedding restricted to those rows is
+    the identity, so the pivots are the leading entries.  The q = 1
+    generators are only independent: one rref of them gives the pivots
+    and the inverse of the generators restricted there acts on each wedge
+    slot alike.
+    """
+    if q != 1:
+        pivots = [next(i for i, x in enumerate(av) if x) for av in a_basis]
+        inverse = None
+    else:
+        gens = ColumnCoordinates(Matrix.from_columns(a_basis, nrows=embed.nrows // wedge_size))
+        pivots = gens.rows
+        inverse = Matrix(
+            [
+                [x if k == kk else 0 for x in row for kk in range(wedge_size)]
+                for row in gens.inverse.rows
+                for k in range(wedge_size)
+            ],
+            ncols=embed.ncols,
+        )
+    rows = [piv * wedge_size + k for piv in pivots for k in range(wedge_size)]
+    return ColumnCoordinates(embed, rows, inverse)
 
 
 def delta(cell, max_dim=DEFAULT_MAX_DIM):
@@ -117,18 +152,14 @@ def delta(cell, max_dim=DEFAULT_MAX_DIM):
     target = SpencerCell(t, q - 1, p + 1, max_dim)
     d_full = koszul_delta_full(t.a_dim, t.b_dim, q, p)
     image = d_full.matmul(cell.embed)
-    cols = []
-    for j in range(cell.dim):
-        col = [image.rows[i][j] for i in range(image.nrows)]
-        try:
-            cols.append(target.coordinates_of(col))
-        except NotInImage as exc:
-            raise StructureViolation(
-                "differential of C^{%d,%d} basis vector %d left C^{%d,%d}; "
-                "the tableau's prolongation tower is inconsistent"
-                % (q, p, j, q - 1, p + 1)
-            ) from exc
-    return Matrix.from_columns(cols, nrows=target.dim)
+    try:
+        return target._coords.of_columns(image)
+    except Inconsistent as exc:
+        raise StructureViolation(
+            "differential of C^{%d,%d} left C^{%d,%d}; "
+            "the tableau's prolongation tower is inconsistent"
+            % (q, p, q - 1, p + 1)
+        ) from exc
 
 
 def _delta_in(t, q, p, max_dim=DEFAULT_MAX_DIM):
@@ -154,20 +185,22 @@ def cohomology_dim(t, q, p, max_dim=DEFAULT_MAX_DIM):
     return h
 
 
-def two_acyclicity_report(t, q_cap, samples=5, seed=0, max_dim=DEFAULT_MAX_DIM):
+def two_acyclicity_report(t, q_cap, samples=5, seed=0, max_dim=DEFAULT_MAX_DIM,
+                          k=None):
     """H^{q,2} for q = 1..max(q_cap, k+1), with k the involutive index.
 
     The involutive index is included when it is computable within the
-    same cap; the report records exactly which range was verified.
+    same cap; the report records exactly which range was verified.  A
+    caller that already holds the index passes it as k.
     """
     if q_cap < 1:
         raise InputError("need q_cap >= 1, got %d" % q_cap)
-    k = None
-    try:
-        k = involutive_index(t, h_max=q_cap + 1, samples=samples, seed=seed,
-                             max_dim=max_dim)["k"]
-    except CapExceeded:
-        pass
+    if k is None:
+        try:
+            k = involutive_index(t, h_max=q_cap + 1, samples=samples, seed=seed,
+                                 max_dim=max_dim)["k"]
+        except CapExceeded:
+            pass
     top = max(q_cap, k + 1) if k is not None else q_cap
     dims = {}
     for q in range(1, top + 1):
@@ -306,23 +339,25 @@ class HarmonicSplit:
             )
 
     def _build_sigma(self):
-        """Solve delta(sigma(w)) = w for each basis vector of the image."""
-        if self._target_cell is None or self.b_down.dim == 0:
+        """Solve delta(sigma(w)) = w for each basis vector of the image.
+
+        delta restricted to b_down and its factorisation are kept for
+        sigma_on_cell_coords.
+        """
+        if self._target_cell is None:
             return Matrix.zeros(0, 0)
-        bd = Matrix.from_columns(self.b_down.basis, nrows=self.cell.dim)
-        restricted = self.d_out.matmul(bd)
+        self._b_down_matrix = Matrix.from_columns(self.b_down.basis, nrows=self.cell.dim)
         image_basis = _image_subspace(self.d_out).basis
-        cols = []
-        for w in image_basis:
-            y = restricted.solve(w)
-            check = restricted.matvec(y)
-            if check != list(w):
-                raise StructureViolation(
-                    "sigma failed to invert delta at (q,p)=(%d,%d)"
-                    % (self.q, self.p)
-                )
-            cols.append(y)
-        return Matrix.from_columns(cols, nrows=self.b_down.dim)
+        try:
+            self._restricted = ColumnCoordinates(self.d_out.matmul(self._b_down_matrix))
+            return self._restricted.of_columns(
+                Matrix.from_columns(image_basis, nrows=self.d_out.nrows)
+            )
+        except Inconsistent as exc:
+            raise StructureViolation(
+                "sigma failed to invert delta at (q,p)=(%d,%d)"
+                % (self.q, self.p)
+            ) from exc
 
     def dims(self):
         return (self.b_up.dim, self.harmonic.dim, self.b_down.dim)
@@ -333,16 +368,14 @@ class HarmonicSplit:
             if any(x != 0 for x in target_cell_coords):
                 raise NotInImage("the differential out of this cell is zero")
             return [Fraction(0)] * self.cell.dim
-        bd = Matrix.from_columns(self.b_down.basis, nrows=self.cell.dim)
-        restricted = self.d_out.matmul(bd)
         try:
-            y = restricted.solve(list(target_cell_coords))
+            y = self._restricted.of_vector(list(target_cell_coords))
         except Inconsistent as exc:
             raise NotInImage(
                 "target is not in the image of delta on C^{%d,%d}"
                 % (self.q, self.p)
             ) from exc
-        return bd.matvec(y)
+        return self._b_down_matrix.matvec(y)
 
 
 def harmonic_split(t, q, p, max_dim=DEFAULT_MAX_DIM):

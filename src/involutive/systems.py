@@ -248,10 +248,6 @@ class TowerData:
         self.s_chain = s_chain
         self.jet = jet
 
-    def s_component(self, r, alpha, i):
-        """(S_(r))^alpha_i as a Polynomial."""
-        return self.s_chain[r - 1].components[alpha * self.tableau.a_dim + i]
-
 
 def _total_derivative(poly, j, jet, s_chain, iotas):
     """D_j poly on the tower: d/dx^j plus the chain-plus-jet substitution
@@ -430,16 +426,18 @@ def check_torsion_condition(sys, trials=None, seed=0, max_dim=DEFAULT_MAX_DIM):
     }
 
 
-def build_s_chain(sys, h, samples=5, seed=0, max_dim=DEFAULT_MAX_DIM):
+def build_s_chain(sys, h, samples=5, seed=0, max_dim=DEFAULT_MAX_DIM, k=None):
     """The chain S_(1), ..., S_(h+1) solving the tower equations.
 
     Requires two-acyclicity in the range the chain uses; every S_(r) is
     the canonical preimage inside B_{r,1}(A) and the defining identities
-    are re-checked exactly before returning.
+    are re-checked exactly before returning.  k is the involutive index
+    of the tableau when the caller already holds it (see
+    two_acyclicity_report).
     """
     t = sys.tableau
     report = two_acyclicity_report(
-        t, q_cap=max(1, h), samples=samples, seed=seed, max_dim=max_dim
+        t, q_cap=max(1, h), samples=samples, seed=seed, max_dim=max_dim, k=k
     )
     if not report["two_acyclic"]:
         raise NotTwoAcyclic(

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from involutive.errors import DimensionMismatch, Inconsistent
-from involutive.linalg import Matrix, Subspace, kernel, solve_affine, vec
+from involutive.linalg import ColumnCoordinates, Matrix, Subspace, kernel, solve_affine, vec
 
 
 def rand_matrix(rng: random.Random, m: int, n: int, span: int = 5) -> Matrix:
@@ -188,6 +188,52 @@ def test_matmul_matches_dense_oracle():
         assert product.rows == dense_product(a, b)
         assert all(isinstance(x, Fraction) for row in product.rows for x in row)
     assert Matrix.zeros(3, 4).matmul(Matrix.zeros(4, 2)) == Matrix.zeros(3, 2)
+
+
+def test_matvec_matches_dense_oracle():
+    rng = random.Random(2007)
+    shapes = [(0, 3), (3, 0), (0, 0), (1, 1)]
+    shapes += [(rng.randint(1, 7), rng.randint(1, 7)) for _ in range(60)]
+    for m, k in shapes:
+        a = sparse_rational_matrix(rng, m, k)
+        v = sparse_rational_matrix(rng, k, 1).rows
+        product = a.matvec([row[0] for row in v])
+        assert product == [row[0] for row in dense_product(a, Matrix(v, ncols=1))]
+        assert all(isinstance(x, Fraction) for x in product)
+    assert Matrix([[1, 2]]).matvec([3, 4]) == [Fraction(11)]
+    with pytest.raises(DimensionMismatch):
+        Matrix.zeros(2, 3).matvec([Fraction(0)] * 2)
+
+
+def test_column_coordinates_match_solve():
+    rng = random.Random(2008)
+    found = 0
+    while found < 40:
+        k = rng.randint(0, 5)
+        m = sparse_rational_matrix(rng, rng.randint(k, 7), k)
+        if m.rank() < k:
+            continue
+        found += 1
+        coords = ColumnCoordinates(m)
+        inside = m.matvec([Fraction(rng.randint(-5, 5)) for _ in range(m.ncols)])
+        assert coords.of_vector(inside) == m.solve(inside)
+        b = m.matmul(sparse_rational_matrix(rng, m.ncols, 3))
+        solved = coords.of_columns(b)
+        assert solved.transpose().rows == [m.solve(col) for col in b.transpose().rows]
+        outside = [Fraction(rng.randint(-5, 5)) for _ in range(m.nrows)]
+        try:
+            expected = m.solve(outside)
+        except Inconsistent:
+            with pytest.raises(Inconsistent):
+                coords.of_vector(outside)
+            with pytest.raises(Inconsistent):
+                coords.of_columns(b.hstack(Matrix([[x] for x in outside], ncols=1)))
+        else:
+            assert coords.of_vector(outside) == expected
+    with pytest.raises(Inconsistent):
+        ColumnCoordinates(Matrix([[1, 2], [2, 4], [0, 0]]))
+    with pytest.raises(DimensionMismatch):
+        ColumnCoordinates(Matrix.identity(2)).of_vector([Fraction(1)])
 
 
 def test_matmul_shape_mismatch_raises():

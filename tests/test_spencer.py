@@ -7,8 +7,8 @@ from math import comb
 
 import pytest
 
-from involutive.bases import GradedCoords
-from involutive.errors import DimensionMismatch, NotInImage
+from involutive.bases import GradedCoords, koszul_delta_full
+from involutive.errors import DimensionMismatch, Inconsistent, NotInImage, StructureViolation
 from involutive.linalg import Matrix, Subspace
 from involutive.spencer import (
     HarmonicSplit,
@@ -60,6 +60,60 @@ def test_cell_dimensions():
         prev = t.b_dim if q == 0 else t.level(q - 1).dim
         for p in range(3):
             assert SpencerCell(t, q, p).dim == prev * comb(2, p)
+
+
+def test_cell_coordinates_match_solve_oracle():
+    # pivot-read coordinates against a fresh elimination of the embedding
+    rng = random.Random(2010)
+    cases = [full_tableau(2, 1), wavemap1_tableau(), skew_tableau(), Tableau(2, 2, [])]
+    while len(cases) < 16:
+        # unreduced generators, so the q = 1 cells need a nontrivial inverse
+        n, r = rng.randint(1, 3), rng.randint(1, 3)
+        raw = [[Fraction(rng.randint(-3, 3)) for _ in range(n * r)]
+               for _ in range(rng.randint(1, n * r))]
+        if Subspace(n * r, raw).dim == len(raw):
+            cases.append(Tableau.from_vectors(n, r, raw))
+    for t in cases:
+        for q in range(3):
+            for p in range(t.a_dim + 1):
+                cell = SpencerCell(t, q, p)
+                coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(cell.dim)]
+                inside = cell.embed_coords(coeffs)
+                assert cell.coordinates_of(inside) == cell.embed.solve(inside) == coeffs
+                outside = [Fraction(rng.randint(-2, 2)) for _ in range(cell.embed.nrows)]
+                try:
+                    expected = cell.embed.solve(outside)
+                except Inconsistent:
+                    with pytest.raises(NotInImage):
+                        cell.coordinates_of(outside)
+                else:
+                    assert cell.coordinates_of(outside) == expected
+                if q == 0 or p == t.a_dim:
+                    continue
+                target = SpencerCell(t, q - 1, p + 1)
+                image = koszul_delta_full(t.a_dim, t.b_dim, q, p).matmul(cell.embed)
+                oracle = [target.embed.solve(col) for col in image.transpose().rows]
+                d = delta(cell)
+                assert d.transpose().rows == oracle
+                split = HarmonicSplit(t, q, p)
+                if split.b_down.dim:
+                    bd = Matrix.from_columns(split.b_down.basis, nrows=cell.dim)
+                    restricted = d.matmul(bd)
+                    image_basis = Subspace(target.dim, d.transpose().rows).basis
+                    assert split.sigma_matrix.transpose().rows == [
+                        restricted.solve(w) for w in image_basis
+                    ]
+                    assert split.sigma_on_cell_coords(image_basis[0]) == bd.matvec(
+                        restricted.solve(image_basis[0])
+                    )
+
+
+def test_delta_leaving_target_cell_raises():
+    # a corrupted A^(1) (all of b (x) S^2) is not the prolongation of A
+    t = Tableau(2, 2, [[[1, 0], [0, 0]]])
+    t._levels.append(Subspace.full(2 * 3))
+    with pytest.raises(StructureViolation):
+        delta(SpencerCell(t, 2, 0))
 
 
 def test_delta_squared_zero_wavemap():
