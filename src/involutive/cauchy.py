@@ -42,9 +42,10 @@ from .errors import (
 )
 from .linalg import Matrix, frac, solve_affine
 from .poly import Polynomial, PolyMap
-from .tableau import DEFAULT_MAX_DIM, involutive_index
+from .systems import _iotas
+from .tableau import DEFAULT_MAX_DIM, flatten_generator, involutive_index
 
-MAX_SERIES_DEGREE = 12
+DEFAULT_MAX_DEGREE = 10
 
 
 class CauchyData:
@@ -200,58 +201,26 @@ def _normal_gen_info(t, nf, k, max_dim):
     b (x) S^k coordinates)."""
     n, r = t.a_dim, t.b_dim
     val_rows = r * sym_basis(n, k).size
-    gen_vecs = []
-    block_of = []
-    val_mats = []
-    for j, block in enumerate(nf.blocks, start=1):
-        for q in block:
-            flat = []
-            for row in q.rows:
-                flat.extend(row)
-            val_mats.append(q)
-            block_of.append(j)
-            gen_vecs.append(flat)
-    if not gen_vecs:
+    val_mats = nf.normal_basis()
+    block_of = [j for j, block in enumerate(nf.blocks, start=1) for _ in block]
+    if not val_mats:
         return Matrix.zeros(0, 0), [], [], val_rows
-    if k == 0:
-        view_gens = [
-            _flatten_matrix(g) for g in t.generators
-        ]
-    else:
-        view = t.view_at_level(k, max_dim)
-        view_gens = [_flatten_matrix(g) for g in view.generators]
-    basis_mat = Matrix.from_columns(view_gens, nrows=len(view_gens[0]))
-    coord_cols = [basis_mat.solve(v) for v in gen_vecs]
-    big_n = Matrix.from_columns(coord_cols, nrows=len(coord_cols[0]))
+    # A^(k) viewed in Hom(a, b (x) S^k) has the level-k basis as generators
+    view = t.view_at_level(k, max_dim)
+    coord_cols = [view.jet_coordinates(0, flatten_generator(q)) for q in val_mats]
+    big_n = Matrix.from_columns(coord_cols, nrows=view.dim)
     return big_n, block_of, val_mats, val_rows
 
 
-def _flatten_matrix(m):
-    flat = []
-    for row in m.rows:
-        flat.extend(row)
-    return flat
-
-
-def _level_basis_vectors(t, k, max_dim):
-    """Basis of the level-k coordinates in b (x) S^{k+1}: the flattened
-    generators at level 0 (the jet layout convention), the canonical
-    prolongation basis above."""
-    if k == 0:
-        return [_flatten_matrix(g) for g in t.generators]
-    return [list(v) for v in t.level(k, max_dim).basis]
-
-
-def _level_to_value(t, k, vec, direction, max_dim):
-    """Contraction of a level-k coordinate vector by a direction of a,
-    in the full b (x) S^k coordinates."""
+def _level_contraction(t, k, direction, max_dim):
+    """Contraction of the level-k jet basis by a direction of a: level-k
+    coordinates -> the full b (x) S^k coordinates."""
     n, r = t.a_dim, t.b_dim
-    basis = _level_basis_vectors(t, k, max_dim)
-    full = [Fraction(0)] * (r * sym_basis(n, k + 1).size)
-    for c, bv in zip(vec, basis):
-        if c:
-            full = [x + c * y for x, y in zip(full, bv)]
-    return contract_vector(n, r, k + 1, full, list(direction))
+    cols = [
+        contract_vector(n, r, k + 1, list(bv), list(direction))
+        for bv in t.jet_basis(k, max_dim)
+    ]
+    return Matrix.from_columns(cols, nrows=r * sym_basis(n, k).size)
 
 
 def _compose_chain_map(s_map, x_subs, u_series, jet, degree):
@@ -279,19 +248,21 @@ def _monomials(n, d):
     return out
 
 
-def solve_formal(sys, tower, nf, data, degree, k=None, max_dim=DEFAULT_MAX_DIM):
+def solve_formal(sys, tower, nf, data, degree, k=None, max_dim=DEFAULT_MAX_DIM,
+                 max_degree=DEFAULT_MAX_DEGREE):
     """Unique formal solution through the given truncation degree.
 
     The data supply the block coefficients supported in their own
     variables; everything else is forced by the equations, degree by
     degree, through exact linear solves whose unique solvability is
-    asserted (InconsistentData otherwise).
+    asserted (InconsistentData otherwise).  A degree above max_degree
+    raises CapExceeded.
     """
     t = sys.tableau
-    n, r = t.a_dim, t.b_dim
-    if degree > MAX_SERIES_DEGREE:
+    n = t.a_dim
+    if degree > max_degree:
         raise CapExceeded(
-            "truncation degree %d exceeds the cap %d" % (degree, MAX_SERIES_DEGREE)
+            "truncation degree %d exceeds the cap %d" % (degree, max_degree)
         )
     if k is None:
         k = involutive_index(t, h_max=max(tower.order, 0), max_dim=max_dim)["k"]
@@ -312,13 +283,7 @@ def solve_formal(sys, tower, nf, data, degree, k=None, max_dim=DEFAULT_MAX_DIM):
     flag_cols = [
         [basis_a.rows[i][rho] for i in range(n)] for rho in range(n)
     ]
-    iota_u = []
-    for rho in range(n):
-        cols = [
-            _level_to_value(t, k, vec, flag_cols[rho], max_dim)
-            for vec in _identity_vectors(level_dims[k])
-        ]
-        iota_u.append(Matrix.from_columns(cols, nrows=val_rows))
+    iota_u = [_level_contraction(t, k, flag_cols[rho], max_dim) for rho in range(n)]
 
     # normal generator values on the flag directions
     gen_val = [
@@ -367,15 +332,7 @@ def solve_formal(sys, tower, nf, data, degree, k=None, max_dim=DEFAULT_MAX_DIM):
             cols.append(acc)
         return cols
 
-    iotas_lower = {}
-    gen_matrix = None
-    if k > 0:
-        from .systems import _generator_matrix, _iota
-
-        gen_matrix = _generator_matrix(t)
-        for s in range(1, k + 1):
-            for i in range(n):
-                iotas_lower[(s, i)] = _iota(t, s, i, gen_matrix, max_dim)
+    iotas_lower = _iotas(t, k, max_dim)
 
     for d in range(1, degree + 1):
         u_series = [level_series(h) for h in range(k + 1)]
@@ -524,15 +481,6 @@ def solve_formal(sys, tower, nf, data, degree, k=None, max_dim=DEFAULT_MAX_DIM):
     )
 
 
-def _identity_vectors(dim):
-    out = []
-    for i in range(dim):
-        v = [Fraction(0)] * dim
-        v[i] = Fraction(1)
-        out.append(v)
-    return out
-
-
 def _matvec_columns(mat, vec):
     return [
         sum((row[i] * vec[i] for i in range(len(vec))), Fraction(0))
@@ -665,15 +613,9 @@ def _polar_operator(sys, tower, nf, k, point, max_dim):
     val_rows = t.b_dim * sym_basis(n, k).size
     basis_a = nf.basis_a
     flag_cols = [[basis_a.rows[i][rho] for i in range(n)] for rho in range(n)]
-    iota_e = []
-    for i in range(n):
-        e = [Fraction(0)] * n
-        e[i] = Fraction(1)
-        cols = [
-            _level_to_value(t, k, vec, e, max_dim)
-            for vec in _identity_vectors(dim_k)
-        ]
-        iota_e.append(Matrix.from_columns(cols, nrows=val_rows))
+    iota_e = [
+        _level_contraction(t, k, row, max_dim) for row in Matrix.identity(n).rows
+    ]
     s_vals = _s_values_at_point(sys, tower, k, point, max_dim)
 
     def s_of(xi):

@@ -29,6 +29,7 @@ import time
 from fractions import Fraction
 
 from .cauchy import (
+    DEFAULT_MAX_DEGREE,
     CauchyData,
     polar_dims,
     restricted_polar_check,
@@ -52,11 +53,14 @@ from .systems import (
     check_torsion_condition,
     verify_structure_equations,
 )
-from .tableau import Tableau, cartan_test, character_partial_sums, involutive_index
+from .tableau import (
+    DEFAULT_MAX_DIM,
+    Tableau,
+    cartan_test,
+    character_partial_sums,
+    involutive_index,
+)
 from .linalg import Matrix
-
-DEFAULT_MAX_DIM = 20000
-DEFAULT_MAX_DEGREE = 10
 
 EXAMPLE_NAMES = ("gg0:sl3", "gg0:sl2", "wavemap:su2", "wavemap:abelian")
 
@@ -357,7 +361,7 @@ def cmd_cauchy(args):
     certificates = []
     passed = True
     sol = solve_formal(sys_, tower, nf, data, args.degree, k=k,
-                       max_dim=args.max_dim)
+                       max_dim=args.max_dim, max_degree=args.max_degree)
     results["solution"] = sol.to_json_dict()
     if args.verify:
         rep = verify_solution(sys_, sol)

@@ -23,14 +23,15 @@ choice is fixed here once.  The adjoint of a differential with matrix D
 between cells with Gram matrices G_src, G_dst is G_src^{-1} D^T G_dst,
 not the bare transpose, because the cell bases are not orthonormal.
 
-Cell coordinates order the basis of A^(q-1) first (tableau generators for
-q = 1, the canonical reduced basis of the cached prolongation for q >= 2)
-and the wedge index last: index = alpha * C(n, p) + k.  Each cell is
-factored once when it is built: coordinates are read off the pivot rows
-of its embedding (through the inverse of the generators on their pivot
-columns for q = 1), with no elimination per vector, and membership in the
-cell is proved by multiplying back, so a vector or a differential that
-leaves the cell is still rejected exactly.
+Cell coordinates order the basis of A^(q-1) first (Tableau.jet_basis:
+the tableau generators for q = 1, the canonical reduced basis of the
+cached prolongation for q >= 2) and the wedge index last: index =
+alpha * C(n, p) + k.  Each cell is factored once when it is built:
+coordinates are read off the pivot rows of its embedding (through the
+tableau's inverse of the generators on their pivot rows for q = 1), with
+no elimination per vector, and membership in the cell is proved by
+multiplying back, so a vector or a differential that leaves the cell is
+still rejected exactly.
 """
 
 from __future__ import annotations
@@ -51,30 +52,27 @@ from .tableau import DEFAULT_MAX_DIM, involutive_index
 
 
 class SpencerCell:
-    """One cell C^{q,p}(A) with its embedding into b (x) S^q (x) Lambda^p."""
+    """One cell C^{q,p}(A) with its embedding into b (x) S^q (x) Lambda^p.
+
+    The A^(q-1) factor is written over tableau.jet_basis(q - 1) (the
+    identity of b for q = 0), so cell coordinates extend the jet
+    coordinates of Tableau.jet_coordinates by the wedge index.  A cell
+    with p > n is the zero cell, since Lambda^p(a*) = 0.
+    """
 
     def __init__(self, tableau, q, p, max_dim=DEFAULT_MAX_DIM):
         if q < 0:
             raise InputError("Spencer cell needs q >= 0, got %d" % q)
-        if p < 0 or p > tableau.a_dim:
-            raise InputError(
-                "Spencer cell needs 0 <= p <= %d, got %d" % (tableau.a_dim, p)
-            )
+        if p < 0:
+            raise InputError("Spencer cell needs p >= 0, got %d" % p)
         n, r = tableau.a_dim, tableau.b_dim
         self.tableau = tableau
         self.q = q
         self.p = p
         if q == 0:
             a_basis = Matrix.identity(r).rows
-        elif q == 1:
-            a_basis = []
-            for g in tableau.generators:
-                flat = []
-                for row in g.rows:
-                    flat.extend(row)
-                a_basis.append(flat)
         else:
-            a_basis = tableau.level(q - 1, max_dim).basis
+            a_basis = tableau.jet_basis(q - 1, max_dim)
         self.a_basis = a_basis
         wedge = ext_basis(n, p)
         self.dim = len(a_basis) * wedge.size
@@ -88,7 +86,7 @@ class SpencerCell:
                         col[pos * wedge.size + k] = c
                 cols.append(col)
         self.embed = Matrix.from_columns(cols, nrows=full_dim)
-        self._coords = _factor_embedding(self.embed, a_basis, q, wedge.size)
+        self._coords = _factor_embedding(self.embed, tableau, a_basis, q, wedge.size)
         g_full = gram_diagonal(n, r, q, p)
         scaled = Matrix(
             [[g_full[i] * x for x in row] for i, row in enumerate(self.embed.rows)],
@@ -110,22 +108,22 @@ class SpencerCell:
             ) from exc
 
 
-def _factor_embedding(embed, a_basis, q, wedge_size):
+def _factor_embedding(embed, tableau, a_basis, q, wedge_size):
     """Pivot rows of the cell embedding, and the inverse on them for q = 1.
 
     Cell coordinate alpha * C(n,p) + k is read from full-space row
     pivot_alpha * C(n,p) + k.  For q = 0 (identity) and q >= 2 (canonical
     reduced basis of A^(q-1)) the embedding restricted to those rows is
-    the identity, so the pivots are the leading entries.  The q = 1
-    generators are only independent: one rref of them gives the pivots
-    and the inverse of the generators restricted there acts on each wedge
-    slot alike.
+    the identity, so the pivots are the leading entries.  For q = 1 the
+    pivots and the inverse are those of tableau.generator_coordinates(),
+    the factorisation behind jet_coordinates(0, .); the inverse acts on
+    each wedge slot alike.
     """
     if q != 1:
         pivots = [next(i for i, x in enumerate(av) if x) for av in a_basis]
         inverse = None
     else:
-        gens = ColumnCoordinates(Matrix.from_columns(a_basis, nrows=embed.nrows // wedge_size))
+        gens = tableau.generator_coordinates()
         pivots = gens.rows
         inverse = Matrix(
             [

@@ -154,9 +154,9 @@ class JetVars:
     """Variable layout of the tower space: x^1..x^n, then coordinates of
     A^(0), A^(1), ..., A^(top).
 
-    Level 0 coordinates are taken over the given generator basis of the
-    tableau (the dependent variables of the system); levels >= 1 use the
-    canonical bases of the prolongations.
+    Level s coordinates are taken over tableau.jet_basis(s): the given
+    generators at level 0 (the dependent variables of the system), the
+    canonical bases of the prolongations above.
     """
 
     def __init__(self, tableau, top, max_dim=DEFAULT_MAX_DIM):
@@ -197,30 +197,7 @@ def _embed_poly(poly, num_vars):
     )
 
 
-def _generator_matrix(t):
-    cols = []
-    for g in t.generators:
-        flat = []
-        for row in g.rows:
-            flat.extend(row)
-        cols.append(flat)
-    return Matrix.from_columns(cols, nrows=t.a_dim * t.b_dim)
-
-
-def _level_coords(t, s, vector, gen_matrix):
-    """Coordinates of a full-space vector over the level-s basis (level 0
-    uses the generator basis)."""
-    if s == 0:
-        return gen_matrix.solve(vector)
-    c = t.level(s).coordinates(vector)
-    if c is None:
-        raise StructureViolation(
-            "contraction left the prolongation at level %d" % s
-        )
-    return c
-
-
-def _iota(t, s, i, gen_matrix, max_dim=DEFAULT_MAX_DIM):
+def _iota(t, s, i, max_dim=DEFAULT_MAX_DIM):
     """Matrix of the contraction A^(s) -> A^(s-1) by the direction e_i,
     over the jet coordinate bases (s >= 1)."""
     n, r = t.a_dim, t.b_dim
@@ -229,9 +206,22 @@ def _iota(t, s, i, gen_matrix, max_dim=DEFAULT_MAX_DIM):
     x[i] = Fraction(1)
     for v in t.level(s, max_dim).basis:
         w = contract_vector(n, r, s + 1, list(v), x)
-        cols.append(_level_coords(t, s - 1, w, gen_matrix))
-    nrows = t.dim if s == 1 else t.level(s - 1, max_dim).dim
-    return Matrix.from_columns(cols, nrows=nrows)
+        try:
+            cols.append(t.jet_coordinates(s - 1, w, max_dim))
+        except NotInImage as exc:
+            raise StructureViolation(
+                "contraction left the prolongation at level %d" % (s - 1)
+            ) from exc
+    return Matrix.from_columns(cols, nrows=t.dim_at(s - 1, max_dim))
+
+
+def _iotas(t, top, max_dim=DEFAULT_MAX_DIM):
+    """{(s, i): _iota(t, s, i)} for every level s = 1..top and direction i."""
+    return {
+        (s, i): _iota(t, s, i, max_dim)
+        for s in range(1, top + 1)
+        for i in range(t.a_dim)
+    }
 
 
 class TowerData:
@@ -385,18 +375,14 @@ def check_torsion_condition(sys, trials=None, seed=0, max_dim=DEFAULT_MAX_DIM):
             "method": "trivial_n_lt_3",
             "reading": "directional derivative along (A_1, Q_(1)(A_1))",
         }
-    gen_matrix = _generator_matrix(t)
-    level1 = t.level(1, max_dim)
     r = t.b_dim
     nv = sys.num_vars
     checked = 0
-    for q_idx, qv in enumerate(level1.basis):
-        qdirs = []
-        for u in range(n):
-            x = [Fraction(0)] * n
-            x[u] = Fraction(1)
-            w = contract_vector(n, r, 2, list(qv), x)
-            qdirs.append(gen_matrix.solve(w))
+    # column q_idx of iota(e_u) holds the level-0 coordinates of the
+    # contraction of the q_idx-th basis element of A^(1) by e_u
+    contractions = [_iota(t, 1, u, max_dim).transpose().rows for u in range(n)]
+    for q_idx in range(t.dim_at(1, max_dim)):
+        qdirs = [contractions[u][q_idx] for u in range(n)]
         for u in range(n):
             for v in range(u + 1, n):
                 for w in range(v + 1, n):
@@ -446,12 +432,7 @@ def build_s_chain(sys, h, samples=5, seed=0, max_dim=DEFAULT_MAX_DIM, k=None):
         )
     jet = JetVars(t, top=h, max_dim=max_dim)
     nv = jet.num_vars
-    n = t.a_dim
-    gen_matrix = _generator_matrix(t)
-    iotas = {}
-    for s in range(1, h + 1):
-        for j in range(n):
-            iotas[(s, j)] = _iota(t, s, j, gen_matrix, max_dim)
+    iotas = _iotas(t, h, max_dim)
     splits = {}
 
     def solve_into(r, rhs_map):
@@ -487,12 +468,7 @@ def _verify_delta_identities(sys, tower, max_dim=DEFAULT_MAX_DIM):
     t = tower.tableau
     jet = tower.jet
     nv = jet.num_vars
-    n = t.a_dim
-    gen_matrix = _generator_matrix(t)
-    iotas = {}
-    for s in range(1, jet.top + 1):
-        for j in range(n):
-            iotas[(s, j)] = _iota(t, s, j, gen_matrix, max_dim)
+    iotas = _iotas(t, jet.top, max_dim)
     checks = []
     phi = sys.phi_cell_map()
     phi = PolyMap(nv, [_embed_poly(p, nv) for p in phi.components])
@@ -626,11 +602,7 @@ def verify_structure_equations(sys, tower, trials=0, seed=0, max_dim=DEFAULT_MAX
     h = tower.order
     n = t.a_dim
     nv = jet.num_vars
-    gen_matrix = _generator_matrix(t)
-    iotas = {}
-    for s in range(1, jet.top + 1):
-        for j in range(n):
-            iotas[(s, j)] = _iota(t, s, j, gen_matrix, max_dim)
+    iotas = _iotas(t, jet.top, max_dim)
     checks = list(_verify_delta_identities(sys, tower, max_dim))
     gforms = {r: _coefficient_form(tower, r, iotas) for r in range(h + 1)}
 

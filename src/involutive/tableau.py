@@ -25,14 +25,16 @@ import random
 import threading
 from fractions import Fraction
 
-from .bases import contraction_matrix, sym_basis
+from .bases import contraction_matrix, multiindex_remove, sym_basis
 from .errors import (
     CapExceeded,
     DimensionMismatch,
+    Inconsistent,
     InputError,
+    NotInImage,
     UnstableGenericity,
 )
-from .linalg import Matrix, Subspace, frac, intersect
+from .linalg import ColumnCoordinates, Matrix, Subspace, frac, intersect
 
 DEFAULT_MAX_DIM = 20000
 
@@ -86,11 +88,9 @@ class CharacterVector:
         )
 
 
-def _matrix_to_vector(m):
-    out = []
-    for row in m.rows:
-        out.extend(row)
-    return out
+def flatten_generator(m):
+    """The b-major coordinate vector (index b*n + i) of an r x n matrix."""
+    return [x for row in m.rows for x in row]
 
 
 def _vector_to_matrix(v, r, n):
@@ -103,6 +103,11 @@ class Tableau:
     Each generator is an r x n Matrix (rows indexed by b, columns by a).
     Prolongations are cached per order; the cache is write-once and safe
     for concurrent readers.
+
+    Jet coordinates: level 0 is written over the flattened generators in
+    their given order (the dependent variables of a system), each level
+    h >= 1 over the canonical reduced basis of A^(h).  jet_basis and
+    jet_coordinates are the one place that convention lives.
     """
 
     def __init__(self, a_dim, b_dim, generators):
@@ -123,13 +128,15 @@ class Tableau:
         self.a_dim = a_dim
         self.b_dim = b_dim
         self.generators = tuple(gens)
-        span = Subspace(a_dim * b_dim, [_matrix_to_vector(g) for g in gens])
+        self._gen_vectors = [flatten_generator(g) for g in gens]
+        span = Subspace(a_dim * b_dim, self._gen_vectors)
         if span.dim != len(gens):
             raise InputError(
                 "generators are linearly dependent: %d matrices span a "
                 "space of dimension %d" % (len(gens), span.dim)
             )
         self._levels = [span]
+        self._gen_coords = None
         self._lock = threading.Lock()
 
     @classmethod
@@ -175,6 +182,47 @@ class Tableau:
                 )
                 self._levels.append(nxt)
         return self._levels[h]
+
+    def jet_basis(self, h, max_dim=DEFAULT_MAX_DIM):
+        """Basis of the level-h jet coordinates inside b (x) S^{h+1}(a*):
+        the flattened generators for h = 0, the basis of A^(h) above."""
+        if h == 0:
+            return self._gen_vectors
+        return self.level(h, max_dim).basis
+
+    def generator_coordinates(self):
+        """The flattened generators as a ColumnCoordinates, built once.
+
+        Its rows are the pivots of the canonical span A^(0); the
+        generators restricted there are invertible because they span it.
+        """
+        if self._gen_coords is None:
+            with self._lock:
+                if self._gen_coords is None:
+                    pivots = [
+                        next(i for i, x in enumerate(v) if x)
+                        for v in self._levels[0].basis
+                    ]
+                    gens = Matrix.from_columns(
+                        self._gen_vectors, nrows=self.a_dim * self.b_dim
+                    )
+                    inverse = Matrix(
+                        [gens.rows[i] for i in pivots], ncols=self.dim
+                    ).inverse()
+                    self._gen_coords = ColumnCoordinates(gens, pivots, inverse)
+        return self._gen_coords
+
+    def jet_coordinates(self, h, v, max_dim=DEFAULT_MAX_DIM):
+        """Coordinates of v over jet_basis(h); NotInImage when v is outside."""
+        if h == 0:
+            try:
+                return self.generator_coordinates().of_vector(v)
+            except Inconsistent as exc:
+                raise NotInImage("vector does not lie in A^(0)") from exc
+        coords = self.level(h, max_dim).coordinates(v)
+        if coords is None:
+            raise NotInImage("vector does not lie in A^(%d)" % h)
+        return coords
 
     def prolong(self, max_dim=DEFAULT_MAX_DIM):
         """First prolongation A^(1) inside b (x) S^2(a*)."""
@@ -243,8 +291,8 @@ def _prolong_once(n, r, prev, prev_h, max_dim):
                 for b_pos in range(a_pos + 1, len(distinct)):
                     i, j = distinct[a_pos], distinct[b_pos]
                     row = [Fraction(0)] * unknowns
-                    red_i = sb_prev.index_of[_remove(mono, i)]
-                    red_j = sb_prev.index_of[_remove(mono, j)]
+                    red_i = sb_prev.index_of[multiindex_remove(mono, i)]
+                    red_j = sb_prev.index_of[multiindex_remove(mono, j)]
                     for beta in range(d):
                         row[i * d + beta] += basis[beta][b * sb_prev.size + red_i]
                         row[j * d + beta] -= basis[beta][b * sb_prev.size + red_j]
@@ -260,7 +308,7 @@ def _prolong_once(n, r, prev, prev_h, max_dim):
         for b in range(r):
             for m_idx, mono in enumerate(sb_next.indices):
                 i0 = mono[0]
-                red = sb_prev.index_of[_remove(mono, i0)]
+                red = sb_prev.index_of[multiindex_remove(mono, i0)]
                 acc = Fraction(0)
                 for beta in range(d):
                     c = q[i0 * d + beta]
@@ -269,12 +317,6 @@ def _prolong_once(n, r, prev, prev_h, max_dim):
                 t[b * sb_next.size + m_idx] = acc
         out.append(t)
     return Subspace(ambient, out)
-
-
-def _remove(mono, k):
-    out = list(mono)
-    out.remove(k)
-    return tuple(out)
 
 
 def prolong_via_intersection(tab, h=1, max_dim=DEFAULT_MAX_DIM):
@@ -306,7 +348,7 @@ def prolong_via_intersection(tab, h=1, max_dim=DEFAULT_MAX_DIM):
                 if c == 0:
                     continue
                 for i in sorted(set(mono)):
-                    red = sb_prev.index_of[_remove(mono, i)]
+                    red = sb_prev.index_of[multiindex_remove(mono, i)]
                     w[(b * sb_prev.size + red) * n + i] += c
         return w
 
@@ -335,7 +377,7 @@ def prolong_via_intersection(tab, h=1, max_dim=DEFAULT_MAX_DIM):
         for b in range(r):
             for m_idx, mono in enumerate(sb_next.indices):
                 i0 = mono[0]
-                red = sb_prev.index_of[_remove(mono, i0)]
+                red = sb_prev.index_of[multiindex_remove(mono, i0)]
                 vec_t[b * sb_next.size + m_idx] = w[(b * sb_prev.size + red) * n + i0]
         if embed(vec_t) != w:
             raise UnstableGenericity(

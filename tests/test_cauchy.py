@@ -416,8 +416,7 @@ def level_one_series(sys_, tower, sol, degree):
     gradient relation d Q_(0) = (S_(1) + iota Q_(1)) dx."""
     t = sys_.tableau
     n = t.a_dim
-    gen_mat = systems._generator_matrix(t)
-    ios = [systems._iota(t, 1, j, gen_mat) for j in range(n)]
+    ios = [systems._iota(t, 1, j) for j in range(n)]
     stacked = Matrix(
         [list(row) for io in ios for row in io.rows], ncols=ios[0].ncols
     )

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from involutive.cauchy import CauchyData
-from involutive.cli import main
+from involutive.cli import EXAMPLE_NAMES, main
 from involutive.poly import Polynomial
 from involutive.systems import System
 from involutive.tableau import Tableau
@@ -31,6 +31,44 @@ def data_file(tmp_path):
     path = tmp_path / "data.json"
     path.write_text(json.dumps(data.to_json_dict()))
     return str(path)
+
+
+def example_files(tmp_path, name):
+    """A built-in example and Cauchy data for it: every built-in example
+    is involutive with s = (dim A, 0, ...), so one block of dim A series."""
+    path = tmp_path / (name.replace(":", "_") + ".json")
+    assert main(["examples", name, "--out", str(path)]) == 0
+    t = System.from_json_dict(json.loads(path.read_text())).tableau
+    block = [
+        Polynomial(1, {(0,): Fraction(i + 1), (1,): Fraction(1, i + 2)})
+        for i in range(t.dim)
+    ]
+    data = tmp_path / "data.json"
+    data.write_text(json.dumps(CauchyData([0] * t.a_dim, [], [block]).to_json_dict()))
+    return str(path), str(data)
+
+
+@pytest.mark.parametrize("name", EXAMPLE_NAMES)
+def test_every_subcommand_on_every_example(name, tmp_path, capsys):
+    path, data = example_files(tmp_path, name)
+    for argv in (
+        ["tableau", path, "--prolong", "1", "--characters", "--involutive-index"],
+        ["spencer", path, "--q-max", "1", "--two-acyclic", "--harmonic"],
+        ["system", path, "--check", "--tower", "1", "--structure"],
+        ["cauchy", path, data, "--degree", "2", "--verify", "--polar"],
+    ):
+        capsys.readouterr()
+        assert main(argv + ["--json"]) == 0, argv
+        report = json.loads(capsys.readouterr().out)
+        assert report["certificates"], argv
+        assert all(c["passed"] for c in report["certificates"]), argv
+
+
+def test_max_degree_raises_the_series_cap(tmp_path, capsys):
+    path, data = example_files(tmp_path, "wavemap:abelian")
+    argv = ["cauchy", path, data, "--degree", "13"]
+    assert main(argv) == 3
+    assert main(argv + ["--max-degree", "13"]) == 0
 
 
 def test_examples_cover_all_fixtures(tmp_path):

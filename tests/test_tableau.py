@@ -8,7 +8,13 @@ from math import comb
 import pytest
 
 from involutive.bases import contraction_matrix, sym_basis
-from involutive.errors import CapExceeded, DimensionMismatch, InputError
+from involutive.errors import (
+    CapExceeded,
+    DimensionMismatch,
+    Inconsistent,
+    InputError,
+    NotInImage,
+)
 from involutive.linalg import Matrix, Subspace
 from involutive.tableau import (
     CharacterVector,
@@ -147,6 +153,41 @@ def test_prolongation_contracts_into_previous_level():
                 for i in range(n):
                     c = contraction_matrix(n, r, h + 1, i).matvec(v)
                     assert prev.contains(c)
+
+
+def test_jet_coordinates_match_solve_oracle():
+    # pivot-read coordinates against a fresh elimination over jet_basis(h)
+    rng = random.Random(2020)
+    cases = [Tableau(2, 3, []), full_tableau(2, 1), skew_tableau()]
+    while len(cases) < 16:
+        # unreduced generators, so level 0 needs a nontrivial inverse
+        n, r = rng.randint(1, 3), rng.randint(1, 3)
+        raw = [[Fraction(rng.randint(-3, 3)) for _ in range(n * r)]
+               for _ in range(rng.randint(1, n * r))]
+        if Subspace(n * r, raw).dim == len(raw):
+            t = Tableau.from_vectors(n, r, raw)
+            assert t.jet_basis(0) == raw
+            cases.append(t)
+    outside_seen = 0
+    for t in cases:
+        for h in range(3):
+            ambient = t.b_dim * sym_basis(t.a_dim, h + 1).size
+            basis = Matrix.from_columns(t.jet_basis(h), nrows=ambient)
+            assert basis.ncols == t.dim_at(h)
+            coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                      for _ in range(basis.ncols)]
+            inside = basis.matvec(coeffs)
+            assert t.jet_coordinates(h, inside) == basis.solve(inside) == coeffs
+            outside = [Fraction(rng.randint(-2, 2)) for _ in range(ambient)]
+            try:
+                expected = basis.solve(outside)
+            except Inconsistent:
+                outside_seen += 1
+                with pytest.raises(NotInImage):
+                    t.jet_coordinates(h, outside)
+            else:
+                assert t.jet_coordinates(h, outside) == expected
+    assert outside_seen > 0
 
 
 def test_cartan_bound_random():
