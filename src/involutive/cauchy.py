@@ -16,8 +16,10 @@ exact linear slice of the curl equations
         = iota(a_rho) S_(k+1)(a_sigma) - iota(a_sigma) S_(k+1)(a_rho),
 
 and the lower levels integrate the full gradient prescriptions
-d Q_(r) = (S_(r+1) + Q_(r+1))(dx).  Unique solvability of every slice
-is asserted at runtime; it is exactly what involutivity provides.
+d Q_(r) = g_(r)(dx), with g_(r) = S_(r+1) + iota.Q_(r+1) the tower's
+coefficient form (TowerData.coefficient_form).  Unique solvability of
+every slice is asserted at runtime; it is exactly what involutivity
+provides.
 
 The polar-space checks construct integral flags through a point of the
 prolonged equation manifold from the section xi -> (xi, S_(k+1)(xi)) and
@@ -42,7 +44,6 @@ from .errors import (
 )
 from .linalg import Matrix, frac, solve_affine
 from .poly import Polynomial, PolyMap
-from .systems import _iotas
 from .tableau import DEFAULT_MAX_DIM, flatten_generator, involutive_index
 
 DEFAULT_MAX_DEGREE = 10
@@ -286,13 +287,7 @@ def solve_formal(sys, tower, nf, data, degree, k=None, max_dim=DEFAULT_MAX_DIM,
     iota_u = [_level_contraction(t, k, flag_cols[rho], max_dim) for rho in range(n)]
 
     # normal generator values on the flag directions
-    gen_val = [
-        [
-            _matvec_columns(val_mats[m], flag_cols[rho])
-            for rho in range(n)
-        ]
-        for m in range(nk)
-    ]
+    gen_val = [[mat.matvec(col) for col in flag_cols] for mat in val_mats]
 
     # block coefficient series, seeded with the data
     g_terms = [dict() for _ in range(nk)]
@@ -331,8 +326,6 @@ def solve_formal(sys, tower, nf, data, degree, k=None, max_dim=DEFAULT_MAX_DIM,
                     acc = acc.add(Polynomial(n, g_terms[m]).scale(c))
             cols.append(acc)
         return cols
-
-    iotas_lower = _iotas(t, k, max_dim)
 
     for d in range(1, degree + 1):
         u_series = [level_series(h) for h in range(k + 1)]
@@ -405,8 +398,8 @@ def solve_formal(sys, tower, nf, data, degree, k=None, max_dim=DEFAULT_MAX_DIM,
         # integrate the lower levels downward
         for h in range(k - 1, -1, -1):
             u_series = [level_series(hh) for hh in range(k + 1)]
-            s_comp = _compose_chain_map(
-                tower.s_chain[h], x_subs, u_series, jet, d - 1
+            g_comp = _compose_chain_map(
+                tower.coefficient_form(h), x_subs, u_series, jet, d - 1
             )
             # gradient of Q_(h) in the u-direction rho
             for exp in _monomials(n, d):
@@ -414,23 +407,16 @@ def solve_formal(sys, tower, nf, data, degree, k=None, max_dim=DEFAULT_MAX_DIM,
                 for rho in range(n):
                     if exp[rho] == 0:
                         continue
-                    below = _drop(exp, rho)
+                    below = list(_drop(exp, rho))
                     for alpha in range(level_dims[h]):
-                        g = Fraction(0)
-                        for j_dir in range(n):
-                            c = basis_a.rows[j_dir][rho]
-                            if not c:
-                                continue
-                            g += c * s_comp[alpha * n + j_dir].coefficient(
-                                list(below)
-                            )
-                            io = iotas_lower[(h + 1, j_dir)]
-                            for beta in range(level_dims[h + 1]):
-                                cc = io.rows[alpha][beta]
-                                if cc:
-                                    g += c * cc * u_series[h + 1][beta].coefficient(
-                                        list(below)
-                                    )
+                        g = sum(
+                            (
+                                c * g_comp[alpha * n + j_dir].coefficient(below)
+                                for j_dir, c in enumerate(flag_cols[rho])
+                                if c
+                            ),
+                            Fraction(0),
+                        )
                         value = g / exp[rho]
                         prev = coeffs.get(alpha)
                         if prev is None:
@@ -479,13 +465,6 @@ def solve_formal(sys, tower, nf, data, degree, k=None, max_dim=DEFAULT_MAX_DIM,
         [Polynomial(n, g_terms[m]) for m in range(nk)],
         composition, nf,
     )
-
-
-def _matvec_columns(mat, vec):
-    return [
-        sum((row[i] * vec[i] for i in range(len(vec))), Fraction(0))
-        for row in mat.rows
-    ]
 
 
 def _bump(exp, i):
@@ -585,7 +564,7 @@ def verify_solution(sys, sol):
     }
 
 
-def _s_values_at_point(sys, tower, k, point, max_dim):
+def _s_values_at_point(sys, tower, k, point):
     """S_(k+1) component values at a jet point, per x-direction, as
     level-k coordinate vectors."""
     jet = tower.jet
@@ -616,7 +595,7 @@ def _polar_operator(sys, tower, nf, k, point, max_dim):
     iota_e = [
         _level_contraction(t, k, row, max_dim) for row in Matrix.identity(n).rows
     ]
-    s_vals = _s_values_at_point(sys, tower, k, point, max_dim)
+    s_vals = _s_values_at_point(sys, tower, k, point)
 
     def s_of(xi):
         out = [Fraction(0)] * dim_k

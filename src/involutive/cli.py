@@ -15,7 +15,9 @@ ARTIFACT_SEED environment variable, then 0), and resource caps
 (--max-dim, --max-degree) that fail loudly with exit code 3.
 
 Exit codes: 0 all requested checks passed, 1 a check failed, 2 bad
-input, 3 resource cap exceeded.
+input, 3 resource cap exceeded.  `tableau` is a report, not a check: it
+records the Cartan verdict in its cartan_test certificate and exits 0
+whether or not the tableau is involutive.
 """
 
 from __future__ import annotations
@@ -290,7 +292,7 @@ def cmd_system(args):
             for m in tower.s_chain
         ]
         if args.structure:
-            rep = verify_structure_equations(sys_, tower, max_dim=args.max_dim)
+            rep = verify_structure_equations(sys_, tower)
             results["structure_checks"] = [
                 {"name": c["name"], "passed": c["passed"]} for c in rep["checks"]
             ]
@@ -462,7 +464,13 @@ def build_parser():
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    t = sub.add_parser("tableau", help="prolongations, characters, Cartan test")
+    t = sub.add_parser(
+        "tableau",
+        help="prolongations, characters, Cartan test",
+        description="Report prolongations, characters and the Cartan test. "
+        "The Cartan verdict is the cartan_test certificate; the exit code is "
+        "0 whether or not the tableau is involutive.",
+    )
     t.add_argument("file")
     t.add_argument("--characters", action="store_true",
                    help="also show the coordinate-flag partial sums")

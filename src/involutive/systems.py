@@ -23,12 +23,15 @@ polynomial maps solving
 where Dbar is the skew total derivative
 
     Dbar(S)(e_i, e_j) = D_j S(e_i) - D_i S(e_j),
-    D_j = d/dx^j + sum_s (S_(s+1) + Q_(s+1))^._j d/dq_(s)^.
+    D_j = d/dx^j + sum_s g_(s)^._j d/dq_(s)^.,   g_(s) = S_(s+1) + iota.Q_(s+1).
 
 Solvability and uniqueness come from two-acyclicity; each S_(r) is the
-canonical preimage in B_{r,1}(A).  verify_structure_equations then forms
-the 1-forms beta_(r) = dQ_(r) - (S_(r+1)+Q_(r+1))(dx) and the tableau
-form pi_(h) = dQ_(h) - S_(h+1)(dx) and checks the structure equations
+canonical preimage in B_{r,1}(A).  A TowerData holds one tower: its jet
+layout, the contractions iota, the harmonic splits of C^{r,1} and the
+chain, each built once, and it writes the coefficient forms g_(r).
+verify_structure_equations then forms the 1-forms
+beta_(r) = dQ_(r) - g_(r)(dx) and the tableau form
+pi_(h) = dQ_(h) - S_(h+1)(dx) and checks the structure equations
 
     d beta_(r) = -beta_(r+1) wedge dx   modulo {beta_(0..r)}
 
@@ -56,12 +59,7 @@ from .errors import (
 )
 from .linalg import Matrix, Subspace
 from .poly import Polynomial, PolyMap
-from .spencer import (
-    HarmonicSplit,
-    SpencerCell,
-    delta,
-    two_acyclicity_report,
-)
+from .spencer import HarmonicSplit, SpencerCell, delta, two_acyclicity_report
 from .tableau import DEFAULT_MAX_DIM, Tableau
 
 _EXPANSION_CAP = 20000
@@ -225,61 +223,81 @@ def _iotas(t, top, max_dim=DEFAULT_MAX_DIM):
 
 
 class TowerData:
-    """The chain S_(1), ..., S_(h+1) of one prolongation tower.
+    """One prolongation tower of order h: everything built from the tableau
+    once, and the chain S_(1), ..., S_(h+1).
 
-    s_chain[r-1] is S_(r), a PolyMap on the JetVars layout of order h
-    whose components are the cell coordinates of C^{r,1}(A) (index
-    alpha * n + i for the level-(r-1) coordinate alpha and the dx slot i).
+    jet is the JetVars layout of order h, iotas[(s, i)] the contraction
+    of level s = 1..h by e_i (see _iota) and splits[r] the HarmonicSplit
+    of C^{r,1} for r = 1..h+1.  s_chain[r-1] is S_(r), a PolyMap on the
+    jet layout whose components are the cell coordinates of C^{r,1}(A)
+    (index alpha * n + i for the level-(r-1) coordinate alpha and the dx
+    slot i); build_s_chain appends them in order.
     """
 
-    def __init__(self, tableau, order, s_chain, jet):
+    def __init__(self, tableau, order, s_chain=(), max_dim=DEFAULT_MAX_DIM):
         self.tableau = tableau
         self.order = order
-        self.s_chain = s_chain
-        self.jet = jet
+        self.s_chain = list(s_chain)
+        self.jet = JetVars(tableau, top=order, max_dim=max_dim)
+        self.iotas = _iotas(tableau, order, max_dim)
+        self.splits = {
+            r: HarmonicSplit(tableau, r, 1, max_dim) for r in range(1, order + 2)
+        }
+
+    def coefficient_form(self, r):
+        """g_(r) with beta_(r) = dq_(r) - g_(r)(dx), in the layout of
+        S_(r+1): S_(r+1) plus iota.q_(r+1) when level r+1 is in the jet
+        layout, S_(r+1) alone at the top."""
+        jet = self.jet
+        n, nv = jet.n, jet.num_vars
+        comps = list(self.s_chain[r].components)
+        if r + 1 <= jet.top:
+            for i in range(n):
+                rows = self.iotas[(r + 1, i)].rows
+                for alpha in range(jet.dims[r]):
+                    terms = {}
+                    for beta, c in enumerate(rows[alpha]):
+                        if c:
+                            e = [0] * nv
+                            e[jet.q_index(r + 1, beta)] = 1
+                            terms[tuple(e)] = c
+                    comps[alpha * n + i] = comps[alpha * n + i].add(
+                        Polynomial(nv, terms)
+                    )
+        return PolyMap(nv, comps)
 
 
-def _total_derivative(poly, j, jet, s_chain, iotas):
-    """D_j poly on the tower: d/dx^j plus the chain-plus-jet substitution
-    of every dependent level present in the layout."""
+def _total_derivative(poly, j, jet, gforms):
+    """D_j poly on the tower: d/dx^j plus g_(s)^._j d/dq_(s)^. for every
+    level s with a coefficient form gforms[s]."""
     out = poly.partial(jet.x_index(j))
     n = jet.n
-    nv = jet.num_vars
-    for s in range(len(jet.dims) - 1):
-        if s >= len(s_chain):
-            break
-        d_s = jet.dims[s]
-        for gamma in range(d_s):
+    for s, g in enumerate(gforms):
+        for gamma in range(jet.dims[s]):
             pf = poly.partial(jet.q_index(s, gamma))
-            if pf.is_zero():
-                continue
-            coeff = s_chain[s].components[gamma * n + j]
-            io = iotas[(s + 1, j)]
-            lin_terms = {}
-            for beta in range(jet.dims[s + 1]):
-                c = io.rows[gamma][beta]
-                if c:
-                    e = [0] * nv
-                    e[jet.q_index(s + 1, beta)] = 1
-                    lin_terms[tuple(e)] = c
-            coeff = coeff.add(Polynomial(nv, lin_terms))
-            out = out.add(pf.mul(coeff))
+            if not pf.is_zero():
+                out = out.add(pf.mul(g.components[gamma * n + j]))
     return out
 
 
-def _dbar(t, jet, s_chain, iotas, ell):
+def _dbar(tower, ell):
     """Skew total derivative of S_(ell) into C^{ell,2} cell coordinates:
     (Dbar S)(e_i, e_j) = D_j S(e_i) - D_i S(e_j) on pairs i < j."""
-    s_map = s_chain[ell - 1]
-    n = t.a_dim
-    a_count = s_map.dim // n
+    jet = tower.jet
+    s_map = tower.s_chain[ell - 1]
+    n = jet.n
+    # the levels s whose S_(s+1) is built and whose q_(s+1) is in the layout
+    gforms = [
+        tower.coefficient_form(s)
+        for s in range(min(jet.top, len(tower.s_chain)))
+    ]
     pairs = ext_basis(n, 2).indices
     comps = []
-    for alpha in range(a_count):
+    for alpha in range(s_map.dim // n):
         per_dir = [s_map.components[alpha * n + i] for i in range(n)]
         for (i, j) in pairs:
-            dj = _total_derivative(per_dir[i], j, jet, s_chain, iotas)
-            di = _total_derivative(per_dir[j], i, jet, s_chain, iotas)
+            dj = _total_derivative(per_dir[i], j, jet, gforms)
+            di = _total_derivative(per_dir[j], i, jet, gforms)
             comps.append(dj.sub(di))
     return PolyMap(jet.num_vars, comps)
 
@@ -430,30 +448,23 @@ def build_s_chain(sys, h, samples=5, seed=0, max_dim=DEFAULT_MAX_DIM, k=None):
             "the tableau is not 2-acyclic in the needed range: %r"
             % (report["H_q2_dims"],)
         )
-    jet = JetVars(t, top=h, max_dim=max_dim)
-    nv = jet.num_vars
-    iotas = _iotas(t, h, max_dim)
-    splits = {}
+    tower = TowerData(t, h, max_dim=max_dim)
+    nv = tower.jet.num_vars
 
     def solve_into(r, rhs_map):
-        """Canonical preimage of rhs (C^{r-1,2} coords) under delta^{r,1}."""
-        if r not in splits:
-            splits[r] = HarmonicSplit(t, r, 1, max_dim)
-        split = splits[r]
-        monos = _polymap_monomials(rhs_map)
-        out = {}
-        for exp, vec in monos.items():
-            out[exp] = split.sigma_on_cell_coords(vec)
-        return _polymap_from_monomials(nv, split.cell.dim, out)
+        """Append S_(r), the canonical preimage of rhs (C^{r-1,2} coords)
+        under delta^{r,1}."""
+        split = tower.splits[r]
+        out = {
+            exp: split.sigma_on_cell_coords(vec)
+            for exp, vec in _polymap_monomials(rhs_map).items()
+        }
+        tower.s_chain.append(_polymap_from_monomials(nv, split.cell.dim, out))
 
-    phi = sys.phi_cell_map()
-    phi = PolyMap(nv, [_embed_poly(p, nv) for p in phi.components])
-    chain = [solve_into(1, phi)]
+    solve_into(1, _phi_on_jet(sys, nv))
     for r in range(2, h + 2):
-        rhs = _dbar(t, jet, chain, iotas, r - 1).scale(Fraction(-1))
-        chain.append(solve_into(r, rhs))
-    tower = TowerData(t, h, chain, jet)
-    rep = _verify_delta_identities(sys, tower, max_dim)
+        solve_into(r, _dbar(tower, r - 1).scale(Fraction(-1)))
+    rep = _verify_delta_identities(sys, tower)
     bad = [c for c in rep if not c["passed"]]
     if bad:
         raise StructureViolation(
@@ -462,34 +473,30 @@ def build_s_chain(sys, h, samples=5, seed=0, max_dim=DEFAULT_MAX_DIM, k=None):
     return tower
 
 
-def _verify_delta_identities(sys, tower, max_dim=DEFAULT_MAX_DIM):
+def _phi_on_jet(sys, nv):
+    """Phi in C^{0,2} cell coordinates over the nv jet variables."""
+    return PolyMap(nv, [_embed_poly(p, nv) for p in sys.phi_cell_map().components])
+
+
+def _verify_delta_identities(sys, tower):
     """Exact checks of delta(S_(1)) = Phi and delta(S_(r)) = -Dbar(S_(r-1)),
     plus membership of every S_(r) in B_{r,1}."""
-    t = tower.tableau
-    jet = tower.jet
-    nv = jet.num_vars
-    iotas = _iotas(t, jet.top, max_dim)
+    nv = tower.jet.num_vars
     checks = []
-    phi = sys.phi_cell_map()
-    phi = PolyMap(nv, [_embed_poly(p, nv) for p in phi.components])
-    for r in range(1, len(tower.s_chain) + 1):
-        s_map = tower.s_chain[r - 1]
-        cell = SpencerCell(t, r, 1, max_dim)
-        d = delta(cell, max_dim)
+    for r, s_map in enumerate(tower.s_chain, start=1):
+        split = tower.splits[r]
         image = PolyMap(
             nv,
             [
-                _poly_linear_combination(d.rows[row], s_map.components, nv)
-                for row in range(d.nrows)
+                _poly_linear_combination(row, s_map.components, nv)
+                for row in split.d_out.rows
             ],
         )
         if r == 1:
-            target = phi
+            target = _phi_on_jet(sys, nv)
             name = "delta_S1_equals_phi"
         else:
-            target = _dbar(t, jet, tower.s_chain, iotas, r - 1).scale(
-                Fraction(-1)
-            )
+            target = _dbar(tower, r - 1).scale(Fraction(-1))
             name = "delta_S%d_equals_minus_dbar_S%d" % (r, r - 1)
         checks.append(
             {
@@ -498,9 +505,8 @@ def _verify_delta_identities(sys, tower, max_dim=DEFAULT_MAX_DIM):
                 "detail": "",
             }
         )
-        b_down = HarmonicSplit(t, r, 1, max_dim).b_down
         member = all(
-            b_down.contains(vec)
+            split.b_down.contains(vec)
             for vec in _polymap_monomials(s_map).values()
         )
         checks.append(
@@ -557,38 +563,12 @@ class _TwoForm:
         return None
 
 
-def _coefficient_form(tower, r, iotas):
-    """g^alpha_i with beta_(r) = dq_(r)^alpha - g^alpha_i dx^i; uses the
-    jet variables of level r+1 when present, otherwise S only."""
-    jet = tower.jet
-    t = tower.tableau
-    n = t.a_dim
-    nv = jet.num_vars
-    s_map = tower.s_chain[r]
-    d_r = jet.dims[r]
-    out = {}
-    for alpha in range(d_r):
-        for i in range(n):
-            g = s_map.components[alpha * n + i]
-            if r + 1 <= jet.top:
-                io = iotas[(r + 1, i)]
-                terms = {}
-                for beta in range(jet.dims[r + 1]):
-                    c = io.rows[alpha][beta]
-                    if c:
-                        e = [0] * nv
-                        e[jet.q_index(r + 1, beta)] = 1
-                        terms[tuple(e)] = c
-                g = g.add(Polynomial(nv, terms))
-            out[(alpha, i)] = g
-    return out
-
-
-def verify_structure_equations(sys, tower, trials=0, seed=0, max_dim=DEFAULT_MAX_DIM):
+def verify_structure_equations(sys, tower):
     """Exact verification of the tower's structure equations.
 
-    Forms beta_(r) = dQ_(r) - (S_(r+1)+Q_(r+1))(dx) for r < h and
-    pi_(h) = dQ_(h) - S_(h+1)(dx), then checks
+    Forms beta_(r) = dQ_(r) - g_(r)(dx) with the coefficient forms
+    g_(r) = tower.coefficient_form(r), which is pi_(h) = dQ_(h) -
+    S_(h+1)(dx) at the top, then checks
 
         d beta_(r) + beta_(r+1) wedge-dot dx = 0  mod {beta_(0..r)}
 
@@ -597,21 +577,19 @@ def verify_structure_equations(sys, tower, trials=0, seed=0, max_dim=DEFAULT_MAX
     Returns a report; raises StructureViolation on the first failing
     identity, carrying (r, component).
     """
-    t = sys.tableau
     jet = tower.jet
     h = tower.order
-    n = t.a_dim
+    n = jet.n
     nv = jet.num_vars
-    iotas = _iotas(t, jet.top, max_dim)
-    checks = list(_verify_delta_identities(sys, tower, max_dim))
-    gforms = {r: _coefficient_form(tower, r, iotas) for r in range(h + 1)}
+    checks = _verify_delta_identities(sys, tower)
+    gforms = [tower.coefficient_form(r) for r in range(h + 1)]
 
     def reduce_label(label, level_cap):
         """Expansion of a coordinate 1-form modulo {beta_(0..level_cap)}:
         dq_(s) with s <= level_cap becomes g_(s)(dx)."""
         if label[0] == "q" and label[1] <= level_cap:
             s, alpha = label[1], label[2]
-            return [(("x", i), gforms[s][(alpha, i)]) for i in range(n)]
+            return [(("x", i), gforms[s].components[alpha * n + i]) for i in range(n)]
         return [(label, Polynomial.constant(nv, 1))]
 
     for r in range(h):
@@ -620,7 +598,7 @@ def verify_structure_equations(sys, tower, trials=0, seed=0, max_dim=DEFAULT_MAX
         for alpha in range(d_r):
             sub = _TwoForm(nv)
             for i in range(n):
-                g = gforms[r][(alpha, i)]
+                g = gforms[r].components[alpha * n + i]
                 for var in range(nv):
                     pg = g.partial(var)
                     if pg.is_zero():
@@ -634,7 +612,7 @@ def verify_structure_equations(sys, tower, trials=0, seed=0, max_dim=DEFAULT_MAX
             # + beta_(r+1) wedge-dot dx, contracted into level r coords;
             # beta_(r+1)^B = dq_(r+1)^B - g_(r+1)^B_j dx^j (pi when r+1 = h)
             for i in range(n):
-                io = iotas[(r + 1, i)]
+                io = tower.iotas[(r + 1, i)]
                 for bidx in range(jet.dims[r + 1]):
                     c = io.rows[alpha][bidx]
                     if not c:
@@ -643,7 +621,7 @@ def verify_structure_equations(sys, tower, trials=0, seed=0, max_dim=DEFAULT_MAX
                         ("q", r + 1, bidx), ("x", i), Polynomial.constant(nv, c)
                     )
                     for j in range(n):
-                        g2 = gforms[r + 1][(bidx, j)]
+                        g2 = gforms[r + 1].components[bidx * n + j]
                         sub.add_term(("x", j), ("x", i), g2.scale(-c))
             # quotient by the ideal {beta_(0..r)}
             reduced = _TwoForm(nv)

@@ -512,7 +512,7 @@ def test_tampered_tower_breaks_mixed_partials(su2_setup):
     from involutive.poly import PolyMap
 
     bad_chain = [tower.s_chain[0], PolyMap(tower.jet.num_vars, comps)]
-    bad_tower = TowerData(t, 1, bad_chain, tower.jet)
+    bad_tower = TowerData(t, 1, bad_chain)
     blocks = [[Polynomial.zero(1) for _ in range(6)]]
     data = CauchyData([0, 0], [[Fraction(0)] * 6], blocks)
     with pytest.raises(InconsistentData):

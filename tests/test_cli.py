@@ -190,6 +190,19 @@ def test_zero_tableau_report(tmp_path, capsys):
     assert report["results"]["involutive_index"] == 0
 
 
+def test_tableau_reports_cartan_verdict_and_exits_zero(tmp_path, capsys):
+    # the documented contract: the verdict lives in the certificate
+    t = Tableau(2, 2, [[[0, 1], [-1, 0]]])
+    path = tmp_path / "skew.json"
+    path.write_text(json.dumps(t.to_json_dict()))
+    assert main(["tableau", str(path), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["results"]["involutive"] is False
+    assert report["certificates"] == [
+        {"name": "cartan_test", "passed": False, "method": "generic_flags(samples=5, seed=0)"}
+    ]
+
+
 def test_report_json_round_trips(wavemap_file, capsys):
     main(["system", wavemap_file, "--check", "--json"])
     out = capsys.readouterr().out

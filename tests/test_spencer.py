@@ -108,6 +108,29 @@ def test_cell_coordinates_match_solve_oracle():
                     )
 
 
+def test_complex_lines_euler_characteristic_and_delta_squared():
+    # each line q + p = m is a finite complex C^{m,0} -> ... -> C^{0,m}
+    # (cells with p > n are zero): its alternating sum of cell dimensions
+    # equals that of its cohomology, and consecutive differentials compose
+    # to zero
+    rng = random.Random(1992)
+    cases = [Tableau(1, 1, []), Tableau(3, 2, [])]
+    while len(cases) < 32:
+        n, r = rng.randint(1, 3), rng.randint(1, 3)
+        cases.append(random_tableau(rng, n, r, rng.randint(1, 3)))
+    for t in cases:
+        for m in range(4):
+            cells = [SpencerCell(t, m - p, p) for p in range(m + 1)]
+            deltas = [delta(cell) for cell in cells]
+            assert sum((-1) ** p * cell.dim for p, cell in enumerate(cells)) == sum(
+                (-1) ** p * cohomology_dim(t, m - p, p) for p in range(m + 1)
+            )
+            for p in range(m):
+                assert deltas[p].nrows == cells[p + 1].dim
+                composed = deltas[p + 1].matmul(deltas[p])
+                assert all(x == 0 for row in composed.rows for x in row)
+
+
 def test_delta_leaving_target_cell_raises():
     # a corrupted A^(1) (all of b (x) S^2) is not the prolongation of A
     t = Tableau(2, 2, [[[1, 0], [0, 0]]])

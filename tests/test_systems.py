@@ -22,7 +22,8 @@ from involutive.liealg import (
 )
 from involutive.linalg import Matrix
 from involutive.poly import Polynomial, PolyMap
-from involutive.spencer import SpencerCell, delta
+from involutive import systems
+from involutive.spencer import HarmonicSplit, SpencerCell, delta
 from involutive.systems import (
     JetVars,
     System,
@@ -319,8 +320,6 @@ def test_s_chain_is_deterministic():
 
 def test_s_chain_solution_is_unique_in_its_slice():
     # delta restricted to B_{r,1} is injective, so the chain is pinned
-    from involutive.spencer import HarmonicSplit
-
     for sys in (wavemap_su2(), build_gg0_system(sl3_decomposition())):
         t = sys.tableau
         for r in (1, 2):
@@ -356,9 +355,32 @@ def test_tampered_tower_is_caught():
             + [Polynomial.zero(tower.jet.num_vars)] * (tower.s_chain[1].dim - 1),
         )
     )
-    bad = TowerData(sys.tableau, 1, [tower.s_chain[0], bad_top], tower.jet)
+    bad = TowerData(sys.tableau, 1, [tower.s_chain[0], bad_top])
     with pytest.raises(StructureViolation):
         verify_structure_equations(sys, bad)
+
+
+def test_tower_builds_its_splits_and_contractions_once(monkeypatch):
+    # order 2: splits of C^{1,1}, C^{2,1}, C^{3,1} and the contractions
+    # of levels 1 and 2 in both directions, shared by the chain, both
+    # runs of the delta identities and the structure equations
+    counts = {"splits": 0, "iotas": 0}
+    split_init, iota = HarmonicSplit.__init__, systems._iota
+
+    def counting_init(self, *args, **kwargs):
+        counts["splits"] += 1
+        split_init(self, *args, **kwargs)
+
+    def counting_iota(*args, **kwargs):
+        counts["iotas"] += 1
+        return iota(*args, **kwargs)
+
+    monkeypatch.setattr(HarmonicSplit, "__init__", counting_init)
+    monkeypatch.setattr(systems, "_iota", counting_iota)
+    sys = wavemap_su2()
+    tower = build_s_chain(sys, h=2)
+    assert verify_structure_equations(sys, tower)["all_passed"]
+    assert counts == {"splits": 3, "iotas": 4}
 
 
 # ----------------------------------------------------- frozen sign checks
