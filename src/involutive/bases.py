@@ -104,10 +104,6 @@ def multiindex_remove(I: tuple[int, ...], k: int) -> tuple[int, ...] | None:
     return tuple(out)
 
 
-def multiindex_insert(I: tuple[int, ...], k: int) -> tuple[int, ...]:
-    return tuple(sorted(I + (k,)))
-
-
 def wedge_insert(k: int, K: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
     """e_k* ^ w_K as (sign, sorted index tuple), or None when k is in K."""
     if k in K:

@@ -7,17 +7,22 @@ contraction matrices of the Spencer and tableau layers are mostly 0 or
 the canonical bases below do not depend on which entries were skipped.
 A full-column-rank matrix that is solved against many times is factored
 once as a ColumnCoordinates, which reads a solution off pivot rows and
-proves it by multiplying back.  Rank and dimension decisions throughout
-the package reduce to the row echelon computations implemented here, so
-everything is exact: no floating point, no tolerance thresholds.
+proves it by multiplying back.  Everything is exact: no floating point,
+no tolerance thresholds.
 
-Subspaces of Q^N are kept in a canonical reduced row-echelon basis, which
+Ranks and independence tests go through one fraction-free routine, the
+IntegerEchelon: each row is scaled by the lcm of its denominators
+(clear_denominators), which changes no rank, and reduced over Python
+ints against at most one primitive row per pivot column.  Bases, kernels
+and solutions go through the canonical reduced row-echelon form of
+Matrix.rref.  Subspaces of Q^N are kept in that canonical basis, which
 makes equality of subspaces a syntactic comparison of the stored rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, Inconsistent
@@ -56,6 +61,64 @@ def vec_scale(c, v: Sequence[Fraction]) -> Vector:
 
 def vec_is_zero(v: Sequence[Fraction]) -> bool:
     return all(a == 0 for a in v)
+
+
+def clear_denominators(row: Iterable) -> list[int]:
+    """The row times the lcm of its denominators, as Python ints.
+
+    Entries are ints or Fractions; the result spans the same line.
+    """
+    row = list(row)
+    m = lcm(*(x.denominator for x in row))
+    if m == 1:
+        return [x.numerator for x in row]
+    return [x.numerator * (m // x.denominator) for x in row]
+
+
+class IntegerEchelon:
+    """A row echelon over the integers, grown one row at a time.
+
+    At most one primitive integer row is kept per pivot column; a kept
+    row is zero left of its pivot and positive at it.  add(row) reduces
+    the row against the kept rows by fraction-free steps
+    (pivot * row - entry * kept, then dividing out the content) and keeps
+    what is left if it is nonzero.  len() is the rank of all rows added.
+    """
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows: Iterable[Sequence[int]] = ()):
+        self._rows: dict[int, list[int]] = {}
+        for row in rows:
+            self.add(row)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def add(self, row: Sequence[int]) -> bool:
+        """Reduce an integer row and keep it; False when it was dependent."""
+        row = list(row)
+        kept = self._rows
+        for c in range(len(row)):
+            x = row[c]
+            if not x:
+                continue
+            e = kept.get(c)
+            if e is None:
+                g = gcd(*row)
+                if x < 0:
+                    g = -g
+                kept[c] = [a // g for a in row] if g != 1 else row
+                return True
+            p = e[c]
+            if p == 1:
+                row = [a - x * b for a, b in zip(row, e)]
+            else:
+                row = [p * a - x * b for a, b in zip(row, e)]
+                g = gcd(*row)
+                if g > 1:
+                    row = [a // g for a in row]
+        return False
 
 
 class Matrix:
@@ -209,7 +272,14 @@ class Matrix:
         return Matrix(m, ncols=self.ncols), pivots
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        """Dimension of the row space, by the integer echelon of the rows."""
+        echelon = IntegerEchelon()
+        full = min(self.nrows, self.ncols)
+        for row in self.rows:
+            if len(echelon) == full:
+                break
+            echelon.add(clear_denominators(row))
+        return len(echelon)
 
     def kernel(self) -> list[Vector]:
         """A canonical basis of the null space (one vector per free column)."""

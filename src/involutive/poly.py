@@ -288,6 +288,3 @@ class PolyMap:
         for p in self.components:
             out.update(p.terms)
         return out
-
-    def coefficient_vector(self, exps: Sequence[int]) -> Vector:
-        return [p.coefficient(exps) for p in self.components]

@@ -211,11 +211,6 @@ def two_acyclicity_report(t, q_cap, samples=5, seed=0, max_dim=DEFAULT_MAX_DIM,
     }
 
 
-def is_two_acyclic(t, q_cap, samples=5, seed=0, max_dim=DEFAULT_MAX_DIM):
-    """True iff H^{q,2}(A) = 0 for q = 1..max(q_cap, k+1)."""
-    return two_acyclicity_report(t, q_cap, samples, seed, max_dim)["two_acyclic"]
-
-
 def codifferential(t, q, p, max_dim=DEFAULT_MAX_DIM):
     """Matrix of delta*_{q,p}: C^{q-1,p+1} -> C^{q,p}, the Gram adjoint of
     the outgoing differential of C^{q,p}.  Its image is B_{q,p}."""
@@ -410,17 +405,3 @@ def sigma(t, q, p, max_dim=DEFAULT_MAX_DIM):
 
     return apply
 
-
-def spencer_table(t, q_max, max_dim=DEFAULT_MAX_DIM):
-    """Per-cell summary {(q,p): dim_cell, rank_delta, H_dim} for q <= q_max."""
-    out = {}
-    for q in range(q_max + 1):
-        for p in range(t.a_dim + 1):
-            cell = SpencerCell(t, q, p, max_dim)
-            d = delta(cell, max_dim)
-            out["%d,%d" % (q, p)] = {
-                "dim_cell": cell.dim,
-                "rank_delta": d.rank(),
-                "H_dim": cohomology_dim(t, q, p, max_dim),
-            }
-    return out

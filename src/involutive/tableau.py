@@ -34,7 +34,15 @@ from .errors import (
     NotInImage,
     UnstableGenericity,
 )
-from .linalg import ColumnCoordinates, Matrix, Subspace, frac, intersect
+from .linalg import (
+    ColumnCoordinates,
+    IntegerEchelon,
+    Matrix,
+    Subspace,
+    clear_denominators,
+    frac,
+    intersect,
+)
 
 DEFAULT_MAX_DIM = 20000
 
@@ -108,6 +116,10 @@ class Tableau:
     their given order (the dependent variables of a system), each level
     h >= 1 over the canonical reduced basis of A^(h).  jet_basis and
     jet_coordinates are the one place that convention lives.
+
+    integer_basis() is the canonical basis of A^(0) with each vector
+    cleared to integers, built once; the character ranks are taken over
+    it with an IntegerEchelon.
     """
 
     def __init__(self, a_dim, b_dim, generators):
@@ -137,6 +149,7 @@ class Tableau:
             )
         self._levels = [span]
         self._gen_coords = None
+        self._int_basis = None
         self._lock = threading.Lock()
 
     @classmethod
@@ -211,6 +224,17 @@ class Tableau:
                     ).inverse()
                     self._gen_coords = ColumnCoordinates(gens, pivots, inverse)
         return self._gen_coords
+
+    def integer_basis(self):
+        """The canonical basis of A^(0), each vector scaled by the lcm of
+        its denominators to a list of ints, built once."""
+        if self._int_basis is None:
+            with self._lock:
+                if self._int_basis is None:
+                    self._int_basis = [
+                        clear_denominators(v) for v in self._levels[0].basis
+                    ]
+        return self._int_basis
 
     def jet_coordinates(self, h, v, max_dim=DEFAULT_MAX_DIM):
         """Coordinates of v over jet_basis(h); NotInImage when v is outside."""
@@ -389,15 +413,16 @@ def prolong_via_intersection(tab, h=1, max_dim=DEFAULT_MAX_DIM):
 
 
 def _sample_flag(rng, n, bound):
-    """Random invertible n x n integer matrix; row j spans flag step j."""
+    """Random invertible n x n integer matrix; row j spans flag step j.
+
+    All n^2 entries are drawn, row by row, before the rows are tested, so
+    a rejected draw consumes the same random numbers as an accepted one.
+    """
     while True:
-        rows = [
-            [Fraction(rng.randint(-bound, bound)) for _ in range(n)]
-            for _ in range(n)
-        ]
-        m = Matrix(rows, ncols=n)
-        if m.rank() == n:
-            return m
+        rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+        echelon = IntegerEchelon()
+        if all(echelon.add(row) for row in rows):
+            return Matrix(rows, ncols=n)
 
 
 def character_partial_sums(tab, flag):
@@ -405,25 +430,29 @@ def character_partial_sums(tab, flag):
 
     flag is an n x n Matrix whose first j rows span the j-th flag
     subspace.  The j-th partial sum equals the rank of the evaluation map
-    A -> Hom(a_j, b) restricted to those rows.
+    A -> Hom(a_j, b) restricted to those rows.  One IntegerEchelon
+    carries the rank from step to step: step j adds only the r rows of
+    flag row j, over the integer basis of A and the flag row cleared of
+    denominators (scaling a row or a column changes no rank).
     """
     n, r = tab.a_dim, tab.b_dim
     if flag.nrows != n or flag.ncols != n:
         raise DimensionMismatch(
             "flag must be %dx%d, got %dx%d" % (n, n, flag.nrows, flag.ncols)
         )
-    basis = tab.level(0).basis
+    basis = tab.integer_basis()
     d = len(basis)
+    echelon = IntegerEchelon()
     sums = []
-    rows = []
     for j in range(n):
-        v = flag.rows[j]
-        for b in range(r):
-            row = []
-            for bv in basis:
-                row.append(sum(bv[b * n + i] * v[i] for i in range(n)))
-            rows.append(row)
-        sums.append(Matrix(rows, ncols=d).rank() if d else 0)
+        if len(echelon) < d:
+            v = clear_denominators(flag.rows[j])
+            for b in range(r):
+                off = b * n
+                echelon.add(
+                    [sum(bv[off + i] * v[i] for i in range(n)) for bv in basis]
+                )
+        sums.append(len(echelon))
     return sums
 
 

@@ -13,7 +13,7 @@ from involutive.bases import (
     full_space_dim,
     gram_diagonal,
     koszul_delta_full,
-    multiindex_insert,
+    multiindex_remove,
     sym_basis,
     wedge_insert,
 )
@@ -93,7 +93,8 @@ def test_wedge_insert_signs():
     assert wedge_insert(1, (0, 2)) == (-1, (0, 1, 2))
     assert wedge_insert(2, (0, 1)) == (1, (0, 1, 2))
     assert wedge_insert(0, (0, 1)) is None
-    assert multiindex_insert((0, 2), 1) == (0, 1, 2)
+    assert multiindex_remove((0, 1, 2), 1) == (0, 2)
+    assert multiindex_remove((0, 2), 1) is None
 
 
 def test_delta_one_by_one():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from involutive.bases import sym_basis
 from involutive.cauchy import CauchyData
 from involutive.cli import EXAMPLE_NAMES, main
 from involutive.poly import Polynomial
@@ -69,6 +70,34 @@ def test_max_degree_raises_the_series_cap(tmp_path, capsys):
     argv = ["cauchy", path, data, "--degree", "13"]
     assert main(argv) == 3
     assert main(argv + ["--max-degree", "13"]) == 0
+
+
+def test_max_dim_is_the_ambient_dimension_needed(tmp_path, capsys):
+    path, data = example_files(tmp_path, "wavemap:su2")
+    with open(path) as fh:
+        t = System.from_json_dict(json.load(fh)).tableau
+    r = t.b_dim
+
+    def sym(p):
+        return sym_basis(t.a_dim, p).size
+
+    # --max-order 6 views A^(6) as a tableau with b = r * |S^6| and
+    # prolongs it once; H^{1,p} needs A^(1); a tower of order 1 needs A^(2).
+    index_order = ["--max-order", "6"]
+    for argv, need in (
+        (["tableau", path, "--prolong", "1", "--involutive-index"] + index_order,
+         r * sym(6) * sym(2)),
+        (["spencer", path, "--q-max", "1", "--two-acyclic", "--harmonic"],
+         r * sym(2)),
+        (["system", path, "--check", "--tower", "1", "--structure"], r * sym(3)),
+        (["cauchy", path, data, "--degree", "2", "--verify", "--polar"] + index_order,
+         r * sym(6) * sym(2)),
+    ):
+        assert main(argv + ["--max-dim", str(need)]) == 0, argv
+        capsys.readouterr()
+        assert main(argv + ["--max-dim", str(need - 1), "--json"]) == 3, argv
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert "dimension %d exceeds cap %d" % (need, need - 1) in error, argv
 
 
 def test_examples_cover_all_fixtures(tmp_path):

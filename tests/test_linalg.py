@@ -6,7 +6,16 @@ from fractions import Fraction
 import pytest
 
 from involutive.errors import DimensionMismatch, Inconsistent
-from involutive.linalg import ColumnCoordinates, Matrix, Subspace, kernel, solve_affine, vec
+from involutive.linalg import (
+    ColumnCoordinates,
+    IntegerEchelon,
+    Matrix,
+    Subspace,
+    clear_denominators,
+    kernel,
+    solve_affine,
+    vec,
+)
 
 
 def rand_matrix(rng: random.Random, m: int, n: int, span: int = 5) -> Matrix:
@@ -263,3 +272,39 @@ def test_fraction_strings_parse():
     m = Matrix([["1/2", "-3"], ["0", "7/5"]])
     assert m.rows[0][0] == Fraction(1, 2)
     assert m.rows[1][1] == Fraction(7, 5)
+
+
+def test_rank_matches_rref_oracle():
+    rng = random.Random(2009)
+    cases = [Matrix.zeros(0, 3), Matrix.zeros(3, 0), Matrix.zeros(0, 0),
+             Matrix([[0]]), Matrix([["-7/3"]]), Matrix.identity(5)]
+    for _ in range(200):
+        m = sparse_rational_matrix(rng, rng.randint(1, 7), rng.randint(1, 7))
+        rows = [row[:] for row in m.rows]
+        if rng.random() < 0.5:
+            rows.insert(rng.randrange(len(rows) + 1), rows[rng.randrange(len(rows))][:])
+        if rng.random() < 0.3:
+            big = Fraction(rng.randint(-10**30, 10**30), rng.randint(1, 10**20))
+            rows[rng.randrange(len(rows))][rng.randrange(m.ncols)] = big
+        if rng.random() < 0.3:
+            c = Fraction(rng.randint(1, 9), rng.randint(2, 9))
+            rows.append([c * a - b for a, b in zip(rows[0], rows[-1])])
+        cases.append(Matrix(rows, ncols=m.ncols))
+    for m in cases:
+        assert m.rank() == len(m.rref()[1])
+        assert m.transpose().rank() == m.rank()
+
+
+def test_integer_echelon_keeps_primitive_rows():
+    assert clear_denominators([Fraction(1, 2), Fraction(-2, 3), 4]) == [3, -4, 24]
+    assert clear_denominators([]) == []
+    echelon = IntegerEchelon()
+    assert echelon.add([0, -4, 6])
+    assert not echelon.add([0, 2, -3])
+    assert echelon.add([3, 1, 1])
+    assert not echelon.add([6, 0, 5])
+    assert not echelon.add([0, 0, 0])
+    assert echelon.add([0, 0, 7])
+    assert len(echelon) == 3
+    assert echelon._rows == {1: [0, 2, -3], 0: [3, 1, 1], 2: [0, 0, 1]}
+    assert len(IntegerEchelon([[1, 2], [2, 4], [0, 0]])) == 1

@@ -121,4 +121,4 @@ def test_polymap_partial_and_coefficients():
     dp = pm.partial(1)
     assert dp.components[0] == Polynomial(2, {(1, 0): 3})
     assert dp.components[1] == Polynomial(2, {(0, 1): 2})
-    assert pm.coefficient_vector((1, 1)) == [Fraction(3), Fraction(0)]
+    assert [p.coefficient((1, 1)) for p in pm.components] == [Fraction(3), Fraction(0)]

@@ -17,9 +17,7 @@ from involutive.spencer import (
     cohomology_dim,
     delta,
     harmonic_split,
-    is_two_acyclic,
     sigma,
-    spencer_table,
     two_acyclicity_report,
 )
 from involutive.tableau import Tableau, cartan_test
@@ -195,8 +193,8 @@ def test_kernel_of_delta_q1_is_prolongation():
 
 
 def test_two_acyclic_examples():
-    assert is_two_acyclic(wavemap1_tableau(), q_cap=3)
-    assert is_two_acyclic(full_tableau(2, 2), q_cap=3)
+    assert two_acyclicity_report(wavemap1_tableau(), q_cap=3)["two_acyclic"]
+    assert two_acyclicity_report(full_tableau(2, 2), q_cap=3)["two_acyclic"]
     rep = two_acyclicity_report(diag_tableau(), q_cap=3, seed=4)
     assert rep["two_acyclic"]
     assert rep["involutive_index"] == 0
@@ -326,11 +324,14 @@ def test_sigma_delta_identity_on_split():
 
 def test_spencer_table():
     t = full_tableau(2, 1)
-    table = spencer_table(t, 2)
-    assert table["0,0"] == {"dim_cell": 1, "rank_delta": 0, "H_dim": 1}
-    assert table["1,1"]["dim_cell"] == 4
-    assert table["1,1"]["H_dim"] == 0
-    assert set(table.keys()) == {"%d,%d" % (q, p) for q in range(3) for p in range(3)}
+    cell = SpencerCell(t, 0, 0)
+    assert (cell.dim, delta(cell).rank(), cohomology_dim(t, 0, 0)) == (1, 0, 1)
+    assert SpencerCell(t, 1, 1).dim == 4
+    assert cohomology_dim(t, 1, 1) == 0
+    for q in range(3):
+        for p in range(3):
+            cell = SpencerCell(t, q, p)
+            assert cell.dim - delta(cell).rank() >= cohomology_dim(t, q, p) >= 0
 
 
 def test_cells_computable_concurrently():

@@ -21,6 +21,7 @@ from involutive.tableau import (
     Tableau,
     cartan_test,
     character_partial_sums,
+    _sample_flag,
     characters,
     involutive_index,
     prolong_via_intersection,
@@ -277,3 +278,88 @@ def test_character_partial_sums_shape():
     assert sums == [2, 4, 6]
     with pytest.raises(DimensionMismatch):
         character_partial_sums(t, Matrix.identity(2))
+
+
+def rank_per_step_partial_sums(tab, flag):
+    """The dense Fraction route to the partial sums, kept as the oracle:
+    at every flag step, a fresh rref of all evaluation rows so far."""
+    n, r = tab.a_dim, tab.b_dim
+    basis = tab.level(0).basis
+    d = len(basis)
+    sums = []
+    rows = []
+    for j in range(n):
+        v = flag.rows[j]
+        for b in range(r):
+            rows.append([sum(bv[b * n + i] * v[i] for i in range(n)) for bv in basis])
+        sums.append(len(Matrix(rows, ncols=d).rref()[1]) if d else 0)
+    return sums
+
+
+def rational_tableau(rng, n, r, want):
+    """Unreduced rational generators; the canonical basis when the draw
+    happens to be dependent."""
+    raw = [
+        [Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(n * r)]
+        for _ in range(want)
+    ]
+    span = Subspace(n * r, raw)
+    gens = raw if span.dim == want else span.basis
+    return Tableau.from_vectors(n, r, gens) if gens else Tableau(n, r, [])
+
+
+def oracle_flags(rng, n):
+    """A sampled flag, a rational non-integer flag, singular flags with a
+    zero or a repeated row, and the identity."""
+    sampled = _sample_flag(rng, n, 8)
+    rational = Matrix(
+        [[Fraction(rng.randint(-9, 9), rng.randint(2, 5)) for _ in range(n)]
+         for _ in range(n)],
+        ncols=n,
+    )
+    zero_row = [row[:] for row in sampled.rows]
+    zero_row[rng.randrange(n)] = [Fraction(0)] * n
+    flags = [sampled, rational, Matrix(zero_row, ncols=n), Matrix.identity(n)]
+    if n > 1:
+        repeated = [row[:] for row in rational.rows]
+        j = rng.randrange(1, n)
+        repeated[j] = repeated[rng.randrange(j)][:]
+        flags.append(Matrix(repeated, ncols=n))
+    return flags
+
+
+def test_partial_sums_match_rank_per_step_oracle():
+    rng = random.Random(2606)
+    pool = [Tableau(n, r, []) for n, r in ((1, 1), (1, 3), (3, 2), (4, 4))]
+    pool += [rational_tableau(rng, 1, r, rng.randint(1, r)) for r in (1, 2, 3, 4)]
+    pool += [full_tableau(4, 2), rank_one_tableau(), skew_tableau()]
+    while len(pool) < 120:
+        n = rng.randint(1, 4)
+        r = rng.randint(1, 4)
+        pool.append(rational_tableau(rng, n, r, rng.randint(0, n * r)))
+    for t in pool:
+        for flag in oracle_flags(rng, t.a_dim):
+            assert character_partial_sums(t, flag) == rank_per_step_partial_sums(t, flag)
+        assert characters(t, seed=rng.randrange(10**6)).total() == t.dim
+        assert t.integer_basis() is t.integer_basis()
+        for v, w in zip(t.integer_basis(), t.level(0).basis):
+            assert all(isinstance(x, int) for x in v)
+            assert Subspace(len(v), [v]) == Subspace(len(w), [w])
+
+
+def test_sample_flag_keeps_its_random_stream():
+    # The same draws as the dense route: n^2 integers, row by row, until
+    # the matrix has full rank.
+    for seed in range(40):
+        n = 1 + seed % 4
+        bound = 1 if seed % 3 == 0 else 8
+        rng = random.Random(seed)
+        while True:
+            rows = [[Fraction(rng.randint(-bound, bound)) for _ in range(n)]
+                    for _ in range(n)]
+            if len(Matrix(rows, ncols=n).rref()[1]) == n:
+                break
+        rng_after = rng.random()
+        sampler = random.Random(seed)
+        assert _sample_flag(sampler, n, bound).rows == rows
+        assert sampler.random() == rng_after
