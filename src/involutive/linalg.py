@@ -10,13 +10,17 @@ once as a ColumnCoordinates, which reads a solution off pivot rows and
 proves it by multiplying back.  Everything is exact: no floating point,
 no tolerance thresholds.
 
-Ranks and independence tests go through one fraction-free routine, the
+Storage is dense Fraction at the API boundary; elimination is sparse and
+fraction-free over Python ints.  There is one elimination routine, the
 IntegerEchelon: each row is scaled by the lcm of its denominators
-(clear_denominators), which changes no rank, and reduced over Python
-ints against at most one primitive row per pivot column.  Bases, kernels
-and solutions go through the canonical reduced row-echelon form of
-Matrix.rref.  Subspaces of Q^N are kept in that canonical basis, which
-makes equality of subspaces a syntactic comparison of the stored rows.
+(clear_denominators), which changes no rank and no row space, stored as
+a {column: int} dict of its nonzero entries, and reduced against at most
+one primitive row per pivot column.  Ranks are its length.  Matrix.rref
+back-substitutes the echelon and divides each row by its pivot once, at
+the end, which gives the canonical reduced row-echelon form; kernels,
+solutions, inverses and Subspace bases are read off that.  Subspaces of
+Q^N are kept in that canonical basis, which makes equality of subspaces
+a syntactic comparison of the stored rows.
 """
 
 from __future__ import annotations
@@ -28,6 +32,9 @@ from typing import Iterable, Sequence
 from .errors import DimensionMismatch, Inconsistent
 
 Vector = list[Fraction]
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def frac(x) -> Fraction:
@@ -45,24 +52,6 @@ def vec(entries: Iterable) -> Vector:
     return [frac(x) for x in entries]
 
 
-def vec_add(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
-    if len(u) != len(v):
-        raise DimensionMismatch("vector length mismatch")
-    return [a + b for a, b in zip(u, v)]
-
-def vec_sub(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
-    if len(u) != len(v):
-        raise DimensionMismatch("vector length mismatch")
-    return [a - b for a, b in zip(u, v)]
-
-def vec_scale(c, v: Sequence[Fraction]) -> Vector:
-    c = frac(c)
-    return [c * a for a in v]
-
-def vec_is_zero(v: Sequence[Fraction]) -> bool:
-    return all(a == 0 for a in v)
-
-
 def clear_denominators(row: Iterable) -> list[int]:
     """The row times the lcm of its denominators, as Python ints.
 
@@ -75,50 +64,122 @@ def clear_denominators(row: Iterable) -> list[int]:
     return [x.numerator * (m // x.denominator) for x in row]
 
 
-class IntegerEchelon:
-    """A row echelon over the integers, grown one row at a time.
+def _primitive(row: dict[int, int], negate: bool = False) -> dict[int, int]:
+    """The sparse integer row divided by its content (and by -1 if asked)."""
+    g = gcd(*row.values())
+    if negate:
+        g = -g
+    if g == 1:
+        return row
+    return {c: x // g for c, x in row.items()}
 
-    At most one primitive integer row is kept per pivot column; a kept
-    row is zero left of its pivot and positive at it.  add(row) reduces
-    the row against the kept rows by fraction-free steps
-    (pivot * row - entry * kept, then dividing out the content) and keeps
-    what is left if it is nonzero.  len() is the rank of all rows added.
+
+def _eliminate(row: dict[int, int], e: dict[int, int], c: int) -> dict[int, int]:
+    """e[c] * row - row[c] * e, the fraction-free step that clears column c
+    of row against the kept row e.  Updates row in place when e[c] is 1."""
+    x = row[c]
+    p = e[c]
+    if p != 1:
+        row = {k: p * v for k, v in row.items()}
+    for k, v in e.items():
+        w = row.get(k, 0) - x * v
+        if w:
+            row[k] = w
+        else:
+            del row[k]
+    return row
+
+
+class IntegerEchelon:
+    """A sparse row echelon over the integers, grown one row at a time.
+
+    Rows are {column: int} dicts holding only nonzero entries.  At most
+    one primitive integer row is kept per pivot column; a kept row is
+    zero left of its pivot and positive at it.  add(row) reduces the row
+    against the kept rows by fraction-free steps (pivot * row -
+    entry * kept, then dividing out the content) and keeps what is left
+    if it is nonzero.  len() is the rank of all rows added.  reduced()
+    back-substitutes, after which every kept row is also zero in the
+    other pivot columns: divided by its pivot it is the row of the
+    reduced row-echelon form.
     """
 
     __slots__ = ("_rows",)
 
-    def __init__(self, rows: Iterable[Sequence[int]] = ()):
-        self._rows: dict[int, list[int]] = {}
+    def __init__(self, rows: Iterable = ()):
+        self._rows: dict[int, dict[int, int]] = {}
         for row in rows:
             self.add(row)
 
     def __len__(self) -> int:
         return len(self._rows)
 
-    def add(self, row: Sequence[int]) -> bool:
-        """Reduce an integer row and keep it; False when it was dependent."""
-        row = list(row)
+    def add(self, row: Sequence[int] | dict[int, int]) -> bool:
+        """Reduce an integer row (a dense list or a sparse dict) and keep
+        it; False when it was dependent."""
+        items = row.items() if isinstance(row, dict) else enumerate(row)
+        row = {c: x for c, x in items if x}
         kept = self._rows
-        for c in range(len(row)):
+        while row:
+            c = min(row)
             x = row[c]
-            if not x:
-                continue
             e = kept.get(c)
             if e is None:
-                g = gcd(*row)
-                if x < 0:
-                    g = -g
-                kept[c] = [a // g for a in row] if g != 1 else row
+                kept[c] = _primitive(row, x < 0)
                 return True
-            p = e[c]
-            if p == 1:
-                row = [a - x * b for a, b in zip(row, e)]
-            else:
-                row = [p * a - x * b for a, b in zip(row, e)]
-                g = gcd(*row)
-                if g > 1:
-                    row = [a // g for a in row]
+            row = _eliminate(row, e, c)
+            if e[c] != 1 and row:
+                row = _primitive(row)
         return False
+
+    def reduced(self) -> tuple[list[dict[int, int]], list[int]]:
+        """Back-substitute; the kept rows in pivot order, and the pivots.
+
+        Rows are reduced from the last pivot up, each against the rows
+        below it, which are already zero in every other pivot column, so
+        one pass clears all of them.
+        """
+        kept = self._rows
+        pivots = sorted(kept)
+        for c in reversed(pivots):
+            later = [k for k in kept[c] if k != c and k in kept]
+            if not later:
+                continue
+            row = dict(kept[c])
+            for k in later:
+                row = _eliminate(row, kept[k], k)
+            kept[c] = _primitive(row)
+        return [kept[c] for c in pivots], pivots
+
+    def kernel(self, ncols: int) -> list[list[int]]:
+        """An integer basis of the null space of the rows added, over
+        ncols columns: one vector per free column f, equal to the
+        canonical kernel vector of f times the lcm of the pivots it uses."""
+        rows, pivots = self.reduced()
+        pivot_set = set(pivots)
+        basis = []
+        for f in range(ncols):
+            if f in pivot_set:
+                continue
+            uses = [(c, row) for c, row in zip(pivots, rows) if f in row]
+            m = lcm(*(row[c] for c, row in uses))
+            v = [0] * ncols
+            v[f] = m
+            for c, row in uses:
+                v[c] = -row[f] * (m // row[c])
+            basis.append(v)
+        return basis
+
+
+def _rref_rows(echelon: IntegerEchelon, ncols: int) -> tuple[list[Vector], list[int]]:
+    """The nonzero rows of the reduced row-echelon form of the echelon's
+    rows, as dense Fractions, and the pivot columns."""
+    rows, pivots = echelon.reduced()
+    out = []
+    for row, c in zip(rows, pivots):
+        p = row[c]
+        out.append([Fraction(row.get(k, 0), p) for k in range(ncols)])
+    return out, pivots
 
 
 class Matrix:
@@ -143,14 +204,23 @@ class Matrix:
         self.ncols = width
 
     @classmethod
+    def _of(cls, rows: list[Vector], ncols: int) -> "Matrix":
+        """A matrix over rows of Fractions built in this module, taken as
+        they are: no coercion, no copy, no shape check."""
+        m = object.__new__(cls)
+        m.rows = rows
+        m.nrows = len(rows)
+        m.ncols = ncols
+        return m
+
+    @classmethod
     def zeros(cls, m: int, n: int) -> "Matrix":
-        return cls([[Fraction(0)] * n for _ in range(m)], ncols=n)
+        return cls._of([[_ZERO] * n for _ in range(m)], n)
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls(
-            [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)],
-            ncols=n,
+        return cls._of(
+            [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)], n
         )
 
     @classmethod
@@ -160,7 +230,9 @@ class Matrix:
                 raise DimensionMismatch("empty column list needs a row count")
             return cls.zeros(nrows, 0)
         m = len(cols[0])
-        return cls([[frac(cols[j][i]) for j in range(len(cols))] for i in range(m)], ncols=len(cols))
+        return cls._of(
+            [[frac(cols[j][i]) for j in range(len(cols))] for i in range(m)], len(cols)
+        )
 
     def __eq__(self, other) -> bool:
         return (
@@ -174,9 +246,8 @@ class Matrix:
         return f"Matrix({self.nrows}x{self.ncols})"
 
     def transpose(self) -> "Matrix":
-        return Matrix(
-            [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
-            ncols=self.nrows,
+        return Matrix._of(
+            [[row[j] for row in self.rows] for j in range(self.ncols)], self.nrows
         )
 
     def matvec(self, v: Sequence[Fraction]) -> Vector:
@@ -186,7 +257,7 @@ class Matrix:
         nonzeros = [(j, b) for j, b in enumerate(v) if b]
         product = []
         for row in self.rows:
-            acc = Fraction(0)
+            acc = _ZERO
             for j, b in nonzeros:
                 a = row[j]
                 if a:
@@ -204,82 +275,71 @@ class Matrix:
         ]
         product = []
         for row in self.rows:
-            acc = [Fraction(0)] * width
+            acc = [_ZERO] * width
             for a, nonzeros in zip(row, other_nonzeros):
                 if a:
                     for j, b in nonzeros:
                         acc[j] += a * b
             product.append(acc)
-        return Matrix(product, ncols=width)
+        return Matrix._of(product, width)
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
             return self.matmul(other)
-        return Matrix([[frac(other) * x for x in row] for row in self.rows], ncols=self.ncols)
+        c = frac(other)
+        return Matrix._of([[c * x for x in row] for row in self.rows], self.ncols)
 
     def add(self, other: "Matrix") -> "Matrix":
         if self.nrows != other.nrows or self.ncols != other.ncols:
             raise DimensionMismatch("matrix addition shape mismatch")
-        return Matrix(
-            [vec_add(r, s) for r, s in zip(self.rows, other.rows)], ncols=self.ncols
+        return Matrix._of(
+            [[a + b for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)],
+            self.ncols,
         )
 
     def sub(self, other: "Matrix") -> "Matrix":
-        return self.add(other * Fraction(-1))
+        return self.add(other * -1)
 
     def vstack(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.ncols:
             raise DimensionMismatch("vstack width mismatch")
-        return Matrix([row[:] for row in self.rows] + [row[:] for row in other.rows], ncols=self.ncols)
+        return Matrix._of(
+            [row[:] for row in self.rows] + [row[:] for row in other.rows], self.ncols
+        )
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.nrows != other.nrows:
             raise DimensionMismatch("hstack height mismatch")
-        return Matrix(
-            [self.rows[i] + other.rows[i] for i in range(self.nrows)],
-            ncols=self.ncols + other.ncols,
+        return Matrix._of(
+            [a + b for a, b in zip(self.rows, other.rows)], self.ncols + other.ncols
         )
 
-    def rref(self) -> tuple["Matrix", list[int]]:
-        """Reduced row echelon form and the list of pivot columns.
-
-        Pivots are scaled to 1 and cleared above and below; pivot columns
-        are chosen left to right, so the result is the canonical form of
-        the row space.
-        """
-        m = [row[:] for row in self.rows]
-        pivots: list[int] = []
-        r = 0
-        for c in range(self.ncols):
-            pivot_row = None
-            for i in range(r, self.nrows):
-                if m[i][c] != 0:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            m[r], m[pivot_row] = m[pivot_row], m[r]
-            inv = Fraction(1) / m[r][c]
-            m[r] = [x * inv for x in m[r]]
-            for i in range(self.nrows):
-                if i != r and m[i][c] != 0:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-            if r == self.nrows:
-                break
-        return Matrix(m, ncols=self.ncols), pivots
-
-    def rank(self) -> int:
-        """Dimension of the row space, by the integer echelon of the rows."""
+    def _echelon(self) -> IntegerEchelon:
+        """The integer echelon of the rows, each cleared of denominators,
+        stopping once the rank is full."""
         echelon = IntegerEchelon()
         full = min(self.nrows, self.ncols)
         for row in self.rows:
             if len(echelon) == full:
                 break
             echelon.add(clear_denominators(row))
-        return len(echelon)
+        return echelon
+
+    def rref(self) -> tuple["Matrix", list[int]]:
+        """Reduced row echelon form and the list of pivot columns.
+
+        Pivots are 1 and cleared above and below; pivot columns are chosen
+        left to right, so the result is the canonical form of the row
+        space, with the zero rows last.  The elimination runs in the
+        integer echelon; the rows become Fractions only at the end.
+        """
+        rows, pivots = _rref_rows(self._echelon(), self.ncols)
+        rows += [[_ZERO] * self.ncols for _ in range(self.nrows - len(rows))]
+        return Matrix._of(rows, self.ncols), pivots
+
+    def rank(self) -> int:
+        """Dimension of the row space, by the integer echelon of the rows."""
+        return len(self._echelon())
 
     def kernel(self) -> list[Vector]:
         """A canonical basis of the null space (one vector per free column)."""
@@ -288,8 +348,8 @@ class Matrix:
         free = [c for c in range(self.ncols) if c not in pivot_set]
         basis = []
         for f in free:
-            v = [Fraction(0)] * self.ncols
-            v[f] = Fraction(1)
+            v = [_ZERO] * self.ncols
+            v[f] = _ONE
             for i, p in enumerate(pivots):
                 v[p] = -red.rows[i][f]
             basis.append(v)
@@ -302,11 +362,11 @@ class Matrix:
         """
         if len(rhs) != self.nrows:
             raise DimensionMismatch("rhs length mismatch")
-        aug = self.hstack(Matrix([[frac(b)] for b in rhs], ncols=1))
+        aug = self.hstack(Matrix._of([[frac(b)] for b in rhs], 1))
         red, pivots = aug.rref()
         if self.ncols in pivots:
             raise Inconsistent("right-hand side is not in the column space")
-        x = [Fraction(0)] * self.ncols
+        x = [_ZERO] * self.ncols
         for i, p in enumerate(pivots):
             x[p] = red.rows[i][self.ncols]
         return x
@@ -318,7 +378,7 @@ class Matrix:
         red, pivots = aug.rref()
         if pivots != list(range(self.nrows)):
             raise Inconsistent("matrix is singular")
-        return Matrix([row[self.nrows:] for row in red.rows], ncols=self.nrows)
+        return Matrix._of([row[self.nrows:] for row in red.rows], self.nrows)
 
 
 class ColumnCoordinates:
@@ -342,7 +402,7 @@ class ColumnCoordinates:
             _, rows = m.transpose().rref()
             if len(rows) != m.ncols:
                 raise Inconsistent("columns are linearly dependent")
-            inverse = Matrix([m.rows[i] for i in rows], ncols=m.ncols).inverse()
+            inverse = Matrix._of([m.rows[i] for i in rows], m.ncols).inverse()
         self.matrix = m
         self.rows = list(rows)
         self.inverse = inverse
@@ -362,7 +422,7 @@ class ColumnCoordinates:
         """The X with m * X = b; Inconsistent when a column of b is outside."""
         if b.nrows != self.matrix.nrows:
             raise DimensionMismatch("rhs height mismatch")
-        x = Matrix([b.rows[i] for i in self.rows], ncols=b.ncols)
+        x = Matrix._of([b.rows[i] for i in self.rows], b.ncols)
         if self.inverse is not None:
             x = self.inverse.matmul(x)
         if self.matrix.matmul(x) != b:
@@ -383,23 +443,29 @@ class Subspace:
     """A linear subspace of Q^N in canonical reduced-echelon basis.
 
     Two Subspace objects are equal exactly when they describe the same
-    span, because construction always reduces the generators.
+    span, because construction always reduces the generators.  pivots[i]
+    is the leading column of basis[i].
     """
 
-    __slots__ = ("ambient_dim", "basis")
+    __slots__ = ("ambient_dim", "basis", "pivots")
 
     def __init__(self, ambient_dim: int, generators: Sequence[Sequence] = ()):
         gens = [vec(g) for g in generators]
         for g in gens:
             if len(g) != ambient_dim:
                 raise DimensionMismatch("generator length does not match ambient dimension")
-        if gens:
-            red, pivots = Matrix(gens, ncols=ambient_dim).rref()
-            basis = [red.rows[i] for i in range(len(pivots))]
-        else:
-            basis = []
+        red, pivots = Matrix._of(gens, ambient_dim).rref()
         self.ambient_dim = ambient_dim
-        self.basis = basis
+        self.basis = red.rows[: len(pivots)]
+        self.pivots = pivots
+
+    @classmethod
+    def from_echelon(cls, ambient_dim: int, echelon: IntegerEchelon) -> "Subspace":
+        """The span of the rows of an integer echelon in Q^ambient_dim."""
+        s = object.__new__(cls)
+        s.ambient_dim = ambient_dim
+        s.basis, s.pivots = _rref_rows(echelon, ambient_dim)
+        return s
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -424,7 +490,7 @@ class Subspace:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
 
     def basis_matrix(self) -> Matrix:
-        return Matrix(self.basis, ncols=self.ambient_dim)
+        return Matrix._of(list(self.basis), self.ambient_dim)
 
     def contains(self, v: Sequence[Fraction]) -> bool:
         return self.coordinates(v) is not None
@@ -435,13 +501,12 @@ class Subspace:
             raise DimensionMismatch("vector length does not match ambient dimension")
         w = vec(v)
         coords = []
-        for row in self.basis:
-            p = next(i for i, x in enumerate(row) if x != 0)
+        for row, p in zip(self.basis, self.pivots):
             c = w[p]
             coords.append(c)
-            if c != 0:
-                w = vec_sub(w, vec_scale(c, row))
-        if not vec_is_zero(w):
+            if c:
+                w = [a - c * b for a, b in zip(w, row)]
+        if any(w):
             return None
         return coords
 
@@ -452,7 +517,7 @@ class Subspace:
         ann = self.basis_matrix().kernel()
         if not ann:
             return Matrix.zeros(1, self.ambient_dim)
-        return Matrix(ann, ncols=self.ambient_dim)
+        return Matrix._of(ann, self.ambient_dim)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:

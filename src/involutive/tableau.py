@@ -25,7 +25,7 @@ import random
 import threading
 from fractions import Fraction
 
-from .bases import contraction_matrix, multiindex_remove, sym_basis
+from .bases import multiindex_remove, sym_basis
 from .errors import (
     CapExceeded,
     DimensionMismatch,
@@ -119,7 +119,9 @@ class Tableau:
 
     integer_basis() is the canonical basis of A^(0) with each vector
     cleared to integers, built once; the character ranks are taken over
-    it with an IntegerEchelon.
+    it with an IntegerEchelon.  Prolongation runs over integers too: each
+    step clears the basis of A^(h) the same way and solves its symmetry
+    constraints in an IntegerEchelon (see _prolong_once).
     """
 
     def __init__(self, a_dim, b_dim, generators):
@@ -212,10 +214,7 @@ class Tableau:
         if self._gen_coords is None:
             with self._lock:
                 if self._gen_coords is None:
-                    pivots = [
-                        next(i for i, x in enumerate(v) if x)
-                        for v in self._levels[0].basis
-                    ]
+                    pivots = self._levels[0].pivots
                     gens = Matrix.from_columns(
                         self._gen_vectors, nrows=self.a_dim * self.b_dim
                     )
@@ -263,22 +262,32 @@ class Tableau:
         """A^(h) regarded as a tableau inside Hom(a, b (x) S^h(a*)).
 
         The embedding sends T to the map X -> i(X) T, which is injective,
-        so a basis of A^(h) yields independent generators.
+        so a basis of A^(h) yields independent generators.  Since
+        i(e_i) m_I = m_{I \\ i}, generator entry (b, I \\ i; i) is the
+        coordinate (b, I) of T for every i in I.
         """
         if h == 0:
             return self
         n, r = self.a_dim, self.b_dim
         lvl = self.level(h, max_dim)
-        new_b = r * sym_basis(n, h).size
-        contractions = [contraction_matrix(n, r, h + 1, i) for i in range(n)]
+        sb_view = sym_basis(n, h)
+        sb_level = sym_basis(n, h + 1)
+        moves = [
+            (m_idx, sb_view.index_of[multiindex_remove(mono, i)], i)
+            for m_idx, mono in enumerate(sb_level.indices)
+            for i in set(mono)
+        ]
+        zero = Fraction(0)
         gens = []
         for vec_t in lvl.basis:
-            cols = [c.matvec(vec_t) for c in contractions]
-            gens.append(
-                Matrix([[cols[i][beta] for i in range(n)] for beta in range(new_b)],
-                       ncols=n)
-            )
-        return Tableau(n, new_b, gens)
+            rows = [[zero] * n for _ in range(r * sb_view.size)]
+            for b in range(r):
+                src = b * sb_level.size
+                dst = b * sb_view.size
+                for m_idx, red, i in moves:
+                    rows[dst + red][i] = vec_t[src + m_idx]
+            gens.append(Matrix(rows, ncols=n))
+        return Tableau(n, r * sb_view.size, gens)
 
 
 def _prolong_once(n, r, prev, prev_h, max_dim):
@@ -293,6 +302,12 @@ def _prolong_once(n, r, prev, prev_h, max_dim):
 
     for all b, all next-level multi-indices M and all i < j in M.  The
     kernel of that system maps bijectively onto A^(prev_h + 1).
+
+    Everything runs over the integers: T_beta is the canonical basis
+    vector of A^(prev_h) cleared of denominators (rescaling T_beta only
+    rescales the unknowns q^beta_i), the constraints are sparse integer
+    rows of an IntegerEchelon, whose integer kernel gives integer tensors,
+    and the level is the canonical span of those.
     """
     h1 = prev_h + 2  # symmetric degree of the next level
     sb_next = sym_basis(n, h1)
@@ -305,42 +320,44 @@ def _prolong_once(n, r, prev, prev_h, max_dim):
     d = prev.dim
     if d == 0:
         return Subspace(ambient, [])
-    basis = prev.basis
+    basis = [clear_denominators(v) for v in prev.basis]
+    # column (b, J) of the previous level -> its nonzero (beta, T_beta[b, J])
+    entries = [
+        [(beta, x) for beta, v in enumerate(basis) if (x := v[pos])]
+        for pos in range(r * sb_prev.size)
+    ]
     unknowns = n * d  # q index: i * d + beta
-    rows = []
+    echelon = IntegerEchelon()
     for b in range(r):
+        off = b * sb_prev.size
         for mono in sb_next.indices:
             distinct = sorted(set(mono))
-            for a_pos in range(len(distinct)):
-                for b_pos in range(a_pos + 1, len(distinct)):
-                    i, j = distinct[a_pos], distinct[b_pos]
-                    row = [Fraction(0)] * unknowns
-                    red_i = sb_prev.index_of[multiindex_remove(mono, i)]
-                    red_j = sb_prev.index_of[multiindex_remove(mono, j)]
-                    for beta in range(d):
-                        row[i * d + beta] += basis[beta][b * sb_prev.size + red_i]
-                        row[j * d + beta] -= basis[beta][b * sb_prev.size + red_j]
-                    if any(x != 0 for x in row):
-                        rows.append(row)
-    if rows:
-        sols = Matrix(rows, ncols=unknowns).kernel()
-    else:
-        sols = Matrix.identity(unknowns).rows
-    out = []
-    for q in sols:
-        t = [Fraction(0)] * ambient
+            for a_pos, i in enumerate(distinct):
+                col_i = entries[off + sb_prev.index_of[multiindex_remove(mono, i)]]
+                for j in distinct[a_pos + 1:]:
+                    col_j = entries[off + sb_prev.index_of[multiindex_remove(mono, j)]]
+                    row = {i * d + beta: x for beta, x in col_i}
+                    for beta, x in col_j:
+                        row[j * d + beta] = -x
+                    echelon.add(row)
+    first = [
+        (m_idx, sb_prev.index_of[multiindex_remove(mono, mono[0])], mono[0])
+        for m_idx, mono in enumerate(sb_next.indices)
+    ]
+    out = IntegerEchelon()
+    for q in echelon.kernel(unknowns):
+        t = {}
         for b in range(r):
-            for m_idx, mono in enumerate(sb_next.indices):
-                i0 = mono[0]
-                red = sb_prev.index_of[multiindex_remove(mono, i0)]
-                acc = Fraction(0)
-                for beta in range(d):
-                    c = q[i0 * d + beta]
-                    if c:
-                        acc += c * basis[beta][b * sb_prev.size + red]
-                t[b * sb_next.size + m_idx] = acc
-        out.append(t)
-    return Subspace(ambient, out)
+            off_next = b * sb_next.size
+            off_prev = b * sb_prev.size
+            for m_idx, red, i0 in first:
+                acc = 0
+                for beta, x in entries[off_prev + red]:
+                    acc += q[i0 * d + beta] * x
+                if acc:
+                    t[off_next + m_idx] = acc
+        out.add(t)
+    return Subspace.from_echelon(ambient, out)
 
 
 def prolong_via_intersection(tab, h=1, max_dim=DEFAULT_MAX_DIM):

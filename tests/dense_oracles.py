@@ -1,0 +1,55 @@
+"""Dense Fraction Gauss-Jordan elimination, the oracle for linalg.
+
+Matrix.rref eliminates over sparse integer rows; these textbook routines
+work on dense Fraction rows and share no code with it, so the tests can
+compare the two bit for bit.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+
+def dense_rref(rows, ncols):
+    """(reduced rows, pivot columns) by Gauss-Jordan on dense Fractions;
+    the zero rows are kept, last."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots
+
+
+def dense_kernel(rows, ncols):
+    """The canonical null-space basis read off dense_rref."""
+    red, pivots = dense_rref(rows, ncols)
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for i, p in enumerate(pivots):
+            v[p] = -red[i][f]
+        basis.append(v)
+    return basis
+
+
+def dense_span(vectors, ncols):
+    """The canonical basis of the span: the nonzero rows of dense_rref."""
+    red, pivots = dense_rref(vectors, ncols)
+    return red[: len(pivots)]

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from dense_oracles import dense_kernel, dense_rref
 from involutive.errors import DimensionMismatch, Inconsistent
 from involutive.linalg import (
     ColumnCoordinates,
@@ -274,11 +275,12 @@ def test_fraction_strings_parse():
     assert m.rows[1][1] == Fraction(7, 5)
 
 
-def test_rank_matches_rref_oracle():
-    rng = random.Random(2009)
+def oracle_cases(rng, count):
+    """Seeded sparse rational matrices with zero, repeated and combined
+    rows and entries up to 10^30, after the degenerate shapes."""
     cases = [Matrix.zeros(0, 3), Matrix.zeros(3, 0), Matrix.zeros(0, 0),
              Matrix([[0]]), Matrix([["-7/3"]]), Matrix.identity(5)]
-    for _ in range(200):
+    for _ in range(count):
         m = sparse_rational_matrix(rng, rng.randint(1, 7), rng.randint(1, 7))
         rows = [row[:] for row in m.rows]
         if rng.random() < 0.5:
@@ -290,9 +292,39 @@ def test_rank_matches_rref_oracle():
             c = Fraction(rng.randint(1, 9), rng.randint(2, 9))
             rows.append([c * a - b for a, b in zip(rows[0], rows[-1])])
         cases.append(Matrix(rows, ncols=m.ncols))
-    for m in cases:
-        assert m.rank() == len(m.rref()[1])
+    return cases
+
+
+def test_rank_matches_rref_oracle():
+    for m in oracle_cases(random.Random(2009), 200):
+        assert m.rank() == len(dense_rref(m.rows, m.ncols)[1])
         assert m.transpose().rank() == m.rank()
+
+
+def test_rref_matches_dense_oracle():
+    rng = random.Random(2010)
+    for m in oracle_cases(rng, 300):
+        red, pivots = m.rref()
+        expected, expected_pivots = dense_rref(m.rows, m.ncols)
+        assert (red.nrows, red.ncols) == (m.nrows, m.ncols)
+        assert red.rows == expected and pivots == expected_pivots
+        assert all(type(x) is Fraction for row in red.rows for x in row)
+        assert m.kernel() == dense_kernel(m.rows, m.ncols)
+        ints = IntegerEchelon(clear_denominators(row) for row in m.rows)
+        assert Subspace(m.ncols, ints.kernel(m.ncols)) == Subspace(m.ncols, m.kernel())
+        assert Subspace.from_echelon(m.ncols, ints) == Subspace(m.ncols, m.rows)
+        rhs = m.matvec([Fraction(rng.randint(-5, 5)) for _ in range(m.ncols)])
+        rhs_red, rhs_pivots = dense_rref(
+            [row + [b] for row, b in zip(m.rows, rhs)], m.ncols + 1)
+        solution = [Fraction(0)] * m.ncols
+        for i, p in enumerate(rhs_pivots):
+            solution[p] = rhs_red[i][m.ncols]
+        assert m.solve(rhs) == solution
+        if m.nrows == m.ncols and len(expected_pivots) == m.ncols:
+            n = m.ncols
+            identity = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+            inv_red, _ = dense_rref([row + e for row, e in zip(m.rows, identity)], 2 * n)
+            assert m.inverse().rows == [row[n:] for row in inv_red]
 
 
 def test_integer_echelon_keeps_primitive_rows():
@@ -302,9 +334,18 @@ def test_integer_echelon_keeps_primitive_rows():
     assert echelon.add([0, -4, 6])
     assert not echelon.add([0, 2, -3])
     assert echelon.add([3, 1, 1])
-    assert not echelon.add([6, 0, 5])
+    assert not echelon.add({0: 6, 2: 5})
     assert not echelon.add([0, 0, 0])
     assert echelon.add([0, 0, 7])
     assert len(echelon) == 3
-    assert echelon._rows == {1: [0, 2, -3], 0: [3, 1, 1], 2: [0, 0, 1]}
+    assert echelon._rows == {1: {1: 2, 2: -3}, 0: {0: 3, 1: 1, 2: 1}, 2: {2: 1}}
+    assert echelon.reduced() == ([{0: 1}, {1: 1}, {2: 1}], [0, 1, 2])
     assert len(IntegerEchelon([[1, 2], [2, 4], [0, 0]])) == 1
+
+
+def test_integer_echelon_back_substitutes_and_reads_kernels():
+    echelon = IntegerEchelon([[2, 4, 0, 6], [0, 3, 1, 2], [4, 11, 1, 14]])
+    assert echelon.reduced() == ([{0: 3, 2: -2, 3: 5}, {1: 3, 2: 1, 3: 2}], [0, 1])
+    assert echelon.kernel(4) == [[2, -1, 3, 0], [-5, -2, 0, 3]]
+    assert IntegerEchelon().kernel(2) == [[1, 0], [0, 1]]
+    assert IntegerEchelon([[0, 5]]).kernel(2) == [[1, 0]]

@@ -7,7 +7,8 @@ from math import comb
 
 import pytest
 
-from involutive.bases import contraction_matrix, sym_basis
+from dense_oracles import dense_kernel, dense_rref, dense_span
+from involutive.bases import contraction_matrix, multiindex_remove, sym_basis
 from involutive.errors import (
     CapExceeded,
     DimensionMismatch,
@@ -21,6 +22,7 @@ from involutive.tableau import (
     Tableau,
     cartan_test,
     character_partial_sums,
+    flatten_generator,
     _sample_flag,
     characters,
     involutive_index,
@@ -139,6 +141,84 @@ def test_prolong_matches_intersection_route():
         assert t.level(1) == prolong_via_intersection(t, 1)
     for t in cases[:6]:
         assert t.level(2) == prolong_via_intersection(t, 2)
+
+
+def dense_prolong_once(n, r, prev_basis, prev_h):
+    """The dense Fraction route from A^(prev_h) to A^(prev_h + 1), kept as
+    the oracle: symmetry constraints over the canonical Fraction basis,
+    their kernel and the canonical span, all by dense Gauss-Jordan."""
+    sb_next = sym_basis(n, prev_h + 2)
+    sb_prev = sym_basis(n, prev_h + 1)
+    ambient = r * sb_next.size
+    d = len(prev_basis)
+    if d == 0:
+        return []
+    unknowns = n * d
+    rows = []
+    for b in range(r):
+        for mono in sb_next.indices:
+            distinct = sorted(set(mono))
+            for a_pos in range(len(distinct)):
+                for b_pos in range(a_pos + 1, len(distinct)):
+                    i, j = distinct[a_pos], distinct[b_pos]
+                    row = [Fraction(0)] * unknowns
+                    red_i = sb_prev.index_of[multiindex_remove(mono, i)]
+                    red_j = sb_prev.index_of[multiindex_remove(mono, j)]
+                    for beta in range(d):
+                        row[i * d + beta] += prev_basis[beta][b * sb_prev.size + red_i]
+                        row[j * d + beta] -= prev_basis[beta][b * sb_prev.size + red_j]
+                    if any(x != 0 for x in row):
+                        rows.append(row)
+    out = []
+    for q in dense_kernel(rows, unknowns):
+        t = [Fraction(0)] * ambient
+        for b in range(r):
+            for m_idx, mono in enumerate(sb_next.indices):
+                i0 = mono[0]
+                red = sb_prev.index_of[multiindex_remove(mono, i0)]
+                t[b * sb_next.size + m_idx] = sum(
+                    (q[i0 * d + beta] * prev_basis[beta][b * sb_prev.size + red]
+                     for beta in range(d)), Fraction(0))
+        out.append(t)
+    return dense_span(out, ambient)
+
+
+def test_prolong_matches_dense_oracle():
+    rng = random.Random(2707)
+    pool = [Tableau(1, 1, []), Tableau(3, 2, []), full_tableau(3, 1),
+            rank_one_tableau(), skew_tableau()]
+    pool += [rational_tableau(rng, 1, r, rng.randint(1, r)) for r in (1, 2, 3)]
+    while len(pool) < 30:
+        n, r = rng.randint(1, 3), rng.randint(1, 3)
+        pool.append(rational_tableau(rng, n, r, rng.randint(0, n * r)))
+    for t in pool:
+        n, r = t.a_dim, t.b_dim
+        basis = dense_span([flatten_generator(g) for g in t.generators], n * r)
+        assert t.level(0).basis == basis
+        for h in range(3):
+            basis = dense_prolong_once(n, r, basis, h)
+            assert t.level(h + 1).basis == basis
+
+
+def test_view_at_level_matches_contraction_route():
+    rng = random.Random(2708)
+    pool = [Tableau(2, 2, []), full_tableau(2, 2), rank_one_tableau(), skew_tableau()]
+    while len(pool) < 16:
+        n, r = rng.randint(1, 3), rng.randint(1, 3)
+        pool.append(rational_tableau(rng, n, r, rng.randint(0, n * r)))
+    for t in pool:
+        n, r = t.a_dim, t.b_dim
+        for h in range(1, 3):
+            contractions = [contraction_matrix(n, r, h + 1, i) for i in range(n)]
+            expected = []
+            for v in t.level(h).basis:
+                cols = [c.matvec(v) for c in contractions]
+                expected.append(Matrix(
+                    [[cols[i][beta] for i in range(n)] for beta in range(len(cols[0]))],
+                    ncols=n))
+            view = t.view_at_level(h)
+            assert (view.a_dim, view.b_dim) == (n, r * sym_basis(n, h).size)
+            assert list(view.generators) == expected
 
 
 def test_prolongation_contracts_into_previous_level():
@@ -292,7 +372,7 @@ def rank_per_step_partial_sums(tab, flag):
         v = flag.rows[j]
         for b in range(r):
             rows.append([sum(bv[b * n + i] * v[i] for i in range(n)) for bv in basis])
-        sums.append(len(Matrix(rows, ncols=d).rref()[1]) if d else 0)
+        sums.append(len(dense_rref(rows, d)[1]) if d else 0)
     return sums
 
 
