@@ -233,8 +233,7 @@ def _compose_chain_map(s_map, x_subs, u_series, jet, degree):
             subs.extend(u_series[s])
         else:
             subs.extend([Polynomial.zero(n)] * d)
-    comps = [p.compose(subs).truncate(degree) for p in s_map.components]
-    return comps
+    return s_map.compose(subs, degree).components
 
 
 def _monomials(n, d):
@@ -447,10 +446,7 @@ def solve_formal(sys, tower, nf, data, degree, k=None, max_dim=DEFAULT_MAX_DIM,
         if const:
             terms[tuple([0] * n)] = const
         u_of_x.append(Polynomial(n, terms))
-    q_maps = [
-        PolyMap(n, [p.compose(u_of_x).truncate(degree) for p in m.components])
-        for m in u_maps
-    ]
+    q_maps = [m.compose(u_of_x, degree) for m in u_maps]
     composition = {}
     for rho in range(1, len(nf.blocks) + 1):
         ok = True
@@ -511,54 +507,40 @@ def verify_solution(sys, sol):
     """Exact residual of the defining equations with F = Q_(0).
 
     Expands Q^a_{alpha i} d_j F - Q^a_{alpha j} d_i F - Phi^a_{ij}(x, F)
-    and reports the lowest total degree of any nonzero term.
+    in y = x - x0 through the series degree d and reports the lowest
+    total degree of any nonzero term.  The checked degrees are 0..d-1;
+    first_failure is looked for through degree d, so a failure at d
+    leaves the residual clean, and terms above d (truncation artefacts)
+    are never formed.
     """
     t = sys.tableau
     n, r = t.a_dim, t.b_dim
-    f = sol.q_maps[0]
-    subs = [Polynomial.variable(n, i) for i in range(n)] + list(f.components)
-    # degrees are measured at the base point of the series
-    shift = []
-    for i in range(n):
-        terms = {}
-        e = [0] * n
-        e[i] = 1
-        terms[tuple(e)] = Fraction(1)
-        if sol.x0[i]:
-            terms[tuple([0] * n)] = sol.x0[i]
-        shift.append(Polynomial(n, terms))
+    d = sol.degree
+    # degrees are measured at the base point: x = x0 + y
+    shift = _affine_x_of_u(n, sol.x0, Matrix.identity(n))
+    f = sol.q_maps[0].compose(shift)
+    subs = shift + list(f.components)
+    keys = [(b, i, j) for i in range(n) for j in range(i + 1, n) for b in range(r)]
     worst = None
-    for i in range(n):
-        for j in range(i + 1, n):
-            for b in range(r):
-                lhs = Polynomial.zero(n)
-                for alpha, gmat in enumerate(t.generators):
-                    ci = gmat.rows[b][i]
-                    cj = gmat.rows[b][j]
-                    if ci:
-                        lhs = lhs.add(f.components[alpha].partial(j).scale(ci))
-                    if cj:
-                        lhs = lhs.sub(f.components[alpha].partial(i).scale(cj))
-                res = lhs.sub(sys.phi_component(b, i, j).compose(subs))
-                if not res.is_zero():
-                    res = res.compose(shift)
-                if not res.is_zero():
-                    low = res.lowest_degree()
-                    if worst is None or low < worst["degree"]:
-                        exp = min(
-                            (e for e in res.terms if sum(e) == low),
-                        )
-                        worst = {
-                            "component": (b, i, j),
-                            "degree": low,
-                            "monomial": list(exp),
-                        }
-    clean_through = sol.degree - 1 if worst is None else min(
-        worst["degree"] - 1, sol.degree - 1
-    )
+    for b, i, j in keys:
+        lhs = Polynomial.zero(n)
+        for alpha, gmat in enumerate(t.generators):
+            ci = gmat.rows[b][i]
+            cj = gmat.rows[b][j]
+            if ci:
+                lhs = lhs.add(f.components[alpha].partial(j).scale(ci))
+            if cj:
+                lhs = lhs.sub(f.components[alpha].partial(i).scale(cj))
+        res = lhs.truncate(d).sub(sys.phi_component(b, i, j).compose(subs, d))
+        if not res.is_zero():
+            low = res.lowest_degree()
+            if worst is None or low < worst["degree"]:
+                exp = min(e for e in res.terms if sum(e) == low)
+                worst = {"component": (b, i, j), "degree": low, "monomial": list(exp)}
+    clean_through = d - 1 if worst is None else min(worst["degree"] - 1, d - 1)
     return {
-        "max_degree_checked": sol.degree - 1,
-        "clean": worst is None or worst["degree"] > sol.degree - 1,
+        "max_degree_checked": d - 1,
+        "clean": worst is None or worst["degree"] > d - 1,
         "clean_through_degree": clean_through,
         "first_failure": worst,
     }

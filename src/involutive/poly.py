@@ -5,10 +5,17 @@ coefficients.  These house the non-homogeneous terms of the PDE systems,
 the inductively constructed chain maps, residuals, and truncated Taylor
 series, so all operations (product, derivative, composition, evaluation)
 are exact.
+
+Substitution (Polynomial.compose and PolyMap.compose) runs on one
+kernel, _substitute.  It builds the value of each monomial once, in a
+table shared by every component, and takes an optional degree cap: a
+truncated series composed with a cap d is exact through degree d, and no
+product ever forms a term above d (Polynomial.mul takes the same cap).
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -110,28 +117,22 @@ class Polynomial:
             p.terms = {e: c * v for e, v in self.terms.items()}
         return p
 
-    def mul(self, other: "Polynomial") -> "Polynomial":
+    def mul(self, other: "Polynomial", max_degree: int | None = None) -> "Polynomial":
+        """Product; with max_degree, terms above it are never formed."""
         self._check(other)
+        cap = math.inf if max_degree is None else max_degree
+        right = sorted((sum(e), e, c) for e, c in other.terms.items())
         out: dict[tuple[int, ...], Fraction] = {}
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+            room = cap - sum(e1)
+            for d2, e2, c2 in right:
+                if d2 > room:
+                    break
                 e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
+                out[e] = out.get(e, 0) + c1 * c2
         p = Polynomial(self.num_vars)
-        p.terms = out
+        p.terms = {e: c for e, c in out.items() if c}
         return p
-
-    def pow(self, k: int) -> "Polynomial":
-        if k < 0:
-            raise DimensionMismatch("negative power")
-        out = Polynomial.constant(self.num_vars, 1)
-        for _ in range(k):
-            out = out.mul(self)
-        return out
 
     def partial(self, var: int) -> "Polynomial":
         if not 0 <= var < self.num_vars:
@@ -161,30 +162,13 @@ class Polynomial:
             total += v
         return total
 
-    def compose(self, subs: Sequence["Polynomial"]) -> "Polynomial":
-        """Substitute subs[i] for variable i; all subs share one arity."""
-        if len(subs) != self.num_vars:
-            raise DimensionMismatch("compose needs one substitution per variable")
-        if subs:
-            m = subs[0].num_vars
-            if any(s.num_vars != m for s in subs):
-                raise DimensionMismatch("substitutions have mixed arities")
-        else:
-            m = 0
-        out = Polynomial.zero(m)
-        # cache powers of each substitution as they are needed
-        powers: list[dict[int, Polynomial]] = [dict() for _ in subs]
-        for e, c in self.terms.items():
-            term = Polynomial.constant(m, c)
-            for i, k in enumerate(e):
-                if k == 0:
-                    continue
-                cache = powers[i]
-                if k not in cache:
-                    cache[k] = subs[i].pow(k)
-                term = term.mul(cache[k])
-            out = out.add(term)
-        return out
+    def compose(self, subs: Sequence["Polynomial"],
+                max_degree: int | None = None) -> "Polynomial":
+        """Substitute subs[i] for variable i; all subs share one arity.
+
+        With max_degree the result is truncated there, and no term above
+        it is ever formed (see _substitute)."""
+        return _substitute([self], self.num_vars, subs, max_degree)[0]
 
     def truncate(self, max_degree: int) -> "Polynomial":
         p = Polynomial(self.num_vars)
@@ -274,8 +258,12 @@ class PolyMap:
     def eval(self, point: Sequence) -> Vector:
         return [p.eval(point) for p in self.components]
 
-    def compose(self, subs: Sequence[Polynomial]) -> "PolyMap":
-        return PolyMap(subs[0].num_vars if subs else 0, [p.compose(subs) for p in self.components])
+    def compose(self, subs: Sequence[Polynomial],
+                max_degree: int | None = None) -> "PolyMap":
+        """Every component composed with subs through one shared monomial
+        table (see _substitute), truncated at max_degree if given."""
+        comps = _substitute(self.components, self.num_vars, subs, max_degree)
+        return PolyMap(subs[0].num_vars if subs else 0, comps)
 
     def truncate(self, max_degree: int) -> "PolyMap":
         return PolyMap(self.num_vars, [p.truncate(max_degree) for p in self.components])
@@ -283,8 +271,41 @@ class PolyMap:
     def total_degree(self) -> int:
         return max((p.total_degree() for p in self.components), default=-1)
 
-    def exponents(self) -> set[tuple[int, ...]]:
-        out: set[tuple[int, ...]] = set()
-        for p in self.components:
-            out.update(p.terms)
-        return out
+
+def _substitute(polys: Sequence[Polynomial], num_vars: int,
+                subs: Sequence[Polynomial], max_degree: int | None) -> list[Polynomial]:
+    """Each of polys (all in num_vars variables) with subs[i] put for
+    variable i, truncated at max_degree if given.
+
+    The value of every monomial x^e is built at most once per call, as
+    x^(e - e_i) * subs[i] for the last variable i of e, in one table that
+    all of polys share.  Every product is capped at max_degree, so no term
+    above it is formed, and the coefficients of each result accumulate in
+    one dict.
+    """
+    if len(subs) != num_vars:
+        raise DimensionMismatch("compose needs one substitution per variable")
+    m = subs[0].num_vars if subs else 0
+    if any(s.num_vars != m for s in subs):
+        raise DimensionMismatch("substitutions have mixed arities")
+    one = Polynomial.constant(m, 1)
+    table = {(0,) * num_vars: one if max_degree is None else one.truncate(max_degree)}
+
+    def value(e):
+        v = table.get(e)
+        if v is None:
+            i = max(k for k, x in enumerate(e) if x)
+            v = value(e[:i] + (e[i] - 1,) + e[i + 1:]).mul(subs[i], max_degree)
+            table[e] = v
+        return v
+
+    out = []
+    for p in polys:
+        acc: dict[tuple[int, ...], Fraction] = {}
+        for e, c in p.terms.items():
+            for f, v in value(e).terms.items():
+                acc[f] = acc.get(f, 0) + c * v
+        q = Polynomial(m)
+        q.terms = {f: v for f, v in acc.items() if v}
+        out.append(q)
+    return out

@@ -1,13 +1,18 @@
-"""Dense Fraction Gauss-Jordan elimination, the oracle for linalg.
+"""Slow textbook routines, the oracles for linalg and poly.
 
-Matrix.rref eliminates over sparse integer rows; these textbook routines
+Matrix.rref eliminates over sparse integer rows; the dense_* routines
 work on dense Fraction rows and share no code with it, so the tests can
-compare the two bit for bit.
+compare the two bit for bit.  compose_oracle substitutes term by term
+with a power cache and a full expansion, where Polynomial.compose runs on
+one capped, shared monomial table.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+from involutive.errors import DimensionMismatch
+from involutive.poly import Polynomial
 
 
 def dense_rref(rows, ncols):
@@ -53,3 +58,27 @@ def dense_span(vectors, ncols):
     """The canonical basis of the span: the nonzero rows of dense_rref."""
     red, pivots = dense_rref(vectors, ncols)
     return red[: len(pivots)]
+
+
+def compose_oracle(p, subs):
+    """p with subs[i] put for variable i, expanded in full term by term:
+    each power of each substitution is cached, every term is built by
+    products and added to the running sum."""
+    if len(subs) != p.num_vars:
+        raise DimensionMismatch("compose needs one substitution per variable")
+    m = subs[0].num_vars if subs else 0
+    if any(s.num_vars != m for s in subs):
+        raise DimensionMismatch("substitutions have mixed arities")
+    out = Polynomial.zero(m)
+    powers = [{0: Polynomial.constant(m, 1)} for _ in subs]
+    for e, c in p.terms.items():
+        term = Polynomial.constant(m, c)
+        for i, k in enumerate(e):
+            if k == 0:
+                continue
+            cache = powers[i]
+            for j in range(len(cache), k + 1):
+                cache[j] = cache[j - 1].mul(subs[i])
+            term = term.mul(cache[k])
+        out = out.add(term)
+    return out

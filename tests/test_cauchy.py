@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from dense_oracles import compose_oracle
 from involutive import systems
 from involutive.cauchy import (
     CauchyData,
@@ -20,10 +21,11 @@ from involutive.errors import (
     InconsistentData,
     InputError,
 )
+from involutive.cli import EXAMPLE_NAMES, build_example
 from involutive.guillemin import normal_form
 from involutive.liealg import abelian_algebra, sl3_decomposition, su2_algebra
 from involutive.linalg import Matrix
-from involutive.poly import Polynomial
+from involutive.poly import Polynomial, PolyMap
 from involutive.systems import (
     System,
     TowerData,
@@ -327,8 +329,6 @@ def test_corrupted_solution_is_pinpointed(su2_setup):
     blocks = [[random_poly(rng, 1, 3) for _ in range(6)]]
     data = CauchyData([0, 0], [], blocks)
     sol = solve_formal(sys_, tower, nf, data, 5)
-    from involutive.poly import PolyMap
-
     bad = sol.q_maps[0].components[2].add(
         Polynomial(2, {(1, 2): Fraction(1, 3)})
     )
@@ -339,6 +339,90 @@ def test_corrupted_solution_is_pinpointed(su2_setup):
     report = verify_solution(sys_, sol)
     assert not report["clean"]
     assert report["first_failure"]["degree"] == 2
+
+
+def verify_solution_oracle(sys_, sol):
+    """The residual report by full expansion: Phi(x, F) expanded in x to
+    degree 2d and more, then translated to the base point; every term
+    counts, whatever its degree."""
+    t = sys_.tableau
+    n, r = t.a_dim, t.b_dim
+    f = sol.q_maps[0]
+    subs = [Polynomial.variable(n, i) for i in range(n)] + list(f.components)
+    shift = [
+        Polynomial(n, {tuple(int(k == i) for k in range(n)): 1, (0,) * n: sol.x0[i]})
+        for i in range(n)
+    ]
+    worst = None
+    for i in range(n):
+        for j in range(i + 1, n):
+            for b in range(r):
+                lhs = Polynomial.zero(n)
+                for alpha, gmat in enumerate(t.generators):
+                    ci, cj = gmat.rows[b][i], gmat.rows[b][j]
+                    if ci:
+                        lhs = lhs.add(f.components[alpha].partial(j).scale(ci))
+                    if cj:
+                        lhs = lhs.sub(f.components[alpha].partial(i).scale(cj))
+                phi = compose_oracle(sys_.phi_component(b, i, j), subs)
+                res = compose_oracle(lhs.sub(phi), shift)
+                if not res.is_zero():
+                    low = res.lowest_degree()
+                    if worst is None or low < worst["degree"]:
+                        exp = min(e for e in res.terms if sum(e) == low)
+                        worst = {"component": (b, i, j), "degree": low,
+                                 "monomial": list(exp)}
+    d = sol.degree
+    return {
+        "max_degree_checked": d - 1,
+        "clean": worst is None or worst["degree"] > d - 1,
+        "clean_through_degree": d - 1 if worst is None else min(worst["degree"] - 1, d - 1),
+        "first_failure": worst,
+    }
+
+
+def test_residual_matches_full_expansion_oracle():
+    # Data drawn as the system-cli benchmark draws them: x0 in [-2, 2]^n and
+    # one block of dim A series in one variable.  Seed 5 gives gg0:sl3 at
+    # degree 2 a residual whose only terms lie above d.
+    cases = []
+    for name in EXAMPLE_NAMES:
+        sys_ = build_example(name)
+        tower = build_s_chain(sys_, 0)
+        nf = normal_form(sys_.tableau, seed=0)
+        for seed in (0, 5):
+            for degree in (2, 4, 6):
+                rng = random.Random(seed)
+                x0 = [rng.randint(-2, 2) for _ in range(sys_.tableau.a_dim)]
+                block = [random_poly(rng, 1, degree) for _ in range(sys_.tableau.dim)]
+                data = CauchyData(x0, [], [block])
+                cases.append((name, sys_, solve_formal(sys_, tower, nf, data, degree)))
+    # A solution corrupted by a term of degree d + 2 at its base point: the
+    # full expansion finds it at degree d + 1, above what the check forms.
+    name, sys_, sol = cases[-1]
+    assert name == "wavemap:abelian" and sol.degree == 6 and any(sol.x0)
+    back = [
+        Polynomial(2, {tuple(int(k == i) for k in range(2)): 1, (0, 0): -sol.x0[i]})
+        for i in range(2)
+    ]
+    bump = Polynomial(2, {(5, 3): Fraction(1, 5)}).compose(back)
+    comps = list(sol.q_maps[0].components)
+    comps[0] = comps[0].add(bump)
+    sol.q_maps[0] = PolyMap(2, comps)
+    assert verify_solution_oracle(sys_, sol)["first_failure"]["degree"] == 7
+    assert verify_solution(sys_, sol)["first_failure"] is None
+    above = 0
+    for _, sys_, sol in cases:
+        got, want = verify_solution(sys_, sol), verify_solution_oracle(sys_, sol)
+        for key in ("clean", "clean_through_degree", "max_degree_checked"):
+            assert got[key] == want[key]
+        failure = want["first_failure"]
+        if failure is not None and failure["degree"] > sol.degree:
+            above += 1
+            assert got["first_failure"] is None
+        else:
+            assert got["first_failure"] == failure
+    assert above >= 2
 
 
 def test_data_validation_errors(su2_setup):
@@ -509,8 +593,6 @@ def test_tampered_tower_breaks_mixed_partials(su2_setup):
         Polynomial.constant(tower.jet.num_vars, 1)
     )
     comps = [bad_top] + list(tower.s_chain[1].components[1:])
-    from involutive.poly import PolyMap
-
     bad_chain = [tower.s_chain[0], PolyMap(tower.jet.num_vars, comps)]
     bad_tower = TowerData(t, 1, bad_chain)
     blocks = [[Polynomial.zero(1) for _ in range(6)]]

@@ -178,6 +178,21 @@ def test_cauchy_command(wavemap_file, data_file, capsys):
     assert len(report["input_digest"]) == 2
 
 
+def test_cauchy_reports_first_failure_through_degree(wavemap_file, data_file, capsys):
+    # first_failure is looked for through --degree, one above the checked
+    # degrees: the degree-6 truncation term leaves the residual clean and
+    # the exit code 0.  Reporting failures only within the checked degrees
+    # would flip the last assertion.
+    code = main(
+        ["cauchy", wavemap_file, data_file, "--degree", "6", "--verify", "--json"]
+    )
+    assert code == 0
+    residual = json.loads(capsys.readouterr().out)["results"]["residual"]
+    assert residual["clean"] is True
+    assert residual["max_degree_checked"] == 5
+    assert residual["first_failure"]["degree"] == 6
+
+
 def test_missing_file_is_exit_two(capsys):
     assert main(["tableau", "/nonexistent/tableau.json"]) == 2
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dense_oracles import compose_oracle
 from involutive.errors import DimensionMismatch
 from involutive.poly import Polynomial, PolyMap
 
@@ -91,6 +92,52 @@ def test_arity_mismatch():
         p.eval([1])
     with pytest.raises(DimensionMismatch):
         p.compose([Polynomial(1, {(1,): 1})])
+
+
+def affine(rng: random.Random, num_vars: int) -> Polynomial:
+    """A constant plus a linear form, as a shift to a base point gives."""
+    terms = {(0,) * num_vars: Fraction(rng.randint(-3, 3), rng.randint(1, 2))}
+    for i in range(num_vars):
+        terms[tuple(int(k == i) for k in range(num_vars))] = Fraction(rng.randint(-2, 2))
+    return Polynomial(num_vars, terms)
+
+
+def test_compose_matches_oracle():
+    rng = random.Random(8)
+    cases = []
+    for n in range(4):
+        for m in range(1, 4):
+            for kind in ("random", "affine", "zero"):
+                for _ in range(3):
+                    polys = [rand_poly(rng, n, terms=rng.randint(1, 5)) for _ in range(3)]
+                    polys.append(Polynomial.zero(n))
+                    if kind == "random":
+                        subs = [rand_poly(rng, m, max_deg=2, terms=rng.randint(0, 3))
+                                for _ in range(n)]
+                    elif kind == "affine":
+                        subs = [affine(rng, m) for _ in range(n)]
+                    else:
+                        subs = [Polynomial.zero(m) for _ in range(n)]
+                    cases.append((n, polys, subs))
+    assert any(n == 0 for n, _, _ in cases)  # empty subs: 0 variables
+    for n, polys, subs in cases:
+        m = subs[0].num_vars if subs else 0
+        full = [compose_oracle(p, subs) for p in polys]
+        for cap in (None, 0, 1, 3, 6):
+            want = full if cap is None else [q.truncate(cap) for q in full]
+            assert [p.compose(subs, cap) for p in polys] == want
+            assert PolyMap(n, polys).compose(subs, cap) == PolyMap(m, want)
+    for _ in range(40):
+        n = rng.randint(0, 3)
+        p, q = (rand_poly(rng, n, terms=rng.randint(0, 5)) for _ in range(2))
+        for cap in (None, 0, 1, 3, 6):
+            want = p.mul(q) if cap is None else p.mul(q).truncate(cap)
+            assert p.mul(q, cap) == want
+    x = Polynomial(2, {(1, 0): 1})
+    with pytest.raises(DimensionMismatch):
+        x.compose([Polynomial(1, {(1,): 1}), Polynomial(2, {(0, 1): 1})])
+    with pytest.raises(DimensionMismatch):
+        PolyMap(2, [x]).compose([Polynomial(1, {(1,): 1})], 3)
 
 
 def test_table_round_trip():
