@@ -43,7 +43,7 @@ from .errors import (
     UnstableGenericity,
 )
 from .linalg import Matrix, frac, solve_affine
-from .poly import Polynomial, PolyMap
+from .poly import Polynomial, PolyMap, linear_combination
 from .tableau import DEFAULT_MAX_DIM, flatten_generator, involutive_index
 
 DEFAULT_MAX_DEGREE = 10
@@ -316,15 +316,11 @@ def solve_formal(sys, tower, nf, data, degree, k=None, max_dim=DEFAULT_MAX_DIM,
                 Polynomial(n, lower_terms[h][alpha])
                 for alpha in range(level_dims[h])
             ]
-        cols = []
-        for beta in range(level_dims[k]):
-            acc = Polynomial.zero(n)
-            for m in range(nk):
-                c = big_n.rows[beta][m]
-                if c:
-                    acc = acc.add(Polynomial(n, g_terms[m]).scale(c))
-            cols.append(acc)
-        return cols
+        gens = [Polynomial(n, g_terms[m]) for m in range(nk)]
+        return [
+            linear_combination(big_n.rows[beta], gens, n)
+            for beta in range(level_dims[k])
+        ]
 
     for d in range(1, degree + 1):
         u_series = [level_series(h) for h in range(k + 1)]
@@ -478,28 +474,16 @@ def _drop(exp, i):
 def _s_direction_values(s_top, basis_a, iota_u, rho, sigma, dim_k, val_rows, n):
     """iota(a_rho) S(a_sigma) and iota(a_sigma) S(a_rho) as polynomial
     vectors in the full value coordinates."""
-    s_of = []
-    for direction in (sigma, rho):
-        comps = [Polynomial.zero(s_top[0].num_vars) for _ in range(dim_k)]
-        for beta in range(dim_k):
-            for j_dir in range(n):
-                c = basis_a.rows[j_dir][direction]
-                if c:
-                    comps[beta] = comps[beta].add(
-                        s_top[beta * n + j_dir].scale(c)
-                    )
-        s_of.append(comps)
     out = []
-    for io, comps in ((iota_u[rho], s_of[0]), (iota_u[sigma], s_of[1])):
-        vals = []
-        for out_idx in range(val_rows):
-            acc = Polynomial.zero(comps[0].num_vars) if comps else Polynomial.zero(n)
-            for beta in range(dim_k):
-                c = io.rows[out_idx][beta]
-                if c:
-                    acc = acc.add(comps[beta].scale(c))
-            vals.append(acc)
-        out.append(vals)
+    for io, direction in ((iota_u[rho], sigma), (iota_u[sigma], rho)):
+        col = [basis_a.rows[j_dir][direction] for j_dir in range(n)]
+        comps = [
+            linear_combination(col, s_top[beta * n:(beta + 1) * n], n)
+            for beta in range(dim_k)
+        ]
+        out.append(
+            [linear_combination(io.rows[i], comps, n) for i in range(val_rows)]
+        )
     return out[0], out[1]
 
 
@@ -512,14 +496,18 @@ def verify_solution(sys, sol):
     first_failure is looked for through degree d, so a failure at d
     leaves the residual clean, and terms above d (truncation artefacts)
     are never formed.
+
+    F is read off the adapted series: Q_(0)(x0 + y) = u_maps[0](a^-1 y)
+    term for term, because q_maps[0] is u_maps[0] at u = a^-1 (x - x0)
+    and an affine substitution raises no degree.
     """
     t = sys.tableau
     n, r = t.a_dim, t.b_dim
     d = sol.degree
     # degrees are measured at the base point: x = x0 + y
-    shift = _affine_x_of_u(n, sol.x0, Matrix.identity(n))
-    f = sol.q_maps[0].compose(shift)
-    subs = shift + list(f.components)
+    a_inv = sol.nf.basis_a.inverse()
+    f = sol.u_maps[0].compose(PolyMap.linear(a_inv.rows, n).components, d)
+    subs = _affine_x_of_u(n, sol.x0, Matrix.identity(n)) + list(f.components)
     keys = [(b, i, j) for i in range(n) for j in range(i + 1, n) for b in range(r)]
     worst = None
     for b, i, j in keys:

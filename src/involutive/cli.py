@@ -18,11 +18,16 @@ Exit codes: 0 all requested checks passed, 1 a check failed, 2 bad
 input, 3 resource cap exceeded.  `tableau` is a report, not a check: it
 records the Cartan verdict in its cartan_test certificate and exits 0
 whether or not the tableau is involutive.
+
+In-process main() calls share one argument parser, built on first use;
+each call still parses its own argv into a fresh namespace and builds
+fresh tableaux and systems.  `python -m involutive` runs main().
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -457,7 +462,10 @@ def _add_common(p, *, samples=True):
                        help="generic flag samples")
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on the first call and shared by every
+    later one in the process; parsing never changes it."""
     p = argparse.ArgumentParser(
         prog="involutive",
         description="involutivity analysis of tableau-defined PDE systems",

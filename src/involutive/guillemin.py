@@ -275,7 +275,7 @@ def normal_form(t, samples=5, seed=0, max_dim=DEFAULT_MAX_DIM):
         if character_partial_sums(t, flag) != targets:
             continue
         try:
-            nf = _construct(t, cv, flag)
+            nf = _construct(t, cv, Matrix(flag, ncols=n))
         except BadDecomposition as exc:
             failure = str(exc)
             continue

@@ -1,7 +1,14 @@
 """Finite dimensional Lie algebras over Q and Cartan decompositions.
 
 A LieAlgebra is given by structure constants on a chosen basis; the
-constructor enforces antisymmetry and the Jacobi identity exactly.  A
+constructor enforces antisymmetry and the Jacobi identity exactly.  The
+constants live in one sparse table {(i, j): {k: c}} of the nonzero
+c_{ij}^k, and bracket, ad, killing_form, the Jacobi check and
+to_json_dict all read it, so a bracket costs one term per pair of
+nonzero coordinates with a nonzero bracket.  from_matrices factors the
+flattened basis matrices once (linalg.ColumnCoordinates) and reads each
+commutator's coordinates off that factorisation, which proves them by
+multiplying back, so a basis that is not closed is still rejected.  A
 CartanDecomposition g = g0 (+) m is checked from the structure constants
 alone: bracket relations, Killing orthogonality, definiteness of the
 Killing form on both summands, and maximality of the abelian subspace
@@ -25,12 +32,13 @@ from fractions import Fraction
 from .errors import (
     BadDecomposition,
     DimensionMismatch,
+    Inconsistent,
     InputError,
     JacobiViolation,
     NotInImage,
     NotRegular,
 )
-from .linalg import Matrix, Subspace, frac, kernel, vec
+from .linalg import ColumnCoordinates, Matrix, Subspace, frac, vec
 
 
 def det(m):
@@ -83,7 +91,9 @@ class LieAlgebra:
 
     brackets input: iterable of (i, j, k, c) meaning [e_i, e_j] has
     coefficient c on e_k; the opposite pair is filled in by antisymmetry
-    and conflicting duplicates are rejected.
+    and conflicting duplicates are rejected.  The constants are stored
+    once, in the sparse table _table = {(i, j): {k: c}} of nonzero c
+    (both orders of every pair with a nonzero bracket).
     """
 
     def __init__(self, dim, brackets):
@@ -91,7 +101,7 @@ class LieAlgebra:
         if dim < 1:
             raise InputError("Lie algebra dimension must be at least 1")
         self.dim = dim
-        table = {}
+        given = {}
         for item in brackets:
             i, j, k, c = item
             i, j, k = int(i), int(j), int(k)
@@ -103,19 +113,15 @@ class LieAlgebra:
                     raise InputError("[e_%d, e_%d] must vanish" % (i, i))
                 continue
             for key, val in (((i, j, k), c), ((j, i, k), -c)):
-                if key in table and table[key] != val:
+                if key in given and given[key] != val:
                     raise InputError(
                         "conflicting structure constants for %r" % (key,)
                     )
-                table[key] = val
-        # adjoint matrices of the basis: ad_i[k][j] = c_{ij}^k
-        self._ad = []
-        for i in range(dim):
-            rows = [[Fraction(0)] * dim for _ in range(dim)]
-            for (a, b, k), c in table.items():
-                if a == i and c:
-                    rows[k][b] = c
-            self._ad.append(Matrix(rows, ncols=dim))
+                given[key] = val
+        self._table = {}
+        for (i, j, k), c in given.items():
+            if c:
+                self._table.setdefault((i, j), {})[k] = c
         self._check_jacobi()
 
     @classmethod
@@ -123,6 +129,8 @@ class LieAlgebra:
         """Structure constants of a matrix Lie algebra on the given basis.
 
         mats: independent square matrices closed under the commutator.
+        The flattened basis is factored once; each commutator's
+        coordinates are read off it and proved by multiplying back.
         """
         if not mats:
             raise InputError("need at least one basis matrix")
@@ -132,42 +140,50 @@ class LieAlgebra:
             if m.nrows != sz or m.ncols != sz:
                 raise DimensionMismatch("basis matrices must share a square shape")
         flat = [[x for row in m.rows for x in row] for m in mats]
-        span = Subspace(sz * sz, flat)
-        if span.dim != len(mats):
-            raise InputError("basis matrices are linearly dependent")
-        coords_matrix = Matrix.from_columns(flat, nrows=sz * sz)
+        try:
+            coords = ColumnCoordinates(Matrix.from_columns(flat, nrows=sz * sz))
+        except Inconsistent:
+            raise InputError("basis matrices are linearly dependent") from None
         brackets = []
         for i in range(len(mats)):
             for j in range(i + 1, len(mats)):
                 comm = mats[i].matmul(mats[j]).sub(mats[j].matmul(mats[i]))
-                target = [x for row in comm.rows for x in row]
-                if not span.contains(target):
+                try:
+                    coeffs = coords.of_vector([x for row in comm.rows for x in row])
+                except Inconsistent:
                     raise InputError(
                         "matrices are not closed under the commutator "
                         "(failure at pair (%d, %d))" % (i, j)
-                    )
-                coeffs = coords_matrix.solve(target)
+                    ) from None
                 for k, c in enumerate(coeffs):
                     if c:
                         brackets.append((i, j, k, c))
         return cls(len(mats), brackets)
 
+    def _bracket_sparse(self, x, y):
+        """[x, y] for sparse coordinates {i: c}, as a sparse {k: c}."""
+        out = {}
+        for i, xi in x.items():
+            for j, yj in y.items():
+                col = self._table.get((i, j))
+                if col:
+                    c = xi * yj
+                    for k, v in col.items():
+                        out[k] = out.get(k, 0) + c * v
+        return {k: v for k, v in out.items() if v}
+
     def _check_jacobi(self):
         d = self.dim
-        ident = Matrix.identity(d)
         for i in range(d):
             for j in range(i + 1, d):
-                ej = ident.rows[j]
-                bij = self._ad[i].matvec(ej)
                 for k in range(j + 1, d):
-                    ek = ident.rows[k]
-                    bjk = self._ad[j].matvec(ek)
-                    bik = self._ad[i].matvec(ek)
-                    term1 = self._ad[i].matvec(bjk)
-                    term2 = self.bracket(ej, [-x for x in bik])
-                    term3 = self.bracket(ek, bij)
-                    total = [a + b + c for a, b, c in zip(term1, term2, term3)]
-                    if any(x != 0 for x in total):
+                    # [e_i, [e_j, e_k]] + [e_j, [e_k, e_i]] + [e_k, [e_i, e_j]]
+                    total = {}
+                    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                        inner = self._table.get((b, c), {})
+                        for m, v in self._bracket_sparse({a: 1}, inner).items():
+                            total[m] = total.get(m, 0) + v
+                    if any(total.values()):
                         raise JacobiViolation(
                             "Jacobi identity fails on basis triple "
                             "(%d, %d, %d)" % (i, j, k)
@@ -179,48 +195,50 @@ class LieAlgebra:
         y = vec(y)
         if len(x) != self.dim or len(y) != self.dim:
             raise DimensionMismatch("vectors do not match the algebra dimension")
-        out = [Fraction(0)] * self.dim
-        for i, xi in enumerate(x):
-            if xi:
-                col = self._ad[i].matvec(y)
-                out = [o + xi * c for o, c in zip(out, col)]
-        return out
+        out = self._bracket_sparse(
+            {i: c for i, c in enumerate(x) if c}, {j: c for j, c in enumerate(y) if c}
+        )
+        return [out.get(k, Fraction(0)) for k in range(self.dim)]
 
     def ad(self, x):
-        """The adjoint matrix of the coordinate vector x."""
+        """The adjoint matrix of the coordinate vector x: entry (k, j) is
+        the e_k coefficient of [x, e_j]."""
         x = vec(x)
+        if len(x) != self.dim:
+            raise DimensionMismatch("vector does not match the algebra dimension")
         rows = [[Fraction(0)] * self.dim for _ in range(self.dim)]
-        for i, xi in enumerate(x):
-            if xi:
-                for k in range(self.dim):
-                    arow = self._ad[i].rows[k]
-                    row = rows[k]
-                    for j in range(self.dim):
-                        if arow[j]:
-                            row[j] += xi * arow[j]
+        for (i, j), col in self._table.items():
+            if x[i]:
+                for k, c in col.items():
+                    rows[k][j] += x[i] * c
         return Matrix(rows, ncols=self.dim)
 
     def killing_form(self):
-        """Gram matrix K_{ij} = trace(ad_i ad_j)."""
+        """Gram matrix K_{ij} = trace(ad_i ad_j) = sum of c_{il}^k c_{jk}^l."""
         d = self.dim
-        rows = []
-        for i in range(d):
-            row = []
-            for j in range(d):
-                prod = self._ad[i].matmul(self._ad[j])
-                row.append(sum(prod.rows[k][k] for k in range(d)))
-            rows.append(row)
+        # (k, l) -> [(j, c_{jk}^l)]: the entries of ad_j in row l, column k
+        by_entry = {}
+        for (j, k), col in self._table.items():
+            for l, c in col.items():
+                by_entry.setdefault((k, l), []).append((j, c))
+        rows = [[Fraction(0)] * d for _ in range(d)]
+        for (i, l), col in self._table.items():
+            for k, c in col.items():
+                for j, c2 in by_entry.get((k, l), ()):
+                    rows[i][j] += c * c2
         return Matrix(rows, ncols=d)
 
     def to_json_dict(self):
-        brackets = []
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                col = self._ad[i].matvec(Matrix.identity(self.dim).rows[j])
-                for k, c in enumerate(col):
-                    if c:
-                        brackets.append([i, j, k, str(c)])
-        return {"dim": self.dim, "brackets": brackets}
+        entries = sorted(
+            (i, j, k, c)
+            for (i, j), col in self._table.items()
+            if i < j
+            for k, c in col.items()
+        )
+        return {
+            "dim": self.dim,
+            "brackets": [[i, j, k, str(c)] for i, j, k, c in entries],
+        }
 
     @classmethod
     def from_json_dict(cls, data):

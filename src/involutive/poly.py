@@ -11,6 +11,8 @@ kernel, _substitute.  It builds the value of each monomial once, in a
 table shared by every component, and takes an optional degree cap: a
 truncated series composed with a cap d is exact through degree d, and no
 product ever forms a term above d (Polynomial.mul takes the same cap).
+Sums of many scaled polynomials go through linear_combination, which
+accumulates them in one dict.
 """
 
 from __future__ import annotations
@@ -270,6 +272,24 @@ class PolyMap:
 
     def total_degree(self) -> int:
         return max((p.total_degree() for p in self.components), default=-1)
+
+
+def linear_combination(coeffs: Iterable, polys: Iterable[Polynomial],
+                       num_vars: int) -> Polynomial:
+    """The sum of c * p over the pairs of coeffs and polys, in num_vars
+    variables.  Coefficients accumulate in one dict, so no partial sum is
+    copied; a zero c skips its polynomial."""
+    acc: dict[tuple[int, ...], Fraction] = {}
+    for c, p in zip(coeffs, polys):
+        if p.num_vars != num_vars:
+            raise DimensionMismatch("polynomial arity mismatch")
+        if not c:
+            continue
+        for e, v in p.terms.items():
+            acc[e] = acc.get(e, 0) + c * v
+    q = Polynomial(num_vars)
+    q.terms = {e: v for e, v in acc.items() if v}
+    return q
 
 
 def _substitute(polys: Sequence[Polynomial], num_vars: int,

@@ -58,7 +58,7 @@ from .errors import (
     StructureViolation,
 )
 from .linalg import Matrix, Subspace
-from .poly import Polynomial, PolyMap
+from .poly import Polynomial, PolyMap, linear_combination
 from .spencer import HarmonicSplit, SpencerCell, delta, two_acyclicity_report
 from .tableau import DEFAULT_MAX_DIM, Tableau
 
@@ -488,7 +488,7 @@ def _verify_delta_identities(sys, tower):
         image = PolyMap(
             nv,
             [
-                _poly_linear_combination(row, s_map.components, nv)
+                linear_combination(row, s_map.components, nv)
                 for row in split.d_out.rows
             ],
         )
@@ -517,14 +517,6 @@ def _verify_delta_identities(sys, tower):
             }
         )
     return checks
-
-
-def _poly_linear_combination(coefficients, polys, nv):
-    out = Polynomial.zero(nv)
-    for c, p in zip(coefficients, polys):
-        if c and not p.is_zero():
-            out = out.add(p.scale(c))
-    return out
 
 
 def _label_key(label):

@@ -430,7 +430,8 @@ def prolong_via_intersection(tab, h=1, max_dim=DEFAULT_MAX_DIM):
 
 
 def _sample_flag(rng, n, bound):
-    """Random invertible n x n integer matrix; row j spans flag step j.
+    """Random invertible n x n integer matrix, as n lists of n ints; row j
+    spans flag step j.
 
     All n^2 entries are drawn, row by row, before the rows are tested, so
     a rejected draw consumes the same random numbers as an accepted one.
@@ -439,31 +440,31 @@ def _sample_flag(rng, n, bound):
         rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
         echelon = IntegerEchelon()
         if all(echelon.add(row) for row in rows):
-            return Matrix(rows, ncols=n)
+            return rows
 
 
 def character_partial_sums(tab, flag):
     """codim Ker(A, a_j) for j = 1..n along the given flag.
 
-    flag is an n x n Matrix whose first j rows span the j-th flag
-    subspace.  The j-th partial sum equals the rank of the evaluation map
-    A -> Hom(a_j, b) restricted to those rows.  One IntegerEchelon
-    carries the rank from step to step: step j adds only the r rows of
-    flag row j, over the integer basis of A and the flag row cleared of
-    denominators (scaling a row or a column changes no rank).
+    flag is an n x n Matrix, or n rows of n ints or Fractions, whose
+    first j rows span the j-th flag subspace.  The j-th partial sum
+    equals the rank of the evaluation map A -> Hom(a_j, b) restricted to
+    those rows.  One IntegerEchelon carries the rank from step to step:
+    step j adds only the r rows of flag row j, over the integer basis of
+    A and the flag row cleared of denominators (scaling a row or a column
+    changes no rank).
     """
     n, r = tab.a_dim, tab.b_dim
-    if flag.nrows != n or flag.ncols != n:
-        raise DimensionMismatch(
-            "flag must be %dx%d, got %dx%d" % (n, n, flag.nrows, flag.ncols)
-        )
+    rows = flag.rows if isinstance(flag, Matrix) else flag
+    if len(rows) != n or any(len(row) != n for row in rows):
+        raise DimensionMismatch("flag must be %dx%d" % (n, n))
     basis = tab.integer_basis()
     d = len(basis)
     echelon = IntegerEchelon()
     sums = []
     for j in range(n):
         if len(echelon) < d:
-            v = clear_denominators(flag.rows[j])
+            v = clear_denominators(rows[j])
             for b in range(r):
                 off = b * n
                 echelon.add(

@@ -4,7 +4,10 @@ Matrix.rref eliminates over sparse integer rows; the dense_* routines
 work on dense Fraction rows and share no code with it, so the tests can
 compare the two bit for bit.  compose_oracle substitutes term by term
 with a power cache and a full expansion, where Polynomial.compose runs on
-one capped, shared monomial table.
+one capped, shared monomial table.  The dense_ad_* routines give the
+adjoint matrices of a Lie algebra as dense Fraction rows (commutator
+coordinates by Matrix.solve), the oracle for the sparse structure
+constants of LieAlgebra.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from involutive.errors import DimensionMismatch
+from involutive.linalg import Matrix
 from involutive.poly import Polynomial
 
 
@@ -82,3 +86,65 @@ def compose_oracle(p, subs):
             term = term.mul(cache[k])
         out = out.add(term)
     return out
+
+
+def dense_ad_from_brackets(dim, brackets):
+    """Dense adjoint matrices, ad_i[k][j] = c_ij^k, from (i, j, k, c)
+    entries with c_ji^k = -c_ij^k filled in."""
+    ads = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
+    for i, j, k, c in brackets:
+        ads[i][k][j] = Fraction(c)
+        ads[j][k][i] = -Fraction(c)
+    return ads
+
+
+def dense_ad_from_matrices(mats):
+    """Dense adjoint matrices of the matrix Lie algebra on the basis mats:
+    every commutator M_i M_j - M_j M_i, formed entry by entry, solved for
+    its coordinates over the flattened basis with Matrix.solve."""
+    mats = [[[Fraction(x) for x in row] for row in getattr(m, "rows", m)] for m in mats]
+    dim, sz = len(mats), len(mats[0])
+    flat = Matrix.from_columns([[x for row in m for x in row] for m in mats], nrows=sz * sz)
+    ads = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
+    for i, a in enumerate(mats):
+        for j, b in enumerate(mats):
+            comm = [
+                sum(a[r][t] * b[t][c] - b[r][t] * a[t][c] for t in range(sz))
+                for r in range(sz)
+                for c in range(sz)
+            ]
+            for k, x in enumerate(flat.solve(comm)):
+                ads[i][k][j] = x
+    return ads
+
+
+def dense_killing(ads):
+    """K_ij = trace(ad_i ad_j) by full dense products."""
+    d = len(ads)
+    return [
+        [
+            sum(ads[i][k][l] * ads[j][l][k] for k in range(d) for l in range(d))
+            for j in range(d)
+        ]
+        for i in range(d)
+    ]
+
+
+def dense_jacobi_holds(ads):
+    """[e_i, [e_j, e_k]] + cyclic = 0 for every basis triple, by dense
+    matrix-vector products."""
+    d = len(ads)
+
+    def br(i, v):
+        return [sum(ads[i][k][j] * v[j] for j in range(d)) for k in range(d)]
+
+    def col(i, j):
+        return [ads[i][k][j] for k in range(d)]
+
+    for i in range(d):
+        for j in range(d):
+            for k in range(d):
+                terms = (br(i, col(j, k)), br(j, col(k, i)), br(k, col(i, j)))
+                if any(sum(t) for t in zip(*terms)):
+                    return False
+    return True

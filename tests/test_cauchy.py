@@ -323,19 +323,28 @@ def test_abelian_wavemap_is_curl_free():
     assert verify_solution(sys_, sol)["clean"]
 
 
+def corrupt(sol, alpha, bump):
+    """Add bump, a polynomial in y = x - x0, to component alpha of F in
+    both of its forms: Q_(0) in x and the adapted series in u (y = a u)."""
+    n = bump.num_vars
+    back = [
+        Polynomial(n, {tuple(int(k == i) for k in range(n)): 1, (0,) * n: -sol.x0[i]})
+        for i in range(n)
+    ]
+    adapted = PolyMap.linear(sol.nf.basis_a.rows, n).components
+    for maps, subs in ((sol.q_maps, back), (sol.u_maps, adapted)):
+        comps = list(maps[0].components)
+        comps[alpha] = comps[alpha].add(bump.compose(subs))
+        maps[0] = PolyMap(n, comps)
+
+
 def test_corrupted_solution_is_pinpointed(su2_setup):
     sys_, tower, nf = su2_setup
     rng = random.Random(3)
     blocks = [[random_poly(rng, 1, 3) for _ in range(6)]]
     data = CauchyData([0, 0], [], blocks)
     sol = solve_formal(sys_, tower, nf, data, 5)
-    bad = sol.q_maps[0].components[2].add(
-        Polynomial(2, {(1, 2): Fraction(1, 3)})
-    )
-    comps = [
-        bad if i == 2 else p for i, p in enumerate(sol.q_maps[0].components)
-    ]
-    sol.q_maps[0] = PolyMap(2, comps)
+    corrupt(sol, 2, Polynomial(2, {(1, 2): Fraction(1, 3)}))
     report = verify_solution(sys_, sol)
     assert not report["clean"]
     assert report["first_failure"]["degree"] == 2
@@ -401,14 +410,7 @@ def test_residual_matches_full_expansion_oracle():
     # full expansion finds it at degree d + 1, above what the check forms.
     name, sys_, sol = cases[-1]
     assert name == "wavemap:abelian" and sol.degree == 6 and any(sol.x0)
-    back = [
-        Polynomial(2, {tuple(int(k == i) for k in range(2)): 1, (0, 0): -sol.x0[i]})
-        for i in range(2)
-    ]
-    bump = Polynomial(2, {(5, 3): Fraction(1, 5)}).compose(back)
-    comps = list(sol.q_maps[0].components)
-    comps[0] = comps[0].add(bump)
-    sol.q_maps[0] = PolyMap(2, comps)
+    corrupt(sol, 0, Polynomial(2, {(5, 3): Fraction(1, 5)}))
     assert verify_solution_oracle(sys_, sol)["first_failure"]["degree"] == 7
     assert verify_solution(sys_, sol)["first_failure"] is None
     above = 0
@@ -423,6 +425,30 @@ def test_residual_matches_full_expansion_oracle():
         else:
             assert got["first_failure"] == failure
     assert above >= 2
+
+
+def test_adapted_series_is_the_translated_solution():
+    # verify_solution reads F off u_maps[0] at u = a^-1 y; that must be
+    # q_maps[0] at x = x0 + y, term for term.
+    for name in EXAMPLE_NAMES:
+        sys_ = build_example(name)
+        n = sys_.tableau.a_dim
+        tower = build_s_chain(sys_, 0)
+        nf = normal_form(sys_.tableau, seed=0)
+        a_inv = nf.basis_a.inverse()
+        for seed in (0, 5, 7919):
+            rng = random.Random(seed)
+            degree = rng.choice((2, 4, 6))
+            x0 = [rng.randint(-2, 2) for _ in range(n)]
+            block = [random_poly(rng, 1, degree) for _ in range(sys_.tableau.dim)]
+            sol = solve_formal(sys_, tower, nf, CauchyData(x0, [], [block]), degree)
+            shift = [
+                Polynomial(n, {tuple(int(k == i) for k in range(n)): 1, (0,) * n: x0[i]})
+                for i in range(n)
+            ]
+            translated = sol.q_maps[0].compose(shift)
+            adapted = sol.u_maps[0].compose(PolyMap.linear(a_inv.rows, n).components, degree)
+            assert adapted == translated, (name, seed)
 
 
 def test_data_validation_errors(su2_setup):

@@ -1,13 +1,17 @@
 """End-to-end checks of the command line interface."""
 
 import json
+import os
+import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 from involutive.bases import sym_basis
 from involutive.cauchy import CauchyData
-from involutive.cli import EXAMPLE_NAMES, main
+from involutive.cli import EXAMPLE_NAMES, build_parser, main
 from involutive.poly import Polynomial
 from involutive.systems import System
 from involutive.tableau import Tableau
@@ -251,3 +255,64 @@ def test_report_json_round_trips(wavemap_file, capsys):
     main(["system", wavemap_file, "--check", "--json"])
     out = capsys.readouterr().out
     assert json.loads(json.dumps(json.loads(out))) == json.loads(out)
+
+
+def without_timing(text):
+    """CLI output with its one timing figure blanked out."""
+    text = re.sub(r'"timing_seconds": [0-9.e-]+', '"timing_seconds": _', text)
+    return re.sub(r"in [0-9.]+s$", "in _s", text, flags=re.M)
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_repeated_main_calls_give_identical_reports(wavemap_file, data_file, capsys):
+    runs = [
+        ["tableau", wavemap_file, "--json"],
+        ["tableau", wavemap_file],
+        ["system", wavemap_file, "--check", "--json"],
+        ["cauchy", wavemap_file, data_file, "--degree", "3", "--verify", "--json"],
+        ["examples", "wavemap:abelian"],
+    ]
+    # the reference: each command on a parser built just before it
+    reference = []
+    for argv in runs:
+        build_parser.cache_clear()
+        capsys.readouterr()
+        code = main(argv)
+        reference.append((code, without_timing(capsys.readouterr().out)))
+    # a bad flag, a top-level and a subcommand --help leave the shared
+    # parser as it was, and so do non-default options of earlier calls
+    with pytest.raises(SystemExit) as bad:
+        main(["tableau", wavemap_file, "--no-such-flag"])
+    assert bad.value.code == 2
+    for argv in (["--help"], ["cauchy", "--help"]):
+        with pytest.raises(SystemExit) as done:
+            main(argv)
+        assert done.value.code == 0
+    main(["tableau", wavemap_file, "--prolong", "2", "--seed", "5", "--samples", "2"])
+    parser = build_parser()
+    for _ in range(2):
+        for argv, (code, out) in zip(runs, reference):
+            capsys.readouterr()
+            assert main(argv) == code
+            assert without_timing(capsys.readouterr().out) == out, argv
+    assert build_parser() is parser
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "involutive", "examples", "wavemap:su2"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[-1].startswith("[examples] ok in ")
+    system = System.from_json_dict(json.loads("\n".join(lines[:-1])))
+    assert system.tableau.dim == 6
+    assert main(["examples", "wavemap:su2"]) == 0
+    assert without_timing(capsys.readouterr().out) == without_timing(proc.stdout)

@@ -5,6 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from dense_oracles import (
+    dense_ad_from_brackets,
+    dense_ad_from_matrices,
+    dense_jacobi_holds,
+    dense_killing,
+)
 from involutive.errors import (
     BadDecomposition,
     InputError,
@@ -18,6 +24,7 @@ from involutive.liealg import (
     definiteness,
     det,
     sl2_decomposition,
+    sl2_matrices,
     sl3_decomposition,
     sl3_matrices,
     su2_algebra,
@@ -199,3 +206,124 @@ def test_abelian_algebra():
     g = abelian_algebra(4)
     assert g.bracket([1, 2, 3, 4], [4, 3, 2, 1]) == [0, 0, 0, 0]
     assert g.killing_form() == Matrix.zeros(4, 4)
+
+
+SU2_BRACKETS = [(0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 1, 1)]
+
+
+def unit_matrices(sz, cells):
+    return [
+        Matrix([[int((r, c) == cell) for c in range(sz)] for r in range(sz)])
+        for cell in cells
+    ]
+
+
+def random_invertible(rng, n):
+    while True:
+        m = Matrix([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+        if m.rank() == n:
+            return m
+
+
+def random_matrix_algebras(rng):
+    """Closed matrix bases in random coordinates: a classical basis, mixed
+    by a random invertible change of basis and conjugated by a random
+    invertible matrix."""
+    so3 = [
+        Matrix([[0, 1, 0], [-1, 0, 0], [0, 0, 0]]),
+        Matrix([[0, 0, 1], [0, 0, 0], [-1, 0, 0]]),
+        Matrix([[0, 0, 0], [0, 0, 1], [0, -1, 0]]),
+    ]
+    borel3 = unit_matrices(3, [(r, c) for r in range(3) for c in range(r, 3)])
+    heisenberg = unit_matrices(3, [(0, 1), (0, 2), (1, 2)])
+    gl2 = unit_matrices(2, [(0, 0), (0, 1), (1, 0), (1, 1)])
+    out = []
+    for basis in (sl2_matrices(), so3, borel3, heisenberg, gl2, sl3_matrices()):
+        n, sz = len(basis), basis[0].nrows
+        mix = random_invertible(rng, n)
+        p = random_invertible(rng, sz)
+        p_inv = p.inverse()
+        mixed = []
+        for row in mix.rows:
+            m = Matrix.zeros(sz, sz)
+            for c, b in zip(row, basis):
+                m = m.add(b * c)
+            mixed.append(p.matmul(m).matmul(p_inv))
+        out.append(mixed)
+    return out
+
+
+def assert_matches_dense(g, ads, rng):
+    d = g.dim
+    assert [g.ad(e).rows for e in Matrix.identity(d).rows] == ads
+    for _ in range(4):
+        x = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(d)]
+        y = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(d)]
+        ad_x = [[sum(x[i] * ads[i][k][j] for i in range(d)) for j in range(d)]
+                for k in range(d)]
+        assert g.ad(x).rows == ad_x
+        assert g.bracket(x, y) == [sum(a * b for a, b in zip(row, y)) for row in ad_x]
+    assert g.killing_form().rows == dense_killing(ads)
+    # the old dense serialisation: pairs i < j in order, then k ascending
+    assert g.to_json_dict() == {
+        "dim": d,
+        "brackets": [
+            [i, j, k, str(ads[i][k][j])]
+            for i in range(d)
+            for j in range(i + 1, d)
+            for k in range(d)
+            if ads[i][k][j]
+        ],
+    }
+    h = LieAlgebra.from_json_dict(g.to_json_dict())
+    assert [h.ad(e).rows for e in Matrix.identity(d).rows] == ads
+
+
+def test_sparse_table_matches_dense_oracle():
+    rng = random.Random(2024)
+    assert_matches_dense(su2_algebra(), dense_ad_from_brackets(3, SU2_BRACKETS), rng)
+    for d in (1, 2, 4):
+        assert_matches_dense(abelian_algebra(d), dense_ad_from_brackets(d, []), rng)
+    bases = [sl2_matrices(), sl3_matrices()] + random_matrix_algebras(rng)
+    for mats in bases:
+        assert_matches_dense(
+            LieAlgebra.from_matrices(mats), dense_ad_from_matrices(mats), rng
+        )
+
+
+def test_from_matrices_rejects_dependent_basis():
+    h, e, f = sl2_matrices()
+    with pytest.raises(InputError, match="dependent"):
+        LieAlgebra.from_matrices([h, e, f, e.add(f)])
+
+
+def test_corrupted_table_raises_jacobi_violation():
+    # [e0, e1] = e2 + e0 in su(2): the cyclic sum on (0, 1, 2) is e1
+    g = su2_algebra()
+    g._table[0, 1] = {2: Fraction(1), 0: Fraction(1)}
+    g._table[1, 0] = {2: Fraction(-1), 0: Fraction(-1)}
+    with pytest.raises(JacobiViolation):
+        g._check_jacobi()
+    # one constant of sl(3) changed at a time: the sparse check rejects
+    # exactly the tables that fail the dense Jacobi identity
+    base = LieAlgebra.from_matrices(sl3_matrices()).to_json_dict()
+    rng = random.Random(17)
+    violations = 0
+    for _ in range(12):
+        brackets = [list(b) for b in base["brackets"]]
+        i, j = sorted(rng.sample(range(8), 2))
+        k = rng.randrange(8)
+        entry = next((b for b in brackets if b[:3] == [i, j, k]), None)
+        if entry is None:
+            brackets.append([i, j, k, "1"])
+        else:
+            entry[3] = str(Fraction(entry[3]) + rng.choice((-1, 1)))
+        ads = dense_ad_from_brackets(8, [(a, b, c, Fraction(v)) for a, b, c, v in brackets])
+        data = {"dim": 8, "brackets": brackets}
+        if dense_jacobi_holds(ads):
+            LieAlgebra.from_json_dict(data)
+        else:
+            violations += 1
+            with pytest.raises(JacobiViolation):
+                LieAlgebra.from_json_dict(data)
+    assert violations >= 6

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from dense_oracles import compose_oracle
 from involutive.errors import DimensionMismatch
-from involutive.poly import Polynomial, PolyMap
+from involutive.poly import Polynomial, PolyMap, linear_combination
 
 
 def rand_poly(rng: random.Random, num_vars: int, max_deg: int = 3, terms: int = 4) -> Polynomial:
@@ -138,6 +138,29 @@ def test_compose_matches_oracle():
         x.compose([Polynomial(1, {(1,): 1}), Polynomial(2, {(0, 1): 1})])
     with pytest.raises(DimensionMismatch):
         PolyMap(2, [x]).compose([Polynomial(1, {(1,): 1})], 3)
+
+
+def test_linear_combination_matches_add_scale_chain():
+    rng = random.Random(41)
+    for trial in range(60):
+        nv = rng.randint(0, 3)
+        count = rng.randint(0, 6)
+        polys = [rand_poly(rng, nv, terms=rng.randint(0, 5)) for _ in range(count)]
+        coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(count)]
+        if count and trial % 5 == 0:
+            # terms that cancel: p and -p with the same coefficient
+            polys.append(polys[0].neg())
+            coeffs.append(coeffs[0])
+        chain = Polynomial.zero(nv)
+        for c, p in zip(coeffs, polys):
+            chain = chain.add(p.scale(c))
+        got = linear_combination(coeffs, polys, nv)
+        assert got == chain
+        assert all(c != 0 for c in got.terms.values())
+    assert linear_combination([1], [Polynomial.variable(2, 0)], 2) == Polynomial.variable(2, 0)
+    for c in (0, 1):
+        with pytest.raises(DimensionMismatch):
+            linear_combination([c], [Polynomial.variable(2, 0)], 3)
 
 
 def test_table_round_trip():

@@ -391,7 +391,7 @@ def rational_tableau(rng, n, r, want):
 def oracle_flags(rng, n):
     """A sampled flag, a rational non-integer flag, singular flags with a
     zero or a repeated row, and the identity."""
-    sampled = _sample_flag(rng, n, 8)
+    sampled = Matrix(_sample_flag(rng, n, 8), ncols=n)
     rational = Matrix(
         [[Fraction(rng.randint(-9, 9), rng.randint(2, 5)) for _ in range(n)]
          for _ in range(n)],
@@ -429,7 +429,7 @@ def test_partial_sums_match_rank_per_step_oracle():
 
 def test_sample_flag_keeps_its_random_stream():
     # The same draws as the dense route: n^2 integers, row by row, until
-    # the matrix has full rank.
+    # the matrix has full rank, returned as lists of ints.
     for seed in range(40):
         n = 1 + seed % 4
         bound = 1 if seed % 3 == 0 else 8
@@ -441,5 +441,7 @@ def test_sample_flag_keeps_its_random_stream():
                 break
         rng_after = rng.random()
         sampler = random.Random(seed)
-        assert _sample_flag(sampler, n, bound).rows == rows
+        flag = _sample_flag(sampler, n, bound)
+        assert flag == rows
+        assert all(type(x) is int for row in flag for x in row)
         assert sampler.random() == rng_after
