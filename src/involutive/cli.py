@@ -484,8 +484,11 @@ def build_parser():
                    help="also show the coordinate-flag partial sums")
     t.add_argument("--prolong", type=int, metavar="H",
                    help="compute dims of A^(0..H)")
-    t.add_argument("--involutive-index", action="store_true")
-    t.add_argument("--max-order", type=int, default=6)
+    t.add_argument("--involutive-index", action="store_true",
+                   help="least order k <= --max-order at which A^(k) passes "
+                   "the Cartan test; order h is tested against dim A^(h+1)")
+    t.add_argument("--max-order", type=int, default=6,
+                   help="highest order the index search tests")
     _add_common(t)
     t.set_defaults(func=cmd_tableau, human=_human_tableau, files=lambda a: [a.file])
 

@@ -22,12 +22,15 @@ make b and p realizable as tableaux of linear maps.  Regularity of an
 element A of a means ad_A maps b injectively into p.
 
 Definiteness is decided exactly with Sylvester's criterion on leading
-principal minors (fraction-free determinants), never numerically.
+principal minors, all read off one Bareiss (fraction-free integer)
+elimination, never numerically.  Each bracket inclusion is one rank test
+in an IntegerEchelon over the target basis.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm, prod
 
 from .errors import (
     BadDecomposition,
@@ -38,47 +41,84 @@ from .errors import (
     NotInImage,
     NotRegular,
 )
-from .linalg import ColumnCoordinates, Matrix, Subspace, frac, vec
+from .linalg import (
+    ColumnCoordinates,
+    IntegerEchelon,
+    Matrix,
+    Subspace,
+    clear_denominators,
+    frac,
+    vec,
+)
+
+
+def _bareiss(rows, exchange):
+    """Bareiss fraction-free elimination of a square integer matrix, in
+    place; returns (sign, pivots).
+
+    Step c replaces every entry below the pivot row by (p * x - f * y)
+    divided by the previous pivot, which is exact, so every number stays
+    an integer minor of the input.  The pivot of step c is the leading
+    (c+1) x (c+1) minor of the rows in their current order, and the last
+    one times sign is the determinant.  With exchange a zero pivot is
+    replaced by a lower row (sign flips) and a column with no nonzero
+    entry ends the elimination with pivot 0; without it the rows keep
+    their order, so the pivots are the leading principal minors, and the
+    first zero one ends the elimination.
+    """
+    n = len(rows)
+    sign = 1
+    prev = 1
+    pivots = []
+    for c in range(n):
+        if rows[c][c] == 0 and exchange:
+            below = next((i for i in range(c + 1, n) if rows[i][c] != 0), None)
+            if below is not None:
+                rows[c], rows[below] = rows[below], rows[c]
+                sign = -sign
+        p = rows[c][c]
+        pivots.append(p)
+        if p == 0:
+            break
+        top = rows[c]
+        for i in range(c + 1, n):
+            f = rows[i][c]
+            rows[i] = [(p * x - f * y) // prev for x, y in zip(rows[i], top)]
+        prev = p
+    return sign, pivots
 
 
 def det(m):
-    """Exact determinant by fraction-free Gaussian elimination."""
+    """Exact determinant by Bareiss fraction-free elimination: each row is
+    cleared to integers, and the integer determinant is divided by the
+    product of the row scales once, at the end."""
     if m.nrows != m.ncols:
         raise DimensionMismatch("determinant needs a square matrix")
-    n = m.nrows
-    rows = [list(r) for r in m.rows]
-    sign = 1
-    result = Fraction(1)
-    for c in range(n):
-        pivot = None
-        for i in range(c, n):
-            if rows[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            sign = -sign
-        p = rows[c][c]
-        result *= p
-        for i in range(c + 1, n):
-            f = rows[i][c] / p
-            if f:
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return sign * result
+    if m.nrows == 0:
+        return Fraction(1)
+    rows = [clear_denominators(row) for row in m.rows]
+    scale = prod(lcm(*(x.denominator for x in row)) for row in m.rows)
+    sign, pivots = _bareiss(rows, exchange=True)
+    return Fraction(sign * pivots[-1], scale)
 
 
 def definiteness(gram):
     """Classify a symmetric Gram matrix: "positive", "negative",
-    "zero" (0x0), or "indefinite_or_degenerate"."""
+    "zero" (0x0), or "indefinite_or_degenerate".
+
+    Sylvester's criterion on the leading principal minors, all read off
+    one Bareiss elimination without row exchanges over the rows cleared
+    to integers; clearing scales each minor by a positive integer, so
+    their signs are those of the gram matrix.  A zero minor ends the
+    elimination and stays in the list, so the form is then neither
+    positive nor negative definite.
+    """
     n = gram.nrows
     if n == 0:
         return "zero"
-    minors = []
-    for k in range(1, n + 1):
-        sub = Matrix([row[:k] for row in gram.rows[:k]], ncols=k)
-        minors.append(det(sub))
+    _, minors = _bareiss(
+        [clear_denominators(row) for row in gram.rows], exchange=False
+    )
     if all(d > 0 for d in minors):
         return "positive"
     if all((d > 0 if k % 2 == 0 else d < 0) for k, d in enumerate(minors, 1)):
@@ -303,9 +343,14 @@ def _gram(killing, basis):
 
 
 def _bracket_into(alg, basis1, basis2, target):
+    """[x, y] in target for every x in basis1 and y in basis2, decided by
+    one rank test: the brackets, cleared to integers, are added to an
+    IntegerEchelon of the target basis, and the first one that raises its
+    rank is outside the target."""
+    echelon = IntegerEchelon(clear_denominators(v) for v in target.basis)
     for x in basis1:
         for y in basis2:
-            if not target.contains(alg.bracket(x, y)):
+            if echelon.add(clear_denominators(alg.bracket(x, y))):
                 return False
     return True
 

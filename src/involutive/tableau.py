@@ -24,6 +24,7 @@ from __future__ import annotations
 import random
 import threading
 from fractions import Fraction
+from operator import mul
 
 from .bases import multiindex_remove, sym_basis
 from .errors import (
@@ -117,11 +118,15 @@ class Tableau:
     h >= 1 over the canonical reduced basis of A^(h).  jet_basis and
     jet_coordinates are the one place that convention lives.
 
-    integer_basis() is the canonical basis of A^(0) with each vector
-    cleared to integers, built once; the character ranks are taken over
-    it with an IntegerEchelon.  Prolongation runs over integers too: each
-    step clears the basis of A^(h) the same way and solves its symmetry
-    constraints in an IntegerEchelon (see _prolong_once).
+    integer_basis(h) is the canonical basis of A^(h) with each vector
+    cleared to integers and laid out as the flattened generators of
+    view_at_level(h), built once per level; the character ranks at order
+    h are taken over it with an IntegerEchelon.  Prolongation runs over
+    integers too: each step clears the basis of A^(h) the same way and
+    solves its symmetry constraints in an IntegerEchelon (see
+    _prolong_once).  Certified characters are memoised per (level,
+    samples, seed), so repeated Cartan tests of one tableau sample their
+    flags once.
     """
 
     def __init__(self, a_dim, b_dim, generators):
@@ -151,7 +156,8 @@ class Tableau:
             )
         self._levels = [span]
         self._gen_coords = None
-        self._int_basis = None
+        self._int_bases = {}
+        self._characters = {}
         self._lock = threading.Lock()
 
     @classmethod
@@ -224,16 +230,32 @@ class Tableau:
                     self._gen_coords = ColumnCoordinates(gens, pivots, inverse)
         return self._gen_coords
 
-    def integer_basis(self):
-        """The canonical basis of A^(0), each vector scaled by the lcm of
-        its denominators to a list of ints, built once."""
-        if self._int_basis is None:
-            with self._lock:
-                if self._int_basis is None:
-                    self._int_basis = [
-                        clear_denominators(v) for v in self._levels[0].basis
-                    ]
-        return self._int_basis
+    def integer_basis(self, h=0, max_dim=DEFAULT_MAX_DIM):
+        """An integer basis of A^(h) in the layout of the flattened
+        generators of view_at_level(h), built once per level.
+
+        Entry (b, J; i), at index (b*|S^h| + J)*n + i, is the coordinate
+        (b, J + i) of the canonical basis vector of A^(h) scaled by the
+        lcm of its denominators; for h = 0 that is the canonical basis of
+        A^(0) itself.  Ranks depend only on the space spanned, so this
+        serves the characters of the view tableau without building it.
+        """
+        basis = self._int_bases.get(h)
+        if basis is not None:
+            return basis
+        basis = [clear_denominators(v) for v in self.level(h, max_dim).basis]
+        if h:
+            n = self.a_dim
+            size = sym_basis(n, h).size
+            size_next = sym_basis(n, h + 1).size
+            moves = _view_moves(n, h)
+            source = [0] * (self.b_dim * size * n)
+            for b in range(self.b_dim):
+                for m_idx, red, i in moves:
+                    source[(b * size + red) * n + i] = b * size_next + m_idx
+            basis = [[v[pos] for pos in source] for v in basis]
+        with self._lock:
+            return self._int_bases.setdefault(h, basis)
 
     def jet_coordinates(self, h, v, max_dim=DEFAULT_MAX_DIM):
         """Coordinates of v over jet_basis(h); NotInImage when v is outside."""
@@ -265,29 +287,42 @@ class Tableau:
         so a basis of A^(h) yields independent generators.  Since
         i(e_i) m_I = m_{I \\ i}, generator entry (b, I \\ i; i) is the
         coordinate (b, I) of T for every i in I.
+
+        The Cartan test at order h does not build this tableau: it reads
+        the characters off integer_basis(h) and dim A^(h)^(1) off the
+        tower as dim A^(h+1).  The view is the Guillemin normal form's
+        input at the involutive index, and the tests' oracle.
         """
         if h == 0:
             return self
         n, r = self.a_dim, self.b_dim
         lvl = self.level(h, max_dim)
-        sb_view = sym_basis(n, h)
-        sb_level = sym_basis(n, h + 1)
-        moves = [
-            (m_idx, sb_view.index_of[multiindex_remove(mono, i)], i)
-            for m_idx, mono in enumerate(sb_level.indices)
-            for i in set(mono)
-        ]
+        size = sym_basis(n, h).size
+        size_next = sym_basis(n, h + 1).size
+        moves = _view_moves(n, h)
         zero = Fraction(0)
         gens = []
         for vec_t in lvl.basis:
-            rows = [[zero] * n for _ in range(r * sb_view.size)]
+            rows = [[zero] * n for _ in range(r * size)]
             for b in range(r):
-                src = b * sb_level.size
-                dst = b * sb_view.size
+                src = b * size_next
+                dst = b * size
                 for m_idx, red, i in moves:
                     rows[dst + red][i] = vec_t[src + m_idx]
             gens.append(Matrix(rows, ncols=n))
-        return Tableau(n, r * sb_view.size, gens)
+        return Tableau(n, r * size, gens)
+
+
+def _view_moves(n, h):
+    """The index map of view_at_level: (m_idx, red, i) for every monomial
+    m_I of S^{h+1}(a*) (m_idx its index) and every distinct i in I, with
+    red the index of I \\ i in S^h(a*).  Each pair (red, i) occurs once."""
+    sb_view = sym_basis(n, h)
+    return [
+        (m_idx, sb_view.index_of[multiindex_remove(mono, i)], i)
+        for m_idx, mono in enumerate(sym_basis(n, h + 1).indices)
+        for i in set(mono)
+    ]
 
 
 def _prolong_once(n, r, prev, prev_h, max_dim):
@@ -435,74 +470,89 @@ def _sample_flag(rng, n, bound):
 
     All n^2 entries are drawn, row by row, before the rows are tested, so
     a rejected draw consumes the same random numbers as an accepted one.
+    Each entry is randrange(2*bound + 1) - bound, the same draw as
+    randint(-bound, bound) without its argument handling.
     """
+    width = 2 * bound + 1
     while True:
-        rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+        rows = [[rng.randrange(width) - bound for _ in range(n)] for _ in range(n)]
         echelon = IntegerEchelon()
         if all(echelon.add(row) for row in rows):
             return rows
 
 
-def character_partial_sums(tab, flag):
-    """codim Ker(A, a_j) for j = 1..n along the given flag.
+def character_partial_sums(tab, flag, h=0):
+    """codim Ker(A^(h), a_j) for j = 1..n along the given flag.
 
     flag is an n x n Matrix, or n rows of n ints or Fractions, whose
-    first j rows span the j-th flag subspace.  The j-th partial sum
-    equals the rank of the evaluation map A -> Hom(a_j, b) restricted to
-    those rows.  One IntegerEchelon carries the rank from step to step:
-    step j adds only the r rows of flag row j, over the integer basis of
-    A and the flag row cleared of denominators (scaling a row or a column
-    changes no rank).
+    first j rows span the j-th flag subspace.  A^(h) is read as the
+    tableau view_at_level(h) inside Hom(a, b (x) S^h(a*)), over
+    tab.integer_basis(h), so the view is never built.  The j-th partial
+    sum equals the rank of the evaluation map A^(h) -> Hom(a_j, b (x)
+    S^h(a*)) restricted to those rows.  One IntegerEchelon carries the
+    rank from step to step: step j adds only the rows of flag row j, one
+    per b-coordinate of the view, each a dot product of that
+    coordinate's column block with the flag row cleared of denominators
+    (scaling a row or a column changes no rank).
     """
-    n, r = tab.a_dim, tab.b_dim
+    n = tab.a_dim
     rows = flag.rows if isinstance(flag, Matrix) else flag
     if len(rows) != n or any(len(row) != n for row in rows):
         raise DimensionMismatch("flag must be %dx%d" % (n, n))
-    basis = tab.integer_basis()
+    basis = tab.integer_basis(h)
     d = len(basis)
+    width = tab.b_dim * sym_basis(n, h).size * n
     echelon = IntegerEchelon()
     sums = []
     for j in range(n):
         if len(echelon) < d:
             v = clear_denominators(rows[j])
-            for b in range(r):
-                off = b * n
-                echelon.add(
-                    [sum(bv[off + i] * v[i] for i in range(n)) for bv in basis]
-                )
+            for off in range(0, width, n):
+                echelon.add([sum(map(mul, bv[off:off + n], v)) for bv in basis])
         sums.append(len(echelon))
     return sums
 
 
-def characters(tab, samples=5, seed=0):
-    """Characters of the tableau from certified generic flags.
+def characters(tab, samples=5, seed=0, h=0):
+    """Characters of A^(h), read as the tableau view_at_level(h), from
+    certified generic flags.
 
     Draws `samples` independent random flags and keeps the maximal
     codimension sequence; a result is returned only when all samples
     agree, retrying with a geometrically growing coefficient range, and
-    otherwise UnstableGenericity is raised.
+    otherwise UnstableGenericity is raised.  A certified result is
+    memoised on the tableau under (h, samples, seed) and returned again
+    for the same key; a failure stores nothing.  The ranks do not depend
+    on the basis they are taken over, so the result equals
+    characters(tab.view_at_level(h), samples, seed).
     """
     if samples < 1:
         raise InputError("need samples >= 1, got %d" % samples)
+    key = (h, samples, seed)
+    cv = tab._characters.get(key)
+    if cv is not None:
+        return cv
     n = tab.a_dim
     rng = random.Random(seed)
     bound = _FLAG_BASE_BOUND
     last = None
     for _ in range(_FLAG_ATTEMPTS):
         seqs = [
-            character_partial_sums(tab, _sample_flag(rng, n, bound))
+            character_partial_sums(tab, _sample_flag(rng, n, bound), h)
             for _ in range(samples)
         ]
         best = seqs[0]
         if all(s == best for s in seqs):
             s = [best[0]] + [best[j] - best[j - 1] for j in range(1, n)]
-            cv = CharacterVector(s, tab.b_dim)
-            if cv.total() != tab.dim:
+            cv = CharacterVector(s, tab.b_dim * sym_basis(n, h).size)
+            dim = len(tab.integer_basis(h))
+            if cv.total() != dim:
                 raise UnstableGenericity(
-                    "character sum %d does not match dim A = %d; sampled "
-                    "flags were not generic" % (cv.total(), tab.dim)
+                    "character sum %d does not match dim A^(%d) = %d; "
+                    "sampled flags were not generic" % (cv.total(), h, dim)
                 )
-            return cv
+            with tab._lock:
+                return tab._characters.setdefault(key, cv)
         last = seqs
         bound *= 8
     raise UnstableGenericity(
@@ -511,17 +561,22 @@ def characters(tab, samples=5, seed=0):
     )
 
 
-def cartan_test(tab, samples=5, seed=0, max_dim=DEFAULT_MAX_DIM):
-    """Cartan's involutivity test for a tableau.
+def cartan_test(tab, samples=5, seed=0, max_dim=DEFAULT_MAX_DIM, h=0):
+    """Cartan's involutivity test for A^(h), read as the tableau
+    view_at_level(h) (h = 0 tests the tableau itself).
 
     Returns {"involutive", "bound", "dim_A1", "characters"} where bound is
-    s_1 + 2 s_2 + ... + n s_n.  The inequality dim A^(1) <= bound must
-    hold for genuinely generic flags; a violation means the certified
-    samples were still non-generic and raises UnstableGenericity.
+    s_1 + 2 s_2 + ... + n s_n of the characters of A^(h) and dim_A1 is
+    the dimension of its first prolongation, which is A^(h+1) of the
+    tower: (A^(h))^(1) = A^(h+1).  So only A^(h+1) has to fit in max_dim
+    (CapExceeded otherwise), and no view tableau is built or prolonged.
+    The inequality dim_A1 <= bound must hold for genuinely generic
+    flags; a violation means the certified samples were still
+    non-generic and raises UnstableGenericity.
     """
-    cv = characters(tab, samples=samples, seed=seed)
+    dim_a1 = tab.dim_at(h + 1, max_dim)
+    cv = characters(tab, samples=samples, seed=seed, h=h)
     bound = cv.cartan_bound()
-    dim_a1 = tab.prolong(max_dim).dim
     if dim_a1 > bound:
         raise UnstableGenericity(
             "dim A^(1) = %d exceeds the character bound %d; sampled flags "
@@ -538,9 +593,13 @@ def cartan_test(tab, samples=5, seed=0, max_dim=DEFAULT_MAX_DIM):
 def involutive_index(tab, h_max, samples=5, seed=0, max_dim=DEFAULT_MAX_DIM):
     """Least order k <= h_max at which A^(k) passes the Cartan test.
 
-    Every further prolongation up to h_max is then re-tested rather than
-    assumed involutive.  Raises CapExceeded with the observed trajectory
-    when no order up to h_max passes.
+    Order h runs cartan_test(tab, h=h) on the prolongation tower: the
+    characters come off integer_basis(h) and the bound is checked
+    against dim A^(h+1), so the search needs A^(h_max + 1), ambient
+    dimension b_dim * |S^(h_max + 2)|, within max_dim.  Every further
+    prolongation up to h_max is then re-tested rather than assumed
+    involutive.  Raises CapExceeded with the observed trajectory when no
+    order up to h_max passes.
     """
     if h_max < 0:
         raise InputError("h_max must be >= 0, got %d" % h_max)
@@ -549,9 +608,8 @@ def involutive_index(tab, h_max, samples=5, seed=0, max_dim=DEFAULT_MAX_DIM):
     k = None
     k_chars = None
     for h in range(h_max + 1):
-        view = tab.view_at_level(h, max_dim)
         res = cartan_test(
-            view, samples=samples, seed=rng.randrange(2**32), max_dim=max_dim
+            tab, samples=samples, seed=rng.randrange(2**32), max_dim=max_dim, h=h
         )
         trajectory.append(
             {

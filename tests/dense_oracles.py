@@ -7,16 +7,24 @@ with a power cache and a full expansion, where Polynomial.compose runs on
 one capped, shared monomial table.  The dense_ad_* routines give the
 adjoint matrices of a Lie algebra as dense Fraction rows (commutator
 coordinates by Matrix.solve), the oracle for the sparse structure
-constants of LieAlgebra.
+constants of LieAlgebra.  dense_det and dense_definiteness are the
+Fraction Gaussian elimination and the minor-by-minor Sylvester test that
+liealg.det and liealg.definiteness replaced with one Bareiss elimination;
+bracket_into_per_pair is the pair-by-pair Subspace.contains check that
+one rank test replaced.  view_route_involutive_index is the involutive
+index search that builds the view tableau of every order and prolongs
+it, the oracle for the search on the prolongation tower.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
-from involutive.errors import DimensionMismatch
+from involutive.errors import CapExceeded, DimensionMismatch, UnstableGenericity
 from involutive.linalg import Matrix
 from involutive.poly import Polynomial
+from involutive.tableau import DEFAULT_MAX_DIM, cartan_test
 
 
 def dense_rref(rows, ncols):
@@ -148,3 +156,79 @@ def dense_jacobi_holds(ads):
                 if any(sum(t) for t in zip(*terms)):
                     return False
     return True
+
+
+def dense_det(m):
+    """Determinant by Gaussian elimination on dense Fractions, with row
+    exchanges."""
+    n = m.nrows
+    rows = [list(r) for r in m.rows]
+    sign = 1
+    result = Fraction(1)
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if rows[i][c] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            sign = -sign
+        p = rows[c][c]
+        result *= p
+        for i in range(c + 1, n):
+            f = rows[i][c] / p
+            if f:
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    return sign * result
+
+
+def dense_definiteness(gram):
+    """Sylvester's criterion with one dense_det per leading principal
+    minor."""
+    n = gram.nrows
+    if n == 0:
+        return "zero"
+    minors = [
+        dense_det(Matrix([row[:k] for row in gram.rows[:k]], ncols=k))
+        for k in range(1, n + 1)
+    ]
+    if all(d > 0 for d in minors):
+        return "positive"
+    if all((d > 0 if k % 2 == 0 else d < 0) for k, d in enumerate(minors, 1)):
+        return "negative"
+    return "indefinite_or_degenerate"
+
+
+def bracket_into_per_pair(alg, basis1, basis2, target):
+    """[x, y] in target for every pair, one Subspace.contains each."""
+    return all(target.contains(alg.bracket(x, y)) for x in basis1 for y in basis2)
+
+
+def view_route_involutive_index(tab, h_max, samples=5, seed=0,
+                                max_dim=DEFAULT_MAX_DIM):
+    """The involutive index with A^(h) built as view_at_level(h) and that
+    tableau tested (and prolonged) on its own, order by order; the same
+    seeds, trajectory and errors as tableau.involutive_index."""
+    rng = random.Random(seed)
+    trajectory = []
+    k = None
+    k_chars = None
+    for h in range(h_max + 1):
+        view = tab.view_at_level(h, max_dim)
+        res = cartan_test(
+            view, samples=samples, seed=rng.randrange(2**32), max_dim=max_dim
+        )
+        trajectory.append({
+            "h": h,
+            "dim": tab.dim_at(h, max_dim),
+            "characters": res["characters"].s,
+            "involutive": res["involutive"],
+        })
+        if res["involutive"]:
+            if k is None:
+                k = h
+                k_chars = res["characters"]
+        elif k is not None:
+            raise UnstableGenericity("order %d failed after order %d passed" % (h, k))
+    if k is None:
+        raise CapExceeded("no involutive prolongation up to order %d" % h_max)
+    return {"k": k, "involutive_characters": k_chars, "trajectory": trajectory}

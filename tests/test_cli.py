@@ -85,17 +85,17 @@ def test_max_dim_is_the_ambient_dimension_needed(tmp_path, capsys):
     def sym(p):
         return sym_basis(t.a_dim, p).size
 
-    # --max-order 6 views A^(6) as a tableau with b = r * |S^6| and
-    # prolongs it once; H^{1,p} needs A^(1); a tower of order 1 needs A^(2).
+    # --max-order 6 tests A^(6) against dim A^(7) = dim (A^(6))^(1), whose
+    # ambient is r * |S^8|; H^{1,p} needs A^(1); a tower of order 1 needs A^(2).
     index_order = ["--max-order", "6"]
     for argv, need in (
         (["tableau", path, "--prolong", "1", "--involutive-index"] + index_order,
-         r * sym(6) * sym(2)),
+         r * sym(8)),
         (["spencer", path, "--q-max", "1", "--two-acyclic", "--harmonic"],
          r * sym(2)),
         (["system", path, "--check", "--tower", "1", "--structure"], r * sym(3)),
         (["cauchy", path, data, "--degree", "2", "--verify", "--polar"] + index_order,
-         r * sym(6) * sym(2)),
+         r * sym(8)),
     ):
         assert main(argv + ["--max-dim", str(need)]) == 0, argv
         capsys.readouterr()

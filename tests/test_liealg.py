@@ -6,8 +6,11 @@ from fractions import Fraction
 import pytest
 
 from dense_oracles import (
+    bracket_into_per_pair,
     dense_ad_from_brackets,
     dense_ad_from_matrices,
+    dense_definiteness,
+    dense_det,
     dense_jacobi_holds,
     dense_killing,
 )
@@ -19,6 +22,7 @@ from involutive.errors import (
 )
 from involutive.liealg import (
     CartanDecomposition,
+    _bracket_into,
     LieAlgebra,
     abelian_algebra,
     definiteness,
@@ -29,7 +33,7 @@ from involutive.liealg import (
     sl3_matrices,
     su2_algebra,
 )
-from involutive.linalg import Matrix
+from involutive.linalg import Matrix, Subspace
 
 
 def test_det_examples():
@@ -53,6 +57,80 @@ def test_definiteness():
     assert definiteness(Matrix.identity(3) * Fraction(-1)) == "negative"
     assert definiteness(Matrix([[1, 0], [0, -1]])) == "indefinite_or_degenerate"
     assert definiteness(Matrix([[1, 1], [1, 1]])) == "indefinite_or_degenerate"
+
+
+def seeded_symmetric(rng, n):
+    """A symmetric n x n matrix: definite, indefinite, singular, with a
+    zero leading minor, or with rational entries, by the draw."""
+    kind = rng.randrange(5)
+    if n == 0:
+        return Matrix([], ncols=0)
+    if kind == 3:
+        # a zero leading minor in a nonsingular matrix when n >= 2
+        m = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
+        m = [[m[i][j] + m[j][i] for j in range(n)] for i in range(n)]
+        m[0][0] = Fraction(0)
+        return Matrix(m, ncols=n)
+    k = n - 1 if kind == 2 else n  # B^T D B has rank <= k
+    b = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3) if kind == 4 else 1)
+          for _ in range(n)] for _ in range(max(k, 0))]
+    signs = [1] * k if kind == 0 else [-1] * k if kind == 1 else \
+        [rng.choice((-1, 1)) for _ in range(k)]
+    return Matrix(
+        [[sum(signs[t] * b[t][i] * b[t][j] for t in range(k)) for j in range(n)]
+         for i in range(n)],
+        ncols=n,
+    )
+
+
+def test_det_and_definiteness_match_dense_oracles():
+    rng = random.Random(4112)
+    seen = set()
+    for _ in range(300):
+        n = rng.randint(0, 6)
+        m = seeded_symmetric(rng, n)
+        assert det(m) == dense_det(m)
+        verdict = definiteness(m)
+        assert verdict == dense_definiteness(m)
+        seen.add(verdict)
+        g = Matrix([[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
+                    for _ in range(n)], ncols=n)
+        assert det(g) == dense_det(g)
+    assert seen == {"zero", "positive", "negative", "indefinite_or_degenerate"}
+
+
+def test_bracket_inclusion_matches_per_pair_oracle():
+    # Targets spanned by every bracket but one: exactly one bracket leaves
+    # its target, at each position of the pair order in turn.
+    alg = LieAlgebra.from_matrices(sl3_matrices())
+    rng = random.Random(4113)
+    checked = 0
+    for _ in range(12):
+        basis1 = [[rng.randint(-2, 2) for _ in range(8)] for _ in range(rng.randint(1, 3))]
+        basis2 = [[rng.randint(-2, 2) for _ in range(8)] for _ in range(rng.randint(1, 3))]
+        pairs = [(x, y) for x in basis1 for y in basis2]
+        for skip in range(len(pairs)):
+            others = [alg.bracket(x, y) for i, (x, y) in enumerate(pairs) if i != skip]
+            target = Subspace(8, others)
+            expected = bracket_into_per_pair(alg, basis1, basis2, target)
+            assert _bracket_into(alg, basis1, basis2, target) == expected
+            if not expected:
+                checked += 1
+        full = Subspace(8, [alg.bracket(x, y) for x, y in pairs])
+        assert _bracket_into(alg, basis1, basis2, full)
+        assert bracket_into_per_pair(alg, basis1, basis2, full)
+    assert checked >= 20
+
+
+def test_decomposition_with_one_bracket_outside_g0():
+    # su(2) + su(2) with g0 = span{e_1, e_2, e_3, f_1, f_2}: the Killing
+    # form splits g = g0 + span{f_3}, and [f_1, f_2] = f_3 is the only
+    # bracket of g0 that leaves g0.
+    brackets = SU2_BRACKETS + [(i + 3, j + 3, k + 3, c) for i, j, k, c in SU2_BRACKETS]
+    alg = LieAlgebra(6, brackets)
+    g0 = [[int(i == j) for i in range(6)] for j in range(5)]
+    with pytest.raises(BadDecomposition, match=r"\[g0, g0\] is not contained in g0"):
+        CartanDecomposition(alg, g0, [[0, 0, 0, 0, 0, 1]])
 
 
 def test_su2_brackets():

@@ -7,7 +7,13 @@ from math import comb
 
 import pytest
 
-from dense_oracles import dense_kernel, dense_rref, dense_span
+from dense_oracles import (
+    dense_kernel,
+    dense_rref,
+    dense_span,
+    view_route_involutive_index,
+)
+from involutive import tableau as tableau_module
 from involutive.bases import contraction_matrix, multiindex_remove, sym_basis
 from involutive.errors import (
     CapExceeded,
@@ -15,6 +21,7 @@ from involutive.errors import (
     Inconsistent,
     InputError,
     NotInImage,
+    UnstableGenericity,
 )
 from involutive.linalg import Matrix, Subspace
 from involutive.tableau import (
@@ -445,3 +452,111 @@ def test_sample_flag_keeps_its_random_stream():
         assert flag == rows
         assert all(type(x) is int for row in flag for x in row)
         assert sampler.random() == rng_after
+
+
+def tower_pool(rng, size=36):
+    """Structured and seeded rational tableaux with n, r <= 3."""
+    pool = [Tableau(1, 1, []), Tableau(3, 2, []), full_tableau(2, 3),
+            full_tableau(3, 1), rank_one_tableau(), skew_tableau()]
+    while len(pool) < size:
+        n, r = rng.randint(1, 3), rng.randint(1, 3)
+        pool.append(rational_tableau(rng, n, r, rng.randint(0, n * r)))
+    return pool
+
+
+def test_tower_route_matches_view_route():
+    # The Cartan test of A^(h) off the tower against the test of the view
+    # tableau of A^(h), which builds and prolongs it.
+    rng = random.Random(3110)
+    for t in tower_pool(rng):
+        n = t.a_dim
+        for h in range(4):
+            view = t.view_at_level(h)
+            seed = rng.randrange(2**32)
+            tower = cartan_test(t, seed=seed, h=h)
+            oracle = cartan_test(view, seed=seed)
+            for key in ("characters", "bound", "dim_A1", "involutive"):
+                assert tower[key] == oracle[key], (t.to_json_dict(), h, key)
+            assert view.prolong().dim == t.dim_at(h + 1)
+            width = view.b_dim * n
+            assert Subspace(width, t.integer_basis(h)) == view.level(0)
+            for flag in oracle_flags(rng, n):
+                assert character_partial_sums(t, flag, h) == \
+                    character_partial_sums(view, flag)
+
+
+def test_involutive_index_matches_view_route():
+    rng = random.Random(3111)
+    found = capped = 0
+    for t in tower_pool(rng):
+        seed = rng.randrange(2**32)
+        for h_max in (0, 3):
+            fresh = Tableau.from_json_dict(t.to_json_dict())
+            try:
+                expected = view_route_involutive_index(t, h_max, seed=seed)
+            except CapExceeded:
+                with pytest.raises(CapExceeded):
+                    involutive_index(fresh, h_max, seed=seed)
+                capped += 1
+                continue
+            assert involutive_index(fresh, h_max, seed=seed) == expected
+            found += 1
+    assert found >= 30 and capped >= 3
+
+
+def test_characters_memo(monkeypatch):
+    evaluated = []
+    original = tableau_module.character_partial_sums
+
+    def counting(tab, flag, h=0):
+        evaluated.append(h)
+        return original(tab, flag, h)
+
+    monkeypatch.setattr(tableau_module, "character_partial_sums", counting)
+    t = full_tableau(2, 2)
+    first = characters(t, seed=3)
+    assert len(evaluated) == 5
+    assert characters(t, seed=3) is first
+    assert cartan_test(t, seed=3)["characters"] is first
+    assert len(evaluated) == 5
+    # each other key is certified once and kept apart from the rest
+    results = {}
+    for key in ((0, 4, 3), (0, 5, 4), (1, 5, 3), (2, 5, 3)):
+        h, samples, seed = key
+        before = len(evaluated)
+        results[key] = characters(t, samples=samples, seed=seed, h=h)
+        assert len(evaluated) - before == samples
+        assert set(evaluated[before:]) == {h}
+    for (h, samples, seed), cv in results.items():
+        assert characters(t, samples=samples, seed=seed, h=h) is cv
+        assert cv is not first
+        fresh = Tableau.from_json_dict(t.to_json_dict())
+        assert cv == characters(fresh, samples=samples, seed=seed, h=h)
+    assert results[(1, 5, 3)].s == (4, 2) and first.s == (2, 2)
+    assert results[(2, 5, 3)].s == (6, 2)
+    # a fresh tableau certifies again
+    before = len(evaluated)
+    fresh = Tableau.from_json_dict(t.to_json_dict())
+    assert characters(fresh, seed=3) == first
+    assert len(evaluated) - before == 5
+
+
+def test_failed_certification_is_not_memoised(monkeypatch):
+    original = tableau_module.character_partial_sums
+    t = rank_one_tableau()
+    draws = iter(range(10**6))
+
+    def disagreeing(tab, flag, h=0):
+        return [next(draws) % 2] * tab.a_dim
+
+    def wrong_total(tab, flag, h=0):
+        return [0] * tab.a_dim
+
+    for fake in (disagreeing, wrong_total):
+        monkeypatch.setattr(tableau_module, "character_partial_sums", fake)
+        with pytest.raises(UnstableGenericity):
+            characters(t, seed=5)
+        with pytest.raises(UnstableGenericity):
+            cartan_test(t, seed=5)
+    monkeypatch.setattr(tableau_module, "character_partial_sums", original)
+    assert characters(t, seed=5).s == (1, 0)
