@@ -361,9 +361,8 @@ def cmd_cauchy(args):
     tower = build_s_chain(
         sys_, k, samples=args.samples, seed=args.seed, max_dim=args.max_dim, k=k
     )
-    base = t if k == 0 else t.view_at_level(k, args.max_dim)
-    nf = normal_form(base, samples=args.samples, seed=args.seed,
-                     max_dim=args.max_dim)
+    nf = normal_form(t, samples=args.samples, seed=args.seed,
+                     max_dim=args.max_dim, h=k)
     results = {"k": k, "s": list(nf.s), "degree": args.degree}
     certificates = []
     passed = True

@@ -249,21 +249,27 @@ def _construct(t, cv, flag):
     return NormalForm(basis_a, basis_b, s, blocks, coeffs)
 
 
-def normal_form(t, samples=5, seed=0, max_dim=DEFAULT_MAX_DIM):
+def normal_form(t, samples=5, seed=0, max_dim=DEFAULT_MAX_DIM, h=0):
     """Compute adapted bases and the normal basis of an involutive tableau.
+
+    For h > 0 the tableau is A^(h) of t's prolongation tower, read as
+    t.view_at_level(h).  The Cartan test and the flag ranks run on the
+    tower (cartan_test(t, h=h)), so only A^(h+1) has to fit in max_dim;
+    the view is built for the construction and never prolonged.
 
     Raises NotInvolutive when the Cartan test fails, and
     UnstableGenericity when no sampled flag yields a verifying form.
     """
-    res = cartan_test(t, samples=samples, seed=seed, max_dim=max_dim)
+    res = cartan_test(t, samples=samples, seed=seed, max_dim=max_dim, h=h)
     if not res["involutive"]:
         raise NotInvolutive(
             "normal form requires an involutive tableau (dim A^(1) = %d, "
             "bound = %d)" % (res["dim_A1"], res["bound"])
         )
     cv = res["characters"]
-    n, r = t.a_dim, t.b_dim
-    if t.dim == 0:
+    view = t.view_at_level(h, max_dim)
+    n, r = view.a_dim, view.b_dim
+    if view.dim == 0:
         return NormalForm(Matrix.identity(n), Matrix.identity(r), cv.s, [], {})
     targets = [sum(cv.s[: j + 1]) for j in range(n)]
     rng = random.Random(seed)
@@ -272,14 +278,16 @@ def normal_form(t, samples=5, seed=0, max_dim=DEFAULT_MAX_DIM):
     for _ in range(_NF_ATTEMPTS):
         flag = _sample_flag(rng, n, bound)
         bound *= 4
-        if character_partial_sums(t, flag) != targets:
+        if character_partial_sums(t, flag, h) != targets:
             continue
         try:
-            nf = _construct(t, cv, Matrix(flag, ncols=n))
+            nf = _construct(view, cv, Matrix(flag, ncols=n))
         except BadDecomposition as exc:
             failure = str(exc)
             continue
-        report = verify_normal_form(t, nf, samples=samples, seed=seed, max_dim=max_dim)
+        report = verify_normal_form(
+            t, nf, samples=samples, seed=seed, max_dim=max_dim, h=h
+        )
         if report["all_passed"]:
             return nf
         failure = report
@@ -296,15 +304,22 @@ def _first_failure(checks):
     return None
 
 
-def verify_normal_form(t, nf, samples=5, seed=0, max_dim=DEFAULT_MAX_DIM):
-    """Re-check every normal-form invariant from scratch.
+def verify_normal_form(t, nf, samples=5, seed=0, max_dim=DEFAULT_MAX_DIM, h=0):
+    """Re-check every normal-form invariant of nf against the tableau.
+
+    For h > 0 the tableau is A^(h) of t's tower, read as in normal_form.
+    Every invariant is recomputed from the tableau except the certified
+    characters, which characters() returns from the tableau's memo when
+    a Cartan test of the same level and seed already certified them; on
+    a fresh Tableau they are certified again.
 
     Returns {"all_passed": bool, "checks": [{name, passed, detail}, ...],
     "tail_rows_within_principal_block": bool|None}.  The final entry is
     informational only: it records whether tail-column coefficients
     (columns beyond nu) stayed within the first s_nu rows.
     """
-    n, r = t.a_dim, t.b_dim
+    view = t.view_at_level(h, max_dim)
+    n, r = view.a_dim, view.b_dim
     checks = []
 
     def add(name, passed, detail=""):
@@ -316,7 +331,7 @@ def verify_normal_form(t, nf, samples=5, seed=0, max_dim=DEFAULT_MAX_DIM):
     s = nf.s
     nu = nf.nu
     try:
-        cv = characters(t, samples=samples, seed=seed)
+        cv = characters(t, samples=samples, seed=seed, h=h)
         chars_match = cv.s == s
     except UnstableGenericity:
         cv = None
@@ -332,10 +347,10 @@ def verify_normal_form(t, nf, samples=5, seed=0, max_dim=DEFAULT_MAX_DIM):
         }
     flag = nf.basis_a.transpose()
     targets = [sum(s[: j + 1]) for j in range(n)]
-    add("flag_generic", character_partial_sums(t, flag) == targets)
+    add("flag_generic", character_partial_sums(t, flag, h) == targets)
     sizes_ok = len(nf.blocks) == nu and all(
         len(nf.blocks[j]) == s[j] for j in range(nu)
-    ) and sum(s) == t.dim
+    ) and sum(s) == view.dim
     add("block_sizes", sizes_ok)
     if not sizes_ok:
         return {
@@ -344,7 +359,7 @@ def verify_normal_form(t, nf, samples=5, seed=0, max_dim=DEFAULT_MAX_DIM):
             "tail_rows_within_principal_block": None,
             "first_failure": _first_failure(checks),
         }
-    mats = _tableau_matrices(t)
+    mats = _tableau_matrices(view)
     b_inv = nf.basis_b.inverse()
     new_mats = [b_inv.matmul(m).matmul(nf.basis_a) for m in mats]
     zero_rows_ok = True
@@ -418,14 +433,14 @@ def verify_normal_form(t, nf, samples=5, seed=0, max_dim=DEFAULT_MAX_DIM):
                 q = new_q[qi]
                 qi += 1
                 for b in range(1, r + 1):
-                    for h in range(1, n + 1):
-                        val = q.rows[b - 1][h - 1]
-                        if h < j or (h == j and b != a):
+                    for col in range(1, n + 1):
+                        val = q.rows[b - 1][col - 1]
+                        if col < j or (col == j and b != a):
                             allowed = False
-                        elif h == j:
+                        elif col == j:
                             allowed = val == 1
-                        elif h <= nu:
-                            allowed = s[h - 1] < b <= s[j - 1]
+                        elif col <= nu:
+                            allowed = s[col - 1] < b <= s[j - 1]
                         else:
                             allowed = b <= s[j - 1]
                             if val != 0 and b > (s[nu - 1] if nu else 0):
@@ -434,7 +449,7 @@ def verify_normal_form(t, nf, samples=5, seed=0, max_dim=DEFAULT_MAX_DIM):
                             support_ok = False
                             support_detail = (
                                 "Q_[%d],%d has entry %s at row %d, column %d, "
-                                "outside the triangular ranges" % (j, a, val, b, h)
+                                "outside the triangular ranges" % (j, a, val, b, col)
                             )
                             break
                     if not support_ok:

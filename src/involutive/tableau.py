@@ -230,7 +230,7 @@ class Tableau:
                     self._gen_coords = ColumnCoordinates(gens, pivots, inverse)
         return self._gen_coords
 
-    def integer_basis(self, h=0, max_dim=DEFAULT_MAX_DIM):
+    def integer_basis(self, h=0):
         """An integer basis of A^(h) in the layout of the flattened
         generators of view_at_level(h), built once per level.
 
@@ -239,11 +239,13 @@ class Tableau:
         lcm of its denominators; for h = 0 that is the canonical basis of
         A^(0) itself.  Ranks depend only on the space spanned, so this
         serves the characters of the view tableau without building it.
+        A^(h) is read with level(h); cartan_test builds the tower under
+        its own cap first.
         """
         basis = self._int_bases.get(h)
         if basis is not None:
             return basis
-        basis = [clear_denominators(v) for v in self.level(h, max_dim).basis]
+        basis = [clear_denominators(v) for v in self.level(h).basis]
         if h:
             n = self.a_dim
             size = sym_basis(n, h).size
@@ -290,8 +292,9 @@ class Tableau:
 
         The Cartan test at order h does not build this tableau: it reads
         the characters off integer_basis(h) and dim A^(h)^(1) off the
-        tower as dim A^(h+1).  The view is the Guillemin normal form's
-        input at the involutive index, and the tests' oracle.
+        tower as dim A^(h+1).  The view is what the Guillemin normal form
+        of A^(h) is built and verified on (normal_form(tab, h=h)), and
+        the tests' oracle; it is never prolonged.
         """
         if h == 0:
             return self

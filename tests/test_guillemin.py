@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from involutive.errors import InputError, NotInvolutive
+from involutive.errors import CapExceeded, InputError, NotInvolutive
 from involutive.guillemin import NormalForm, normal_form, verify_normal_form
 from involutive.linalg import Matrix
 from involutive.tableau import Tableau, cartan_test
@@ -166,6 +166,43 @@ def test_prolongation_inherits_normal_form():
     assert nf.s == (3, 1)
     report = verify_normal_form(view, nf)
     assert report["all_passed"], report
+
+
+def test_normal_form_at_a_level_matches_the_view():
+    # normal_form(t, h=h) runs its Cartan test and flag ranks on t's tower
+    # and builds the form on t.view_at_level(h); the view's own normal
+    # form, which prolongs the view, is the oracle.
+    built = 0
+    for make in (s21_tableau, cylinder_tableau, offdiag_tableau, skew_tableau,
+                 lambda: full_tableau(2, 2)):
+        t = make()
+        for h in range(3):
+            view = make().view_at_level(h)
+            for seed in (0, 7):
+                try:
+                    expected = normal_form(view, seed=seed)
+                except NotInvolutive:
+                    with pytest.raises(NotInvolutive):
+                        normal_form(t, seed=seed, h=h)
+                    continue
+                nf = normal_form(t, seed=seed, h=h)
+                assert nf.to_json_dict() == expected.to_json_dict(), (make, h)
+                report = verify_normal_form(t, nf, seed=seed, h=h)
+                assert report["all_passed"], report
+                assert report == verify_normal_form(view, nf, seed=seed)
+                built += 1
+    assert built >= 20
+
+
+def test_normal_form_at_a_level_needs_only_the_next_level():
+    # For n = r = 2 the form of A^(1) needs A^(2) in b (x) S^3 (ambient 8);
+    # prolonging the view of A^(1) would need b (x) S^1 (x) S^2 (ambient 12).
+    nf = normal_form(s21_tableau(), h=1, max_dim=8)
+    assert nf.s == (3, 1)
+    with pytest.raises(CapExceeded, match="dimension 8 exceeds cap 7"):
+        normal_form(s21_tableau(), h=1, max_dim=7)
+    with pytest.raises(CapExceeded, match="dimension 12 exceeds cap 8"):
+        normal_form(s21_tableau().view_at_level(1), max_dim=8)
 
 
 def test_zero_tableau():
