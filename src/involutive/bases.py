@@ -22,6 +22,14 @@ Conventions used everywhere in the package:
   delta(f (x) m_I (x) w) = sum over distinct k in I of
   f (x) m_{I-k} (x) (e_k* ^ w), matching the contract-then-wedge-in-front
   formula for symmetric forms.
+
+* One index table serves every contraction: sym_raise(n, h)[J][k] is
+  the index in S^{h+1}(a*) of J + e_k for the monomial J of S^h(a*).
+  Since i(e_k) m_I = m_{I minus one k} with coefficient 1, the
+  coefficient of m_J in i(e_k) t is t[sym_raise(n, h)[J][k]]: every
+  contraction is a gather, and no contraction matrix is built.  The
+  dense contraction_matrix_sym and contraction_matrix are the reference
+  the tests compare against.
 """
 
 from __future__ import annotations
@@ -95,6 +103,16 @@ def ext_basis(n: int, p: int) -> ExtBasis:
     return ExtBasis(n, p)
 
 
+@lru_cache(maxsize=None)
+def sym_raise(n: int, h: int) -> tuple[tuple[int, ...], ...]:
+    """up[J][k] = index in S^{h+1} of J + e_k, for J indexed in S^h."""
+    index_of = sym_basis(n, h + 1).index_of
+    return tuple(
+        tuple(index_of[tuple(sorted(J + (k,)))] for k in range(n))
+        for J in sym_basis(n, h).indices
+    )
+
+
 def multiindex_remove(I: tuple[int, ...], k: int) -> tuple[int, ...] | None:
     """I with one occurrence of k removed, or None when k is absent."""
     if k not in I:
@@ -147,16 +165,17 @@ def contract_vector(n: int, b_dim: int, h: int, t: Vector, x: Vector) -> Vector:
     """i(X) applied to t in b (x) S^h for X in a, both as coordinate vectors."""
     if len(x) != n:
         raise DimensionMismatch("direction vector has wrong length")
-    if len(t) != b_dim * sym_basis(n, h).size:
+    size = sym_basis(n, h).size
+    if len(t) != b_dim * size:
         raise DimensionMismatch("tensor coordinate length mismatch")
-    out = [Fraction(0)] * (b_dim * sym_basis(n, h - 1).size)
-    for k in range(n):
-        if x[k] == 0:
-            continue
-        ck = contraction_matrix(n, b_dim, h, k)
-        piece = ck.matvec(t)
-        out = [a + x[k] * b for a, b in zip(out, piece)]
-    return out
+    if h < 1:
+        raise DimensionMismatch("cannot contract degree 0")
+    terms = [(k, c) for k, c in enumerate(x) if c]
+    return [
+        sum((c * t[off + up[k]] for k, c in terms), Fraction(0))
+        for off in range(0, len(t), size)
+        for up in sym_raise(n, h - 1)
+    ]
 
 
 class GradedCoords:
@@ -184,13 +203,6 @@ class GradedCoords:
         return f"GradedCoords(q={self.q}, p={self.p}, dim={len(self.coords)})"
 
 
-def contract(t: GradedCoords, n: int, b_dim: int, x: Vector) -> GradedCoords:
-    """Contraction of an element of b (x) S^{q} by a direction X in a."""
-    if t.p != 0:
-        raise DimensionMismatch("contract expects a pure symmetric element (p = 0)")
-    return GradedCoords(t.q - 1, 0, contract_vector(n, b_dim, t.q, t.coords, x))
-
-
 def full_space_dim(n: int, b_dim: int, q: int, p: int) -> int:
     return b_dim * sym_basis(n, q).size * ext_basis(n, p).size
 
@@ -211,18 +223,17 @@ def koszul_delta_full(n: int, b_dim: int, q: int, p: int) -> Matrix:
     ep1 = ext_basis(n, p + 1)
     rows = b_dim * sq1.size * ep1.size
     m = [[Fraction(0)] * cols for _ in range(rows)]
+    # (J, k) runs once over every pair I = J + e_k with k a distinct index of I
     for b in range(b_dim):
-        for iI, I in enumerate(sq.indices):
-            for iK, K in enumerate(ep.indices):
-                col = (b * sq.size + iI) * ep.size + iK
-                for k in set(I):
-                    J = multiindex_remove(I, k)
+        for iJ, up in enumerate(sym_raise(n, q - 1)):
+            for k, iI in enumerate(up):
+                for iK, K in enumerate(ep.indices):
                     wk = wedge_insert(k, K)
                     if wk is None:
                         continue
                     sign, K2 = wk
-                    row = (b * sq1.size + sq1.index_of[J]) * ep1.size + ep1.index_of[K2]
-                    m[row][col] += Fraction(sign)
+                    row = (b * sq1.size + iJ) * ep1.size + ep1.index_of[K2]
+                    m[row][(b * sq.size + iI) * ep.size + iK] += Fraction(sign)
     return Matrix(m, ncols=cols)
 
 

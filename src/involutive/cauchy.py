@@ -149,18 +149,6 @@ class FormalSolution:
         self.composition_identity = composition_identity
         self.nf = nf
 
-    def jet_values(self, jet):
-        """Values of (x, Q_(0..k)) at x0, padded to a jet layout."""
-        vals = list(self.x0)
-        for s in range(len(jet.dims)):
-            if s < len(self.q_maps):
-                vals.extend(
-                    p.coefficient([0] * p.num_vars) for p in self.q_maps[s].components
-                )
-            else:
-                vals.extend([Fraction(0)] * jet.dims[s])
-        return vals
-
     def to_json_dict(self):
         return {
             "degree": self.degree,
@@ -172,14 +160,6 @@ class FormalSolution:
                 for rho, v in self.composition_identity.items()
             },
         }
-
-    def printout(self):
-        lines = []
-        for h, m in enumerate(self.q_maps):
-            lines.append("Q_(%d): %d components, degree <= %d" % (h, m.dim, self.degree))
-            for idx, p in enumerate(m.components):
-                lines.append("  [%d] %r" % (idx, p))
-        return "\n".join(lines)
 
 
 def _affine_x_of_u(n, x0, basis_a):

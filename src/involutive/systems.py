@@ -27,8 +27,9 @@ where Dbar is the skew total derivative
 
 Solvability and uniqueness come from two-acyclicity; each S_(r) is the
 canonical preimage in B_{r,1}(A).  A TowerData holds one tower: its jet
-layout, the contractions iota, the harmonic splits of C^{r,1} and the
-chain, each built once, and it writes the coefficient forms g_(r).
+layout, the harmonic splits of C^{r,1} and the chain, each built once,
+and it writes the coefficient forms g_(r) from them and the contractions
+iota, which Tableau.contraction builds once per tableau.
 verify_structure_equations then forms the 1-forms
 beta_(r) = dQ_(r) - g_(r)(dx) and the tableau form
 pi_(h) = dQ_(h) - S_(h+1)(dx) and checks the structure equations
@@ -48,7 +49,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .bases import contract_vector, ext_basis
+from .bases import ext_basis
 from .errors import (
     BadDecomposition,
     DimensionMismatch,
@@ -195,40 +196,15 @@ def _embed_poly(poly, num_vars):
     )
 
 
-def _iota(t, s, i, max_dim=DEFAULT_MAX_DIM):
-    """Matrix of the contraction A^(s) -> A^(s-1) by the direction e_i,
-    over the jet coordinate bases (s >= 1)."""
-    n, r = t.a_dim, t.b_dim
-    cols = []
-    x = [Fraction(0)] * n
-    x[i] = Fraction(1)
-    for v in t.level(s, max_dim).basis:
-        w = contract_vector(n, r, s + 1, list(v), x)
-        try:
-            cols.append(t.jet_coordinates(s - 1, w, max_dim))
-        except NotInImage as exc:
-            raise StructureViolation(
-                "contraction left the prolongation at level %d" % (s - 1)
-            ) from exc
-    return Matrix.from_columns(cols, nrows=t.dim_at(s - 1, max_dim))
-
-
-def _iotas(t, top, max_dim=DEFAULT_MAX_DIM):
-    """{(s, i): _iota(t, s, i)} for every level s = 1..top and direction i."""
-    return {
-        (s, i): _iota(t, s, i, max_dim)
-        for s in range(1, top + 1)
-        for i in range(t.a_dim)
-    }
-
-
 class TowerData:
     """One prolongation tower of order h: everything built from the tableau
     once, and the chain S_(1), ..., S_(h+1).
 
-    jet is the JetVars layout of order h, iotas[(s, i)] the contraction
-    of level s = 1..h by e_i (see _iota) and splits[r] the HarmonicSplit
-    of C^{r,1} for r = 1..h+1.  s_chain[r-1] is S_(r), a PolyMap on the
+    jet is the JetVars layout of order h, which builds every level the
+    tower reads under max_dim, and splits[r] the HarmonicSplit of C^{r,1}
+    for r = 1..h+1.  The contraction of level s by e_i is
+    tableau.contraction(s, i), memoised on the tableau and shared by
+    every tower over it.  s_chain[r-1] is S_(r), a PolyMap on the
     jet layout whose components are the cell coordinates of C^{r,1}(A)
     (index alpha * n + i for the level-(r-1) coordinate alpha and the dx
     slot i); build_s_chain appends them in order.
@@ -239,7 +215,6 @@ class TowerData:
         self.order = order
         self.s_chain = list(s_chain)
         self.jet = JetVars(tableau, top=order, max_dim=max_dim)
-        self.iotas = _iotas(tableau, order, max_dim)
         self.splits = {
             r: HarmonicSplit(tableau, r, 1, max_dim) for r in range(1, order + 2)
         }
@@ -253,7 +228,7 @@ class TowerData:
         comps = list(self.s_chain[r].components)
         if r + 1 <= jet.top:
             for i in range(n):
-                rows = self.iotas[(r + 1, i)].rows
+                rows = self.tableau.contraction(r + 1, i).rows
                 for alpha in range(jet.dims[r]):
                     terms = {}
                     for beta, c in enumerate(rows[alpha]):
@@ -398,7 +373,7 @@ def check_torsion_condition(sys, trials=None, seed=0, max_dim=DEFAULT_MAX_DIM):
     checked = 0
     # column q_idx of iota(e_u) holds the level-0 coordinates of the
     # contraction of the q_idx-th basis element of A^(1) by e_u
-    contractions = [_iota(t, 1, u, max_dim).transpose().rows for u in range(n)]
+    contractions = [t.contraction(1, u, max_dim).transpose().rows for u in range(n)]
     for q_idx in range(t.dim_at(1, max_dim)):
         qdirs = [contractions[u][q_idx] for u in range(n)]
         for u in range(n):
@@ -604,7 +579,7 @@ def verify_structure_equations(sys, tower):
             # + beta_(r+1) wedge-dot dx, contracted into level r coords;
             # beta_(r+1)^B = dq_(r+1)^B - g_(r+1)^B_j dx^j (pi when r+1 = h)
             for i in range(n):
-                io = tower.iotas[(r + 1, i)]
+                io = tower.tableau.contraction(r + 1, i)
                 for bidx in range(jet.dims[r + 1]):
                     c = io.rows[alpha][bidx]
                     if not c:

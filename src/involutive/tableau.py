@@ -26,13 +26,14 @@ import threading
 from fractions import Fraction
 from operator import mul
 
-from .bases import multiindex_remove, sym_basis
+from .bases import multiindex_remove, sym_basis, sym_raise
 from .errors import (
     CapExceeded,
     DimensionMismatch,
     Inconsistent,
     InputError,
     NotInImage,
+    StructureViolation,
     UnstableGenericity,
 )
 from .linalg import (
@@ -124,7 +125,10 @@ class Tableau:
     h are taken over it with an IntegerEchelon.  Prolongation runs over
     integers too: each step clears the basis of A^(h) the same way and
     solves its symmetry constraints in an IntegerEchelon (see
-    _prolong_once).  Certified characters are memoised per (level,
+    _prolong_once).  contraction(h, i) is the map i(e_i): A^(h) ->
+    A^(h-1) in jet coordinates, built once per (h, i); it and the view
+    layout read the same position list (_view_positions, over
+    bases.sym_raise).  Certified characters are memoised per (level,
     samples, seed), so repeated Cartan tests of one tableau sample their
     flags once.
     """
@@ -157,6 +161,7 @@ class Tableau:
         self._levels = [span]
         self._gen_coords = None
         self._int_bases = {}
+        self._contractions = {}
         self._characters = {}
         self._lock = threading.Lock()
 
@@ -235,7 +240,7 @@ class Tableau:
         generators of view_at_level(h), built once per level.
 
         Entry (b, J; i), at index (b*|S^h| + J)*n + i, is the coordinate
-        (b, J + i) of the canonical basis vector of A^(h) scaled by the
+        (b, J + e_i) of the canonical basis vector of A^(h) scaled by the
         lcm of its denominators; for h = 0 that is the canonical basis of
         A^(0) itself.  Ranks depend only on the space spanned, so this
         serves the characters of the view tableau without building it.
@@ -245,17 +250,11 @@ class Tableau:
         basis = self._int_bases.get(h)
         if basis is not None:
             return basis
-        basis = [clear_denominators(v) for v in self.level(h).basis]
-        if h:
-            n = self.a_dim
-            size = sym_basis(n, h).size
-            size_next = sym_basis(n, h + 1).size
-            moves = _view_moves(n, h)
-            source = [0] * (self.b_dim * size * n)
-            for b in range(self.b_dim):
-                for m_idx, red, i in moves:
-                    source[(b * size + red) * n + i] = b * size_next + m_idx
-            basis = [[v[pos] for pos in source] for v in basis]
+        source = _view_positions(self.a_dim, self.b_dim, h)
+        basis = [
+            [v[pos] for pos in source]
+            for v in map(clear_denominators, self.level(h).basis)
+        ]
         with self._lock:
             return self._int_bases.setdefault(h, basis)
 
@@ -275,10 +274,6 @@ class Tableau:
         """First prolongation A^(1) inside b (x) S^2(a*)."""
         return self.level(1, max_dim)
 
-    def prolong_to(self, h, max_dim=DEFAULT_MAX_DIM):
-        """Iterated prolongation A^(h); h = 0 returns the tableau's span."""
-        return self.level(h, max_dim)
-
     def dim_at(self, h, max_dim=DEFAULT_MAX_DIM):
         return self.level(h, max_dim).dim
 
@@ -287,8 +282,8 @@ class Tableau:
 
         The embedding sends T to the map X -> i(X) T, which is injective,
         so a basis of A^(h) yields independent generators.  Since
-        i(e_i) m_I = m_{I \\ i}, generator entry (b, I \\ i; i) is the
-        coordinate (b, I) of T for every i in I.
+        i(e_i) m_I = m_{I \\ i}, generator entry (b, J; i) is the
+        coordinate (b, J + e_i) of T (see _view_positions).
 
         The Cartan test at order h does not build this tableau: it reads
         the characters off integer_basis(h) and dim A^(h)^(1) off the
@@ -299,32 +294,58 @@ class Tableau:
         if h == 0:
             return self
         n, r = self.a_dim, self.b_dim
-        lvl = self.level(h, max_dim)
-        size = sym_basis(n, h).size
-        size_next = sym_basis(n, h + 1).size
-        moves = _view_moves(n, h)
-        zero = Fraction(0)
-        gens = []
-        for vec_t in lvl.basis:
-            rows = [[zero] * n for _ in range(r * size)]
-            for b in range(r):
-                src = b * size_next
-                dst = b * size
-                for m_idx, red, i in moves:
-                    rows[dst + red][i] = vec_t[src + m_idx]
-            gens.append(Matrix(rows, ncols=n))
-        return Tableau(n, r * size, gens)
+        source = _view_positions(n, r, h)
+        gens = [
+            Matrix(
+                [[v[pos] for pos in source[row:row + n]]
+                 for row in range(0, len(source), n)],
+                ncols=n,
+            )
+            for v in self.level(h, max_dim).basis
+        ]
+        return Tableau(n, r * sym_basis(n, h).size, gens)
+
+    def contraction(self, h, i, max_dim=DEFAULT_MAX_DIM):
+        """Matrix of the contraction i(e_i): A^(h) -> A^(h-1) over the jet
+        coordinate bases (h >= 1), built once per (h, i).
+
+        Column beta holds the level-(h-1) jet coordinates of i(e_i) T_beta
+        for the basis vector T_beta of A^(h).  A contraction that leaves
+        A^(h-1) means the tower is inconsistent and raises
+        StructureViolation.
+        """
+        key = (h, i)
+        m = self._contractions.get(key)
+        if m is not None:
+            return m
+        if h < 1 or not 0 <= i < self.a_dim:
+            raise InputError("no contraction of level %d by e_%d" % (h, i))
+        n = self.a_dim
+        # entries (b, J; i) of the view are the coordinates (b, J) of i(e_i) T
+        gather = _view_positions(n, self.b_dim, h)[i::n]
+        cols = []
+        for v in self.level(h, max_dim).basis:
+            try:
+                cols.append(
+                    self.jet_coordinates(h - 1, [v[pos] for pos in gather], max_dim)
+                )
+            except NotInImage as exc:
+                raise StructureViolation(
+                    "contraction left the prolongation at level %d" % (h - 1)
+                ) from exc
+        m = Matrix.from_columns(cols, nrows=self.dim_at(h - 1, max_dim))
+        with self._lock:
+            return self._contractions.setdefault(key, m)
 
 
-def _view_moves(n, h):
-    """The index map of view_at_level: (m_idx, red, i) for every monomial
-    m_I of S^{h+1}(a*) (m_idx its index) and every distinct i in I, with
-    red the index of I \\ i in S^h(a*).  Each pair (red, i) occurs once."""
-    sb_view = sym_basis(n, h)
+def _view_positions(n, r, h):
+    """The index map of view_at_level: entry (b, J; i) of the view, at
+    index (b*|S^h| + J)*n + i, is coordinate (b, J + e_i) of the tensor
+    in b (x) S^{h+1}(a*), whose position is listed here.  It is the
+    identity for h = 0, and the slice [i::n] gathers i(e_i)."""
+    size_next = sym_basis(n, h + 1).size
     return [
-        (m_idx, sb_view.index_of[multiindex_remove(mono, i)], i)
-        for m_idx, mono in enumerate(sym_basis(n, h + 1).indices)
-        for i in set(mono)
+        b * size_next + k for b in range(r) for up in sym_raise(n, h) for k in up
     ]
 
 
@@ -332,14 +353,15 @@ def _prolong_once(n, r, prev, prev_h, max_dim):
     """One prolongation step: from A^(prev_h) to A^(prev_h + 1).
 
     Solves the explicit symmetry-constraint system: writing the candidate
-    contractions as i(e_i) T = sum_beta q^beta_i T_beta over a basis
-    {T_beta} of the previous level, the coefficient of each monomial of
-    the next level must be independent of which index is contracted away:
+    contractions as c_i = i(e_i) T = sum_beta q^beta_i T_beta over a
+    basis {T_beta} of the previous level, T exists exactly when
 
-        sum_beta q^beta_i T_beta[b, M \\ i] = sum_beta q^beta_j T_beta[b, M \\ j]
+        c_i[b, L + e_j] = c_j[b, L + e_i]
 
-    for all b, all next-level multi-indices M and all i < j in M.  The
-    kernel of that system maps bijectively onto A^(prev_h + 1).
+    for all b, all L in S^{prev_h}(a*) and all i < j (both sides are the
+    coefficient of m_{L + e_i + e_j} in T).  The kernel of that system
+    maps bijectively onto A^(prev_h + 1): T[b, M] = c_i[b, J] for any one
+    (J, i) with J + e_i = M.  Both index maps are read off sym_raise.
 
     Everything runs over the integers: T_beta is the canonical basis
     vector of A^(prev_h) cleared of denominators (rescaling T_beta only
@@ -348,9 +370,9 @@ def _prolong_once(n, r, prev, prev_h, max_dim):
     and the level is the canonical span of those.
     """
     h1 = prev_h + 2  # symmetric degree of the next level
-    sb_next = sym_basis(n, h1)
-    sb_prev = sym_basis(n, h1 - 1)
-    ambient = r * sb_next.size
+    size_next = sym_basis(n, h1).size
+    size_prev = sym_basis(n, h1 - 1).size
+    ambient = r * size_next
     if ambient > max_dim:
         raise CapExceeded(
             "prolongation ambient dimension %d exceeds cap %d" % (ambient, max_dim)
@@ -362,33 +384,31 @@ def _prolong_once(n, r, prev, prev_h, max_dim):
     # column (b, J) of the previous level -> its nonzero (beta, T_beta[b, J])
     entries = [
         [(beta, x) for beta, v in enumerate(basis) if (x := v[pos])]
-        for pos in range(r * sb_prev.size)
+        for pos in range(r * size_prev)
     ]
     unknowns = n * d  # q index: i * d + beta
     echelon = IntegerEchelon()
     for b in range(r):
-        off = b * sb_prev.size
-        for mono in sb_next.indices:
-            distinct = sorted(set(mono))
-            for a_pos, i in enumerate(distinct):
-                col_i = entries[off + sb_prev.index_of[multiindex_remove(mono, i)]]
-                for j in distinct[a_pos + 1:]:
-                    col_j = entries[off + sb_prev.index_of[multiindex_remove(mono, j)]]
-                    row = {i * d + beta: x for beta, x in col_i}
-                    for beta, x in col_j:
+        off = b * size_prev
+        for up in sym_raise(n, prev_h):
+            for i in range(n):
+                at_i = entries[off + up[i]]
+                for j in range(i + 1, n):
+                    row = {i * d + beta: x for beta, x in entries[off + up[j]]}
+                    for beta, x in at_i:
                         row[j * d + beta] = -x
                     echelon.add(row)
-    first = [
-        (m_idx, sb_prev.index_of[multiindex_remove(mono, mono[0])], mono[0])
-        for m_idx, mono in enumerate(sb_next.indices)
-    ]
+    back = {}  # M -> one (J, i) with J + e_i = M
+    for red, up in enumerate(sym_raise(n, h1 - 1)):
+        for i, m_idx in enumerate(up):
+            back.setdefault(m_idx, (red, i))
     out = IntegerEchelon()
     for q in echelon.kernel(unknowns):
         t = {}
         for b in range(r):
-            off_next = b * sb_next.size
-            off_prev = b * sb_prev.size
-            for m_idx, red, i0 in first:
+            off_next = b * size_next
+            off_prev = b * size_prev
+            for m_idx, (red, i0) in back.items():
                 acc = 0
                 for beta, x in entries[off_prev + red]:
                     acc += q[i0 * d + beta] * x

@@ -5,8 +5,6 @@ from fractions import Fraction
 from math import comb, factorial
 
 from involutive.bases import (
-    GradedCoords,
-    contract,
     contract_vector,
     contraction_matrix,
     ext_basis,
@@ -15,6 +13,7 @@ from involutive.bases import (
     koszul_delta_full,
     multiindex_remove,
     sym_basis,
+    sym_raise,
     wedge_insert,
 )
 from involutive.linalg import Matrix, vec
@@ -55,8 +54,25 @@ def test_contract_mixed_monomial():
     assert out[sym_basis(2, 1).index_of[(1,)]] == 1
 
 
+def dense_contract(n, b_dim, h, t, x):
+    """sum_k x_k i(e_k) t through the dense contraction matrices."""
+    out = [Fraction(0)] * (b_dim * sym_basis(n, h - 1).size)
+    for k in range(n):
+        piece = contraction_matrix(n, b_dim, h, k).matvec(t)
+        out = [a + x[k] * b for a, b in zip(out, piece)]
+    return out
+
+
 def test_contract_bilinear_random():
     rng = random.Random(31)
+    for n in (1, 2, 3):
+        for b_dim in (1, 2, 3):
+            for h in (1, 2, 3):
+                dim = b_dim * sym_basis(n, h).size
+                t = [Fraction(rng.randint(-4, 4)) for _ in range(dim)]
+                x = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+                got = contract_vector(n, b_dim, h, t, x)
+                assert got == dense_contract(n, b_dim, h, t, x)
     n, b_dim, h = 3, 2, 3
     dim = b_dim * sym_basis(n, h).size
     for _ in range(15):
@@ -64,6 +80,7 @@ def test_contract_bilinear_random():
         s = [Fraction(rng.randint(-4, 4)) for _ in range(dim)]
         x = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
         y = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
+        assert contract_vector(n, b_dim, h, t, x) == dense_contract(n, b_dim, h, t, x)
         lhs = contract_vector(n, b_dim, h, [a + b for a, b in zip(t, s)], x)
         rhs = [a + b for a, b in zip(contract_vector(n, b_dim, h, t, x), contract_vector(n, b_dim, h, s, x))]
         assert lhs == rhs
@@ -79,12 +96,6 @@ def test_contractions_commute():
             a = contraction_matrix(n, b_dim, h - 1, j).matmul(contraction_matrix(n, b_dim, h, k))
             b = contraction_matrix(n, b_dim, h - 1, k).matmul(contraction_matrix(n, b_dim, h, j))
             assert a == b
-
-
-def test_graded_contract_wrapper():
-    t = GradedCoords(2, 0, [Fraction(1), Fraction(0), Fraction(0)])
-    out = contract(t, 2, 1, vec([1, 0]))
-    assert out.q == 1 and out.coords[0] == 1
 
 
 def test_wedge_insert_signs():

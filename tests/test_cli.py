@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from involutive import bases
 from involutive.bases import sym_basis
 from involutive.cauchy import CauchyData
 from involutive.cli import EXAMPLE_NAMES, build_parser, main
@@ -67,6 +68,20 @@ def test_every_subcommand_on_every_example(name, tmp_path, capsys):
         report = json.loads(capsys.readouterr().out)
         assert report["certificates"], argv
         assert all(c["passed"] for c in report["certificates"]), argv
+
+
+def test_production_builds_no_dense_contraction(wavemap_file, data_file, capsys):
+    # every contraction is a gather through bases.sym_raise; the dense
+    # contraction matrices are only the reference the tests compare against
+    dense = (bases.contraction_matrix_sym, bases.contraction_matrix)
+    for cache in dense:
+        cache.cache_clear()
+    for argv in (
+        ["system", wavemap_file, "--check", "--tower", "2", "--structure"],
+        ["cauchy", wavemap_file, data_file, "--verify", "--polar"],
+    ):
+        assert main(argv) == 0, argv
+    assert [cache.cache_info().misses for cache in dense] == [0, 0]
 
 
 def test_max_degree_raises_the_series_cap(tmp_path, capsys):

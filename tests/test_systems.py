@@ -22,7 +22,6 @@ from involutive.liealg import (
 )
 from involutive.linalg import Matrix
 from involutive.poly import Polynomial, PolyMap
-from involutive import systems
 from involutive.spencer import HarmonicSplit, SpencerCell, delta
 from involutive.systems import (
     JetVars,
@@ -363,24 +362,30 @@ def test_tampered_tower_is_caught():
 def test_tower_builds_its_splits_and_contractions_once(monkeypatch):
     # order 2: splits of C^{1,1}, C^{2,1}, C^{3,1} and the contractions
     # of levels 1 and 2 in both directions, shared by the chain, both
-    # runs of the delta identities and the structure equations
-    counts = {"splits": 0, "iotas": 0}
-    split_init, iota = HarmonicSplit.__init__, systems._iota
+    # runs of the delta identities and the structure equations; the
+    # contractions live on the tableau, so a second tower over it builds
+    # none of them again
+    counts = {"splits": 0, "contractions": 0}
+    split_init, contraction = HarmonicSplit.__init__, Tableau.contraction
 
     def counting_init(self, *args, **kwargs):
         counts["splits"] += 1
         split_init(self, *args, **kwargs)
 
-    def counting_iota(*args, **kwargs):
-        counts["iotas"] += 1
-        return iota(*args, **kwargs)
+    def counting_contraction(self, h, i, *args, **kwargs):
+        if (h, i) not in self._contractions:
+            counts["contractions"] += 1
+        return contraction(self, h, i, *args, **kwargs)
 
     monkeypatch.setattr(HarmonicSplit, "__init__", counting_init)
-    monkeypatch.setattr(systems, "_iota", counting_iota)
+    monkeypatch.setattr(Tableau, "contraction", counting_contraction)
     sys = wavemap_su2()
     tower = build_s_chain(sys, h=2)
     assert verify_structure_equations(sys, tower)["all_passed"]
-    assert counts == {"splits": 3, "iotas": 4}
+    assert counts == {"splits": 3, "contractions": 4}
+    again = build_s_chain(sys, h=2)
+    assert verify_structure_equations(sys, again)["all_passed"]
+    assert counts["contractions"] == 4
 
 
 # ----------------------------------------------------- frozen sign checks

@@ -21,6 +21,7 @@ from involutive.errors import (
     Inconsistent,
     InputError,
     NotInImage,
+    StructureViolation,
     UnstableGenericity,
 )
 from involutive.linalg import Matrix, Subspace
@@ -100,10 +101,10 @@ def test_full_tableau_prolongations():
     t = full_tableau(2, 1)
     assert t.prolong().dim == 3
     for h in range(4):
-        assert t.prolong_to(h).dim == comb(2 + h, h + 1)
+        assert t.level(h).dim == comb(2 + h, h + 1)
     t2 = full_tableau(3, 2)
     for h in range(3):
-        assert t2.prolong_to(h).dim == 2 * comb(3 + h, h + 1)
+        assert t2.level(h).dim == 2 * comb(3 + h, h + 1)
 
 
 def test_full_tableau_characters_and_test():
@@ -117,7 +118,7 @@ def test_full_tableau_characters_and_test():
 def test_rank_one_tableau():
     t = rank_one_tableau()
     assert t.prolong().dim == 1
-    assert t.prolong_to(2).dim == 1
+    assert t.level(2).dim == 1
     cv = characters(t, seed=3)
     assert cv.s == (1, 0) and cv.nu == 1 and cv.principal == 1
     res = cartan_test(t, seed=3)
@@ -226,6 +227,35 @@ def test_view_at_level_matches_contraction_route():
             view = t.view_at_level(h)
             assert (view.a_dim, view.b_dim) == (n, r * sym_basis(n, h).size)
             assert list(view.generators) == expected
+
+
+def test_contraction_matches_dense_route():
+    rng = random.Random(4242)
+    pool = [Tableau(2, 2, []), Tableau(1, 2, []), full_tableau(1, 3),
+            rank_one_tableau(), skew_tableau()]
+    pool += [random_tableau(rng, 1, r, rng.randint(1, r)) for r in (1, 2, 3)]
+    while len(pool) < 16:
+        n, r = rng.randint(1, 3), rng.randint(1, 3)
+        pool.append(random_tableau(rng, n, r, rng.randint(1, n * r)))
+    for t in pool:
+        n, r = t.a_dim, t.b_dim
+        for h in (1, 2, 3):
+            for i in range(n):
+                dense = contraction_matrix(n, r, h + 1, i)
+                cols = [t.jet_coordinates(h - 1, dense.matvec(v))
+                        for v in t.level(h).basis]
+                expected = Matrix.from_columns(cols, nrows=t.dim_at(h - 1))
+                assert t.contraction(h, i) == expected
+                assert t.contraction(h, i) is t.contraction(h, i)
+    t = rank_one_tableau()
+    with pytest.raises(InputError):
+        t.contraction(0, 0)
+    with pytest.raises(InputError):
+        t.contraction(1, 2)
+    # a level 1 that is not the prolongation: its contractions leave A^(0)
+    t._levels.append(Subspace.full(2 * sym_basis(2, 2).size))
+    with pytest.raises(StructureViolation):
+        t.contraction(1, 0)
 
 
 def test_prolongation_contracts_into_previous_level():
@@ -339,7 +369,7 @@ def test_prolongation_cache_concurrent():
 
 def test_cap_exceeded():
     with pytest.raises(CapExceeded):
-        full_tableau(3, 3).prolong_to(4, max_dim=10)
+        full_tableau(3, 3).level(4, max_dim=10)
 
 
 def test_json_round_trip():

@@ -43,6 +43,11 @@ def test_every_traced_callable_resolves():
                 assert hasattr(obj, part), (name, mod_name, attr)
                 obj = getattr(obj, part)
             assert callable(obj), name
+        # a cache that loses its lru_cache would drop silently out of
+        # bases.cache_hit_share
+        bases = importlib.import_module("involutive.bases")
+        for name in tracer.CACHED_BASES:
+            assert hasattr(getattr(bases, name, None), "cache_info"), name
 
 
 class _Lib:
