@@ -28,8 +28,9 @@ Conventions used everywhere in the package:
   Since i(e_k) m_I = m_{I minus one k} with coefficient 1, the
   coefficient of m_J in i(e_k) t is t[sym_raise(n, h)[J][k]]: every
   contraction is a gather, and no contraction matrix is built.  The
-  dense contraction_matrix_sym and contraction_matrix are the reference
-  the tests compare against.
+  Spencer differential reads Tableau.contraction (A^(0) -> b included);
+  the dense contraction_matrix_sym, contraction_matrix and
+  koszul_delta_full are the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -212,7 +213,7 @@ def koszul_delta_full(n: int, b_dim: int, q: int, p: int) -> Matrix:
     """Matrix of delta: b (x) S^q (x) Lambda^p -> b (x) S^{q-1} (x) Lambda^{p+1}.
 
     Index order is (b, I)-major with the wedge index last.  delta is zero
-    when q = 0 or p = n (the target collapses as appropriate).
+    when q = 0 or p = n; it is the reference spencer.delta is tested on.
     """
     sq = sym_basis(n, q)
     ep = ext_basis(n, p)

@@ -4,9 +4,13 @@ For a tableau A inside Hom(a, b) the Spencer cells are
 
     C^{q,p}(A) = A^(q-1) (x) Lambda^p(a*),   with A^(-1) := b,
 
-and the Koszul-type differential delta maps C^{q,p} into C^{q-1,p+1}.
-This module restricts the full-space differential of bases.py to the
-cells, computes cohomology dimensions H^{q,p} = dim Ker delta - rank of
+and the differential delta: C^{q,p} -> C^{q-1,p+1} is
+
+    delta(v (x) w_K) = sum_i i(e_i) v (x) (e_i* ^ w_K),
+
+built from the contractions i(e_i): A^(q-1) -> A^(q-2) that
+Tableau.contraction already holds for the prolongation tower.  This
+module computes cohomology dimensions H^{q,p} = dim Ker delta - rank of
 the incoming delta, decides 2-acyclicity, and produces the harmonic
 decomposition
 
@@ -26,19 +30,18 @@ not the bare transpose, because the cell bases are not orthonormal.
 Cell coordinates order the basis of A^(q-1) first (Tableau.jet_basis:
 the tableau generators for q = 1, the canonical reduced basis of the
 cached prolongation for q >= 2) and the wedge index last: index =
-alpha * C(n, p) + k.  Each cell is factored once when it is built:
-coordinates are read off the pivot rows of its embedding (through the
-tableau's inverse of the generators on their pivot rows for q = 1), with
-no elimination per vector, and membership in the cell is proved by
-multiplying back, so a vector or a differential that leaves the cell is
-still rejected exactly.
+alpha * C(n, p) + k.  So delta is written straight from the
+contraction matrices, and a full-space vector is written in a cell slot
+by slot with Tableau.jet_coordinates, which rejects a vector outside
+the cell exactly.  The dense bases.koszul_delta_full is only the
+reference the tests compare delta against.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .bases import GradedCoords, ext_basis, full_space_dim, gram_diagonal, koszul_delta_full
+from .bases import GradedCoords, ext_basis, full_space_dim, gram_diagonal, wedge_insert
 from .errors import (
     CapExceeded,
     DimensionMismatch,
@@ -47,7 +50,7 @@ from .errors import (
     NotInImage,
     StructureViolation,
 )
-from .linalg import ColumnCoordinates, Matrix, Subspace, kernel
+from .linalg import ColumnCoordinates, Matrix, Subspace, frac, kernel
 from .tableau import DEFAULT_MAX_DIM, involutive_index
 
 
@@ -73,7 +76,6 @@ class SpencerCell:
             a_basis = Matrix.identity(r).rows
         else:
             a_basis = tableau.jet_basis(q - 1, max_dim)
-        self.a_basis = a_basis
         wedge = ext_basis(n, p)
         self.dim = len(a_basis) * wedge.size
         full_dim = full_space_dim(n, r, q, p)
@@ -86,7 +88,6 @@ class SpencerCell:
                         col[pos * wedge.size + k] = c
                 cols.append(col)
         self.embed = Matrix.from_columns(cols, nrows=full_dim)
-        self._coords = _factor_embedding(self.embed, tableau, a_basis, q, wedge.size)
         g_full = gram_diagonal(n, r, q, p)
         scaled = Matrix(
             [[g_full[i] * x for x in row] for i, row in enumerate(self.embed.rows)],
@@ -99,65 +100,55 @@ class SpencerCell:
         return self.embed.matvec(coords)
 
     def coordinates_of(self, full_vec):
-        """Full-space vector -> cell coordinates; NotInImage if outside."""
+        """Full-space vector -> cell coordinates; NotInImage if outside.
+
+        Entry alpha of wedge slot k = full_vec[k::C(n,p)], written in the
+        level-(q-1) jet coordinates (as it is for q = 0), is coordinate
+        alpha * C(n,p) + k.
+        """
+        if len(full_vec) != self.embed.nrows:
+            raise DimensionMismatch("vector length does not match the cell")
+        q, w = self.q, ext_basis(self.tableau.a_dim, self.p).size
         try:
-            return self._coords.of_vector(full_vec)
-        except Inconsistent as exc:
+            slots = [full_vec[k::w] if q == 0 else
+                     self.tableau.jet_coordinates(q - 1, full_vec[k::w])
+                     for k in range(w)]
+        except NotInImage as exc:
             raise NotInImage(
-                "vector does not lie in the Spencer cell C^{%d,%d}" % (self.q, self.p)
+                "vector does not lie in the Spencer cell C^{%d,%d}" % (q, self.p)
             ) from exc
-
-
-def _factor_embedding(embed, tableau, a_basis, q, wedge_size):
-    """Pivot rows of the cell embedding, and the inverse on them for q = 1.
-
-    Cell coordinate alpha * C(n,p) + k is read from full-space row
-    pivot_alpha * C(n,p) + k.  For q = 0 (identity) and q >= 2 (canonical
-    reduced basis of A^(q-1)) the embedding restricted to those rows is
-    the identity, so the pivots are the leading entries.  For q = 1 the
-    pivots and the inverse are those of tableau.generator_coordinates(),
-    the factorisation behind jet_coordinates(0, .); the inverse acts on
-    each wedge slot alike.
-    """
-    if q != 1:
-        pivots = [next(i for i, x in enumerate(av) if x) for av in a_basis]
-        inverse = None
-    else:
-        gens = tableau.generator_coordinates()
-        pivots = gens.rows
-        inverse = Matrix(
-            [
-                [x if k == kk else 0 for x in row for kk in range(wedge_size)]
-                for row in gens.inverse.rows
-                for k in range(wedge_size)
-            ],
-            ncols=embed.ncols,
-        )
-    rows = [piv * wedge_size + k for piv in pivots for k in range(wedge_size)]
-    return ColumnCoordinates(embed, rows, inverse)
+        return [frac(x) for column in zip(*slots) for x in column]
 
 
 def delta(cell, max_dim=DEFAULT_MAX_DIM):
     """Matrix of the Spencer differential C^{q,p} -> C^{q-1,p+1}.
 
-    Expressed in cell coordinates on both sides.  The image is verified
-    to lie in the target cell; delta^{0,p} = 0 by convention and the
+    Expressed in cell coordinates on both sides: with C_i =
+    Tableau.contraction(q - 1, i) and e_i* ^ w_K = sign w_K2, entry
+    (beta * C(n,p+1) + K2, alpha * C(n,p) + K) is sign * C_i[beta][alpha].
+    Tableau.contraction proves that the image lies in the target cell
+    (StructureViolation otherwise); delta^{0,p} = 0 by convention and the
     matrix then has zero rows.
     """
-    t, q, p = cell.tableau, cell.q, cell.p
-    if q == 0 or p >= t.a_dim:
+    t, q, p, n = cell.tableau, cell.q, cell.p, cell.tableau.a_dim
+    if q == 0 or p >= n:
         return Matrix.zeros(0, cell.dim)
-    target = SpencerCell(t, q - 1, p + 1, max_dim)
-    d_full = koszul_delta_full(t.a_dim, t.b_dim, q, p)
-    image = d_full.matmul(cell.embed)
-    try:
-        return target._coords.of_columns(image)
-    except Inconsistent as exc:
-        raise StructureViolation(
-            "differential of C^{%d,%d} left C^{%d,%d}; "
-            "the tableau's prolongation tower is inconsistent"
-            % (q, p, q - 1, p + 1)
-        ) from exc
+    src, dst = ext_basis(n, p), ext_basis(n, p + 1)
+    contractions = [t.contraction(q - 1, i, max_dim) for i in range(n)]
+    m = Matrix.zeros(contractions[0].nrows * dst.size, cell.dim)
+    for i, c in enumerate(contractions):
+        for k, K in enumerate(src.indices):
+            wk = wedge_insert(i, K)
+            if wk is None:
+                continue
+            sign, K2 = wk
+            k2 = dst.index_of[K2]
+            for beta, c_row in enumerate(c.rows):
+                row = m.rows[beta * dst.size + k2]
+                for alpha, x in enumerate(c_row):
+                    if x:
+                        row[alpha * src.size + k] = sign * x
+    return m
 
 
 def _delta_in(t, q, p, max_dim=DEFAULT_MAX_DIM):

@@ -126,11 +126,11 @@ class Tableau:
     integers too: each step clears the basis of A^(h) the same way and
     solves its symmetry constraints in an IntegerEchelon (see
     _prolong_once).  contraction(h, i) is the map i(e_i): A^(h) ->
-    A^(h-1) in jet coordinates, built once per (h, i); it and the view
-    layout read the same position list (_view_positions, over
-    bases.sym_raise).  Certified characters are memoised per (level,
-    samples, seed), so repeated Cartan tests of one tableau sample their
-    flags once.
+    A^(h-1) in jet coordinates (A^(-1) = b), built once per (h, i) for
+    the tower and the Spencer differential alike; it and the view layout
+    read the same position list (_view_positions, over bases.sym_raise).
+    Certified characters are memoised per (level, samples, seed), so
+    repeated Cartan tests of one tableau sample their flags once.
     """
 
     def __init__(self, a_dim, b_dim, generators):
@@ -307,33 +307,34 @@ class Tableau:
 
     def contraction(self, h, i, max_dim=DEFAULT_MAX_DIM):
         """Matrix of the contraction i(e_i): A^(h) -> A^(h-1) over the jet
-        coordinate bases (h >= 1), built once per (h, i).
+        coordinate bases, built once per (h, i).
 
         Column beta holds the level-(h-1) jet coordinates of i(e_i) T_beta
-        for the basis vector T_beta of A^(h).  A contraction that leaves
-        A^(h-1) means the tower is inconsistent and raises
-        StructureViolation.
+        for the vector T_beta of jet_basis(h).  Level -1 is b with its
+        identity basis, so for h = 0 column beta is column i of generator
+        beta.  A contraction that leaves A^(h-1) means the tower is
+        inconsistent and raises StructureViolation.
         """
         key = (h, i)
         m = self._contractions.get(key)
         if m is not None:
             return m
-        if h < 1 or not 0 <= i < self.a_dim:
+        if h < 0 or not 0 <= i < self.a_dim:
             raise InputError("no contraction of level %d by e_%d" % (h, i))
         n = self.a_dim
         # entries (b, J; i) of the view are the coordinates (b, J) of i(e_i) T
         gather = _view_positions(n, self.b_dim, h)[i::n]
         cols = []
-        for v in self.level(h, max_dim).basis:
+        for v in self.jet_basis(h, max_dim):
+            image = [v[pos] for pos in gather]
             try:
-                cols.append(
-                    self.jet_coordinates(h - 1, [v[pos] for pos in gather], max_dim)
-                )
+                cols.append(image if h == 0 else
+                            self.jet_coordinates(h - 1, image, max_dim))
             except NotInImage as exc:
                 raise StructureViolation(
                     "contraction left the prolongation at level %d" % (h - 1)
                 ) from exc
-        m = Matrix.from_columns(cols, nrows=self.dim_at(h - 1, max_dim))
+        m = Matrix.from_columns(cols, nrows=self.dim_at(h - 1) if h else self.b_dim)
         with self._lock:
             return self._contractions.setdefault(key, m)
 
@@ -593,17 +594,19 @@ def cartan_test(tab, samples=5, seed=0, max_dim=DEFAULT_MAX_DIM, h=0):
     the dimension of its first prolongation, which is A^(h+1) of the
     tower: (A^(h))^(1) = A^(h+1).  So only A^(h+1) has to fit in max_dim
     (CapExceeded otherwise), and no view tableau is built or prolonged.
-    The inequality dim_A1 <= bound must hold for genuinely generic
-    flags; a violation means the certified samples were still
-    non-generic and raises UnstableGenericity.
+    The inequality dim_A1 <= bound holds for every flag F: sigma_j(F) <=
+    sigma_j(generic) and sigma_n(F) = dim A, so bound(F) >= bound(generic)
+    >= dim A^(1).  A violation is an internal inconsistency: it raises
+    StructureViolation and drops the memoised characters.
     """
     dim_a1 = tab.dim_at(h + 1, max_dim)
     cv = characters(tab, samples=samples, seed=seed, h=h)
     bound = cv.cartan_bound()
     if dim_a1 > bound:
-        raise UnstableGenericity(
-            "dim A^(1) = %d exceeds the character bound %d; sampled flags "
-            "were not generic" % (dim_a1, bound)
+        tab._characters.pop((h, samples, seed), None)
+        raise StructureViolation(
+            "dim A^(1) = %d exceeds the character bound %d; the characters "
+            "and the prolongation tower are inconsistent" % (dim_a1, bound)
         )
     return {
         "involutive": dim_a1 == bound,
@@ -616,13 +619,13 @@ def cartan_test(tab, samples=5, seed=0, max_dim=DEFAULT_MAX_DIM, h=0):
 def involutive_index(tab, h_max, samples=5, seed=0, max_dim=DEFAULT_MAX_DIM):
     """Least order k <= h_max at which A^(k) passes the Cartan test.
 
-    Order h runs cartan_test(tab, h=h) on the prolongation tower: the
-    characters come off integer_basis(h) and the bound is checked
-    against dim A^(h+1), so the search needs A^(h_max + 1), ambient
-    dimension b_dim * |S^(h_max + 2)|, within max_dim.  Every further
-    prolongation up to h_max is then re-tested rather than assumed
-    involutive.  Raises CapExceeded with the observed trajectory when no
-    order up to h_max passes.
+    Order h runs cartan_test(tab, h=h) on the tower, order 0 with the
+    caller's seed so that a Cartan test the caller ran is reused: the
+    characters come off integer_basis(h) and the bound is checked against
+    dim A^(h+1), so the search needs A^(h_max + 1), ambient dimension
+    b_dim * |S^(h_max + 2)|, within max_dim.  Every further prolongation
+    up to h_max is re-tested rather than assumed involutive.  Raises
+    CapExceeded with the observed trajectory when no order passes.
     """
     if h_max < 0:
         raise InputError("h_max must be >= 0, got %d" % h_max)
@@ -631,9 +634,9 @@ def involutive_index(tab, h_max, samples=5, seed=0, max_dim=DEFAULT_MAX_DIM):
     k = None
     k_chars = None
     for h in range(h_max + 1):
-        res = cartan_test(
-            tab, samples=samples, seed=rng.randrange(2**32), max_dim=max_dim, h=h
-        )
+        drawn = rng.randrange(2**32)  # also at h = 0: orders >= 1 keep their flags
+        res = cartan_test(tab, samples=samples, seed=drawn if h else seed,
+                          max_dim=max_dim, h=h)
         trajectory.append(
             {
                 "h": h,

@@ -71,17 +71,20 @@ def test_every_subcommand_on_every_example(name, tmp_path, capsys):
 
 
 def test_production_builds_no_dense_contraction(wavemap_file, data_file, capsys):
-    # every contraction is a gather through bases.sym_raise; the dense
-    # contraction matrices are only the reference the tests compare against
-    dense = (bases.contraction_matrix_sym, bases.contraction_matrix)
+    # every contraction is a gather through bases.sym_raise and the Spencer
+    # differential is read off Tableau.contraction; the dense contraction
+    # and Koszul matrices are only the reference the tests compare against
+    dense = (bases.contraction_matrix_sym, bases.contraction_matrix,
+             bases.koszul_delta_full)
     for cache in dense:
         cache.cache_clear()
     for argv in (
         ["system", wavemap_file, "--check", "--tower", "2", "--structure"],
         ["cauchy", wavemap_file, data_file, "--verify", "--polar"],
+        ["spencer", wavemap_file, "--two-acyclic", "--harmonic"],
     ):
         assert main(argv) == 0, argv
-    assert [cache.cache_info().misses for cache in dense] == [0, 0]
+    assert [cache.cache_info().misses for cache in dense] == [0, 0, 0]
 
 
 def test_max_degree_raises_the_series_cap(tmp_path, capsys):

@@ -61,7 +61,8 @@ def test_cell_dimensions():
 
 
 def test_cell_coordinates_match_solve_oracle():
-    # pivot-read coordinates against a fresh elimination of the embedding
+    # jet-coordinate cells and contraction-built delta against a fresh
+    # elimination of the embedding and the dense Koszul differential
     rng = random.Random(2010)
     cases = [full_tableau(2, 1), wavemap1_tableau(), skew_tableau(), Tableau(2, 2, [])]
     while len(cases) < 16:
@@ -72,7 +73,7 @@ def test_cell_coordinates_match_solve_oracle():
         if Subspace(n * r, raw).dim == len(raw):
             cases.append(Tableau.from_vectors(n, r, raw))
     for t in cases:
-        for q in range(3):
+        for q in range(4):
             for p in range(t.a_dim + 1):
                 cell = SpencerCell(t, q, p)
                 coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(cell.dim)]

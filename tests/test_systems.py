@@ -361,10 +361,10 @@ def test_tampered_tower_is_caught():
 
 def test_tower_builds_its_splits_and_contractions_once(monkeypatch):
     # order 2: splits of C^{1,1}, C^{2,1}, C^{3,1} and the contractions
-    # of levels 1 and 2 in both directions, shared by the chain, both
-    # runs of the delta identities and the structure equations; the
-    # contractions live on the tableau, so a second tower over it builds
-    # none of them again
+    # of levels 0 to 3 in both directions, shared by the Spencer
+    # differentials of the splits, the chain, both runs of the delta
+    # identities and the structure equations; the contractions live on
+    # the tableau, so a second tower over it builds none of them again
     counts = {"splits": 0, "contractions": 0}
     split_init, contraction = HarmonicSplit.__init__, Tableau.contraction
 
@@ -382,10 +382,10 @@ def test_tower_builds_its_splits_and_contractions_once(monkeypatch):
     sys = wavemap_su2()
     tower = build_s_chain(sys, h=2)
     assert verify_structure_equations(sys, tower)["all_passed"]
-    assert counts == {"splits": 3, "contractions": 4}
+    assert counts == {"splits": 3, "contractions": 8}
     again = build_s_chain(sys, h=2)
     assert verify_structure_equations(sys, again)["all_passed"]
-    assert counts["contractions"] == 4
+    assert counts["contractions"] == 8
 
 
 # ----------------------------------------------------- frozen sign checks

@@ -239,6 +239,12 @@ def test_contraction_matches_dense_route():
         pool.append(random_tableau(rng, n, r, rng.randint(1, n * r)))
     for t in pool:
         n, r = t.a_dim, t.b_dim
+        for i in range(n):
+            # level -1 is b with its identity basis
+            dense = contraction_matrix(n, r, 1, i)
+            cols = [dense.matvec(flatten_generator(g)) for g in t.generators]
+            assert t.contraction(0, i) == Matrix.from_columns(cols, nrows=r)
+            assert t.contraction(0, i) is t.contraction(0, i)
         for h in (1, 2, 3):
             for i in range(n):
                 dense = contraction_matrix(n, r, h + 1, i)
@@ -249,9 +255,10 @@ def test_contraction_matches_dense_route():
                 assert t.contraction(h, i) is t.contraction(h, i)
     t = rank_one_tableau()
     with pytest.raises(InputError):
-        t.contraction(0, 0)
-    with pytest.raises(InputError):
-        t.contraction(1, 2)
+        t.contraction(-1, 0)
+    for h in (0, 1):
+        with pytest.raises(InputError):
+            t.contraction(h, 2)
     # a level 1 that is not the prolongation: its contractions leave A^(0)
     t._levels.append(Subspace.full(2 * sym_basis(2, 2).size))
     with pytest.raises(StructureViolation):
@@ -571,6 +578,24 @@ def test_characters_memo(monkeypatch):
     assert len(evaluated) - before == 5
 
 
+def test_involutive_index_reuses_the_callers_order_zero_test(monkeypatch):
+    # order 0 is tested with the caller's seed, so a Cartan test the caller
+    # already ran is not sampled again; only order 1 draws new flags
+    t = full_tableau(2, 2)
+    first = cartan_test(t, seed=7)["characters"]
+    evaluated = []
+    original = tableau_module.character_partial_sums
+
+    def counting(tab, flag, h=0):
+        evaluated.append(h)
+        return original(tab, flag, h)
+
+    monkeypatch.setattr(tableau_module, "character_partial_sums", counting)
+    out = involutive_index(t, 1, seed=7)
+    assert out["k"] == 0 and out["involutive_characters"] is first
+    assert evaluated == [1] * 5
+
+
 def test_failed_certification_is_not_memoised(monkeypatch):
     original = tableau_module.character_partial_sums
     t = rank_one_tableau()
@@ -590,3 +615,17 @@ def test_failed_certification_is_not_memoised(monkeypatch):
             cartan_test(t, seed=5)
     monkeypatch.setattr(tableau_module, "character_partial_sums", original)
     assert characters(t, seed=5).s == (1, 0)
+
+
+def test_cartan_bound_below_dim_a1_is_a_structure_violation(monkeypatch):
+    # sigma_j(F) <= sigma_j(generic) and sigma_n(F) = dim A for every flag
+    # F, so no flag gives a bound below dim A^(1).  For f_0 (x) a*, with
+    # A^(1) = f_0 (x) S^2 of dim 3, the sums [2, 2] have the right total
+    # and the bound 2.
+    t = Tableau(2, 2, [[[1, 0], [0, 0]], [[0, 1], [0, 0]]])
+    assert cartan_test(Tableau.from_json_dict(t.to_json_dict()))["bound"] == 3
+    monkeypatch.setattr(tableau_module, "character_partial_sums",
+                        lambda tab, flag, h=0: [2, 2])
+    with pytest.raises(StructureViolation):
+        cartan_test(t, seed=5)
+    assert t._characters == {}
