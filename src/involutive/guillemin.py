@@ -255,7 +255,10 @@ def normal_form(t, samples=5, seed=0, max_dim=DEFAULT_MAX_DIM, h=0):
     For h > 0 the tableau is A^(h) of t's prolongation tower, read as
     t.view_at_level(h).  The Cartan test and the flag ranks run on the
     tower (cartan_test(t, h=h)), so only A^(h+1) has to fit in max_dim;
-    the view is built for the construction and never prolonged.
+    the view is built for the construction and never prolonged.  Flags
+    are drawn from Random(seed) with the coefficient bound of
+    characters(), so the first one is the Cartan test's witness flag
+    when there is one, and its partial sums are not computed again.
 
     Raises NotInvolutive when the Cartan test fails, and
     UnstableGenericity when no sampled flag yields a verifying form.
@@ -278,7 +281,8 @@ def normal_form(t, samples=5, seed=0, max_dim=DEFAULT_MAX_DIM, h=0):
     for _ in range(_NF_ATTEMPTS):
         flag = _sample_flag(rng, n, bound)
         bound *= 4
-        if character_partial_sums(t, flag, h) != targets:
+        # the first draw is the witness flag of the Cartan test, if any
+        if flag != cv.flag and character_partial_sums(t, flag, h) != targets:
             continue
         try:
             nf = _construct(view, cv, Matrix(flag, ncols=n))

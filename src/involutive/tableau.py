@@ -13,10 +13,12 @@ and the least order k at which the prolongation tower becomes involutive.
 
 Conventions.  An element of Hom(a, b) = b (x) a* is stored as a b-major
 coordinate vector of length r*n (index b*n + i).  Higher prolongations use
-the monomial bases of bases.py, again b-major.  Generic flags are sampled
-with integer coefficients and certified by agreement of several
-independent samples; a disagreement raises UnstableGenericity instead of
-returning a silently wrong answer.
+the monomial bases of bases.py, again b-major.  Flags are sampled with
+integer coefficients.  When the first flag attains the Cartan bound
+dim A^(1) it proves involutivity and its characters exactly (a witness);
+otherwise the characters are certified by agreement of several
+independent samples, and a disagreement raises UnstableGenericity
+instead of returning a silently wrong answer.
 """
 
 from __future__ import annotations
@@ -57,12 +59,14 @@ class CharacterVector:
 
     nu is the largest j with s_j != 0 (zero for the zero tableau) and
     principal = s_nu is the principal character.  Construction checks the
-    defining inequalities b_dim >= s_1 >= ... >= s_n >= 0.
+    defining inequalities b_dim >= s_1 >= ... >= s_n >= 0.  flag is the
+    witness flag that certified the characters (see characters), or None;
+    equality ignores it.
     """
 
-    __slots__ = ("s", "nu", "principal")
+    __slots__ = ("s", "nu", "principal", "flag")
 
-    def __init__(self, s, b_dim):
+    def __init__(self, s, b_dim, flag=None):
         s = tuple(int(x) for x in s)
         if any(x < 0 for x in s):
             raise InputError("characters must be non-negative, got %r" % (s,))
@@ -79,6 +83,7 @@ class CharacterVector:
                 nu = j + 1
         self.nu = nu
         self.principal = s[nu - 1] if nu > 0 else 0
+        self.flag = flag
 
     def cartan_bound(self):
         """s_1 + 2 s_2 + ... + n s_n, the involutivity bound on dim A^(1)."""
@@ -537,18 +542,30 @@ def character_partial_sums(tab, flag, h=0):
     return sums
 
 
-def characters(tab, samples=5, seed=0, h=0):
+def characters(tab, samples=5, seed=0, h=0, dim_a1=None):
     """Characters of A^(h), read as the tableau view_at_level(h), from
-    certified generic flags.
+    a witness flag or certified generic flags.
 
-    Draws `samples` independent random flags and keeps the maximal
-    codimension sequence; a result is returned only when all samples
-    agree, retrying with a geometrically growing coefficient range, and
-    otherwise UnstableGenericity is raised.  A certified result is
+    The first flag F is drawn from Random(seed).  When dim_a1 = dim
+    A^(h+1) is given, F is tried as a witness first.  Every flag F has
+    partial sums sigma_j(F) <= sigma_j(generic), because the generic rank
+    is the largest, and sigma_n(F) = dim A^(h), because F spans a.  So the
+    bound n sigma_n - (sigma_1 + ... + sigma_{n-1}) of F is at least the
+    generic bound, which is at least dim A^(h+1) by Cartan's inequality.
+    When sigma_n(F) = dim A^(h) and the bound of F equals dim_a1, both
+    inequalities are equalities: the tableau is involutive and every
+    sigma_j(F) is generic, so s(F) are its characters, exactly.  The
+    result then carries F as its flag attribute.
+
+    Otherwise the characters are voted: `samples` independent random
+    flags, F being the first, must give the same partial sums; a
+    disagreement retries with a geometrically growing coefficient range,
+    and otherwise UnstableGenericity is raised.  A "not involutive"
+    verdict of cartan_test always comes from the vote.  A result is
     memoised on the tableau under (h, samples, seed) and returned again
-    for the same key; a failure stores nothing.  The ranks do not depend
-    on the basis they are taken over, so the result equals
-    characters(tab.view_at_level(h), samples, seed).
+    for the same key, whichever way it was certified; a failure stores
+    nothing.  The ranks do not depend on the basis they are taken over,
+    so the result equals characters(tab.view_at_level(h), samples, seed).
     """
     if samples < 1:
         raise InputError("need samples >= 1, got %d" % samples)
@@ -557,19 +574,27 @@ def characters(tab, samples=5, seed=0, h=0):
     if cv is not None:
         return cv
     n = tab.a_dim
+    b_dim = tab.b_dim * sym_basis(n, h).size
     rng = random.Random(seed)
     bound = _FLAG_BASE_BOUND
+    flag = _sample_flag(rng, n, bound)
+    first = character_partial_sums(tab, flag, h)
+    dim = len(tab.integer_basis(h))
+    if (dim_a1 is not None and first[-1] == dim
+            and n * first[-1] - sum(first[:-1]) == dim_a1):
+        cv = _from_partial_sums(first, b_dim, flag)
+        with tab._lock:
+            return tab._characters.setdefault(key, cv)
+    seqs = [first]
     last = None
     for _ in range(_FLAG_ATTEMPTS):
-        seqs = [
+        seqs += [
             character_partial_sums(tab, _sample_flag(rng, n, bound), h)
-            for _ in range(samples)
+            for _ in range(samples - len(seqs))
         ]
         best = seqs[0]
         if all(s == best for s in seqs):
-            s = [best[0]] + [best[j] - best[j - 1] for j in range(1, n)]
-            cv = CharacterVector(s, tab.b_dim * sym_basis(n, h).size)
-            dim = len(tab.integer_basis(h))
+            cv = _from_partial_sums(best, b_dim)
             if cv.total() != dim:
                 raise UnstableGenericity(
                     "character sum %d does not match dim A^(%d) = %d; "
@@ -578,10 +603,20 @@ def characters(tab, samples=5, seed=0, h=0):
             with tab._lock:
                 return tab._characters.setdefault(key, cv)
         last = seqs
+        seqs = []
         bound *= 8
     raise UnstableGenericity(
         "flag samples disagree after %d attempts (last sequences: %r); "
         "raise the sample count or the coefficient range" % (_FLAG_ATTEMPTS, last)
+    )
+
+
+def _from_partial_sums(sums, b_dim, flag=None):
+    """The CharacterVector with partial sums sigma_1..sigma_n."""
+    return CharacterVector(
+        [sums[0]] + [sums[j] - sums[j - 1] for j in range(1, len(sums))],
+        b_dim,
+        flag,
     )
 
 
@@ -597,10 +632,13 @@ def cartan_test(tab, samples=5, seed=0, max_dim=DEFAULT_MAX_DIM, h=0):
     The inequality dim_A1 <= bound holds for every flag F: sigma_j(F) <=
     sigma_j(generic) and sigma_n(F) = dim A, so bound(F) >= bound(generic)
     >= dim A^(1).  A violation is an internal inconsistency: it raises
-    StructureViolation and drops the memoised characters.
+    StructureViolation and drops the memoised characters.  dim_A1 is
+    handed to characters(), so a first flag whose bound equals it is a
+    witness that proves the verdict "involutive" exactly; "not
+    involutive" comes from the vote of `samples` flags.
     """
     dim_a1 = tab.dim_at(h + 1, max_dim)
-    cv = characters(tab, samples=samples, seed=seed, h=h)
+    cv = characters(tab, samples=samples, seed=seed, h=h, dim_a1=dim_a1)
     bound = cv.cartan_bound()
     if dim_a1 > bound:
         tab._characters.pop((h, samples, seed), None)
@@ -623,8 +661,10 @@ def involutive_index(tab, h_max, samples=5, seed=0, max_dim=DEFAULT_MAX_DIM):
     caller's seed so that a Cartan test the caller ran is reused: the
     characters come off integer_basis(h) and the bound is checked against
     dim A^(h+1), so the search needs A^(h_max + 1), ambient dimension
-    b_dim * |S^(h_max + 2)|, within max_dim.  Every further prolongation
-    up to h_max is re-tested rather than assumed involutive.  Raises
+    b_dim * |S^(h_max + 2)|, within max_dim.  An involutive order is
+    usually proved by one witness flag, a non-involutive one by the vote
+    (see characters).  Every further prolongation up to h_max is
+    re-tested rather than assumed involutive.  Raises
     CapExceeded with the observed trajectory when no order passes.
     """
     if h_max < 0:

@@ -54,9 +54,26 @@ def example_files(tmp_path, name):
     return str(path), str(data)
 
 
-@pytest.mark.parametrize("name", EXAMPLE_NAMES)
+def index_one_files(tmp_path):
+    """Phi = 0 over the tableau of one generator in Hom(Q^3, Q^3), with
+    characters (1, 0, 0) and A^(1) = 0, so involutive index k = 1, and
+    Cauchy data for it."""
+    path = tmp_path / "index_one.json"
+    path.write_text(json.dumps({
+        "a_dim": 3, "b_dim": 3,
+        "generators": [[[0, 2, -1], [2, 0, 0], [2, 0, 1]]], "phi": {},
+    }))
+    data = tmp_path / "data.json"
+    data.write_text(json.dumps({"x0": [0, 0, 0], "P_const": [["3"]], "P_blocks": {}}))
+    return str(path), str(data)
+
+
+@pytest.mark.parametrize("name", EXAMPLE_NAMES + ("index-one",))
 def test_every_subcommand_on_every_example(name, tmp_path, capsys):
-    path, data = example_files(tmp_path, name)
+    if name == "index-one":
+        path, data = index_one_files(tmp_path)
+    else:
+        path, data = example_files(tmp_path, name)
     for argv in (
         ["tableau", path, "--prolong", "1", "--characters", "--involutive-index"],
         ["spencer", path, "--q-max", "1", "--two-acyclic", "--harmonic"],
@@ -67,7 +84,18 @@ def test_every_subcommand_on_every_example(name, tmp_path, capsys):
         assert main(argv + ["--json"]) == 0, argv
         report = json.loads(capsys.readouterr().out)
         assert report["certificates"], argv
+        if name == "index-one" and argv[0] == "tableau":
+            # order 0 is voted not involutive, order 1 is proved by a
+            # witness flag; tableau reports the failed test and exits 0
+            results = report["results"]
+            assert results["characters"] == [1, 0, 0]
+            assert results["involutive_index"] == 1
+            assert results["involutive_characters"] == [0, 0, 0]
+            assert [c["passed"] for c in report["certificates"]] == [False]
+            continue
         assert all(c["passed"] for c in report["certificates"]), argv
+        if name == "index-one" and argv[0] == "cauchy":
+            assert report["results"]["k"] == 1
 
 
 def test_production_builds_no_dense_contraction(wavemap_file, data_file, capsys):

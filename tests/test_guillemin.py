@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from involutive import guillemin
 from involutive.errors import CapExceeded, InputError, NotInvolutive
 from involutive.guillemin import NormalForm, normal_form, verify_normal_form
 from involutive.linalg import Matrix
-from involutive.tableau import Tableau, cartan_test
+from involutive.tableau import Tableau, cartan_test, characters
 
 
 def full_tableau(n, r):
@@ -278,3 +279,34 @@ def test_deterministic():
     a = normal_form(t, seed=3).to_json_dict()
     b = normal_form(t, seed=3).to_json_dict()
     assert a == b
+
+
+def test_normal_form_starts_from_the_witness_flag(monkeypatch):
+    # The first flag of normal_form is the Cartan test's witness flag, so
+    # its partial sums are not taken again: only verify_normal_form's
+    # flag_generic check evaluates a flag.  A tableau whose memo holds
+    # the voted characters, without a flag, builds the same form.
+    original = guillemin.character_partial_sums
+    evaluated = []
+
+    def counting(tab, flag, h=0):
+        evaluated.append(flag)
+        return original(tab, flag, h)
+
+    built = 0
+    for make in (s21_tableau, cylinder_tableau, offdiag_tableau,
+                 lambda: full_tableau(2, 2), lambda: full_tableau(3, 1)):
+        for seed in (0, 7):
+            for h in range(2):
+                voted = make()
+                assert characters(voted, seed=seed, h=h).flag is None
+                expected = normal_form(voted, seed=seed, h=h).to_json_dict()
+                t = make()
+                assert cartan_test(t, seed=seed, h=h)["characters"].flag is not None
+                evaluated.clear()
+                monkeypatch.setattr(guillemin, "character_partial_sums", counting)
+                assert normal_form(t, seed=seed, h=h).to_json_dict() == expected
+                monkeypatch.setattr(guillemin, "character_partial_sums", original)
+                assert len(evaluated) == 1, (make, seed, h)
+                built += 1
+    assert built == 20

@@ -15,6 +15,7 @@ from dense_oracles import (
 )
 from involutive import tableau as tableau_module
 from involutive.bases import contraction_matrix, multiindex_remove, sym_basis
+from involutive.cli import EXAMPLE_NAMES, build_example
 from involutive.errors import (
     CapExceeded,
     DimensionMismatch,
@@ -580,7 +581,8 @@ def test_characters_memo(monkeypatch):
 
 def test_involutive_index_reuses_the_callers_order_zero_test(monkeypatch):
     # order 0 is tested with the caller's seed, so a Cartan test the caller
-    # already ran is not sampled again; only order 1 draws new flags
+    # already ran is not sampled again; only order 1 draws a new flag, and
+    # on this involutive tableau that one flag is a witness
     t = full_tableau(2, 2)
     first = cartan_test(t, seed=7)["characters"]
     evaluated = []
@@ -593,7 +595,7 @@ def test_involutive_index_reuses_the_callers_order_zero_test(monkeypatch):
     monkeypatch.setattr(tableau_module, "character_partial_sums", counting)
     out = involutive_index(t, 1, seed=7)
     assert out["k"] == 0 and out["involutive_characters"] is first
-    assert evaluated == [1] * 5
+    assert evaluated == [1]
 
 
 def test_failed_certification_is_not_memoised(monkeypatch):
@@ -629,3 +631,73 @@ def test_cartan_bound_below_dim_a1_is_a_structure_violation(monkeypatch):
     with pytest.raises(StructureViolation):
         cartan_test(t, seed=5)
     assert t._characters == {}
+
+
+def witness_pool(rng, size=100):
+    """Seeded tableaux with n, r <= 3, among them n = 1, zero tableaux,
+    dim A > n and the k = 1 tableau of one generator, then the four
+    built-in examples."""
+    pool = [Tableau(1, 1, []), Tableau(1, 3, []), Tableau(3, 3, []),
+            full_tableau(1, 3), full_tableau(2, 3), full_tableau(3, 2),
+            rank_one_tableau(), skew_tableau(),
+            Tableau(3, 3, [[[0, 2, -1], [2, 0, 0], [2, 0, 1]]])]
+    while len(pool) < size:
+        n, r = rng.randint(1, 3), rng.randint(1, 3)
+        pool.append(rational_tableau(rng, n, r, rng.randint(0, n * r)))
+    return pool + [build_example(name).tableau for name in EXAMPLE_NAMES]
+
+
+def test_witness_matches_the_vote():
+    # A first flag whose Cartan bound equals dim A^(h+1) proves the
+    # characters; the vote of five flags on another fresh tableau, with
+    # the same seed, is the oracle and must give the same vector.
+    rng = random.Random(1313)
+    witnessed = voted = 0
+    for t in witness_pool(rng):
+        data = t.to_json_dict()
+        for h in range(3):
+            seed = rng.randrange(2**32)
+            res = cartan_test(Tableau.from_json_dict(data), seed=seed, h=h)
+            vote = characters(Tableau.from_json_dict(data), seed=seed, h=h)
+            cv = res["characters"]
+            assert (cv.s, cv.nu, cv.principal) == \
+                (vote.s, vote.nu, vote.principal), (data, h, seed)
+            assert vote.flag is None
+            if cv.flag is None:
+                voted += 1
+                continue
+            witnessed += 1
+            assert res["involutive"]
+            n = t.a_dim
+            assert cv.flag == _sample_flag(random.Random(seed), n, 8)
+            sums = [sum(cv.s[: j + 1]) for j in range(n)]
+            assert character_partial_sums(t, cv.flag, h) == sums
+    assert witnessed >= 250 and voted >= 15, (witnessed, voted)
+
+
+def test_rejected_witness_and_failed_vote_store_nothing(monkeypatch):
+    # The skew tableau has dim A = 1 and A^(1) = 0.  Sums [0, 0] give the
+    # bound 0 = dim A^(1) but sigma_n = 0 != dim A, so they prove nothing;
+    # the vote then finds the wrong total.
+    t = skew_tableau()
+    assert t.dim_at(1) == 0
+    monkeypatch.setattr(tableau_module, "character_partial_sums",
+                        lambda tab, flag, h=0: [0, 0])
+    with pytest.raises(UnstableGenericity, match="character sum 0"):
+        cartan_test(t, seed=5)
+    assert t._characters == {}
+    # rank one: the first flag has sigma_n = dim A but the bound 2 != 1,
+    # so it is the vote's first sample, and the vote disagrees every round
+    t = rank_one_tableau()
+    evaluated = []
+
+    def disagreeing(tab, flag, h=0):
+        evaluated.append(flag)
+        return [(len(evaluated) + 1) % 2, 1]
+
+    monkeypatch.setattr(tableau_module, "character_partial_sums", disagreeing)
+    with pytest.raises(UnstableGenericity, match="disagree"):
+        cartan_test(t, seed=5)
+    assert t._characters == {}
+    assert len(evaluated) == 5 * tableau_module._FLAG_ATTEMPTS
+    assert evaluated[0] == _sample_flag(random.Random(5), 2, 8)

@@ -58,7 +58,9 @@ class _Lib:
 def test_involutive_index_counts_flags_at_every_order():
     # tableau.flags_evaluated counts the character_partial_sums spans, so
     # the index search must reach that entry point at every order h,
-    # through cartan_test and characters, and not a private copy.
+    # through cartan_test and characters, and not a private copy.  An
+    # involutive order is proved by its first flag alone (a witness); a
+    # non-involutive order is voted in rounds of `samples` flags.
     tracer = load_tracer()
     h_max, samples = 3, 5
     with fresh_involutive():
@@ -66,12 +68,19 @@ def test_involutive_index_counts_flags_at_every_order():
         tr = tracer.Tracer()
         tr.install(lib)
         tab = lib.modules["tableau"]
-        # span{f_0 (x) e_0*, f_1 (x) e_1*} in Hom(Q^2, Q^2): involutive
-        t = tab.Tableau(2, 2, [[[1, 0], [0, 0]], [[0, 0], [0, 1]]])
-        tr.begin("index")
-        index = tab.involutive_index(t, h_max, samples=samples, seed=0)
-        tr.end(1.0)
-    assert index["k"] == 0
+        # span{f_0 (x) e_0*, f_1 (x) e_1*} in Hom(Q^2, Q^2): involutive;
+        # the n = r = 3 tableau of one generator: characters (1, 0, 0),
+        # A^(1) = 0, so orders >= 1 are involutive and order 0 is not
+        cases = [
+            (tab.Tableau(2, 2, [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]), 0),
+            (tab.Tableau(3, 3, [[[0, 2, -1], [2, 0, 0], [2, 0, 1]]]), 1),
+        ]
+        indices = []
+        for t, _ in cases:
+            tr.begin("index")
+            indices.append(tab.involutive_index(t, h_max, samples=samples, seed=0))
+            tr.end(1.0)
+    assert [index["k"] for index in indices] == [k for _, k in cases]
     spans = tr.spans
 
     def ancestor(i, name):
@@ -81,13 +90,19 @@ def test_involutive_index_counts_flags_at_every_order():
         return parent
 
     tests = [i for i, span in enumerate(spans) if span[0] == "tableau.cartan_test"]
-    assert len(tests) == h_max + 1
+    assert len(tests) == len(cases) * (h_max + 1)
     per_order = {i: 0 for i in tests}
     for i, span in enumerate(spans):
         if span[0] == "tableau.character_partial_sums":
             assert spans[span[3]][0] == "tableau.characters"
             per_order[ancestor(i, "tableau.cartan_test")] += 1
-    # one round of `samples` flags per attempt, at least one attempt
-    for i in tests:
-        assert per_order[i] >= samples and per_order[i] % samples == 0
+    counts = [per_order[i] for i in tests]
+    for c, (_, k) in enumerate(cases):
+        for h in range(h_max + 1):
+            flags = counts[c * (h_max + 1) + h]
+            if h >= k:
+                assert flags == 1, (c, h, counts)
+            else:
+                # one round of `samples` flags per attempt, at least one
+                assert flags >= samples and flags % samples == 0, (c, h, counts)
     assert not any(span[0] == "tableau.view_at_level" for span in spans)
