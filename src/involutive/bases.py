@@ -238,8 +238,9 @@ def koszul_delta_full(n: int, b_dim: int, q: int, p: int) -> Matrix:
     return Matrix(m, ncols=cols)
 
 
-def gram_diagonal(n: int, b_dim: int, q: int, p: int) -> Vector:
-    """Diagonal of the Gram matrix of b (x) S^q (x) Lambda^p.
+@lru_cache(maxsize=None)
+def gram_diagonal(n: int, b_dim: int, q: int, p: int) -> tuple[Fraction, ...]:
+    """Diagonal of the Gram matrix of b (x) S^q (x) Lambda^p, built once.
 
     The coordinate bases of a and b are declared orthonormal; the monomial
     and wedge bases are then orthogonal with the combinatorial norms fixed
@@ -253,4 +254,4 @@ def gram_diagonal(n: int, b_dim: int, q: int, p: int) -> Vector:
         for I in sq.indices:
             w = sq.norm_sq(I) * ext_norm
             out.extend([w] * ep.size)
-    return out
+    return tuple(out)

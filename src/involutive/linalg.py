@@ -344,32 +344,25 @@ class Matrix:
     def kernel(self) -> list[Vector]:
         """A canonical basis of the null space (one vector per free column)."""
         red, pivots = self.rref()
-        pivot_set = set(pivots)
-        free = [c for c in range(self.ncols) if c not in pivot_set]
-        basis = []
-        for f in free:
-            v = [_ZERO] * self.ncols
-            v[f] = _ONE
-            for i, p in enumerate(pivots):
-                v[p] = -red.rows[i][f]
-            basis.append(v)
-        return basis
+        return _kernel_of_rref(red.rows, pivots, self.ncols)
 
-    def solve(self, rhs: Sequence[Fraction]) -> Vector:
-        """One exact solution of self * x = rhs with free variables set to 0.
-
-        Raises Inconsistent when rhs is outside the column space.
-        """
+    def _augmented_rref(self, rhs: Sequence[Fraction]) -> tuple[list[Vector], list[int]]:
+        """rref of [self | rhs], checked consistent: its rows and pivots."""
         if len(rhs) != self.nrows:
             raise DimensionMismatch("rhs length mismatch")
         aug = self.hstack(Matrix._of([[frac(b)] for b in rhs], 1))
         red, pivots = aug.rref()
         if self.ncols in pivots:
             raise Inconsistent("right-hand side is not in the column space")
-        x = [_ZERO] * self.ncols
-        for i, p in enumerate(pivots):
-            x[p] = red.rows[i][self.ncols]
-        return x
+        return red.rows, pivots
+
+    def solve(self, rhs: Sequence[Fraction]) -> Vector:
+        """One exact solution of self * x = rhs with free variables set to 0.
+
+        Raises Inconsistent when rhs is outside the column space.
+        """
+        rows, pivots = self._augmented_rref(rhs)
+        return _solution_of_rref(rows, pivots, self.ncols)
 
     def inverse(self) -> "Matrix":
         if self.nrows != self.ncols:
@@ -430,13 +423,42 @@ class ColumnCoordinates:
         return x
 
 
+def _kernel_of_rref(rows: list[Vector], pivots: list[int], ncols: int) -> list[Vector]:
+    """The canonical null-space basis of the first ncols columns of a
+    reduced row-echelon form whose pivots all lie among them."""
+    pivot_set = set(pivots)
+    basis = []
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        v = [_ZERO] * ncols
+        v[f] = _ONE
+        for i, p in enumerate(pivots):
+            v[p] = -rows[i][f]
+        basis.append(v)
+    return basis
+
+
+def _solution_of_rref(rows: list[Vector], pivots: list[int], ncols: int) -> Vector:
+    """The solution with free variables 0, read off the consistent rref of
+    an augmented matrix [m | rhs] with m of width ncols."""
+    x = [_ZERO] * ncols
+    for i, p in enumerate(pivots):
+        x[p] = rows[i][ncols]
+    return x
+
+
 def solve_affine(m: Matrix, rhs: Sequence[Fraction]) -> tuple[Vector, list[Vector]]:
     """One solution of m*x = rhs together with a kernel basis.
 
-    The full solution set is x + span(kernel).  Raises Inconsistent when
+    The full solution set is x + span(kernel).  Both are read off one
+    rref of [m | rhs]: when the system is consistent every pivot lies in
+    the left block, which is then rref(m).  Raises Inconsistent when
     there is no solution.
     """
-    return m.solve(rhs), m.kernel()
+    rows, pivots = m._augmented_rref(rhs)
+    return (_solution_of_rref(rows, pivots, m.ncols),
+            _kernel_of_rref(rows, pivots, m.ncols))
 
 
 class Subspace:

@@ -25,7 +25,12 @@ the combinatorial norms of bases.gram_diagonal.  Cohomology dimensions do
 not depend on this choice; harmonic representatives and sigma do, so the
 choice is fixed here once.  The adjoint of a differential with matrix D
 between cells with Gram matrices G_src, G_dst is G_src^{-1} D^T G_dst,
-not the bare transpose, because the cell bases are not orthonormal.
+not the bare transpose, because the cell bases are not orthonormal;
+codifferential forms it.  A harmonic split needs only the spaces the
+adjoints cut out, and those are G-orthogonal complements inside its own
+cell: Ker delta*_in = kernel(D_in^T G) and B_{q,p} = kernel(K^T G) for
+a basis K of Ker delta_out.  So a split builds one cell and inverts no
+Gram matrix.
 
 Cell coordinates order the basis of A^(q-1) first (Tableau.jet_basis:
 the tableau generators for q = 1, the canonical reduced basis of the
@@ -76,22 +81,21 @@ class SpencerCell:
             a_basis = Matrix.identity(r).rows
         else:
             a_basis = tableau.jet_basis(q - 1, max_dim)
-        wedge = ext_basis(n, p)
-        self.dim = len(a_basis) * wedge.size
-        full_dim = full_space_dim(n, r, q, p)
-        cols = []
-        for av in a_basis:
-            for k in range(wedge.size):
-                col = [Fraction(0)] * full_dim
-                for pos, c in enumerate(av):
-                    if c != 0:
-                        col[pos * wedge.size + k] = c
-                cols.append(col)
-        self.embed = Matrix.from_columns(cols, nrows=full_dim)
+        w = ext_basis(n, p).size
+        self.dim = len(a_basis) * w
+        # basis vector alpha (x) w_k is column alpha * w + k; its entry c at
+        # position pos of A^(q-1) sits in row pos * w + k
+        zeros = [Fraction(0) for _ in range(self.dim)]
+        rows = [zeros[:] for _ in range(full_space_dim(n, r, q, p))]
+        for alpha, av in enumerate(a_basis):
+            for pos, c in enumerate(av):
+                if c != 0:
+                    for k in range(w):
+                        rows[pos * w + k][alpha * w + k] = c
+        self.embed = Matrix._of(rows, self.dim)
         g_full = gram_diagonal(n, r, q, p)
-        scaled = Matrix(
-            [[g_full[i] * x for x in row] for i, row in enumerate(self.embed.rows)],
-            ncols=self.dim,
+        scaled = Matrix._of(
+            [[g_full[i] * x for x in row] for i, row in enumerate(rows)], self.dim
         )
         self.gram = self.embed.transpose().matmul(scaled)
 
@@ -130,12 +134,17 @@ def delta(cell, max_dim=DEFAULT_MAX_DIM):
     (StructureViolation otherwise); delta^{0,p} = 0 by convention and the
     matrix then has zero rows.
     """
-    t, q, p, n = cell.tableau, cell.q, cell.p, cell.tableau.a_dim
+    return _delta(cell.tableau, cell.q, cell.p, cell.dim, max_dim)
+
+
+def _delta(t, q, p, dim, max_dim=DEFAULT_MAX_DIM):
+    """delta out of C^{q,p}, a cell of dimension dim, without the cell."""
+    n = t.a_dim
     if q == 0 or p >= n:
-        return Matrix.zeros(0, cell.dim)
+        return Matrix.zeros(0, dim)
     src, dst = ext_basis(n, p), ext_basis(n, p + 1)
     contractions = [t.contraction(q - 1, i, max_dim) for i in range(n)]
-    m = Matrix.zeros(contractions[0].nrows * dst.size, cell.dim)
+    m = Matrix.zeros(contractions[0].nrows * dst.size, dim)
     for i, c in enumerate(contractions):
         for k, K in enumerate(src.indices):
             wk = wedge_insert(i, K)
@@ -236,7 +245,7 @@ def _orthogonal(u, v, gram):
 
 
 class HarmonicSplit:
-    """Harmonic decomposition of one Spencer cell.
+    """Harmonic decomposition of one Spencer cell, from its own Gram matrix.
 
     Fields (all in cell coordinates of C^{q,p}):
       b_up      image of delta from C^{q+1,p-1}            (B^{q,p})
@@ -245,6 +254,15 @@ class HarmonicSplit:
       sigma_matrix  matrix of the inverse of delta restricted to b_down,
                 written in the bases (image of delta in C^{q-1,p+1}) ->
                 (basis of b_down); square of size dim b_down
+
+    Only the cell C^{q,p} and its Gram matrix G are built.  G is
+    positive definite (E^T diag(g) E with E injective and g > 0), so the
+    adjoint spaces are G-orthogonal complements: Ker delta*_in is the
+    complement of Im delta_in, kernel(D_in^T G), and B_{q,p} = Im
+    delta*_out is the complement of Ker delta_out, kernel(K^T G) for the
+    basis K of Ker delta_out.  The spaces, hence their canonical bases,
+    are those of the adjoints G_src^{-1} D^T G_dst, with no neighbouring
+    cell and no Gram inverse.
 
     Construction verifies the decomposition identities exactly:
     pairwise orthogonality, Ker delta = B (+) H, Ker delta* = H (+) B_,
@@ -258,34 +276,21 @@ class HarmonicSplit:
         cell = SpencerCell(tableau, q, p, max_dim)
         self.cell = cell
         n = tableau.a_dim
-        d_out = delta(cell, max_dim)
-        # incoming differential and its adjoint (for Ker delta*)
+        g = cell.gram
+        self.d_out = delta(cell, max_dim)
         if p >= 1:
-            src = SpencerCell(tableau, q + 1, p - 1, max_dim)
-            d_in = delta(src, max_dim)
-            if src.dim and cell.dim:
-                adj_in = _adjoint(d_in, src.gram, cell.gram)
-            else:
-                adj_in = Matrix.zeros(0, cell.dim)
+            src_dim = tableau.dim_at(q, max_dim) * ext_basis(n, p - 1).size
+            d_in = _delta(tableau, q + 1, p - 1, src_dim, max_dim)
         else:
             d_in = Matrix.zeros(cell.dim, 0)
-            adj_in = Matrix.zeros(0, cell.dim)
-        # adjoint of the outgoing differential (for B_{q,p})
-        if q >= 1 and p < n and cell.dim:
-            dst = SpencerCell(tableau, q - 1, p + 1, max_dim)
-            self._target_cell = dst
-            if dst.dim:
-                adj_out = _adjoint(d_out, cell.gram, dst.gram)
-            else:
-                adj_out = Matrix.zeros(cell.dim, 0)
+        self._has_target = q >= 1 and p < n and cell.dim > 0
+        self.b_up = _image_subspace(d_in)
+        ker_out = kernel(self.d_out)
+        ker_adj_in = kernel(d_in.transpose().matmul(g))
+        if self._has_target:
+            self.b_down = kernel(ker_out.basis_matrix().matmul(g))
         else:
-            self._target_cell = None
-            adj_out = Matrix.zeros(cell.dim, 0)
-        self.d_out = d_out
-        self.b_up = _image_subspace(d_in) if cell.dim else Subspace(0, [])
-        self.b_down = _image_subspace(adj_out)
-        ker_out = kernel(d_out) if d_out.nrows else Subspace(cell.dim, Matrix.identity(cell.dim).rows)
-        ker_adj_in = kernel(adj_in) if adj_in.nrows else Subspace(cell.dim, Matrix.identity(cell.dim).rows)
+            self.b_down = Subspace(cell.dim, [])
         self.harmonic = ker_out.intersect(ker_adj_in)
         self._verify(ker_out, ker_adj_in)
         self.sigma_matrix = self._build_sigma()
@@ -328,7 +333,7 @@ class HarmonicSplit:
         delta restricted to b_down and its factorisation are kept for
         sigma_on_cell_coords.
         """
-        if self._target_cell is None:
+        if not self._has_target:
             return Matrix.zeros(0, 0)
         self._b_down_matrix = Matrix.from_columns(self.b_down.basis, nrows=self.cell.dim)
         image_basis = _image_subspace(self.d_out).basis
@@ -348,7 +353,7 @@ class HarmonicSplit:
 
     def sigma_on_cell_coords(self, target_cell_coords):
         """Preimage in B_{q,p} of a target given in C^{q-1,p+1} coordinates."""
-        if self._target_cell is None:
+        if not self._has_target:
             if any(x != 0 for x in target_cell_coords):
                 raise NotInImage("the differential out of this cell is zero")
             return [Fraction(0)] * self.cell.dim
@@ -363,8 +368,21 @@ class HarmonicSplit:
 
 
 def harmonic_split(t, q, p, max_dim=DEFAULT_MAX_DIM):
-    """Harmonic decomposition of C^{q,p}(A); see HarmonicSplit."""
-    return HarmonicSplit(t, q, p, max_dim)
+    """Harmonic decomposition of C^{q,p}(A); see HarmonicSplit.
+
+    Built once per (q, p) and shared through the tableau, written under
+    its lock like the contractions; a failed build stores nothing.  The
+    tableau holds its splits weakly, since each split refers back to it
+    through its cell: a split lives as long as a caller (a TowerData, a
+    sigma) holds it, and the tableau is freed by reference counting.
+    """
+    key = (q, p)
+    split = t._splits.get(key)
+    if split is None:
+        split = HarmonicSplit(t, q, p, max_dim)
+        with t._lock:
+            split = t._splits.setdefault(key, split)
+    return split
 
 
 def sigma(t, q, p, max_dim=DEFAULT_MAX_DIM):
@@ -379,8 +397,8 @@ def sigma(t, q, p, max_dim=DEFAULT_MAX_DIM):
         raise InputError("sigma needs q >= 1, got %d" % q)
     if p >= t.a_dim:
         raise InputError("sigma needs p < a_dim, got p = %d" % p)
-    split = HarmonicSplit(t, q, p, max_dim)
-    target_cell = split._target_cell or SpencerCell(t, q - 1, p + 1, max_dim)
+    split = harmonic_split(t, q, p, max_dim)
+    target_cell = SpencerCell(t, q - 1, p + 1, max_dim)
 
     def apply(target):
         if not isinstance(target, GradedCoords):

@@ -58,9 +58,9 @@ from .errors import (
     NotTwoAcyclic,
     StructureViolation,
 )
-from .linalg import Matrix, Subspace
+from .linalg import IntegerEchelon, Matrix, Subspace, clear_denominators
 from .poly import Polynomial, PolyMap, linear_combination
-from .spencer import HarmonicSplit, SpencerCell, delta, two_acyclicity_report
+from .spencer import SpencerCell, delta, harmonic_split, two_acyclicity_report
 from .tableau import DEFAULT_MAX_DIM, Tableau
 
 _EXPANSION_CAP = 20000
@@ -202,12 +202,21 @@ class TowerData:
 
     jet is the JetVars layout of order h, which builds every level the
     tower reads under max_dim, and splits[r] the HarmonicSplit of C^{r,1}
-    for r = 1..h+1.  The contraction of level s by e_i is
-    tableau.contraction(s, i), memoised on the tableau and shared by
-    every tower over it.  s_chain[r-1] is S_(r), a PolyMap on the
-    jet layout whose components are the cell coordinates of C^{r,1}(A)
-    (index alpha * n + i for the level-(r-1) coordinate alpha and the dx
-    slot i); build_s_chain appends them in order.
+    for r = 1..h+1, read through spencer.harmonic_split, so towers over
+    one tableau that are alive together share them.  The contraction of
+    level s by e_i is tableau.contraction(s, i), memoised on the tableau
+    and shared by every tower over it.
+    s_chain[r-1] is S_(r), a PolyMap on the jet layout whose components
+    are the cell coordinates of C^{r,1}(A) (index alpha * n + i for the
+    level-(r-1) coordinate alpha and the dx slot i); build_s_chain
+    appends them in order.
+
+    build_s_chain also keeps the report of the chain identities it has
+    proved, with the system and the chain components it checked.
+    verify_structure_equations reuses that report only for the same
+    system object and a chain whose components are still the ones that
+    were checked; a hand-built tower, or one whose chain was edited,
+    has its identities evaluated again.
     """
 
     def __init__(self, tableau, order, s_chain=(), max_dim=DEFAULT_MAX_DIM):
@@ -216,8 +225,9 @@ class TowerData:
         self.s_chain = list(s_chain)
         self.jet = JetVars(tableau, top=order, max_dim=max_dim)
         self.splits = {
-            r: HarmonicSplit(tableau, r, 1, max_dim) for r in range(1, order + 2)
+            r: harmonic_split(tableau, r, 1, max_dim) for r in range(1, order + 2)
         }
+        self._checked = None
 
     def coefficient_form(self, r):
         """g_(r) with beta_(r) = dq_(r) - g_(r)(dx), in the layout of
@@ -410,9 +420,10 @@ def build_s_chain(sys, h, samples=5, seed=0, max_dim=DEFAULT_MAX_DIM, k=None):
 
     Requires two-acyclicity in the range the chain uses; every S_(r) is
     the canonical preimage inside B_{r,1}(A) and the defining identities
-    are re-checked exactly before returning.  k is the involutive index
-    of the tableau when the caller already holds it (see
-    two_acyclicity_report).
+    are re-checked exactly before returning.  The tower keeps that report
+    for verify_structure_equations on the same system and chain.  k is
+    the involutive index of the tableau when the caller already holds it
+    (see two_acyclicity_report).
     """
     t = sys.tableau
     report = two_acyclicity_report(
@@ -445,7 +456,23 @@ def build_s_chain(sys, h, samples=5, seed=0, max_dim=DEFAULT_MAX_DIM, k=None):
         raise StructureViolation(
             "chain construction failed its own identities: %r" % (bad[0],)
         )
+    tower._checked = (sys, _chain_components(tower), rep)
     return tower
+
+
+def _chain_components(tower):
+    """A snapshot of the chain: the component polynomials of each S_(r)."""
+    return tuple(tuple(s_map.components) for s_map in tower.s_chain)
+
+
+def _chain_checks(sys, tower):
+    """The chain-identity report: the one build_s_chain kept when sys is
+    the system it checked and the chain still has the components it
+    checked, else a fresh evaluation."""
+    kept = tower._checked
+    if kept is not None and kept[0] is sys and kept[1] == _chain_components(tower):
+        return [dict(c) for c in kept[2]]
+    return _verify_delta_identities(sys, tower)
 
 
 def _phi_on_jet(sys, nv):
@@ -480,8 +507,11 @@ def _verify_delta_identities(sys, tower):
                 "detail": "",
             }
         )
-        member = all(
-            split.b_down.contains(vec)
+        # one echelon per level, seeded with B_{r,1}: a monomial vector
+        # outside it is the first row it keeps
+        echelon = IntegerEchelon(map(clear_denominators, split.b_down.basis))
+        member = not any(
+            echelon.add(clear_denominators(vec))
             for vec in _polymap_monomials(s_map).values()
         )
         checks.append(
@@ -540,15 +570,17 @@ def verify_structure_equations(sys, tower):
         d beta_(r) + beta_(r+1) wedge-dot dx = 0  mod {beta_(0..r)}
 
     (with pi in place of beta_(h)) coefficient-by-coefficient in the
-    polynomial coordinate ring.  Also re-checks the chain identities.
-    Returns a report; raises StructureViolation on the first failing
-    identity, carrying (r, component).
+    polynomial coordinate ring.  The report also carries the chain
+    identities: the ones build_s_chain proved when it built this tower
+    for sys and the chain is unchanged (see TowerData), otherwise
+    evaluated here.  Returns a report; raises StructureViolation on the
+    first failing identity, carrying (r, component).
     """
     jet = tower.jet
     h = tower.order
     n = jet.n
     nv = jet.num_vars
-    checks = _verify_delta_identities(sys, tower)
+    checks = _chain_checks(sys, tower)
     gforms = [tower.coefficient_form(r) for r in range(h + 1)]
 
     def reduce_label(label, level_cap):

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import random
 import threading
+import weakref
 from fractions import Fraction
 from operator import mul
 
@@ -135,7 +136,9 @@ class Tableau:
     the tower and the Spencer differential alike; it and the view layout
     read the same position list (_view_positions, over bases.sym_raise).
     Certified characters are memoised per (level, samples, seed), so
-    repeated Cartan tests of one tableau sample their flags once.
+    repeated Cartan tests of one tableau sample their flags once, and
+    spencer.harmonic_split shares each harmonic split per (q, p) for as
+    long as anything, such as a TowerData, holds it.
     """
 
     def __init__(self, a_dim, b_dim, generators):
@@ -167,6 +170,8 @@ class Tableau:
         self._gen_coords = None
         self._int_bases = {}
         self._contractions = {}
+        # weak: a split holds its cell, which holds this tableau
+        self._splits = weakref.WeakValueDictionary()
         self._characters = {}
         self._lock = threading.Lock()
 
@@ -522,7 +527,8 @@ def character_partial_sums(tab, flag, h=0):
     rank from step to step: step j adds only the rows of flag row j, one
     per b-coordinate of the view, each a dot product of that
     coordinate's column block with the flag row cleared of denominators
-    (scaling a row or a column changes no rank).
+    (scaling a row or a column changes no rank).  Once the rank reaches
+    dim A^(h) every further row is dependent, so none is added.
     """
     n = tab.a_dim
     rows = flag.rows if isinstance(flag, Matrix) else flag
@@ -538,6 +544,8 @@ def character_partial_sums(tab, flag, h=0):
             v = clear_denominators(rows[j])
             for off in range(0, width, n):
                 echelon.add([sum(map(mul, bv[off:off + n], v)) for bv in basis])
+                if len(echelon) == d:
+                    break
         sums.append(len(echelon))
     return sums
 

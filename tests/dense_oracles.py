@@ -14,6 +14,10 @@ bracket_into_per_pair is the pair-by-pair Subspace.contains check that
 one rank test replaced.  view_route_involutive_index is the involutive
 index search that builds the view tableau of every order and prolongs
 it, the oracle for the search on the prolongation tower.
+AdjointHarmonicSplit and adjoint_sigma build a harmonic split from three
+Spencer cells and the Gram adjoints of both differentials, the oracle for
+the split read off the Gram matrix of its own cell; dense_cohomology_dim
+counts H^{q,p} with the dense Koszul differential on the cell embeddings.
 """
 
 from __future__ import annotations
@@ -21,9 +25,16 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from involutive.errors import CapExceeded, DimensionMismatch, UnstableGenericity
-from involutive.linalg import Matrix
+from involutive.bases import GradedCoords, koszul_delta_full
+from involutive.errors import (
+    CapExceeded,
+    DimensionMismatch,
+    InputError,
+    UnstableGenericity,
+)
+from involutive.linalg import Matrix, Subspace, kernel
 from involutive.poly import Polynomial
+from involutive.spencer import HarmonicSplit, SpencerCell, delta
 from involutive.tableau import DEFAULT_MAX_DIM, cartan_test
 
 
@@ -232,3 +243,96 @@ def view_route_involutive_index(tab, h_max, samples=5, seed=0,
     if k is None:
         raise CapExceeded("no involutive prolongation up to order %d" % h_max)
     return {"k": k, "involutive_characters": k_chars, "trajectory": trajectory}
+
+
+def _adjoint(d, gram_src, gram_dst):
+    """Adjoint G_src^{-1} d^T G_dst of d: src -> dst."""
+    return gram_src.inverse().matmul(d.transpose().matmul(gram_dst))
+
+
+def _image(m):
+    return Subspace(m.nrows, m.transpose().rows)
+
+
+class AdjointHarmonicSplit(HarmonicSplit):
+    """The harmonic split of C^{q,p} built from three cells: Ker delta*_in
+    is the kernel of the adjoint of the incoming differential, B_{q,p} the
+    image of the adjoint of the outgoing one, each adjoint formed with
+    the inverse of a Gram matrix.  The checks, sigma and dims are those of
+    HarmonicSplit; _target_cell is the cell C^{q-1,p+1} when delta out
+    is nonzero."""
+
+    def __init__(self, tableau, q, p, max_dim=DEFAULT_MAX_DIM):
+        self.tableau = tableau
+        self.q = q
+        self.p = p
+        cell = SpencerCell(tableau, q, p, max_dim)
+        self.cell = cell
+        n = tableau.a_dim
+        d_out = delta(cell, max_dim)
+        if p >= 1:
+            src = SpencerCell(tableau, q + 1, p - 1, max_dim)
+            d_in = delta(src, max_dim)
+            if src.dim and cell.dim:
+                adj_in = _adjoint(d_in, src.gram, cell.gram)
+            else:
+                adj_in = Matrix.zeros(0, cell.dim)
+        else:
+            d_in = Matrix.zeros(cell.dim, 0)
+            adj_in = Matrix.zeros(0, cell.dim)
+        if q >= 1 and p < n and cell.dim:
+            dst = SpencerCell(tableau, q - 1, p + 1, max_dim)
+            self._target_cell = dst
+            if dst.dim:
+                adj_out = _adjoint(d_out, cell.gram, dst.gram)
+            else:
+                adj_out = Matrix.zeros(cell.dim, 0)
+        else:
+            self._target_cell = None
+            adj_out = Matrix.zeros(cell.dim, 0)
+        self._has_target = self._target_cell is not None
+        self.d_out = d_out
+        self.b_up = _image(d_in) if cell.dim else Subspace(0, [])
+        self.b_down = _image(adj_out)
+        full = Subspace.full(cell.dim)
+        ker_out = kernel(d_out) if d_out.nrows else full
+        ker_adj_in = kernel(adj_in) if adj_in.nrows else full
+        self.harmonic = ker_out.intersect(ker_adj_in)
+        self._verify(ker_out, ker_adj_in)
+        self.sigma_matrix = self._build_sigma()
+
+
+def adjoint_sigma(t, q, p, max_dim=DEFAULT_MAX_DIM):
+    """spencer.sigma over an AdjointHarmonicSplit and its target cell."""
+    if q < 1:
+        raise InputError("sigma needs q >= 1, got %d" % q)
+    if p >= t.a_dim:
+        raise InputError("sigma needs p < a_dim, got p = %d" % p)
+    split = AdjointHarmonicSplit(t, q, p, max_dim)
+    target_cell = split._target_cell or SpencerCell(t, q - 1, p + 1, max_dim)
+
+    def apply(target):
+        if not isinstance(target, GradedCoords):
+            raise InputError("sigma expects GradedCoords")
+        if (target.q, target.p) != (q - 1, p + 1):
+            raise DimensionMismatch("sigma target has the wrong bidegree")
+        cy = target_cell.coordinates_of(list(target.coords))
+        cx = split.sigma_on_cell_coords(cy)
+        return GradedCoords(q, p, split.cell.embed_coords(cx))
+
+    return apply
+
+
+def dense_cohomology_dim(t, q, p, max_dim=DEFAULT_MAX_DIM):
+    """dim H^{q,p} = dim Ker delta - rank of the incoming delta, each delta
+    the dense Koszul differential of the full tensor space applied to the
+    cell embedding, ranked by dense_rref."""
+    n, r = t.a_dim, t.b_dim
+
+    def rank_on(q_, p_):
+        embed = SpencerCell(t, q_, p_, max_dim).embed
+        image = koszul_delta_full(n, r, q_, p_).matmul(embed)
+        return len(dense_rref(image.rows, image.ncols)[1])
+
+    ker = SpencerCell(t, q, p, max_dim).dim - rank_on(q, p)
+    return ker - (rank_on(q + 1, p - 1) if p >= 1 else 0)

@@ -156,7 +156,7 @@ def test_gram_diagonal_values():
     assert g[sb.index_of[(0, 1)]] == 2
     assert g[sb.index_of[(1, 1)]] == 1
     g2 = gram_diagonal(2, 1, 0, 2)
-    assert g2 == [Fraction(factorial(2))]
+    assert g2 == (Fraction(factorial(2)),)
     g3 = gram_diagonal(3, 2, 1, 1)
     assert len(g3) == full_space_dim(3, 2, 1, 1)
     assert all(x == 1 for x in g3)

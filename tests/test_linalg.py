@@ -150,6 +150,32 @@ def test_solution_set_structure_random():
         assert Subspace(m.ncols, ker).contains(diff)
 
 
+def test_solve_affine_matches_dense_oracle():
+    # one rref of [m | rhs] gives the solution with free variables 0 and
+    # the canonical kernel, the same as a dense solve and a dense kernel
+    rng = random.Random(1904)
+    consistent = 0
+    for _ in range(60):
+        m = rand_matrix(rng, rng.randint(1, 5), rng.randint(1, 5), span=3)
+        if rng.random() < 0.3:
+            rhs = [Fraction(rng.randint(-3, 3)) for _ in range(m.nrows)]
+        else:
+            rhs = m.matvec([Fraction(rng.randint(-3, 3)) for _ in range(m.ncols)])
+        red, pivots = dense_rref([row + [b] for row, b in zip(m.rows, rhs)], m.ncols + 1)
+        if m.ncols in pivots:
+            with pytest.raises(Inconsistent):
+                solve_affine(m, rhs)
+            continue
+        x = [Fraction(0)] * m.ncols
+        for i, p in enumerate(pivots):
+            x[p] = red[i][m.ncols]
+        assert solve_affine(m, rhs) == (x, dense_kernel(m.rows, m.ncols))
+        consistent += 1
+    assert consistent >= 40
+    with pytest.raises(DimensionMismatch):
+        solve_affine(Matrix.identity(2), vec([1]))
+
+
 def test_inverse_round_trip():
     rng = random.Random(17)
     found = 0

@@ -7,8 +7,16 @@ from math import comb
 
 import pytest
 
+from dense_oracles import AdjointHarmonicSplit, adjoint_sigma
 from involutive.bases import GradedCoords, koszul_delta_full
-from involutive.errors import DimensionMismatch, Inconsistent, NotInImage, StructureViolation
+from involutive.errors import (
+    CapExceeded,
+    DimensionMismatch,
+    Inconsistent,
+    InputError,
+    NotInImage,
+    StructureViolation,
+)
 from involutive.linalg import Matrix, Subspace
 from involutive.spencer import (
     HarmonicSplit,
@@ -20,7 +28,7 @@ from involutive.spencer import (
     sigma,
     two_acyclicity_report,
 )
-from involutive.tableau import Tableau, cartan_test
+from involutive.tableau import DEFAULT_MAX_DIM, Tableau, cartan_test
 
 
 def full_tableau(n, r):
@@ -226,6 +234,74 @@ def test_harmonic_split_dims_sum_and_match_cohomology():
                 b, h, bd = split.dims()
                 assert b + h + bd == split.cell.dim
                 assert h == cohomology_dim(t, q, p)
+
+
+def _outcome(build):
+    """The result of build(), or the type of the error it raised."""
+    try:
+        return build()
+    except Exception as exc:  # the type is what the routes must agree on
+        return type(exc)
+
+
+def _split_record(split):
+    return (
+        split.dims(),
+        split.b_up.basis,
+        split.harmonic.basis,
+        split.b_down.basis,
+        (split.sigma_matrix.nrows, split.sigma_matrix.ncols, split.sigma_matrix.rows),
+        (split.d_out.nrows, split.d_out.ncols, split.d_out.rows),
+    )
+
+
+def test_gram_complement_split_matches_the_adjoint_route():
+    # the split read off its own cell's Gram matrix against the three-cell
+    # adjoint route, bit for bit; each route runs on its own copy of the
+    # tableau, so a small cap fails at the same cell on both
+    rng = random.Random(2006)
+    cases = [Tableau(1, 1, [[[1]]]), Tableau(1, 2, []), Tableau(2, 2, []),
+             Tableau(3, 1, []), full_tableau(2, 1), wavemap1_tableau(),
+             skew_tableau(), diag_tableau()]
+    while len(cases) < 44:
+        n, r = rng.randint(1, 3), rng.randint(1, 3)
+        cases.append(random_tableau(rng, n, r, rng.randint(0, min(4, n * r))))
+    seen = {"records": 0, "errors": set(), "sigma": 0}
+    for t in cases:
+        blob = t.to_json_dict()
+        fresh, old = Tableau.from_json_dict(blob), Tableau.from_json_dict(blob)
+        max_dim = rng.choice((DEFAULT_MAX_DIM, 12))
+        n = t.a_dim
+        for q in range(-1, 4):
+            for p in range(-1, n + 2):
+                got = _outcome(lambda: HarmonicSplit(fresh, q, p, max_dim))
+                want = _outcome(lambda: AdjointHarmonicSplit(old, q, p, max_dim))
+                seen["records"] += 1
+                if isinstance(want, type):
+                    assert got is want, (blob, q, p)
+                    seen["errors"].add(want)
+                    continue
+                assert _split_record(got) == _split_record(want), (blob, q, p)
+                s_new = _outcome(lambda: sigma(fresh, q, p, max_dim))
+                s_old = _outcome(lambda: adjoint_sigma(old, q, p, max_dim))
+                if isinstance(s_old, type):
+                    assert s_new is s_old, (blob, q, p)
+                    continue
+                target = SpencerCell(fresh, q - 1, p + 1)
+                for _ in range(3):
+                    v = [Fraction(rng.randint(-3, 3)) for _ in range(got.cell.dim)]
+                    image = GradedCoords(
+                        q - 1, p + 1, target.embed_coords(got.d_out.matvec(v))
+                    )
+                    assert s_new(image).coords == s_old(image).coords
+                    seen["sigma"] += 1
+                stray = GradedCoords(q - 1, p + 1, [
+                    Fraction(rng.randint(-2, 2)) for _ in range(target.embed.nrows)
+                ])
+                a, b = _outcome(lambda: s_new(stray)), _outcome(lambda: s_old(stray))
+                assert a is b if isinstance(b, type) else a.coords == b.coords
+    assert seen["records"] >= 600 and seen["sigma"] >= 100, seen
+    assert {InputError, CapExceeded} <= seen["errors"], seen
 
 
 def test_adjointness_exact():

@@ -4,7 +4,10 @@ import random
 import pytest
 from fractions import Fraction
 
+from dense_oracles import dense_cohomology_dim
+from involutive import systems
 from involutive.errors import (
+    CapExceeded,
     DimensionMismatch,
     InputError,
     NotInImage,
@@ -34,7 +37,8 @@ from involutive.systems import (
     check_torsion_condition,
     verify_structure_equations,
 )
-from involutive.tableau import Tableau, cartan_test, characters
+from involutive.tableau import Tableau, cartan_test, characters, involutive_index
+from test_spencer import random_tableau
 
 
 def full3_tableau():
@@ -337,6 +341,32 @@ def test_s_chain_needs_two_acyclicity():
         build_s_chain(sys, h=1)
 
 
+def test_not_two_acyclic_refusals_match_dense_cohomology():
+    # at its involutive index k = 1..3 a tableau is refused exactly when
+    # some H^{q,2}, q = 1..k+1 (the range build_s_chain checks), is
+    # nonzero by the dense Koszul count; Phi = 0 is always in B^{0,2}
+    rng = random.Random(1887)
+    seen = {"refused": 0, "accepted": 0}
+    while seen["refused"] < 20 or seen["accepted"] < 3:
+        n, r = rng.choice((2, 3)), rng.randint(1, 3)
+        t = random_tableau(rng, n, r, rng.randint(1, min(6, n * r)))
+        try:
+            k = involutive_index(t, h_max=3)["k"]
+        except CapExceeded:
+            continue
+        if k == 0:
+            continue
+        dims = [dense_cohomology_dim(t, q, 2) for q in range(1, k + 2)]
+        try:
+            build_s_chain(System(t, {}), h=k)
+        except NotTwoAcyclic:
+            assert any(dims), (t.to_json_dict(), k, dims)
+            seen["refused"] += 1
+        else:
+            assert not any(dims), (t.to_json_dict(), k, dims)
+            seen["accepted"] += 1
+
+
 def test_s_chain_rejects_unsolvable_phi():
     t = Tableau(2, 2, [[[1, 0], [0, 0]]])
     sys = System(t, {(1, 0, 1): Polynomial.variable(3, 0)})
@@ -362,8 +392,8 @@ def test_tampered_tower_is_caught():
 def test_tower_builds_its_splits_and_contractions_once(monkeypatch):
     # order 2: splits of C^{1,1}, C^{2,1}, C^{3,1} and the contractions
     # of levels 0 to 3 in both directions, shared by the Spencer
-    # differentials of the splits, the chain, both runs of the delta
-    # identities and the structure equations; the contractions live on
+    # differentials of the splits, the chain, the delta identities and
+    # the structure equations; splits and contractions are shared through
     # the tableau, so a second tower over it builds none of them again
     counts = {"splits": 0, "contractions": 0}
     split_init, contraction = HarmonicSplit.__init__, Tableau.contraction
@@ -385,7 +415,59 @@ def test_tower_builds_its_splits_and_contractions_once(monkeypatch):
     assert counts == {"splits": 3, "contractions": 8}
     again = build_s_chain(sys, h=2)
     assert verify_structure_equations(sys, again)["all_passed"]
-    assert counts["contractions"] == 8
+    assert counts == {"splits": 3, "contractions": 8}
+    assert again.splits == tower.splits
+
+
+def test_structure_equations_reuse_the_chain_report(monkeypatch):
+    # build_s_chain evaluates delta(S_(r)) = -Dbar(S_(r-1)) once per r to
+    # build the chain and once to prove it; verify_structure_equations on
+    # the same system and chain reuses that proof, while a tower built by
+    # hand is checked afresh
+    calls = []
+    dbar = systems._dbar
+
+    def counting_dbar(tower, ell):
+        calls.append(ell)
+        return dbar(tower, ell)
+
+    monkeypatch.setattr(systems, "_dbar", counting_dbar)
+    sys = wavemap_su2()
+    tower = build_s_chain(sys, h=2)
+    assert calls == [1, 2, 1, 2]
+    report = verify_structure_equations(sys, tower)
+    assert calls == [1, 2, 1, 2]
+    assert [c["name"] for c in report["checks"][:6]] == [
+        "delta_S1_equals_phi", "S1_valued_in_B_11",
+        "delta_S2_equals_minus_dbar_S1", "S2_valued_in_B_21",
+        "delta_S3_equals_minus_dbar_S2", "S3_valued_in_B_31",
+    ]
+    by_hand = TowerData(sys.tableau, 2, tower.s_chain)
+    assert verify_structure_equations(sys, by_hand) == report
+    assert calls == [1, 2, 1, 2, 1, 2]
+    # an equal system that is another object is checked afresh too
+    other = System.from_json_dict(sys.to_json_dict())
+    assert verify_structure_equations(other, tower) == report
+    assert calls == [1, 2, 1, 2, 1, 2, 1, 2]
+
+
+def test_edited_chain_is_checked_again():
+    # order 0 has no structure equation, so only the chain identities can
+    # catch an edited S_(1)
+    sys = wavemap_su2()
+    tower = build_s_chain(sys, h=0)
+    assert verify_structure_equations(sys, tower)["all_passed"]
+    nv = tower.jet.num_vars
+    bump = PolyMap(nv, [Polynomial.constant(nv, 1)]
+                   + [Polynomial.zero(nv)] * (tower.s_chain[0].dim - 1))
+    tower.s_chain[0] = tower.s_chain[0].add(bump)
+    with pytest.raises(StructureViolation):
+        verify_structure_equations(sys, tower)
+    # so is a component replaced inside S_(1)
+    tower = build_s_chain(sys, h=0)
+    tower.s_chain[0].components[0] = Polynomial.constant(nv, 1)
+    with pytest.raises(StructureViolation):
+        verify_structure_equations(sys, tower)
 
 
 # ----------------------------------------------------- frozen sign checks
