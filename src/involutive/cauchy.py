@@ -489,8 +489,10 @@ def verify_solution(sys, sol):
     f = sol.u_maps[0].compose(PolyMap.linear(a_inv.rows, n).components, d)
     subs = _affine_x_of_u(n, sol.x0, Matrix.identity(n)) + list(f.components)
     keys = [(b, i, j) for i in range(n) for j in range(i + 1, n) for b in range(r)]
+    phi = PolyMap(sys.num_vars, [sys.phi_component(*key) for key in keys])
+    phi_of_f = phi.compose(subs, d).components
     worst = None
-    for b, i, j in keys:
+    for (b, i, j), phi_bij in zip(keys, phi_of_f):
         lhs = Polynomial.zero(n)
         for alpha, gmat in enumerate(t.generators):
             ci = gmat.rows[b][i]
@@ -499,7 +501,7 @@ def verify_solution(sys, sol):
                 lhs = lhs.add(f.components[alpha].partial(j).scale(ci))
             if cj:
                 lhs = lhs.sub(f.components[alpha].partial(i).scale(cj))
-        res = lhs.truncate(d).sub(sys.phi_component(b, i, j).compose(subs, d))
+        res = lhs.truncate(d).sub(phi_bij)
         if not res.is_zero():
             low = res.lowest_degree()
             if worst is None or low < worst["degree"]:

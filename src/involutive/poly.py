@@ -6,20 +6,28 @@ the inductively constructed chain maps, residuals, and truncated Taylor
 series, so all operations (product, derivative, composition, evaluation)
 are exact.
 
+Products, substitutions and linear combinations run on integer kernels:
+each operand is cleared once to integer coefficients over the least
+common multiple of its denominators, the inner loops multiply and add
+Python ints, and exactly one normalised Fraction is built per nonzero
+coefficient of the result.  terms stays a dict of nonzero Fractions.
+
 Substitution (Polynomial.compose and PolyMap.compose) runs on one
-kernel, _substitute.  It builds the value of each monomial once, in a
-table shared by every component, and takes an optional degree cap: a
-truncated series composed with a cap d is exact through degree d, and no
-product ever forms a term above d (Polynomial.mul takes the same cap).
-Sums of many scaled polynomials go through linear_combination, which
-accumulates them in one dict.
+kernel, _substitute.  It builds the integer value of each monomial once,
+in a table shared by every component, and takes an optional degree cap:
+a truncated series composed with a cap d is exact through degree d, and
+no product ever forms a term above d (Polynomial.mul takes the same
+cap).  Sums of many scaled polynomials go through linear_combination,
+which accumulates them in one dict.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from operator import add
+from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch
 from .linalg import Vector, frac
@@ -122,18 +130,12 @@ class Polynomial:
     def mul(self, other: "Polynomial", max_degree: int | None = None) -> "Polynomial":
         """Product; with max_degree, terms above it are never formed."""
         self._check(other)
+        den_l, left = _cleared(self.terms)
+        den_r, ints_r = _cleared(other.terms)
+        right = sorted((sum(e), e, c) for e, c in ints_r.items())
         cap = math.inf if max_degree is None else max_degree
-        right = sorted((sum(e), e, c) for e, c in other.terms.items())
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            room = cap - sum(e1)
-            for d2, e2, c2 in right:
-                if d2 > room:
-                    break
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, 0) + c1 * c2
         p = Polynomial(self.num_vars)
-        p.terms = {e: c for e, c in out.items() if c}
+        p.terms = _fractions(_mul_terms(left, right, cap), den_l * den_r)
         return p
 
     def partial(self, var: int) -> "Polynomial":
@@ -277,19 +279,64 @@ class PolyMap:
 def linear_combination(coeffs: Iterable, polys: Iterable[Polynomial],
                        num_vars: int) -> Polynomial:
     """The sum of c * p over the pairs of coeffs and polys, in num_vars
-    variables.  Coefficients accumulate in one dict, so no partial sum is
-    copied; a zero c skips its polynomial."""
-    acc: dict[tuple[int, ...], Fraction] = {}
+    variables, with int or Fraction coefficients.  Every pair is brought
+    to one common denominator and the integer numerators accumulate in
+    one dict, so no partial sum is copied; a zero c skips its
+    polynomial."""
+    scaled = []
+    den = 1
     for c, p in zip(coeffs, polys):
         if p.num_vars != num_vars:
             raise DimensionMismatch("polynomial arity mismatch")
-        if not c:
+        if not c or not p.terms:
             continue
-        for e, v in p.terms.items():
-            acc[e] = acc.get(e, 0) + c * v
+        num, c_den = c.as_integer_ratio()
+        p_den, ints = _cleared(p.terms)
+        scaled.append((num, c_den * p_den, ints))
+        den = math.lcm(den, c_den * p_den)
+    acc: dict[tuple[int, ...], int] = {}
+    for num, d, ints in scaled:
+        k = num * (den // d)
+        for e, v in ints.items():
+            acc[e] = acc.get(e, 0) + k * v
     q = Polynomial(num_vars)
-    q.terms = {e: v for e, v in acc.items() if v}
+    q.terms = _fractions(acc, den)
     return q
+
+
+def _cleared(terms: dict) -> tuple[int, dict]:
+    """(den, ints): the Fraction coefficients of terms as integers over
+    den, the least common multiple of their denominators."""
+    den = 1
+    for c in terms.values():
+        if c.denominator != 1:
+            den = math.lcm(den, c.denominator)
+    if den == 1:
+        return 1, {e: c.numerator for e, c in terms.items()}
+    return den, {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
+
+
+def _fractions(ints: dict, den: int) -> dict:
+    """The nonzero integer coefficients of ints over den, each as one
+    normalised Fraction."""
+    if den == 1:
+        return {e: Fraction(v) for e, v in ints.items() if v}
+    return {e: Fraction(v, den) for e, v in ints.items() if v}
+
+
+def _mul_terms(left: dict, right: list, cap) -> dict:
+    """The product of two integer term dicts, with right given as
+    (degree, exponents, coefficient) sorted by degree; no term above cap
+    is formed and zero sums are dropped."""
+    out: dict[tuple[int, ...], int] = {}
+    for e1, a in left.items():
+        room = cap - sum(e1)
+        for d2, e2, b in right:
+            if d2 > room:
+                break
+            e = tuple(map(add, e1, e2))
+            out[e] = out.get(e, 0) + a * b
+    return {e: c for e, c in out.items() if c}
 
 
 def _substitute(polys: Sequence[Polynomial], num_vars: int,
@@ -297,35 +344,52 @@ def _substitute(polys: Sequence[Polynomial], num_vars: int,
     """Each of polys (all in num_vars variables) with subs[i] put for
     variable i, truncated at max_degree if given.
 
-    The value of every monomial x^e is built at most once per call, as
-    x^(e - e_i) * subs[i] for the last variable i of e, in one table that
-    all of polys share.  Every product is capped at max_degree, so no term
-    above it is formed, and the coefficients of each result accumulate in
-    one dict.
+    The subs are cleared to integers over one common denominator den, so
+    the value of a monomial x^e is an integer term dict over den^|e|.
+    Each value is built at most once per call, as the value of
+    x^(e - e_i) times subs[i] for the last variable i of e, in one table
+    that all of polys share.  Every product is capped at max_degree, so
+    no term above it is formed.  The integer coefficients of each result
+    accumulate in one dict over one denominator.
     """
     if len(subs) != num_vars:
         raise DimensionMismatch("compose needs one substitution per variable")
     m = subs[0].num_vars if subs else 0
     if any(s.num_vars != m for s in subs):
         raise DimensionMismatch("substitutions have mixed arities")
-    one = Polynomial.constant(m, 1)
-    table = {(0,) * num_vars: one if max_degree is None else one.truncate(max_degree)}
-
-    def value(e):
-        v = table.get(e)
-        if v is None:
-            i = max(k for k, x in enumerate(e) if x)
-            v = value(e[:i] + (e[i] - 1,) + e[i + 1:]).mul(subs[i], max_degree)
-            table[e] = v
-        return v
-
+    cap = math.inf if max_degree is None else max_degree
+    cleared = [_cleared(s.terms) for s in subs]
+    den = math.lcm(*(d for d, _ in cleared))
+    factors = [sorted((sum(f), f, c * (den // d)) for f, c in ints.items())
+               for d, ints in cleared]
+    table = {(0,) * num_vars: {(0,) * m: 1} if cap >= 0 else {}}
     out = []
     for p in polys:
-        acc: dict[tuple[int, ...], Fraction] = {}
-        for e, c in p.terms.items():
-            for f, v in value(e).terms.items():
-                acc[f] = acc.get(f, 0) + c * v
+        p_den, ints = _cleared(p.terms)
+        top = max(map(sum, ints), default=0)
+        acc: dict[tuple[int, ...], int] = {}
+        for e, c in ints.items():
+            k = c * den ** (top - sum(e))
+            for f, v in _monomial_value(table, e, factors, cap).items():
+                acc[f] = acc.get(f, 0) + k * v
         q = Polynomial(m)
-        q.terms = {f: v for f, v in acc.items() if v}
+        q.terms = _fractions(acc, p_den * den ** top)
         out.append(q)
     return out
+
+
+def _monomial_value(table: dict, e: tuple, factors: list, cap) -> dict:
+    """The integer value of x^e in the table of _substitute, building the
+    missing values below it iteratively: x^e, then x^(e - e_i) for the
+    last variable i of e, and so on down to a stored value."""
+    chain = []
+    v = table.get(e)
+    while v is None:
+        i = max(k for k, x in enumerate(e) if x)
+        chain.append((e, i))
+        e = e[:i] + (e[i] - 1,) + e[i + 1:]
+        v = table.get(e)
+    for e, i in reversed(chain):
+        v = _mul_terms(v, factors[i], cap)
+        table[e] = v
+    return v

@@ -236,12 +236,9 @@ def _adjoint(d, gram_src, gram_dst):
 
 
 def _orthogonal(u, v, gram):
-    for x in u.basis:
-        gx = gram.matvec(x)
-        for y in v.basis:
-            if sum(a * b for a, b in zip(gx, y)) != 0:
-                return False
-    return True
+    """u and v are G-orthogonal: U G V^T is zero for their basis matrices."""
+    product = u.basis_matrix().matmul(gram).matmul(v.basis_matrix().transpose())
+    return not any(any(row) for row in product.rows)
 
 
 class HarmonicSplit:

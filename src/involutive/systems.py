@@ -437,20 +437,23 @@ def build_s_chain(sys, h, samples=5, seed=0, max_dim=DEFAULT_MAX_DIM, k=None):
     tower = TowerData(t, h, max_dim=max_dim)
     nv = tower.jet.num_vars
 
+    targets = []
+
     def solve_into(r, rhs_map):
         """Append S_(r), the canonical preimage of rhs (C^{r-1,2} coords)
-        under delta^{r,1}."""
+        under delta^{r,1}, and keep rhs as the target of its identity."""
         split = tower.splits[r]
         out = {
             exp: split.sigma_on_cell_coords(vec)
             for exp, vec in _polymap_monomials(rhs_map).items()
         }
         tower.s_chain.append(_polymap_from_monomials(nv, split.cell.dim, out))
+        targets.append(rhs_map)
 
     solve_into(1, _phi_on_jet(sys, nv))
     for r in range(2, h + 2):
         solve_into(r, _dbar(tower, r - 1).scale(Fraction(-1)))
-    rep = _verify_delta_identities(sys, tower)
+    rep = _verify_delta_identities(tower, targets)
     bad = [c for c in rep if not c["passed"]]
     if bad:
         raise StructureViolation(
@@ -472,7 +475,16 @@ def _chain_checks(sys, tower):
     kept = tower._checked
     if kept is not None and kept[0] is sys and kept[1] == _chain_components(tower):
         return [dict(c) for c in kept[2]]
-    return _verify_delta_identities(sys, tower)
+    return _verify_delta_identities(tower, _chain_targets(sys, tower))
+
+
+def _chain_targets(sys, tower):
+    """The right-hand sides Phi, -Dbar(S_(1)), ..., -Dbar(S_(h)) of the
+    chain identities, evaluated on the tower's chain."""
+    nv = tower.jet.num_vars
+    return [_phi_on_jet(sys, nv)] + [
+        _dbar(tower, r).scale(Fraction(-1)) for r in range(1, len(tower.s_chain))
+    ]
 
 
 def _phi_on_jet(sys, nv):
@@ -480,9 +492,10 @@ def _phi_on_jet(sys, nv):
     return PolyMap(nv, [_embed_poly(p, nv) for p in sys.phi_cell_map().components])
 
 
-def _verify_delta_identities(sys, tower):
-    """Exact checks of delta(S_(1)) = Phi and delta(S_(r)) = -Dbar(S_(r-1)),
-    plus membership of every S_(r) in B_{r,1}."""
+def _verify_delta_identities(tower, targets):
+    """Exact checks of delta(S_(1)) = Phi and delta(S_(r)) = -Dbar(S_(r-1))
+    against targets, the right-hand sides Phi, -Dbar(S_(1)), ... of this
+    chain, plus membership of every S_(r) in B_{r,1}."""
     nv = tower.jet.num_vars
     checks = []
     for r, s_map in enumerate(tower.s_chain, start=1):
@@ -495,15 +508,13 @@ def _verify_delta_identities(sys, tower):
             ],
         )
         if r == 1:
-            target = _phi_on_jet(sys, nv)
             name = "delta_S1_equals_phi"
         else:
-            target = _dbar(tower, r - 1).scale(Fraction(-1))
             name = "delta_S%d_equals_minus_dbar_S%d" % (r, r - 1)
         checks.append(
             {
                 "name": name,
-                "passed": image == target,
+                "passed": image == targets[r - 1],
                 "detail": "",
             }
         )

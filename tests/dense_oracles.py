@@ -4,7 +4,11 @@ Matrix.rref eliminates over sparse integer rows; the dense_* routines
 work on dense Fraction rows and share no code with it, so the tests can
 compare the two bit for bit.  compose_oracle substitutes term by term
 with a power cache and a full expansion, where Polynomial.compose runs on
-one capped, shared monomial table.  The dense_ad_* routines give the
+one capped, shared monomial table.  fraction_mul, fraction_substitute
+and fraction_linear_combination are the poly kernels with a Fraction
+operation at every inner step, the references for the integer kernels
+behind Polynomial.mul, Polynomial.compose, PolyMap.compose and
+linear_combination.  The dense_ad_* routines give the
 adjoint matrices of a Lie algebra as dense Fraction rows (commutator
 coordinates by Matrix.solve), the oracle for the sparse structure
 constants of LieAlgebra.  dense_det and dense_definiteness are the
@@ -22,6 +26,7 @@ counts H^{q,p} with the dense Koszul differential on the cell embeddings.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -105,6 +110,73 @@ def compose_oracle(p, subs):
             term = term.mul(cache[k])
         out = out.add(term)
     return out
+
+
+def _polynomial(num_vars, terms):
+    """A Polynomial over terms, dropping the zero coefficients."""
+    p = Polynomial(num_vars)
+    p.terms = {e: c for e, c in terms.items() if c}
+    return p
+
+
+def fraction_mul(p, q, max_degree=None):
+    """p * q by Fraction products, forming no term above max_degree."""
+    if p.num_vars != q.num_vars:
+        raise DimensionMismatch("polynomial arity mismatch")
+    cap = math.inf if max_degree is None else max_degree
+    right = sorted((sum(e), e, c) for e, c in q.terms.items())
+    out = {}
+    for e1, c1 in p.terms.items():
+        room = cap - sum(e1)
+        for d2, e2, c2 in right:
+            if d2 > room:
+                break
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return _polynomial(p.num_vars, out)
+
+
+def fraction_substitute(polys, num_vars, subs, max_degree=None):
+    """Each of polys with subs[i] put for variable i, truncated at
+    max_degree, through one recursive table of monomial values built
+    with fraction_mul."""
+    if len(subs) != num_vars:
+        raise DimensionMismatch("compose needs one substitution per variable")
+    m = subs[0].num_vars if subs else 0
+    if any(s.num_vars != m for s in subs):
+        raise DimensionMismatch("substitutions have mixed arities")
+    one = Polynomial.constant(m, 1)
+    table = {(0,) * num_vars: one if max_degree is None else one.truncate(max_degree)}
+
+    def value(e):
+        v = table.get(e)
+        if v is None:
+            i = max(k for k, x in enumerate(e) if x)
+            v = fraction_mul(value(e[:i] + (e[i] - 1,) + e[i + 1:]), subs[i], max_degree)
+            table[e] = v
+        return v
+
+    out = []
+    for p in polys:
+        acc = {}
+        for e, c in p.terms.items():
+            for f, v in value(e).terms.items():
+                acc[f] = acc.get(f, 0) + c * v
+        out.append(_polynomial(m, acc))
+    return out
+
+
+def fraction_linear_combination(coeffs, polys, num_vars):
+    """The sum of c * p by Fraction products and sums in one dict."""
+    acc = {}
+    for c, p in zip(coeffs, polys):
+        if p.num_vars != num_vars:
+            raise DimensionMismatch("polynomial arity mismatch")
+        if not c:
+            continue
+        for e, v in p.terms.items():
+            acc[e] = acc.get(e, 0) + c * v
+    return _polynomial(num_vars, acc)
 
 
 def dense_ad_from_brackets(dim, brackets):

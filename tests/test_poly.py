@@ -1,12 +1,20 @@
 from __future__ import annotations
 
+import gc
+import math
 import random
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dense_oracles import compose_oracle
+from dense_oracles import (
+    compose_oracle,
+    fraction_linear_combination,
+    fraction_mul,
+    fraction_substitute,
+)
 from involutive.errors import DimensionMismatch
 from involutive.poly import Polynomial, PolyMap, linear_combination
 
@@ -192,3 +200,112 @@ def test_polymap_partial_and_coefficients():
     assert dp.components[0] == Polynomial(2, {(1, 0): 3})
     assert dp.components[1] == Polynomial(2, {(0, 1): 2})
     assert [p.coefficient((1, 1)) for p in pm.components] == [Fraction(3), Fraction(0)]
+
+
+def test_terms_from_any_mapping_or_pairs():
+    terms = {(1, 0): 2, (0, 1): Fraction(1, 3)}
+    p = Polynomial(2, terms)
+    assert Polynomial(2, MappingProxyType(terms)) == p
+    assert Polynomial(2, list(terms.items())) == p
+    assert all(type(c) is Fraction for c in p.terms.values())
+
+
+KINDS = ("int", "small", "large", "zero")
+
+
+def kernel_coeff(rng: random.Random, kind: str):
+    """A coefficient of the given kind: int, small or large Fraction,
+    or zero."""
+    if kind == "int":
+        return rng.randint(-5, 5)
+    if kind == "small":
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+    if kind == "large":
+        return Fraction(rng.randint(-10**20, 10**20), rng.randint(1, 10**24))
+    return 0
+
+
+def kernel_poly(rng: random.Random, num_vars: int, max_deg: int = 3,
+                terms: int = 4) -> Polynomial:
+    return Polynomial(num_vars, [
+        (tuple(rng.randint(0, max_deg) for _ in range(num_vars)),
+         kernel_coeff(rng, rng.choice(KINDS)))
+        for _ in range(rng.randint(0, terms))
+    ])
+
+
+def same_terms(got: Polynomial, want: Polynomial) -> bool:
+    """Equal terms in the same order, every coefficient a nonzero,
+    normalised Fraction."""
+    return (
+        got.num_vars == want.num_vars
+        and list(got.terms.items()) == list(want.terms.items())
+        and all(
+            type(c) is Fraction and c != 0 and c.denominator > 0
+            and math.gcd(c.numerator, c.denominator) == 1
+            for c in got.terms.values()
+        )
+    )
+
+
+CAPS = (None, -1, 0, 1, 3, 6)
+
+
+def test_integer_kernels_match_fraction_references():
+    rng = random.Random(15)
+    x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    half = Fraction(1, 2)
+    # sums that cancel: (x + y/2)(x - y/2), and x - y at x = y = t/2 + 1
+    mul_cases = [(x.add(y.scale(half)), x.sub(y.scale(half)))]
+    sub_cases = [([x.sub(y), x.scale(3).sub(y.scale(3))],
+                  [Polynomial(1, {(1,): half, (0,): 1})] * 2)]
+    for _ in range(120):
+        n, m = rng.randint(0, 3), rng.randint(0, 3)
+        p, q = kernel_poly(rng, n), kernel_poly(rng, n)
+        mul_cases.append((p, q))
+        subs = [kernel_poly(rng, m, max_deg=2, terms=3) for _ in range(n)]
+        sub_cases.append(([p, q, Polynomial.zero(n), p.neg()], subs))
+    assert not mul_cases[0][0].mul(mul_cases[0][1]).terms.get((1, 1))
+    assert sub_cases[0][0][0].compose(sub_cases[0][1]).is_zero()
+    for p, q in mul_cases:
+        for cap in CAPS:
+            assert same_terms(p.mul(q, cap), fraction_mul(p, q, cap))
+    for polys, subs in sub_cases:
+        n = polys[0].num_vars
+        for cap in CAPS:
+            want = fraction_substitute(polys, n, subs, cap)
+            got = PolyMap(n, polys).compose(subs, cap).components
+            assert all(same_terms(g, w) for g, w in zip(got, want))
+            assert same_terms(polys[0].compose(subs, cap), want[0])
+    for trial in range(120):
+        n = rng.randint(0, 3)
+        polys = [kernel_poly(rng, n) for _ in range(rng.randint(0, 5))]
+        coeffs = [kernel_coeff(rng, rng.choice(KINDS)) for _ in polys]
+        if polys and trial % 3 == 0:
+            # c * p + (-c) * p cancels p's share term by term
+            polys.append(polys[0])
+            coeffs.append(-Fraction(coeffs[0]))
+        want = fraction_linear_combination(coeffs, polys, n)
+        assert same_terms(linear_combination(coeffs, polys, n), want)
+    assert linear_combination([3, Fraction(-3)], [x, x], 2).is_zero()
+
+
+def test_compose_leaves_no_reference_cycle():
+    # the monomial table is freed by reference counting alone, also with
+    # a negative cap, where even the value of the constant monomial is 0
+    x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    p = Polynomial(2, {(3, 1): 2, (1, 2): Fraction(1, 3), (0, 0): 1})
+    subs = [x.add(y).add(Polynomial.constant(2, Fraction(1, 2))), x.mul(y)]
+    for cap in CAPS:
+        gc.collect()
+        gc.disable()
+        try:
+            got = PolyMap(2, [p, p.partial(0)]).compose(subs, cap)
+            got_p = p.compose(subs, cap)
+            found = gc.collect()
+        finally:
+            gc.enable()
+        assert found == 0
+        assert got == PolyMap(2, fraction_substitute([p, p.partial(0)], 2, subs, cap))
+        assert got_p == got.components[0]
+        assert got.is_zero() == (cap == -1)

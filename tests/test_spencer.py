@@ -21,6 +21,7 @@ from involutive.linalg import Matrix, Subspace
 from involutive.spencer import (
     HarmonicSplit,
     SpencerCell,
+    _orthogonal,
     codifferential,
     cohomology_dim,
     delta,
@@ -418,3 +419,14 @@ def test_cells_computable_concurrently():
     with ThreadPoolExecutor(max_workers=6) as ex:
         parallel = list(ex.map(lambda qp: cohomology_dim(t, *qp), grid))
     assert serial == parallel
+
+
+def test_orthogonality_is_read_through_the_gram_matrix():
+    g = Matrix([[2, 1], [1, 1]])
+    u = Subspace(2, [[1, 0]])
+    assert _orthogonal(u, Subspace(2, [[1, -2]]), g)
+    assert not _orthogonal(u, Subspace(2, [[0, 1]]), g)
+    assert not _orthogonal(Subspace(2, [[1, -2], [0, 1]]), u, g)
+    # Euclidean orthogonality is not enough
+    assert not _orthogonal(u, Subspace(2, [[0, 3]]), g)
+    assert _orthogonal(Subspace(2, []), u, g) and _orthogonal(u, Subspace(2, []), g)
