@@ -19,7 +19,13 @@ and the lower levels integrate the full gradient prescriptions
 d Q_(r) = g_(r)(dx), with g_(r) = S_(r+1) + iota.Q_(r+1) the tower's
 coefficient form (TowerData.coefficient_form).  Unique solvability of
 every slice is asserted at runtime; it is exactly what involutivity
-provides.
+provides.  A slice is kept as sparse rows over its unknowns with the
+right-hand side as one more column, and reduced in one IntegerEchelon:
+a pivot in the right-hand column proves it inconsistent, fewer pivots
+than unknowns proves it underdetermined (InconsistentData either way),
+and otherwise each pivot row of the back-substituted echelon gives one
+coefficient exactly.  Rows left over once every unknown is a pivot are
+checked by their product with that solution instead of being reduced.
 
 The polar-space checks construct integral flags through a point of the
 prolonged equation manifold from the section xi -> (xi, S_(k+1)(xi)) and
@@ -37,12 +43,11 @@ from .bases import contract_vector, sym_basis
 from .errors import (
     CapExceeded,
     DimensionMismatch,
-    Inconsistent,
     InconsistentData,
     InputError,
     UnstableGenericity,
 )
-from .linalg import Matrix, frac, solve_affine
+from .linalg import IntegerEchelon, Matrix, clear_denominators, frac
 from .poly import Polynomial, PolyMap, linear_combination
 from .tableau import DEFAULT_MAX_DIM, flatten_generator, involutive_index
 
@@ -235,8 +240,8 @@ def solve_formal(sys, tower, nf, data, degree, k=None, max_dim=DEFAULT_MAX_DIM,
     The data supply the block coefficients supported in their own
     variables; everything else is forced by the equations, degree by
     degree, through exact linear solves whose unique solvability is
-    asserted (InconsistentData otherwise).  A degree above max_degree
-    raises CapExceeded.
+    asserted (InconsistentData otherwise; see _solve_slice).  A degree
+    above max_degree raises CapExceeded.
     """
     t = sys.tableau
     n = t.a_dim
@@ -315,8 +320,9 @@ def solve_formal(sys, tower, nf, data, degree, k=None, max_dim=DEFAULT_MAX_DIM,
                 if not is_data_exponent(m, exp):
                     index_of[(m, exp)] = len(unknowns)
                     unknowns.append((m, exp))
+        # sparse rows {unknown: coefficient}, right-hand side in column nu
+        nu = len(unknowns)
         rows = []
-        rhs = []
         for rho in range(n):
             for sigma in range(rho + 1, n):
                 srho_comp, ssigma_comp = _s_direction_values(
@@ -327,7 +333,7 @@ def solve_formal(sys, tower, nf, data, degree, k=None, max_dim=DEFAULT_MAX_DIM,
                     e_sig = _bump(exp_k, sigma)
                     e_rho = _bump(exp_k, rho)
                     for out_idx in range(val_rows):
-                        row = [Fraction(0)] * len(unknowns)
+                        row = {}
                         val = Fraction(0)
                         # iota(a_rho) d_sigma Q - iota(a_sigma) d_rho Q
                         for m in range(nk):
@@ -338,7 +344,7 @@ def solve_formal(sys, tower, nf, data, degree, k=None, max_dim=DEFAULT_MAX_DIM,
                                     continue
                                 idx = index_of.get((m, exp))
                                 if idx is not None:
-                                    row[idx] += coeff
+                                    row[idx] = row.get(idx, 0) + coeff
                                 else:
                                     val -= coeff * g_terms[m].get(
                                         exp, Fraction(0)
@@ -346,26 +352,13 @@ def solve_formal(sys, tower, nf, data, degree, k=None, max_dim=DEFAULT_MAX_DIM,
                         target = srho_comp[out_idx].coefficient(
                             list(exp_k)
                         ) - ssigma_comp[out_idx].coefficient(list(exp_k))
+                        row[nu] = val + target
                         rows.append(row)
-                        rhs.append(val + target)
         if unknowns:
-            mat = Matrix(rows, ncols=len(unknowns))
-            try:
-                particular, homogeneous = solve_affine(mat, rhs)
-            except Inconsistent as exc:
-                raise InconsistentData(
-                    "the degree-%d slice of the curl equations is "
-                    "inconsistent" % d
-                ) from exc
-            if homogeneous:
-                raise InconsistentData(
-                    "the degree-%d slice of the curl equations is "
-                    "underdetermined (%d free directions)" % (d, len(homogeneous))
-                )
-            for (m, exp), c in zip(unknowns, particular):
+            for (m, exp), c in zip(unknowns, _solve_slice(rows, nu, d)):
                 if c:
                     g_terms[m][exp] = c
-        elif any(rhs):
+        elif any(row[nu] for row in rows):
             raise InconsistentData(
                 "the degree-%d curl slice has no unknowns but nonzero "
                 "residual" % d
@@ -437,6 +430,44 @@ def solve_formal(sys, tower, nf, data, degree, k=None, max_dim=DEFAULT_MAX_DIM,
         [Polynomial(n, g_terms[m]) for m in range(nk)],
         composition, nf,
     )
+
+
+def _solve_slice(rows, nu, d):
+    """The unique solution of the degree-d curl slice in nu unknowns.
+
+    Each row is a {column: coefficient} dict over the unknowns 0..nu-1
+    with the right-hand side in column nu.  The rows, cleared of
+    denominators, are reduced in one IntegerEchelon until it holds nu
+    pivots.  A pivot in column nu means the slice is inconsistent, and
+    fewer than nu pivots after every row that it is underdetermined; both
+    raise InconsistentData, in that order.  Otherwise every unknown is a
+    pivot, the back-substituted row of pivot c reads x_c = row[nu] /
+    row[c], and each row not yet reduced is checked by its product with
+    x: one that x does not satisfy makes the slice inconsistent.
+    """
+    echelon = IntegerEchelon()
+    rest = iter(rows)
+    for row in rest:
+        echelon.add(dict(zip(row, clear_denominators(row.values()))))
+        if len(echelon) == nu:
+            break
+    kept, pivots = echelon.reduced()
+    if pivots and pivots[-1] == nu:
+        raise InconsistentData(
+            "the degree-%d slice of the curl equations is inconsistent" % d
+        )
+    if len(pivots) < nu:
+        raise InconsistentData(
+            "the degree-%d slice of the curl equations is "
+            "underdetermined (%d free directions)" % (d, nu - len(pivots))
+        )
+    x = [Fraction(row.get(nu, 0), row[c]) for row, c in zip(kept, pivots)]
+    for row in rest:
+        if sum(c * x[j] for j, c in row.items() if j != nu) != row[nu]:
+            raise InconsistentData(
+                "the degree-%d slice of the curl equations is inconsistent" % d
+            )
+    return x
 
 
 def _bump(exp, i):

@@ -84,33 +84,29 @@ def _sanitize(obj):
     return obj
 
 
-def _digest(paths):
-    out = {}
-    for p in paths:
-        h = hashlib.sha256()
-        with open(p, "rb") as fh:
-            h.update(fh.read())
-        out[p] = h.hexdigest()
-    return out
-
-
-def _load_json(path):
+def _load_json(args, path):
+    """Parse a JSON input file, read once; the sha256 of the bytes parsed
+    goes into args.input_digest under the path."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise InputError("cannot read %s: %s" % (path, exc)) from exc
+    try:
+        blob = json.loads(raw.decode("utf-8"))
     except ValueError as exc:
         raise InputError("%s is not valid JSON: %s" % (path, exc)) from exc
+    args.input_digest[path] = hashlib.sha256(raw).hexdigest()
+    return blob
 
 
-def _load_tableau(path):
+def _load_tableau(args, path):
     """Accept either a bare tableau file or a full system file."""
-    return Tableau.from_json_dict(_load_json(path))
+    return Tableau.from_json_dict(_load_json(args, path))
 
 
-def _load_system(path):
-    blob = _load_json(path)
+def _load_system(args, path):
+    blob = _load_json(args, path)
     if not isinstance(blob, dict) or "phi" not in blob:
         raise InputError("%s does not contain a system description" % path)
     return System.from_json_dict(blob)
@@ -131,7 +127,7 @@ def build_example(name):
 
 
 def cmd_tableau(args):
-    t = _load_tableau(args.file)
+    t = _load_tableau(args, args.file)
     seed = args.seed
     results = {"a_dim": t.a_dim, "b_dim": t.b_dim, "dim": t.dim}
     certificates = []
@@ -198,7 +194,7 @@ def _human_tableau(results):
 
 
 def cmd_spencer(args):
-    t = _load_tableau(args.file)
+    t = _load_tableau(args, args.file)
     results = {}
     certificates = []
     passed = True
@@ -258,7 +254,7 @@ def _human_spencer(results):
 
 
 def cmd_system(args):
-    sys_ = _load_system(args.file)
+    sys_ = _load_system(args, args.file)
     t = sys_.tableau
     results = {
         "a_dim": t.a_dim,
@@ -345,8 +341,8 @@ def _human_system(results):
 
 
 def cmd_cauchy(args):
-    sys_ = _load_system(args.system)
-    data = CauchyData.from_json_dict(_load_json(args.data))
+    sys_ = _load_system(args, args.system)
+    data = CauchyData.from_json_dict(_load_json(args, args.data))
     if args.degree > args.max_degree:
         raise CapExceeded(
             "degree %d exceeds the cap %d (raise --max-degree to override)"
@@ -489,7 +485,7 @@ def build_parser():
     t.add_argument("--max-order", type=int, default=6,
                    help="highest order the index search tests")
     _add_common(t)
-    t.set_defaults(func=cmd_tableau, human=_human_tableau, files=lambda a: [a.file])
+    t.set_defaults(func=cmd_tableau, human=_human_tableau)
 
     s = sub.add_parser("spencer", help="Spencer cohomology table")
     s.add_argument("file")
@@ -498,7 +494,7 @@ def build_parser():
     s.add_argument("--two-acyclic", action="store_true")
     s.add_argument("--harmonic", action="store_true")
     _add_common(s)
-    s.set_defaults(func=cmd_spencer, human=_human_spencer, files=lambda a: [a.file])
+    s.set_defaults(func=cmd_spencer, human=_human_spencer)
 
     y = sub.add_parser("system", help="regularity checks and tower chain")
     y.add_argument("file")
@@ -509,7 +505,7 @@ def build_parser():
     y.add_argument("--structure", action="store_true",
                    help="verify the structure equations (needs --tower)")
     _add_common(y)
-    y.set_defaults(func=cmd_system, human=_human_system, files=lambda a: [a.file])
+    y.set_defaults(func=cmd_system, human=_human_system)
 
     c = sub.add_parser("cauchy", help="formal power-series solution")
     c.add_argument("system")
@@ -520,14 +516,13 @@ def build_parser():
     c.add_argument("--max-order", type=int, default=6)
     c.add_argument("--max-degree", type=int, default=DEFAULT_MAX_DEGREE)
     _add_common(c)
-    c.set_defaults(func=cmd_cauchy, human=_human_cauchy,
-                   files=lambda a: [a.system, a.data])
+    c.set_defaults(func=cmd_cauchy, human=_human_cauchy)
 
     e = sub.add_parser("examples", help="write a built-in fixture")
     e.add_argument("name", choices=EXAMPLE_NAMES)
     e.add_argument("--out", default=None)
     _add_common(e, samples=False)
-    e.set_defaults(func=cmd_examples, human=_human_examples, files=lambda a: [])
+    e.set_defaults(func=cmd_examples, human=_human_examples)
 
     return p
 
@@ -537,6 +532,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.seed is None:
         args.seed = int(os.environ.get("ARTIFACT_SEED", "0"))
+    args.input_digest = {}
     start = time.perf_counter()
     try:
         passed, results, certificates = args.func(args)
@@ -555,7 +551,7 @@ def main(argv=None):
     report = {
         "command": args.command,
         "seed": args.seed,
-        "input_digest": _digest(args.files(args)) if error is None else {},
+        "input_digest": args.input_digest if error is None else {},
         "results": _sanitize(results),
         "certificates": _sanitize(certificates),
         "timing_seconds": round(elapsed, 6),

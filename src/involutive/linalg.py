@@ -448,19 +448,6 @@ def _solution_of_rref(rows: list[Vector], pivots: list[int], ncols: int) -> Vect
     return x
 
 
-def solve_affine(m: Matrix, rhs: Sequence[Fraction]) -> tuple[Vector, list[Vector]]:
-    """One solution of m*x = rhs together with a kernel basis.
-
-    The full solution set is x + span(kernel).  Both are read off one
-    rref of [m | rhs]: when the system is consistent every pivot lies in
-    the left block, which is then rref(m).  Raises Inconsistent when
-    there is no solution.
-    """
-    rows, pivots = m._augmented_rref(rhs)
-    return (_solution_of_rref(rows, pivots, m.ncols),
-            _kernel_of_rref(rows, pivots, m.ncols))
-
-
 class Subspace:
     """A linear subspace of Q^N in canonical reduced-echelon basis.
 

@@ -29,8 +29,15 @@ not the bare transpose, because the cell bases are not orthonormal;
 codifferential forms it.  A harmonic split needs only the spaces the
 adjoints cut out, and those are G-orthogonal complements inside its own
 cell: Ker delta*_in = kernel(D_in^T G) and B_{q,p} = kernel(K^T G) for
-a basis K of Ker delta_out.  So a split builds one cell and inverts no
-Gram matrix.
+a basis K of Ker delta_out, and H^{q,p} is one kernel of the stacked
+matrix [D_out; D_in^T G].  So a split builds one cell and inverts no
+Gram matrix.  It is certified by products and dimensions alone: the
+three parts are pairwise G-orthogonal, their dimensions add up to the
+cell, D_out D_in = 0, D_out kills H and dim B + dim H = dim Ker delta.
+Because G is positive definite, G-orthogonal parts are independent, and
+these checks imply Ker delta = B (+) H, Ker delta* = H (+) B_ and that
+the three parts fill the cell (see HarmonicSplit), with no sum or
+intersection of subspaces formed.
 
 Cell coordinates order the basis of A^(q-1) first (Tableau.jet_basis:
 the tableau generators for q = 1, the canonical reduced basis of the
@@ -237,8 +244,11 @@ def _adjoint(d, gram_src, gram_dst):
 
 def _orthogonal(u, v, gram):
     """u and v are G-orthogonal: U G V^T is zero for their basis matrices."""
-    product = u.basis_matrix().matmul(gram).matmul(v.basis_matrix().transpose())
-    return not any(any(row) for row in product.rows)
+    return _is_zero(u.basis_matrix().matmul(gram).matmul(v.basis_matrix().transpose()))
+
+
+def _is_zero(m):
+    return not any(any(row) for row in m.rows)
 
 
 class HarmonicSplit:
@@ -257,13 +267,28 @@ class HarmonicSplit:
     adjoint spaces are G-orthogonal complements: Ker delta*_in is the
     complement of Im delta_in, kernel(D_in^T G), and B_{q,p} = Im
     delta*_out is the complement of Ker delta_out, kernel(K^T G) for the
-    basis K of Ker delta_out.  The spaces, hence their canonical bases,
-    are those of the adjoints G_src^{-1} D^T G_dst, with no neighbouring
-    cell and no Gram inverse.
+    basis K of Ker delta_out.  The harmonic space is one kernel of the
+    stacked matrix [D_out; D_in^T G].  The spaces, hence their canonical
+    bases, are those of the adjoints G_src^{-1} D^T G_dst, with no
+    neighbouring cell and no Gram inverse.
 
-    Construction verifies the decomposition identities exactly:
-    pairwise orthogonality, Ker delta = B (+) H, Ker delta* = H (+) B_,
-    dim H = dim H^{q,p}, and delta o sigma = identity on the image.
+    Construction certifies the decomposition with products and
+    dimensions (_verify), in this order:
+      (a) B, H and B_ are pairwise G-orthogonal (three products U G V^T);
+      (b) dim B + dim H + dim B_ = dim C^{q,p};
+      (c) D_out D_in = 0, D_out H^T = 0 and dim B + dim H = dim Ker delta.
+    These imply what a comparison of subspaces would show.  If
+    b + h + c = 0 with b in B, h in H, c in B_, pairing with b under G
+    leaves <b, b> = 0 by (a), so b = 0 as G is positive definite, and
+    likewise h = c = 0: the parts are independent, and by (b) they fill
+    the cell.  B = Im delta_in and H lie in Ker delta_out by (c), and
+    B (+) H has the dimension of Ker delta_out, so Ker delta = B (+) H.
+    The rows of B span Im delta_in, so the products of (a) with B say
+    that H and B_ lie in Ker D_in^T G = Ker delta*_in, which has
+    dimension dim C - rank D_in = dim H + dim B_ by (b), so Ker delta* =
+    H (+) B_.  Hence also dim H = dim Ker delta - rank delta_in = dim
+    H^{q,p}.  Any failure raises StructureViolation.  sigma is checked
+    by multiplying back: delta o sigma = identity on the image.
     """
 
     def __init__(self, tableau, q, p, max_dim=DEFAULT_MAX_DIM):
@@ -283,16 +308,17 @@ class HarmonicSplit:
         self._has_target = q >= 1 and p < n and cell.dim > 0
         self.b_up = _image_subspace(d_in)
         ker_out = kernel(self.d_out)
-        ker_adj_in = kernel(d_in.transpose().matmul(g))
+        self.harmonic = kernel(self.d_out.vstack(d_in.transpose().matmul(g)))
         if self._has_target:
             self.b_down = kernel(ker_out.basis_matrix().matmul(g))
         else:
             self.b_down = Subspace(cell.dim, [])
-        self.harmonic = ker_out.intersect(ker_adj_in)
-        self._verify(ker_out, ker_adj_in)
+        self._verify(d_in, ker_out.dim)
         self.sigma_matrix = self._build_sigma()
 
-    def _verify(self, ker_out, ker_adj_in):
+    def _verify(self, d_in, ker_dim):
+        """Checks (a)-(c) of the class docstring; d_in is the matrix of the
+        incoming differential and ker_dim the dimension of Ker delta_out."""
         cell = self.cell
         if cell.dim == 0:
             return
@@ -307,28 +333,25 @@ class HarmonicSplit:
                 "harmonic components of C^{%d,%d} are not orthogonal"
                 % (self.q, self.p)
             )
-        total = self.b_up.sum(self.harmonic).sum(self.b_down)
-        if total.dim != cell.dim or (
-            self.b_up.dim + self.harmonic.dim + self.b_down.dim != cell.dim
-        ):
+        if self.b_up.dim + self.harmonic.dim + self.b_down.dim != cell.dim:
             raise StructureViolation(
                 "harmonic components of C^{%d,%d} do not sum to the cell"
                 % (self.q, self.p)
             )
-        if self.b_up.sum(self.harmonic) != ker_out:
+        if not (
+            self.b_up.dim + self.harmonic.dim == ker_dim
+            and _is_zero(self.d_out.matmul(d_in))
+            and _is_zero(self.d_out.matmul(self.harmonic.basis_matrix().transpose()))
+        ):
             raise StructureViolation(
                 "Ker delta != B (+) H at (q,p)=(%d,%d)" % (self.q, self.p)
-            )
-        if self.harmonic.sum(self.b_down) != ker_adj_in:
-            raise StructureViolation(
-                "Ker delta* != H (+) B_ at (q,p)=(%d,%d)" % (self.q, self.p)
             )
 
     def _build_sigma(self):
         """Solve delta(sigma(w)) = w for each basis vector of the image.
 
         delta restricted to b_down and its factorisation are kept for
-        sigma_on_cell_coords.
+        sigma_on_columns.
         """
         if not self._has_target:
             return Matrix.zeros(0, 0)
@@ -348,20 +371,33 @@ class HarmonicSplit:
     def dims(self):
         return (self.b_up.dim, self.harmonic.dim, self.b_down.dim)
 
-    def sigma_on_cell_coords(self, target_cell_coords):
-        """Preimage in B_{q,p} of a target given in C^{q-1,p+1} coordinates."""
+    def sigma_on_columns(self, targets):
+        """Preimages in B_{q,p} of the columns of targets, each given in
+        C^{q-1,p+1} coordinates, as the columns of a matrix over the cell.
+
+        ColumnCoordinates.of_columns proves delta(x) = target for every
+        column by one product, and one more product with the basis of
+        B_{q,p} writes the preimages in the cell.  NotInImage when a
+        column is outside the image of delta.
+        """
         if not self._has_target:
-            if any(x != 0 for x in target_cell_coords):
+            if not _is_zero(targets):
                 raise NotInImage("the differential out of this cell is zero")
-            return [Fraction(0)] * self.cell.dim
+            return Matrix.zeros(self.cell.dim, targets.ncols)
         try:
-            y = self._restricted.of_vector(list(target_cell_coords))
+            y = self._restricted.of_columns(targets)
         except Inconsistent as exc:
             raise NotInImage(
                 "target is not in the image of delta on C^{%d,%d}"
                 % (self.q, self.p)
             ) from exc
-        return self._b_down_matrix.matvec(y)
+        return self._b_down_matrix.matmul(y)
+
+    def sigma_on_cell_coords(self, target_cell_coords):
+        """Preimage in B_{q,p} of a target given in C^{q-1,p+1} coordinates:
+        sigma_on_columns on one column."""
+        column = Matrix._of([[frac(x)] for x in target_cell_coords], 1)
+        return [row[0] for row in self.sigma_on_columns(column).rows]
 
 
 def harmonic_split(t, q, p, max_dim=DEFAULT_MAX_DIM):

@@ -300,15 +300,13 @@ def _polymap_monomials(pm):
     return out
 
 
-def _polymap_from_monomials(num_vars, dim, monos):
-    comps = []
-    for idx in range(dim):
-        terms = {}
-        for exp, vec in monos.items():
-            if vec[idx]:
-                terms[exp] = vec[idx]
-        comps.append(Polynomial(num_vars, terms))
-    return PolyMap(num_vars, comps)
+def _polymap_from_rows(num_vars, exps, m):
+    """The PolyMap whose component idx has coefficient m[idx][j] at the
+    monomial exps[j]."""
+    return PolyMap(num_vars, [
+        Polynomial(num_vars, {exp: c for exp, c in zip(exps, row) if c})
+        for row in m.rows
+    ])
 
 
 def check_phi_in_B02(sys, trials=None, seed=0, max_dim=DEFAULT_MAX_DIM):
@@ -441,13 +439,15 @@ def build_s_chain(sys, h, samples=5, seed=0, max_dim=DEFAULT_MAX_DIM, k=None):
 
     def solve_into(r, rhs_map):
         """Append S_(r), the canonical preimage of rhs (C^{r-1,2} coords)
-        under delta^{r,1}, and keep rhs as the target of its identity."""
+        under delta^{r,1}, and keep rhs as the target of its identity.
+        The coefficient vectors of all monomials go through the split as
+        the columns of one matrix."""
         split = tower.splits[r]
-        out = {
-            exp: split.sigma_on_cell_coords(vec)
-            for exp, vec in _polymap_monomials(rhs_map).items()
-        }
-        tower.s_chain.append(_polymap_from_monomials(nv, split.cell.dim, out))
+        monos = _polymap_monomials(rhs_map)
+        columns = Matrix.from_columns(list(monos.values()), nrows=rhs_map.dim)
+        tower.s_chain.append(
+            _polymap_from_rows(nv, list(monos), split.sigma_on_columns(columns))
+        )
         targets.append(rhs_map)
 
     solve_into(1, _phi_on_jet(sys, nv))
@@ -596,11 +596,12 @@ def verify_structure_equations(sys, tower):
 
     def reduce_label(label, level_cap):
         """Expansion of a coordinate 1-form modulo {beta_(0..level_cap)}:
-        dq_(s) with s <= level_cap becomes g_(s)(dx)."""
+        dq_(s) with s <= level_cap becomes g_(s)(dx); any other label is
+        kept with the unit coefficient, written None."""
         if label[0] == "q" and label[1] <= level_cap:
             s, alpha = label[1], label[2]
             return [(("x", i), gforms[s].components[alpha * n + i]) for i in range(n)]
-        return [(label, Polynomial.constant(nv, 1))]
+        return [(label, None)]
 
     for r in range(h):
         # d beta_(r): -(sum_i d g^alpha_i wedge dx^i) per component alpha
@@ -637,8 +638,9 @@ def verify_structure_equations(sys, tower):
             reduced = _TwoForm(nv)
             for (la, lb), poly in sub.terms.items():
                 for (la2, ca) in reduce_label(la, r):
+                    pa = poly if ca is None else poly.mul(ca)
                     for (lb2, cb) in reduce_label(lb, r):
-                        reduced.add_term(la2, lb2, poly.mul(ca).mul(cb))
+                        reduced.add_term(la2, lb2, pa if cb is None else pa.mul(cb))
             if not reduced.is_zero():
                 witness = reduced.first_nonzero()
                 checks.append(

@@ -19,9 +19,13 @@ one rank test replaced.  view_route_involutive_index is the involutive
 index search that builds the view tableau of every order and prolongs
 it, the oracle for the search on the prolongation tower.
 AdjointHarmonicSplit and adjoint_sigma build a harmonic split from three
-Spencer cells and the Gram adjoints of both differentials, the oracle for
-the split read off the Gram matrix of its own cell; dense_cohomology_dim
-counts H^{q,p} with the dense Koszul differential on the cell embeddings.
+Spencer cells and the Gram adjoints of both differentials, and check it
+by comparing subspaces, the oracle for the split read off the Gram
+matrix of its own cell and certified by products and dimensions;
+dense_cohomology_dim counts H^{q,p} with the dense Koszul differential
+on the cell embeddings.  solve_affine reads one solution and a kernel
+basis off one rref of [m | rhs], the oracle for the integer-echelon
+solve of the curl slices in cauchy.
 """
 
 from __future__ import annotations
@@ -35,9 +39,16 @@ from involutive.errors import (
     CapExceeded,
     DimensionMismatch,
     InputError,
+    StructureViolation,
     UnstableGenericity,
 )
-from involutive.linalg import Matrix, Subspace, kernel
+from involutive.linalg import (
+    Matrix,
+    Subspace,
+    _kernel_of_rref,
+    _solution_of_rref,
+    kernel,
+)
 from involutive.poly import Polynomial
 from involutive.spencer import HarmonicSplit, SpencerCell, delta
 from involutive.tableau import DEFAULT_MAX_DIM, cartan_test
@@ -177,6 +188,19 @@ def fraction_linear_combination(coeffs, polys, num_vars):
         for e, v in p.terms.items():
             acc[e] = acc.get(e, 0) + c * v
     return _polynomial(num_vars, acc)
+
+
+def solve_affine(m, rhs):
+    """One solution of m*x = rhs together with a kernel basis.
+
+    The full solution set is x + span(kernel).  Both are read off one
+    rref of [m | rhs]: when the system is consistent every pivot lies in
+    the left block, which is then rref(m).  Raises Inconsistent when
+    there is no solution.
+    """
+    rows, pivots = m._augmented_rref(rhs)
+    return (_solution_of_rref(rows, pivots, m.ncols),
+            _kernel_of_rref(rows, pivots, m.ncols))
 
 
 def dense_ad_from_brackets(dim, brackets):
@@ -330,7 +354,10 @@ class AdjointHarmonicSplit(HarmonicSplit):
     """The harmonic split of C^{q,p} built from three cells: Ker delta*_in
     is the kernel of the adjoint of the incoming differential, B_{q,p} the
     image of the adjoint of the outgoing one, each adjoint formed with
-    the inverse of a Gram matrix.  The checks, sigma and dims are those of
+    the inverse of a Gram matrix, and H their intersection.  Its own
+    _verify compares subspaces: the parts are pairwise G-orthogonal, they
+    sum to the cell, and Ker delta = B (+) H and Ker delta* = H (+) B_ by
+    equality of canonical bases.  sigma and dims are those of
     HarmonicSplit; _target_cell is the cell C^{q-1,p+1} when delta out
     is nonzero."""
 
@@ -372,6 +399,30 @@ class AdjointHarmonicSplit(HarmonicSplit):
         self.harmonic = ker_out.intersect(ker_adj_in)
         self._verify(ker_out, ker_adj_in)
         self.sigma_matrix = self._build_sigma()
+
+    def _verify(self, ker_out, ker_adj_in):
+        cell = self.cell
+        if cell.dim == 0:
+            return
+        g = cell.gram
+        pairs = [
+            (self.b_up, self.harmonic),
+            (self.b_up, self.b_down),
+            (self.harmonic, self.b_down),
+        ]
+        for u, v in pairs:
+            product = u.basis_matrix().matmul(g).matmul(v.basis_matrix().transpose())
+            if any(any(row) for row in product.rows):
+                raise StructureViolation("harmonic components are not orthogonal")
+        total = self.b_up.sum(self.harmonic).sum(self.b_down)
+        if total.dim != cell.dim or (
+            self.b_up.dim + self.harmonic.dim + self.b_down.dim != cell.dim
+        ):
+            raise StructureViolation("harmonic components do not sum to the cell")
+        if self.b_up.sum(self.harmonic) != ker_out:
+            raise StructureViolation("Ker delta != B (+) H")
+        if self.harmonic.sum(self.b_down) != ker_adj_in:
+            raise StructureViolation("Ker delta* != H (+) B_")
 
 
 def adjoint_sigma(t, q, p, max_dim=DEFAULT_MAX_DIM):

@@ -6,9 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from dense_oracles import compose_oracle
+from dense_oracles import compose_oracle, solve_affine
 from involutive.cauchy import (
     CauchyData,
+    _solve_slice,
     solve_formal,
     verify_solution,
     polar_dims,
@@ -17,6 +18,7 @@ from involutive.cauchy import (
 from involutive.errors import (
     CapExceeded,
     DimensionMismatch,
+    Inconsistent,
     InconsistentData,
     InputError,
 )
@@ -721,3 +723,42 @@ def test_restricted_polar_rejects_bad_step(sl3_setup):
     sys_, tower, nf = sl3_setup
     with pytest.raises(InputError):
         restricted_polar_check(sys_, tower, nf, 2)
+
+
+def test_slice_solve_matches_the_affine_oracle():
+    # sparse slices, consistent, inconsistent and underdetermined: the
+    # integer-echelon solve gives solve_affine's solution, or the error
+    # that its verdict calls for, with the same count of free directions
+    rng = random.Random(1883)
+    seen = {"solved": 0, "inconsistent": 0, "underdetermined": 0}
+    for _ in range(200):
+        nu, nrows = rng.randint(1, 6), rng.randint(1, 12)
+        dense = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                  if rng.random() < 0.35 else Fraction(0) for _ in range(nu)]
+                 for _ in range(nrows)]
+        m = Matrix(dense, ncols=nu)
+        if rng.random() < 0.25:
+            rhs = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(nrows)]
+        else:
+            rhs = m.matvec([Fraction(rng.randint(-3, 3)) for _ in range(nu)])
+        rows = [{j: x for j, x in enumerate(row) if x} for row in dense]
+        for row, b in zip(rows, rhs):
+            row[nu] = b
+        try:
+            x, homogeneous = solve_affine(m, rhs)
+        except Inconsistent:
+            with pytest.raises(InconsistentData, match="degree-4 slice .* inconsistent$"):
+                _solve_slice(rows, nu, 4)
+            seen["inconsistent"] += 1
+            continue
+        if homogeneous:
+            with pytest.raises(
+                InconsistentData,
+                match=r"underdetermined \(%d free directions\)" % len(homogeneous),
+            ):
+                _solve_slice(rows, nu, 4)
+            seen["underdetermined"] += 1
+            continue
+        assert _solve_slice(rows, nu, 4) == x
+        seen["solved"] += 1
+    assert min(seen.values()) >= 30, seen

@@ -1,5 +1,6 @@
 """End-to-end checks of the command line interface."""
 
+import hashlib
 import json
 import os
 import re
@@ -16,6 +17,7 @@ from involutive.cli import EXAMPLE_NAMES, build_parser, main
 from involutive.poly import Polynomial
 from involutive.systems import System
 from involutive.tableau import Tableau
+from test_spencer import infinite_type_tableau
 
 
 @pytest.fixture()
@@ -68,10 +70,28 @@ def index_one_files(tmp_path):
     return str(path), str(data)
 
 
-@pytest.mark.parametrize("name", EXAMPLE_NAMES + ("index-one",))
+def infinite_type_files(tmp_path):
+    """Phi = 0 over infinite_type_tableau, and Cauchy data for it: one
+    constant level and one block of five one-variable series."""
+    path = tmp_path / "infinite_type.json"
+    path.write_text(json.dumps(System(infinite_type_tableau(), {}).to_json_dict()))
+    block = [
+        Polynomial(1, {(0,): Fraction(i + 1), (1,): Fraction(1, i + 2)})
+        for i in range(5)
+    ]
+    data = tmp_path / "data.json"
+    data.write_text(json.dumps(
+        CauchyData([0] * 4, [[1, 0, 2, 0, -1]], [block]).to_json_dict()
+    ))
+    return str(path), str(data)
+
+
+@pytest.mark.parametrize("name", EXAMPLE_NAMES + ("index-one", "infinite-type"))
 def test_every_subcommand_on_every_example(name, tmp_path, capsys):
     if name == "index-one":
         path, data = index_one_files(tmp_path)
+    elif name == "infinite-type":
+        path, data = infinite_type_files(tmp_path)
     else:
         path, data = example_files(tmp_path, name)
     for argv in (
@@ -93,9 +113,31 @@ def test_every_subcommand_on_every_example(name, tmp_path, capsys):
             assert results["involutive_characters"] == [0, 0, 0]
             assert [c["passed"] for c in report["certificates"]] == [False]
             continue
+        if name == "infinite-type" and argv[0] == "tableau":
+            # order 0 is not involutive, order 1 is, with s != 0 at k = 1
+            results = report["results"]
+            assert results["characters"] == [4, 1, 0, 0]
+            assert results["prolongation_dims"] == [5, 5]
+            assert results["involutive_index"] == 1
+            assert results["involutive_characters"] == [5, 0, 0, 0]
+            assert [c["passed"] for c in report["certificates"]] == [False]
+            continue
         assert all(c["passed"] for c in report["certificates"]), argv
-        if name == "index-one" and argv[0] == "cauchy":
+        if name in ("index-one", "infinite-type") and argv[0] == "cauchy":
             assert report["results"]["k"] == 1
+    if name == "infinite-type":
+        # the curl slices at the top level have unknowns here
+        capsys.readouterr()
+        argv = ["cauchy", path, data, "--degree", "3", "--verify", "--polar", "--json"]
+        assert main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        results = report["results"]
+        assert (results["k"], results["s"]) == (1, [5, 0, 0, 0])
+        assert results["polar_dims"] == [9, 4, 4, 4, 4]
+        assert results["restricted_polar"] == [True] * 4
+        assert results["residual"]["clean"] is True
+        assert results["residual"]["first_failure"] is None
+        assert all(c["passed"] for c in report["certificates"])
 
 
 def test_production_builds_no_dense_contraction(wavemap_file, data_file, capsys):
@@ -245,6 +287,24 @@ def test_cauchy_reports_first_failure_through_degree(wavemap_file, data_file, ca
 
 def test_missing_file_is_exit_two(capsys):
     assert main(["tableau", "/nonexistent/tableau.json"]) == 2
+    assert main(["tableau", "/nonexistent/tableau.json", "--json"]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["input_digest"] == {} and "cannot read" in report["error"]
+
+
+def test_input_digest_is_the_sha256_of_the_parsed_file(wavemap_file, data_file, capsys):
+    # each input file is read once; the digest is taken of the bytes parsed
+    want = {}
+    for path in (wavemap_file, data_file):
+        with open(path, "rb") as fh:
+            want[path] = hashlib.sha256(fh.read()).hexdigest()
+    argv = ["cauchy", wavemap_file, data_file, "--degree", "2", "--json"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["input_digest"] == want
+    assert main(["tableau", wavemap_file, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["input_digest"] == {
+        wavemap_file: want[wavemap_file]
+    }
 
 
 def test_malformed_json_is_exit_two(tmp_path, capsys):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from dense_oracles import dense_kernel, dense_rref
+from dense_oracles import dense_kernel, dense_rref, solve_affine
 from involutive.errors import DimensionMismatch, Inconsistent
 from involutive.linalg import (
     ColumnCoordinates,
@@ -14,7 +14,6 @@ from involutive.linalg import (
     Subspace,
     clear_denominators,
     kernel,
-    solve_affine,
     vec,
 )
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import comb
@@ -53,6 +54,21 @@ def diag_tableau():
 
 def skew_tableau():
     return Tableau(2, 2, [[[0, 1], [-1, 0]]])
+
+
+def infinite_type_tableau():
+    """The first-order reduction of the Gorenstein algebra k[x,y,z]/I with
+    Hilbert function (1, 3, 1), I the quadrics apolar to x^2 + y^2 + z^2,
+    with a free fourth variable: n = r = 4 and generators diag(1,1,1,0),
+    E_i3 + E_3i (i = 0, 1, 2) and E_33.  Characters (4, 1, 0, 0) at order
+    0 and (5, 0, 0, 0) from order 1, so k = 1 with s != 0 at k."""
+    def unit(i, j):
+        m = [[0] * 4 for _ in range(4)]
+        m[i][j] = m[j][i] = 1
+        return m
+
+    diag = [[1 if a == b < 3 else 0 for b in range(4)] for a in range(4)]
+    return Tableau(4, 4, [diag] + [unit(i, 3) for i in range(4)])
 
 
 def random_tableau(rng, n, r, want):
@@ -303,6 +319,51 @@ def test_gram_complement_split_matches_the_adjoint_route():
                 assert a is b if isinstance(b, type) else a.coords == b.coords
     assert seen["records"] >= 600 and seen["sigma"] >= 100, seen
     assert {InputError, CapExceeded} <= seen["errors"], seen
+
+
+def _throwaway_split():
+    """A fresh split of C^{1,3} of the infinite-type tableau, where B, H
+    and B_ are all nonzero (dims 15, 1, 4), with its incoming
+    differential and dim Ker delta."""
+    t = infinite_type_tableau()
+    split = HarmonicSplit(t, 1, 3)
+    assert all(split.dims())
+    return split, delta(SpencerCell(t, 2, 2)), split.cell.dim - split.d_out.rank()
+
+
+def _functional(split, v):
+    """The row (G v)^T, pairing a cell vector with v."""
+    return Matrix([split.cell.gram.matvec(v)])
+
+
+@pytest.mark.parametrize("premise", [
+    "b_down_not_orthogonal_to_b", "harmonic_missing_a_vector",
+    "delta_squared_nonzero", "harmonic_outside_ker_delta", "ker_delta_dim",
+])
+def test_each_split_certificate_check_fails_on_its_own(premise):
+    split, d_in, ker_dim = _throwaway_split()
+    split._verify(d_in, ker_dim)
+    dim = split.cell.dim
+    if premise == "b_down_not_orthogonal_to_b":
+        first = [a + b for a, b in zip(split.b_down.basis[0], split.b_up.basis[0])]
+        split.b_down = Subspace(dim, [first] + split.b_down.basis[1:])
+        message = "are not orthogonal"
+    elif premise == "harmonic_missing_a_vector":
+        split.harmonic = Subspace(dim, split.harmonic.basis[1:])
+        message = "do not sum to the cell"
+    elif premise == "delta_squared_nonzero":
+        # <b, .> with b in B kills H but not Im delta_in
+        split.d_out = split.d_out.vstack(_functional(split, split.b_up.basis[0]))
+        message = "Ker delta != B (+) H"
+    elif premise == "harmonic_outside_ker_delta":
+        # <h, .> with h in H kills Im delta_in but not H
+        split.d_out = split.d_out.vstack(_functional(split, split.harmonic.basis[0]))
+        message = "Ker delta != B (+) H"
+    else:
+        ker_dim += 1
+        message = "Ker delta != B (+) H"
+    with pytest.raises(StructureViolation, match=re.escape(message)):
+        split._verify(d_in, ker_dim)
 
 
 def test_adjointness_exact():

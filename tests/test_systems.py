@@ -38,7 +38,7 @@ from involutive.systems import (
     verify_structure_equations,
 )
 from involutive.tableau import Tableau, cartan_test, characters, involutive_index
-from test_spencer import random_tableau
+from test_spencer import infinite_type_tableau, random_tableau
 
 
 def full3_tableau():
@@ -365,6 +365,13 @@ def test_not_two_acyclic_refusals_match_dense_cohomology():
         else:
             assert not any(dims), (t.to_json_dict(), k, dims)
             seen["accepted"] += 1
+    # k = 1 with s != 0 at k: H^{1,3} = 1, but H^{1,2} = H^{2,2} = 0, so
+    # the chain is built
+    t = infinite_type_tableau()
+    assert involutive_index(t, h_max=3)["k"] == 1
+    assert dense_cohomology_dim(t, 1, 3) == 1
+    assert [dense_cohomology_dim(t, q, 2) for q in (1, 2)] == [0, 0]
+    assert len(build_s_chain(System(t, {}), h=1).s_chain) == 2
 
 
 def test_s_chain_rejects_unsolvable_phi():
