@@ -28,9 +28,10 @@ Conventions used everywhere in the package:
   Since i(e_k) m_I = m_{I minus one k} with coefficient 1, the
   coefficient of m_J in i(e_k) t is t[sym_raise(n, h)[J][k]]: every
   contraction is a gather, and no contraction matrix is built.  The
-  Spencer differential reads Tableau.contraction (A^(0) -> b included);
-  the dense contraction_matrix_sym, contraction_matrix and
-  koszul_delta_full are the reference the tests compare against.
+  Spencer differential and the Cauchy layer read Tableau.contraction
+  (A^(0) -> b included); the dense contraction_matrix_sym,
+  contraction_matrix and koszul_delta_full, and contract_vector, have no
+  caller in the package and are the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -163,7 +164,12 @@ def contraction_matrix(n: int, b_dim: int, h: int, k: int) -> Matrix:
 
 
 def contract_vector(n: int, b_dim: int, h: int, t: Vector, x: Vector) -> Vector:
-    """i(X) applied to t in b (x) S^h for X in a, both as coordinate vectors."""
+    """i(X) applied to t in b (x) S^h for X in a, both as coordinate vectors.
+
+    Nothing in the package calls it: the Spencer and Cauchy layers read
+    Tableau.contraction.  It stays as the tests' reference and because
+    the benchmark tracer wraps it by name.
+    """
     if len(x) != n:
         raise DimensionMismatch("direction vector has wrong length")
     size = sym_basis(n, h).size

@@ -27,11 +27,26 @@ and otherwise each pivot row of the back-substituted echelon gives one
 coefficient exactly.  Rows left over once every unknown is a pivot are
 checked by their product with that solution instead of being reduced.
 
-The polar-space checks construct integral flags through a point of the
-prolonged equation manifold from the section xi -> (xi, S_(k+1)(xi)) and
-verify the dimension counts dim H(P, A_h) = n + s_{h+1} + ... + s_nu
-and, for the normal-form block splitting, the restricted count of
-H(P, A_h) intersected with Sigma(A_{h+1}), which must be h + 1.
+Every contraction is read off the tableau's memoised maps: along the
+adapted directions a_rho, iota(a_rho) = sum_i basis_a[i][rho] *
+Tableau.contraction(k, i) takes level-k jet coordinates to level-(k-1)
+jet coordinates (to b when k = 0).  The curl rows above are written in
+those coordinates.
+
+The polar-space checks count along the integral flag E_h spanned by the
+normal-form directions a_1..a_h lifted through the section xi -> (xi,
+S_(k+1)(xi)).  A vector (xi, X) is polar to the flag element (a_l,
+S(a_l)) when iota(a_l)(X - S(xi)) - iota(xi)(S(a_l) - S(a_l)) = 0.  The
+second term vanishes because the flag lies on the section, and the
+change of variables (xi, X) -> (xi, X - S(xi)) is invertible, so
+
+    dim H(E_h) = n + dim A^(k) - rank(stack_{l<h} iota(a_l)),
+
+the same at every point (Cartan-Kahler for a linear Pfaffian system
+without torsion), which must equal n + s_{h+1} + ... + s_nu.  The same
+substitution reduces the restricted count of H(E_h) intersected with
+Sigma(A_{h+1}) to the rank of the stacked contractions on the normal
+generators of blocks 1..h; that count must be h + 1.
 """
 
 from __future__ import annotations
@@ -39,7 +54,6 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .bases import contract_vector, sym_basis
 from .errors import (
     CapExceeded,
     DimensionMismatch,
@@ -182,31 +196,44 @@ def _affine_x_of_u(n, x0, basis_a):
 
 
 def _normal_gen_info(t, nf, k, max_dim):
-    """Level-k coordinates of the normal generators, their block index,
-    and their value matrices (columns = contraction by e_i, in the full
-    b (x) S^k coordinates)."""
-    n, r = t.a_dim, t.b_dim
-    val_rows = r * sym_basis(n, k).size
-    val_mats = nf.normal_basis()
+    """Level-k coordinates of the normal generators, one column each, and
+    their block indices."""
     block_of = [j for j, block in enumerate(nf.blocks, start=1) for _ in block]
-    if not val_mats:
-        return Matrix.zeros(0, 0), [], [], val_rows
     # A^(k) viewed in Hom(a, b (x) S^k) has the level-k basis as generators
     view = t.view_at_level(k, max_dim)
-    coord_cols = [view.jet_coordinates(0, flatten_generator(q)) for q in val_mats]
-    big_n = Matrix.from_columns(coord_cols, nrows=view.dim)
-    return big_n, block_of, val_mats, val_rows
-
-
-def _level_contraction(t, k, direction, max_dim):
-    """Contraction of the level-k jet basis by a direction of a: level-k
-    coordinates -> the full b (x) S^k coordinates."""
-    n, r = t.a_dim, t.b_dim
-    cols = [
-        contract_vector(n, r, k + 1, list(bv), list(direction))
-        for bv in t.jet_basis(k, max_dim)
+    coord_cols = [
+        view.jet_coordinates(0, flatten_generator(q)) for q in nf.normal_basis()
     ]
-    return Matrix.from_columns(cols, nrows=r * sym_basis(n, k).size)
+    return Matrix.from_columns(coord_cols, nrows=view.dim), block_of
+
+
+def _flag_contractions(t, basis_a, k, max_dim):
+    """iota(a_rho) = sum_i basis_a[i][rho] * t.contraction(k, i) for each
+    flag direction a_rho: level-k jet coordinates -> level-(k-1) jet
+    coordinates, or b when k = 0."""
+    n = t.a_dim
+    iota_e = [t.contraction(k, i, max_dim) for i in range(n)]
+    out = []
+    for rho in range(n):
+        acc = Matrix.zeros(iota_e[0].nrows, iota_e[0].ncols)
+        for i in range(n):
+            c = basis_a.rows[i][rho]
+            if c:
+                acc = acc.add(iota_e[i] * c)
+        out.append(acc)
+    return out
+
+
+def _check_level(t, tower, k, max_dim):
+    """The level k (the involutive index of t when None), which the tower
+    must reach."""
+    if k is None:
+        k = involutive_index(t, h_max=max(tower.order, 0), max_dim=max_dim)["k"]
+    if tower.order < k:
+        raise InputError(
+            "tower of order %d cannot solve at level k = %d" % (tower.order, k)
+        )
+    return k
 
 
 def _compose_chain_map(s_map, x_subs, u_series, jet, degree):
@@ -249,29 +276,21 @@ def solve_formal(sys, tower, nf, data, degree, k=None, max_dim=DEFAULT_MAX_DIM,
         raise CapExceeded(
             "truncation degree %d exceeds the cap %d" % (degree, max_degree)
         )
-    if k is None:
-        k = involutive_index(t, h_max=max(tower.order, 0), max_dim=max_dim)["k"]
-    if tower.order < k:
-        raise InputError(
-            "tower of order %d cannot solve at level k = %d" % (tower.order, k)
-        )
+    k = _check_level(t, tower, k, max_dim)
     jet = tower.jet
     level_dims = jet.dims
     data.validate(n, level_dims[:k], nf.s, degree)
     basis_a = nf.basis_a
     a_inv = basis_a.inverse()
     x_subs = _affine_x_of_u(n, data.x0, basis_a)
-    big_n, block_of, val_mats, val_rows = _normal_gen_info(t, nf, k, max_dim)
+    big_n, block_of = _normal_gen_info(t, nf, k, max_dim)
     nk = len(block_of)
-
-    # iota matrices by u-direction: level-k coords -> full b (x) S^k coords
     flag_cols = [
         [basis_a.rows[i][rho] for i in range(n)] for rho in range(n)
     ]
-    iota_u = [_level_contraction(t, k, flag_cols[rho], max_dim) for rho in range(n)]
-
-    # normal generator values on the flag directions
-    gen_val = [[mat.matvec(col) for col in flag_cols] for mat in val_mats]
+    iota_u = _flag_contractions(t, basis_a, k, max_dim)
+    # gen_val[rho][out][m]: normal generator m contracted by a_rho
+    gen_val = [io.matmul(big_n).rows for io in iota_u]
 
     # block coefficient series, seeded with the data
     g_terms = [dict() for _ in range(nk)]
@@ -326,19 +345,20 @@ def solve_formal(sys, tower, nf, data, degree, k=None, max_dim=DEFAULT_MAX_DIM,
         for rho in range(n):
             for sigma in range(rho + 1, n):
                 srho_comp, ssigma_comp = _s_direction_values(
-                    s_top, basis_a, iota_u, rho, sigma, level_dims[k],
-                    val_rows, n,
+                    s_top, flag_cols, iota_u, rho, sigma, level_dims[k], n
                 )
                 for exp_k in _monomials(n, d - 1):
                     e_sig = _bump(exp_k, sigma)
                     e_rho = _bump(exp_k, rho)
-                    for out_idx in range(val_rows):
+                    for vals_rho, vals_sigma, srho, ssigma in zip(
+                        gen_val[rho], gen_val[sigma], srho_comp, ssigma_comp
+                    ):
                         row = {}
                         val = Fraction(0)
                         # iota(a_rho) d_sigma Q - iota(a_sigma) d_rho Q
                         for m in range(nk):
-                            c1 = gen_val[m][rho][out_idx] * (exp_k[sigma] + 1)
-                            c2 = gen_val[m][sigma][out_idx] * (exp_k[rho] + 1)
+                            c1 = vals_rho[m] * (exp_k[sigma] + 1)
+                            c2 = vals_sigma[m] * (exp_k[rho] + 1)
                             for coeff, exp in ((c1, e_sig), (-c2, e_rho)):
                                 if not coeff:
                                     continue
@@ -349,9 +369,8 @@ def solve_formal(sys, tower, nf, data, degree, k=None, max_dim=DEFAULT_MAX_DIM,
                                     val -= coeff * g_terms[m].get(
                                         exp, Fraction(0)
                                     )
-                        target = srho_comp[out_idx].coefficient(
-                            list(exp_k)
-                        ) - ssigma_comp[out_idx].coefficient(list(exp_k))
+                        target = (srho.coefficient(list(exp_k))
+                                  - ssigma.coefficient(list(exp_k)))
                         row[nu] = val + target
                         rows.append(row)
         if unknowns:
@@ -482,19 +501,18 @@ def _drop(exp, i):
     return tuple(e)
 
 
-def _s_direction_values(s_top, basis_a, iota_u, rho, sigma, dim_k, val_rows, n):
+def _s_direction_values(s_top, flag_cols, iota_u, rho, sigma, dim_k, n):
     """iota(a_rho) S(a_sigma) and iota(a_sigma) S(a_rho) as polynomial
-    vectors in the full value coordinates."""
+    vectors in the level-(k-1) jet coordinates."""
     out = []
     for io, direction in ((iota_u[rho], sigma), (iota_u[sigma], rho)):
-        col = [basis_a.rows[j_dir][direction] for j_dir in range(n)]
         comps = [
-            linear_combination(col, s_top[beta * n:(beta + 1) * n], n)
+            linear_combination(
+                flag_cols[direction], s_top[beta * n:(beta + 1) * n], n
+            )
             for beta in range(dim_k)
         ]
-        out.append(
-            [linear_combination(io.rows[i], comps, n) for i in range(val_rows)]
-        )
+        out.append([linear_combination(row, comps, n) for row in io.rows])
     return out[0], out[1]
 
 
@@ -547,113 +565,29 @@ def verify_solution(sys, sol):
     }
 
 
-def _s_values_at_point(sys, tower, k, point):
-    """S_(k+1) component values at a jet point, per x-direction, as
-    level-k coordinate vectors."""
-    jet = tower.jet
-    n = sys.tableau.a_dim
-    s_map = tower.s_chain[k]
-    if point is None:
-        point = [Fraction(0)] * jet.num_vars
-    point = [frac(x) for x in point]
-    if len(point) < jet.num_vars:
-        point = point + [Fraction(0)] * (jet.num_vars - len(point))
-    dim_k = jet.dims[k]
-    vals = []
-    for i in range(n):
-        vals.append(
-            [s_map.components[beta * n + i].eval(point) for beta in range(dim_k)]
-        )
-    return vals
+def polar_dims(sys, tower, nf, k=None, max_dim=DEFAULT_MAX_DIM):
+    """Dimensions of the polar spaces along the normal-form integral flag.
 
-
-def _polar_operator(sys, tower, nf, k, point, max_dim):
-    """Shared setup: flag directions, contraction matrices, S values."""
-    t = sys.tableau
-    n = t.a_dim
-    dim_k = tower.jet.dims[k]
-    val_rows = t.b_dim * sym_basis(n, k).size
-    basis_a = nf.basis_a
-    flag_cols = [[basis_a.rows[i][rho] for i in range(n)] for rho in range(n)]
-    iota_e = [
-        _level_contraction(t, k, row, max_dim) for row in Matrix.identity(n).rows
-    ]
-    s_vals = _s_values_at_point(sys, tower, k, point)
-
-    def s_of(xi):
-        out = [Fraction(0)] * dim_k
-        for i in range(n):
-            if xi[i]:
-                out = [a + xi[i] * b for a, b in zip(out, s_vals[i])]
-        return out
-
-    def iota(xi, y):
-        out = [Fraction(0)] * val_rows
-        for i in range(n):
-            if xi[i]:
-                col = iota_e[i].matvec(y)
-                out = [a + xi[i] * b for a, b in zip(out, col)]
-        return out
-
-    return n, dim_k, val_rows, flag_cols, s_of, iota
-
-
-def _polar_rows(n, dim_k, val_rows, iota, s_of, flag_elem):
-    """Linear conditions cut by one flag element (xi_l, X_l) on a vector
-    (xi, X): iota(xi_l)(X - S(xi)) - iota(xi)(X_l - S(xi_l)) = 0."""
-    xi_l, x_l = flag_elem
-    resid_l = [a - b for a, b in zip(x_l, s_of(xi_l))]
-    rows = []
-    for out_idx in range(val_rows):
-        rows.append([Fraction(0)] * (n + dim_k))
-    # iota(xi_l) X  term
-    for beta in range(dim_k):
-        e = [Fraction(0)] * dim_k
-        e[beta] = Fraction(1)
-        col = iota(xi_l, e)
-        for out_idx in range(val_rows):
-            rows[out_idx][n + beta] += col[out_idx]
-    # -iota(xi_l) S(xi) and -iota(xi) resid_l terms, linear in xi
-    for i in range(n):
-        e = [Fraction(0)] * n
-        e[i] = Fraction(1)
-        col1 = iota(xi_l, s_of(e))
-        col2 = iota(e, resid_l)
-        for out_idx in range(val_rows):
-            rows[out_idx][i] += -col1[out_idx] - col2[out_idx]
-    return rows
-
-
-def polar_dims(sys, tower, nf, point=None, k=None, max_dim=DEFAULT_MAX_DIM):
-    """Dimensions of the polar spaces along a generic integral flag.
-
-    Builds the flag from the certified normal-form directions through
-    the section xi -> (xi, S_(k+1)|_P(xi)) and returns the list of
-    dim H(P, A_h) for h = 0..n, asserting the involutive count
-    n + s_{h+1} + ... + s_nu at every step.
+    Returns dim H(E_h) for h = 0..n, each read as n + dim A^(k) minus the
+    rank of the stacked contractions iota(a_l), l < h (see the module
+    docstring: the flag lies on the section, so S drops out and no point
+    is needed), and asserts the involutive count n + s_{h+1} + ... +
+    s_nu at every step; a miss means the flag is not generic and raises
+    UnstableGenericity.
     """
-    if k is None:
-        k = involutive_index(
-            sys.tableau, h_max=max(tower.order, 0), max_dim=max_dim
-        )["k"]
-    n, dim_k, val_rows, flag_cols, s_of, iota = _polar_operator(
-        sys, tower, nf, k, point, max_dim
-    )
-    flag = [(flag_cols[l], s_of(flag_cols[l])) for l in range(n)]
+    t = sys.tableau
+    k = _check_level(t, tower, k, max_dim)
+    n = t.a_dim
+    iota = _flag_contractions(t, nf.basis_a, k, max_dim)
+    dim_k = t.dim_at(k, max_dim)
+    echelon = IntegerEchelon()
     dims = []
-    rows = []
-    s = nf.s
     for h in range(n + 1):
-        if h > 0:
-            rows.extend(
-                _polar_rows(n, dim_k, val_rows, iota, s_of, flag[h - 1])
-            )
-        if rows:
-            mat = Matrix([list(r) for r in rows], ncols=n + dim_k)
-            dim_h = n + dim_k - mat.rank()
-        else:
-            dim_h = n + dim_k
-        expected = n + sum(s[h:])
+        if h:
+            for row in iota[h - 1].rows:
+                echelon.add(clear_denominators(row))
+        dim_h = n + dim_k - len(echelon)
+        expected = n + sum(nf.s[h:])
         if dim_h != expected:
             raise UnstableGenericity(
                 "polar space at step %d has dimension %d, expected %d"
@@ -663,56 +597,27 @@ def polar_dims(sys, tower, nf, point=None, k=None, max_dim=DEFAULT_MAX_DIM):
     return dims
 
 
-def restricted_polar_check(sys, tower, nf, h, point=None, k=None,
-                           max_dim=DEFAULT_MAX_DIM):
+def restricted_polar_check(sys, tower, nf, h, k=None, max_dim=DEFAULT_MAX_DIM):
     """Restricted polar count inside the block splitting.
 
-    Intersects H(P, A_h) with Sigma(A_{h+1}) = (A_{h+1} + blocks 1..h of
-    the level-k space) and verifies the dimension is h + 1.
+    Intersects H(E_h) with Sigma(A_{h+1}), spanned by the lifts of
+    a_1..a_{h+1} and the normal generators N_low of blocks 1..h, and
+    verifies that its dimension h + 1 + #low - rank(stack_{l<h}
+    iota(a_l) N_low) is h + 1: with X - S(xi) as the fibre variable a
+    lift contributes only its N_low part, which the generators already
+    span (see the module docstring).  UnstableGenericity otherwise.
     """
-    if k is None:
-        k = involutive_index(
-            sys.tableau, h_max=max(tower.order, 0), max_dim=max_dim
-        )["k"]
     t = sys.tableau
+    k = _check_level(t, tower, k, max_dim)
     n = t.a_dim
     if not (0 <= h < n):
         raise InputError("need 0 <= h < n, got h = %d" % h)
-    n_, dim_k, val_rows, flag_cols, s_of, iota = _polar_operator(
-        sys, tower, nf, k, point, max_dim
-    )
-    big_n, block_of, _vals, _vr = _normal_gen_info(t, nf, k, max_dim)
-    nk = len(block_of)
-    n_inv = big_n.inverse() if nk else None
-
-    def project_high(y):
-        """Component of y in the blocks beyond h (normal splitting)."""
-        if not nk:
-            return list(y)
-        g = n_inv.matvec(y)
-        g = [c if block_of[m] > h else Fraction(0) for m, c in enumerate(g)]
-        return big_n.matvec(g)
-
-    # parameters: xi in span(a_1..a_{h+1}), S in blocks 1..h
-    params = []
-    for l in range(h + 1):
-        xi = flag_cols[l]
-        params.append((xi, project_high(s_of(xi))))
-    low_indices = [m for m in range(nk) if block_of[m] <= h]
-    for m in low_indices:
-        col = [big_n.rows[bb][m] for bb in range(dim_k)]
-        params.append(([Fraction(0)] * n, col))
-    flag = [(flag_cols[l], s_of(flag_cols[l])) for l in range(h)]
-    cond_rows = []
-    for elem in flag:
-        cond_rows.extend(_polar_rows(n, dim_k, val_rows, iota, s_of, elem))
-    if cond_rows:
-        full = Matrix([list(r) for r in cond_rows], ncols=n + dim_k)
-        cols = [full.matvec(list(xi) + list(x)) for xi, x in params]
-        restricted = Matrix.from_columns(cols, nrows=full.nrows)
-        dim = len(params) - restricted.rank()
-    else:
-        dim = len(params)
+    big_n, block_of = _normal_gen_info(t, nf, k, max_dim)
+    low = [m for m, j in enumerate(block_of) if j <= h]
+    n_low = Matrix([[row[m] for m in low] for row in big_n.rows], ncols=len(low))
+    iota = _flag_contractions(t, nf.basis_a, k, max_dim)
+    stacked = [row for io in iota[:h] for row in io.matmul(n_low).rows]
+    dim = h + 1 + len(low) - Matrix(stacked, ncols=len(low)).rank()
     if dim != h + 1:
         raise UnstableGenericity(
             "restricted polar space at h = %d has dimension %d, expected %d"

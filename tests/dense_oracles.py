@@ -25,7 +25,10 @@ matrix of its own cell and certified by products and dimensions;
 dense_cohomology_dim counts H^{q,p} with the dense Koszul differential
 on the cell embeddings.  solve_affine reads one solution and a kernel
 basis off one rref of [m | rhs], the oracle for the integer-echelon
-solve of the curl slices in cauchy.
+solve of the curl slices in cauchy.  section_polar_counts counts polar
+spaces on the flag lifted through the section S_(k+1) at a jet point,
+with bases.contract_vector, the oracle for the ranks of stacked flag
+contractions behind cauchy.polar_dims and restricted_polar_check.
 """
 
 from __future__ import annotations
@@ -34,7 +37,12 @@ import math
 import random
 from fractions import Fraction
 
-from involutive.bases import GradedCoords, koszul_delta_full
+from involutive.bases import (
+    GradedCoords,
+    contract_vector,
+    koszul_delta_full,
+    sym_basis,
+)
 from involutive.errors import (
     CapExceeded,
     DimensionMismatch,
@@ -51,7 +59,7 @@ from involutive.linalg import (
 )
 from involutive.poly import Polynomial
 from involutive.spencer import HarmonicSplit, SpencerCell, delta
-from involutive.tableau import DEFAULT_MAX_DIM, cartan_test
+from involutive.tableau import DEFAULT_MAX_DIM, cartan_test, flatten_generator
 
 
 def dense_rref(rows, ncols):
@@ -459,3 +467,92 @@ def dense_cohomology_dim(t, q, p, max_dim=DEFAULT_MAX_DIM):
 
     ker = SpencerCell(t, q, p, max_dim).dim - rank_on(q, p)
     return ker - (rank_on(q + 1, p - 1) if p >= 1 else 0)
+
+
+def section_polar_counts(sys, tower, nf, k, point=None, max_dim=DEFAULT_MAX_DIM):
+    """(dim H(E_h) for h = 0..n, the restricted counts for h = 0..n-1)
+    along the flag of nf.basis_a lifted through the section xi -> (xi,
+    S_(k+1)(xi)) at a jet point, the raw counts without any assertion.
+
+    Each flag element (xi_l, X_l) cuts iota(xi_l)(X - S(xi)) -
+    iota(xi)(X_l - S(xi_l)) = 0 on (xi, X), the matrix formed one unit
+    vector at a time with iota = bases.contract_vector into the full
+    b (x) S^k coordinates, and ranked by dense_rref.  The restricted
+    count intersects with the lifts of a_1..a_{h+1}, projected to the
+    blocks beyond h through the inverse of the normal-generator matrix,
+    and the normal generators of blocks 1..h.  The oracle for the rank
+    route of cauchy.polar_dims and cauchy.restricted_polar_check.
+    """
+    t = sys.tableau
+    n, r = t.a_dim, t.b_dim
+    jet = tower.jet
+    dim_k = jet.dims[k]
+    val_rows = r * sym_basis(n, k).size
+    flag_cols = [[nf.basis_a.rows[i][l] for i in range(n)] for l in range(n)]
+    point = [Fraction(x) for x in point or []]
+    point += [Fraction(0)] * (jet.num_vars - len(point))
+    s_map = tower.s_chain[k]
+    s_vals = [
+        [s_map.components[beta * n + i].eval(point) for beta in range(dim_k)]
+        for i in range(n)
+    ]
+    jet_basis = t.jet_basis(k, max_dim)
+
+    def s_of(xi):
+        return [sum((xi[i] * s_vals[i][beta] for i in range(n)), Fraction(0))
+                for beta in range(dim_k)]
+
+    size = r * sym_basis(n, k + 1).size
+
+    def iota(xi, y):
+        full = [sum((c * v[j] for c, v in zip(y, jet_basis)), Fraction(0))
+                for j in range(size)]
+        return contract_vector(n, r, k + 1, full, list(xi))
+
+    def unit(size, i):
+        return [Fraction(int(j == i)) for j in range(size)]
+
+    def polar_rows(xi_l, x_l):
+        resid_l = [a - b for a, b in zip(x_l, s_of(xi_l))]
+        cols = [[-a - b for a, b in zip(iota(xi_l, s_of(unit(n, i))),
+                                         iota(unit(n, i), resid_l))]
+                for i in range(n)]
+        cols += [iota(xi_l, unit(dim_k, beta)) for beta in range(dim_k)]
+        return [[col[o] for col in cols] for o in range(val_rows)]
+
+    def rank(rows, ncols):
+        return len(dense_rref(rows, ncols)[1]) if rows else 0
+
+    flag = [(xi, s_of(xi)) for xi in flag_cols]
+    dims = []
+    rows = []
+    for h in range(n + 1):
+        if h:
+            rows += polar_rows(*flag[h - 1])
+        dims.append(n + dim_k - rank(rows, n + dim_k))
+
+    block_of = [j for j, block in enumerate(nf.blocks, start=1) for _ in block]
+    view = t.view_at_level(k, max_dim)
+    big_n = Matrix.from_columns(
+        [view.jet_coordinates(0, flatten_generator(q)) for q in nf.normal_basis()],
+        nrows=dim_k,
+    )
+    n_inv = big_n.inverse() if block_of else None
+
+    def project_high(y, h):
+        if not block_of:
+            return list(y)
+        g = [c if block_of[m] > h else 0 for m, c in enumerate(n_inv.matvec(y))]
+        return big_n.matvec(g)
+
+    restricted = []
+    for h in range(n):
+        params = [(xi, project_high(s_of(xi), h)) for xi in flag_cols[:h + 1]]
+        params += [([Fraction(0)] * n, [row[m] for row in big_n.rows])
+                   for m, j in enumerate(block_of) if j <= h]
+        cond = [row for elem in flag[:h] for row in polar_rows(*elem)]
+        cols = [Matrix(cond, ncols=n + dim_k).matvec(list(xi) + list(x))
+                for xi, x in params]
+        image = [[col[o] for col in cols] for o in range(len(cond))]
+        restricted.append(len(params) - rank(image, len(params)))
+    return dims, restricted

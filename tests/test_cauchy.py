@@ -1,12 +1,13 @@
 """Formal Cauchy solutions, residual verification, and polar counts."""
 
+import copy
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from dense_oracles import compose_oracle, solve_affine
+from dense_oracles import compose_oracle, section_polar_counts, solve_affine
 from involutive.cauchy import (
     CauchyData,
     _solve_slice,
@@ -21,6 +22,7 @@ from involutive.errors import (
     Inconsistent,
     InconsistentData,
     InputError,
+    UnstableGenericity,
 )
 from involutive.cli import EXAMPLE_NAMES, build_example
 from involutive.guillemin import normal_form
@@ -34,7 +36,8 @@ from involutive.systems import (
     build_s_chain,
     build_wavemap_system,
 )
-from involutive.tableau import Tableau
+from involutive.tableau import Tableau, involutive_index
+from test_spencer import infinite_type_tableau
 
 
 # Independent oracle for the harmonic-map system: the classical double
@@ -689,7 +692,8 @@ def test_polar_dims_at_solved_point(su2_setup):
         for p in q.components
     ]
     point += [Fraction(0)] * (tower.jet.num_vars - len(point))
-    assert polar_dims(sys_, tower, nf, point=point) == [8, 2, 2]
+    dims, _ = section_polar_counts(sys_, tower, nf, 0, point)
+    assert dims == polar_dims(sys_, tower, nf) == [8, 2, 2]
 
 
 def test_polar_dims_gg0_sl3(sl3_setup):
@@ -717,6 +721,116 @@ def test_restricted_polar_counts(su2_setup, sl3_setup, hom21_setup):
         n = sys_.tableau.a_dim
         for h in range(n):
             assert restricted_polar_check(sys_, tower, nf, h)
+
+
+def polar_case(name):
+    """System, tower, normal form and level k for a polar-count case:
+    a built-in example, the infinite-type or index-one tableau (k = 1),
+    or the zero tableau; Phi = 0 for the last three."""
+    if name == "infinite-type":
+        sys_ = System(infinite_type_tableau(), {})
+    elif name == "index-one":
+        sys_ = System(Tableau(3, 3, [[[0, 2, -1], [2, 0, 0], [2, 0, 1]]]), {})
+    elif name == "zero":
+        sys_ = System(Tableau(2, 3, []), {})
+    else:
+        sys_ = build_example(name)
+    k = involutive_index(sys_.tableau, h_max=2)["k"]
+    tower = build_s_chain(sys_, k, k=k)
+    return sys_, tower, normal_form(sys_.tableau, seed=0, h=k), k
+
+
+def polar_counts_or_errors(sys_, tower, nf, k):
+    """polar_dims and each restricted_polar_check, an UnstableGenericity
+    message standing in for the value it rejects."""
+    def run(check, *args):
+        try:
+            return check(sys_, tower, nf, *args, k=k)
+        except UnstableGenericity as exc:
+            return str(exc)
+
+    return [run(polar_dims)] + [
+        run(restricted_polar_check, h) for h in range(sys_.tableau.a_dim)
+    ]
+
+
+def expected_polar_report(nf, dims, restricted):
+    """What polar_dims and restricted_polar_check report for raw counts:
+    the dims, or the message at the first step off the involutive count;
+    True, or the message, for each restricted count."""
+    n = len(dims) - 1
+    want = [n + sum(nf.s[h:]) for h in range(n + 1)]
+    bad = [h for h in range(n + 1) if dims[h] != want[h]]
+    out = [dims if not bad else
+           "polar space at step %d has dimension %d, expected %d"
+           % (bad[0], dims[bad[0]], want[bad[0]])]
+    for h, dim in enumerate(restricted):
+        out.append(True if dim == h + 1 else
+                   "restricted polar space at h = %d has dimension %d, "
+                   "expected %d" % (h, dim, h + 1))
+    return out
+
+
+def test_polar_counts_match_the_section_oracle():
+    # The rank route drops S: on the section X_l = S(a_l), and
+    # (xi, X) -> (xi, X - S xi) is invertible.  The oracle keeps S and
+    # the jet point, so the raw counts must agree at any point and on any
+    # flag, degenerate ones included, where both sides reject.
+    rng = random.Random(2006)
+    seen = {"normal": 0, "generic": 0, "degenerate": 0, "rejected": 0}
+    for name in EXAMPLE_NAMES + ("infinite-type", "index-one", "zero"):
+        sys_, tower, nf, k = polar_case(name)
+        n = sys_.tableau.a_dim
+        for kind in ("normal", "generic", "generic", "degenerate"):
+            trial = copy.copy(nf)
+            if kind != "normal":
+                cols = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+                if kind == "degenerate":
+                    # a zero direction, or one repeating an earlier one
+                    l = rng.randrange(n)
+                    cols[l] = [0] * n if l == 0 or rng.random() < 0.5 else cols[0]
+                trial.basis_a = Matrix.from_columns(cols)
+            point = [Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                     for _ in range(tower.jet.num_vars)]
+            dims, restricted = section_polar_counts(sys_, tower, trial, k, point)
+            want = expected_polar_report(nf, dims, restricted)
+            assert polar_counts_or_errors(sys_, tower, trial, k) == want, (name, kind)
+            seen[kind] += 1
+            seen["rejected"] += any(isinstance(x, str) for x in want)
+    assert seen["rejected"] >= 3, seen
+
+
+def test_degenerate_flag_raises_unstable_genericity(su2_setup):
+    sys_, tower, nf = su2_setup
+    trial = copy.copy(nf)
+    trial.basis_a = Matrix(
+        [[0] + row[1:] for row in nf.basis_a.rows], ncols=2
+    )
+    with pytest.raises(
+        UnstableGenericity,
+        match="^polar space at step 1 has dimension 8, expected 2$",
+    ):
+        polar_dims(sys_, tower, trial)
+    assert restricted_polar_check(sys_, tower, trial, 0)
+    with pytest.raises(
+        UnstableGenericity,
+        match="^restricted polar space at h = 1 has dimension 8, expected 2$",
+    ):
+        restricted_polar_check(sys_, tower, trial, 1)
+
+
+def test_polar_checks_need_the_tower_to_reach_k():
+    sys_ = System(infinite_type_tableau(), {})
+    tower = build_s_chain(sys_, 0, k=1)
+    nf = normal_form(sys_.tableau, seed=0, h=1)
+    message = "^tower of order 0 cannot solve at level k = 1$"
+    with pytest.raises(InputError, match=message):
+        polar_dims(sys_, tower, nf, k=1)
+    with pytest.raises(InputError, match=message):
+        restricted_polar_check(sys_, tower, nf, 1, k=1)
+    data = CauchyData([0] * 4, [[0] * 5], [[Polynomial.zero(1)] * 5])
+    with pytest.raises(InputError, match=message):
+        solve_formal(sys_, tower, nf, data, 2, k=1)
 
 
 def test_restricted_polar_rejects_bad_step(sl3_setup):

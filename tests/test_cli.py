@@ -157,6 +157,19 @@ def test_production_builds_no_dense_contraction(wavemap_file, data_file, capsys)
     assert [cache.cache_info().misses for cache in dense] == [0, 0, 0]
 
 
+def test_production_names_no_contract_vector():
+    # the Cauchy layer reads Tableau.contraction too; contract_vector is
+    # only the reference the tests compare against
+    package = os.path.dirname(bases.__file__)
+    users = []
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py") and name != "bases.py":
+            with open(os.path.join(package, name)) as fh:
+                if "contract_vector" in fh.read():
+                    users.append(name)
+    assert users == []
+
+
 def test_max_degree_raises_the_series_cap(tmp_path, capsys):
     path, data = example_files(tmp_path, "wavemap:abelian")
     argv = ["cauchy", path, data, "--degree", "13"]
