@@ -63,7 +63,7 @@ from .errors import (
 )
 from .linalg import IntegerEchelon, Matrix, clear_denominators, frac
 from .poly import Polynomial, PolyMap, linear_combination
-from .tableau import DEFAULT_MAX_DIM, flatten_generator, involutive_index
+from .tableau import flatten_generator, involutive_index
 
 DEFAULT_MAX_DEGREE = 10
 
@@ -195,24 +195,24 @@ def _affine_x_of_u(n, x0, basis_a):
     return subs
 
 
-def _normal_gen_info(t, nf, k, max_dim):
+def _normal_gen_info(t, nf, k):
     """Level-k coordinates of the normal generators, one column each, and
     their block indices."""
     block_of = [j for j, block in enumerate(nf.blocks, start=1) for _ in block]
     # A^(k) viewed in Hom(a, b (x) S^k) has the level-k basis as generators
-    view = t.view_at_level(k, max_dim)
+    view = t.view_at_level(k)
     coord_cols = [
         view.jet_coordinates(0, flatten_generator(q)) for q in nf.normal_basis()
     ]
     return Matrix.from_columns(coord_cols, nrows=view.dim), block_of
 
 
-def _flag_contractions(t, basis_a, k, max_dim):
+def _flag_contractions(t, basis_a, k):
     """iota(a_rho) = sum_i basis_a[i][rho] * t.contraction(k, i) for each
     flag direction a_rho: level-k jet coordinates -> level-(k-1) jet
     coordinates, or b when k = 0."""
     n = t.a_dim
-    iota_e = [t.contraction(k, i, max_dim) for i in range(n)]
+    iota_e = [t.contraction(k, i) for i in range(n)]
     out = []
     for rho in range(n):
         acc = Matrix.zeros(iota_e[0].nrows, iota_e[0].ncols)
@@ -224,11 +224,11 @@ def _flag_contractions(t, basis_a, k, max_dim):
     return out
 
 
-def _check_level(t, tower, k, max_dim):
+def _check_level(t, tower, k):
     """The level k (the involutive index of t when None), which the tower
     must reach."""
     if k is None:
-        k = involutive_index(t, h_max=max(tower.order, 0), max_dim=max_dim)["k"]
+        k = involutive_index(t, h_max=max(tower.order, 0))["k"]
     if tower.order < k:
         raise InputError(
             "tower of order %d cannot solve at level k = %d" % (tower.order, k)
@@ -260,8 +260,7 @@ def _monomials(n, d):
     return out
 
 
-def solve_formal(sys, tower, nf, data, degree, k=None, max_dim=DEFAULT_MAX_DIM,
-                 max_degree=DEFAULT_MAX_DEGREE):
+def solve_formal(sys, tower, nf, data, degree, k=None, max_degree=DEFAULT_MAX_DEGREE):
     """Unique formal solution through the given truncation degree.
 
     The data supply the block coefficients supported in their own
@@ -276,19 +275,19 @@ def solve_formal(sys, tower, nf, data, degree, k=None, max_dim=DEFAULT_MAX_DIM,
         raise CapExceeded(
             "truncation degree %d exceeds the cap %d" % (degree, max_degree)
         )
-    k = _check_level(t, tower, k, max_dim)
+    k = _check_level(t, tower, k)
     jet = tower.jet
     level_dims = jet.dims
     data.validate(n, level_dims[:k], nf.s, degree)
     basis_a = nf.basis_a
     a_inv = basis_a.inverse()
     x_subs = _affine_x_of_u(n, data.x0, basis_a)
-    big_n, block_of = _normal_gen_info(t, nf, k, max_dim)
+    big_n, block_of = _normal_gen_info(t, nf, k)
     nk = len(block_of)
     flag_cols = [
         [basis_a.rows[i][rho] for i in range(n)] for rho in range(n)
     ]
-    iota_u = _flag_contractions(t, basis_a, k, max_dim)
+    iota_u = _flag_contractions(t, basis_a, k)
     # gen_val[rho][out][m]: normal generator m contracted by a_rho
     gen_val = [io.matmul(big_n).rows for io in iota_u]
 
@@ -565,7 +564,7 @@ def verify_solution(sys, sol):
     }
 
 
-def polar_dims(sys, tower, nf, k=None, max_dim=DEFAULT_MAX_DIM):
+def polar_dims(sys, tower, nf, k=None):
     """Dimensions of the polar spaces along the normal-form integral flag.
 
     Returns dim H(E_h) for h = 0..n, each read as n + dim A^(k) minus the
@@ -576,10 +575,10 @@ def polar_dims(sys, tower, nf, k=None, max_dim=DEFAULT_MAX_DIM):
     UnstableGenericity.
     """
     t = sys.tableau
-    k = _check_level(t, tower, k, max_dim)
+    k = _check_level(t, tower, k)
     n = t.a_dim
-    iota = _flag_contractions(t, nf.basis_a, k, max_dim)
-    dim_k = t.dim_at(k, max_dim)
+    iota = _flag_contractions(t, nf.basis_a, k)
+    dim_k = t.dim_at(k)
     echelon = IntegerEchelon()
     dims = []
     for h in range(n + 1):
@@ -597,7 +596,7 @@ def polar_dims(sys, tower, nf, k=None, max_dim=DEFAULT_MAX_DIM):
     return dims
 
 
-def restricted_polar_check(sys, tower, nf, h, k=None, max_dim=DEFAULT_MAX_DIM):
+def restricted_polar_check(sys, tower, nf, h, k=None):
     """Restricted polar count inside the block splitting.
 
     Intersects H(E_h) with Sigma(A_{h+1}), spanned by the lifts of
@@ -608,14 +607,14 @@ def restricted_polar_check(sys, tower, nf, h, k=None, max_dim=DEFAULT_MAX_DIM):
     span (see the module docstring).  UnstableGenericity otherwise.
     """
     t = sys.tableau
-    k = _check_level(t, tower, k, max_dim)
+    k = _check_level(t, tower, k)
     n = t.a_dim
     if not (0 <= h < n):
         raise InputError("need 0 <= h < n, got h = %d" % h)
-    big_n, block_of = _normal_gen_info(t, nf, k, max_dim)
+    big_n, block_of = _normal_gen_info(t, nf, k)
     low = [m for m, j in enumerate(block_of) if j <= h]
     n_low = Matrix([[row[m] for m in low] for row in big_n.rows], ncols=len(low))
-    iota = _flag_contractions(t, nf.basis_a, k, max_dim)
+    iota = _flag_contractions(t, nf.basis_a, k)
     stacked = [row for io in iota[:h] for row in io.matmul(n_low).rows]
     dim = h + 1 + len(low) - Matrix(stacked, ncols=len(low)).rank()
     if dim != h + 1:

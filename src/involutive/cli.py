@@ -102,14 +102,14 @@ def _load_json(args, path):
 
 def _load_tableau(args, path):
     """Accept either a bare tableau file or a full system file."""
-    return Tableau.from_json_dict(_load_json(args, path))
+    return Tableau.from_json_dict(_load_json(args, path), args.max_dim)
 
 
 def _load_system(args, path):
     blob = _load_json(args, path)
     if not isinstance(blob, dict) or "phi" not in blob:
         raise InputError("%s does not contain a system description" % path)
-    return System.from_json_dict(blob)
+    return System.from_json_dict(blob, args.max_dim)
 
 
 def build_example(name):
@@ -133,10 +133,8 @@ def cmd_tableau(args):
     certificates = []
     passed = True
     top = args.prolong if args.prolong is not None else 1
-    results["prolongation_dims"] = [
-        t.dim_at(h, args.max_dim) for h in range(top + 1)
-    ]
-    test = cartan_test(t, samples=args.samples, seed=seed, max_dim=args.max_dim)
+    results["prolongation_dims"] = [t.dim_at(h) for h in range(top + 1)]
+    test = cartan_test(t, samples=args.samples, seed=seed)
     results["characters"] = list(test["characters"].s)
     results["cartan_bound"] = test["bound"]
     results["dim_A1"] = test["dim_A1"]
@@ -153,8 +151,7 @@ def cmd_tableau(args):
         results["coordinate_flag_partial_sums"] = character_partial_sums(t, ident)
     if args.involutive_index:
         idx = involutive_index(
-            t, h_max=args.max_order, samples=args.samples, seed=seed,
-            max_dim=args.max_dim,
+            t, h_max=args.max_order, samples=args.samples, seed=seed
         )
         results["involutive_index"] = idx["k"]
         results["involutive_characters"] = list(idx["involutive_characters"].s)
@@ -204,13 +201,12 @@ def cmd_spencer(args):
     for q in range(1, q_max + 1):
         row = {}
         for p in range(0, p_max + 1):
-            row[p] = cohomology_dim(t, q, p, args.max_dim)
+            row[p] = cohomology_dim(t, q, p)
         table[q] = row
     results["H_dims"] = table
     if args.two_acyclic:
         rep = two_acyclicity_report(
-            t, q_cap=q_max, samples=args.samples, seed=args.seed,
-            max_dim=args.max_dim,
+            t, q_cap=q_max, samples=args.samples, seed=args.seed
         )
         results["two_acyclic"] = rep["two_acyclic"]
         results["checked_q_range"] = rep["checked_q_range"]
@@ -225,7 +221,7 @@ def cmd_spencer(args):
     if args.harmonic:
         splits = {}
         for q in range(1, q_max + 1):
-            split = harmonic_split(t, q, 1, args.max_dim)
+            split = harmonic_split(t, q, 1)
             splits[q] = split.dims()
         results["harmonic_split_dims"] = splits
     return passed, results, certificates
@@ -266,12 +262,12 @@ def cmd_system(args):
     certificates = []
     passed = True
     if args.check:
-        b02 = check_phi_in_B02(sys_, seed=args.seed, max_dim=args.max_dim)
+        b02 = check_phi_in_B02(sys_, seed=args.seed)
         results["phi_in_B02"] = b02
         certificates.append(
             {"name": "phi_in_B02", "passed": b02["passed"], "method": b02["method"]}
         )
-        tor = check_torsion_condition(sys_, seed=args.seed, max_dim=args.max_dim)
+        tor = check_torsion_condition(sys_, seed=args.seed)
         results["torsion_condition"] = tor
         certificates.append(
             {
@@ -285,8 +281,7 @@ def cmd_system(args):
         raise InputError("--structure needs --tower H")
     if args.tower is not None:
         tower = build_s_chain(
-            sys_, args.tower, samples=args.samples, seed=args.seed,
-            max_dim=args.max_dim,
+            sys_, args.tower, samples=args.samples, seed=args.seed
         )
         results["tower_degrees"] = [
             max(p.total_degree() for p in m.components) if m.components else 0
@@ -350,20 +345,16 @@ def cmd_cauchy(args):
         )
     t = sys_.tableau
     idx = involutive_index(
-        t, h_max=args.max_order, samples=args.samples, seed=args.seed,
-        max_dim=args.max_dim,
+        t, h_max=args.max_order, samples=args.samples, seed=args.seed
     )
     k = idx["k"]
-    tower = build_s_chain(
-        sys_, k, samples=args.samples, seed=args.seed, max_dim=args.max_dim, k=k
-    )
-    nf = normal_form(t, samples=args.samples, seed=args.seed,
-                     max_dim=args.max_dim, h=k)
+    tower = build_s_chain(sys_, k, samples=args.samples, seed=args.seed, k=k)
+    nf = normal_form(t, samples=args.samples, seed=args.seed, h=k)
     results = {"k": k, "s": list(nf.s), "degree": args.degree}
     certificates = []
     passed = True
     sol = solve_formal(sys_, tower, nf, data, args.degree, k=k,
-                       max_dim=args.max_dim, max_degree=args.max_degree)
+                       max_degree=args.max_degree)
     results["solution"] = sol.to_json_dict()
     if args.verify:
         rep = verify_solution(sys_, sol)
@@ -377,14 +368,11 @@ def cmd_cauchy(args):
         )
         passed = passed and rep["clean"]
     if args.polar:
-        dims = polar_dims(sys_, tower, nf, k=k, max_dim=args.max_dim)
+        dims = polar_dims(sys_, tower, nf, k=k)
         results["polar_dims"] = dims
         restricted = []
         for h in range(t.a_dim):
-            restricted.append(
-                restricted_polar_check(sys_, tower, nf, h, k=k,
-                                       max_dim=args.max_dim)
-            )
+            restricted.append(restricted_polar_check(sys_, tower, nf, h, k=k))
         results["restricted_polar"] = restricted
         certificates.append(
             {

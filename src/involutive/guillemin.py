@@ -59,7 +59,6 @@ from .linalg import (
     kernel,
 )
 from .tableau import (
-    DEFAULT_MAX_DIM,
     _sample_flag,
     _vector_to_matrix,
     cartan_test,
@@ -249,12 +248,12 @@ def _construct(t, cv, flag):
     return NormalForm(basis_a, basis_b, s, blocks, coeffs)
 
 
-def normal_form(t, samples=5, seed=0, max_dim=DEFAULT_MAX_DIM, h=0):
+def normal_form(t, samples=5, seed=0, h=0):
     """Compute adapted bases and the normal basis of an involutive tableau.
 
     For h > 0 the tableau is A^(h) of t's prolongation tower, read as
     t.view_at_level(h).  The Cartan test and the flag ranks run on the
-    tower (cartan_test(t, h=h)), so only A^(h+1) has to fit in max_dim;
+    tower (cartan_test(t, h=h)), so only A^(h+1) has to fit in t.max_dim;
     the view is built for the construction and never prolonged.  Flags
     are drawn from Random(seed) with the coefficient bound of
     characters(), so the first one is the Cartan test's witness flag
@@ -263,14 +262,14 @@ def normal_form(t, samples=5, seed=0, max_dim=DEFAULT_MAX_DIM, h=0):
     Raises NotInvolutive when the Cartan test fails, and
     UnstableGenericity when no sampled flag yields a verifying form.
     """
-    res = cartan_test(t, samples=samples, seed=seed, max_dim=max_dim, h=h)
+    res = cartan_test(t, samples=samples, seed=seed, h=h)
     if not res["involutive"]:
         raise NotInvolutive(
             "normal form requires an involutive tableau (dim A^(1) = %d, "
             "bound = %d)" % (res["dim_A1"], res["bound"])
         )
     cv = res["characters"]
-    view = t.view_at_level(h, max_dim)
+    view = t.view_at_level(h)
     n, r = view.a_dim, view.b_dim
     if view.dim == 0:
         return NormalForm(Matrix.identity(n), Matrix.identity(r), cv.s, [], {})
@@ -289,9 +288,7 @@ def normal_form(t, samples=5, seed=0, max_dim=DEFAULT_MAX_DIM, h=0):
         except BadDecomposition as exc:
             failure = str(exc)
             continue
-        report = verify_normal_form(
-            t, nf, samples=samples, seed=seed, max_dim=max_dim, h=h
-        )
+        report = verify_normal_form(t, nf, samples=samples, seed=seed, h=h)
         if report["all_passed"]:
             return nf
         failure = report
@@ -308,7 +305,7 @@ def _first_failure(checks):
     return None
 
 
-def verify_normal_form(t, nf, samples=5, seed=0, max_dim=DEFAULT_MAX_DIM, h=0):
+def verify_normal_form(t, nf, samples=5, seed=0, h=0):
     """Re-check every normal-form invariant of nf against the tableau.
 
     For h > 0 the tableau is A^(h) of t's tower, read as in normal_form.
@@ -322,7 +319,7 @@ def verify_normal_form(t, nf, samples=5, seed=0, max_dim=DEFAULT_MAX_DIM, h=0):
     informational only: it records whether tail-column coefficients
     (columns beyond nu) stayed within the first s_nu rows.
     """
-    view = t.view_at_level(h, max_dim)
+    view = t.view_at_level(h)
     n, r = view.a_dim, view.b_dim
     checks = []
 

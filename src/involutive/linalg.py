@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatch, Inconsistent
+from .errors import DimensionMismatch, Inconsistent, InputError
 
 Vector = list[Fraction]
 
@@ -44,7 +44,10 @@ def frac(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InputError(f"{x!r} is not an exact rational") from exc
     raise DimensionMismatch(f"cannot interpret {x!r} as an exact rational")
 
 
@@ -475,10 +478,6 @@ class Subspace:
         s.ambient_dim = ambient_dim
         s.basis, s.pivots = _rref_rows(echelon, ambient_dim)
         return s
-
-    @classmethod
-    def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, [])
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":

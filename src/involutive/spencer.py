@@ -63,7 +63,7 @@ from .errors import (
     StructureViolation,
 )
 from .linalg import ColumnCoordinates, Matrix, Subspace, frac, kernel
-from .tableau import DEFAULT_MAX_DIM, involutive_index
+from .tableau import involutive_index
 
 
 class SpencerCell:
@@ -75,7 +75,7 @@ class SpencerCell:
     with p > n is the zero cell, since Lambda^p(a*) = 0.
     """
 
-    def __init__(self, tableau, q, p, max_dim=DEFAULT_MAX_DIM):
+    def __init__(self, tableau, q, p):
         if q < 0:
             raise InputError("Spencer cell needs q >= 0, got %d" % q)
         if p < 0:
@@ -87,7 +87,7 @@ class SpencerCell:
         if q == 0:
             a_basis = Matrix.identity(r).rows
         else:
-            a_basis = tableau.jet_basis(q - 1, max_dim)
+            a_basis = tableau.jet_basis(q - 1)
         w = ext_basis(n, p).size
         self.dim = len(a_basis) * w
         # basis vector alpha (x) w_k is column alpha * w + k; its entry c at
@@ -131,7 +131,7 @@ class SpencerCell:
         return [frac(x) for column in zip(*slots) for x in column]
 
 
-def delta(cell, max_dim=DEFAULT_MAX_DIM):
+def delta(cell):
     """Matrix of the Spencer differential C^{q,p} -> C^{q-1,p+1}.
 
     Expressed in cell coordinates on both sides: with C_i =
@@ -141,16 +141,16 @@ def delta(cell, max_dim=DEFAULT_MAX_DIM):
     (StructureViolation otherwise); delta^{0,p} = 0 by convention and the
     matrix then has zero rows.
     """
-    return _delta(cell.tableau, cell.q, cell.p, cell.dim, max_dim)
+    return _delta(cell.tableau, cell.q, cell.p, cell.dim)
 
 
-def _delta(t, q, p, dim, max_dim=DEFAULT_MAX_DIM):
+def _delta(t, q, p, dim):
     """delta out of C^{q,p}, a cell of dimension dim, without the cell."""
     n = t.a_dim
     if q == 0 or p >= n:
         return Matrix.zeros(0, dim)
     src, dst = ext_basis(n, p), ext_basis(n, p + 1)
-    contractions = [t.contraction(q - 1, i, max_dim) for i in range(n)]
+    contractions = [t.contraction(q - 1, i) for i in range(n)]
     m = Matrix.zeros(contractions[0].nrows * dst.size, dim)
     for i, c in enumerate(contractions):
         for k, K in enumerate(src.indices):
@@ -167,20 +167,20 @@ def _delta(t, q, p, dim, max_dim=DEFAULT_MAX_DIM):
     return m
 
 
-def _delta_in(t, q, p, max_dim=DEFAULT_MAX_DIM):
+def _delta_in(t, q, p):
     """Differential arriving at C^{q,p} from C^{q+1,p-1} (zero-source for p=0)."""
     if p == 0:
-        return Matrix.zeros(SpencerCell(t, q, p, max_dim).dim, 0)
-    source = SpencerCell(t, q + 1, p - 1, max_dim)
-    return delta(source, max_dim)
+        return Matrix.zeros(SpencerCell(t, q, p).dim, 0)
+    source = SpencerCell(t, q + 1, p - 1)
+    return delta(source)
 
 
-def cohomology_dim(t, q, p, max_dim=DEFAULT_MAX_DIM):
+def cohomology_dim(t, q, p):
     """dim H^{q,p}(A) = dim Ker delta^{q,p} - rank delta^{q+1,p-1}."""
-    cell = SpencerCell(t, q, p, max_dim)
-    d_out = delta(cell, max_dim)
+    cell = SpencerCell(t, q, p)
+    d_out = delta(cell)
     ker_dim = cell.dim - d_out.rank()
-    rank_in = _delta_in(t, q, p, max_dim).rank()
+    rank_in = _delta_in(t, q, p).rank()
     h = ker_dim - rank_in
     if h < 0:
         raise StructureViolation(
@@ -190,26 +190,24 @@ def cohomology_dim(t, q, p, max_dim=DEFAULT_MAX_DIM):
     return h
 
 
-def two_acyclicity_report(t, q_cap, samples=5, seed=0, max_dim=DEFAULT_MAX_DIM,
-                          k=None):
+def two_acyclicity_report(t, q_cap, samples=5, seed=0, k=None):
     """H^{q,2} for q = 1..max(q_cap, k+1), with k the involutive index.
 
     The involutive index is included when it is computable within the
-    same cap; the report records exactly which range was verified.  A
+    tableau's cap; the report records exactly which range was verified.  A
     caller that already holds the index passes it as k.
     """
     if q_cap < 1:
         raise InputError("need q_cap >= 1, got %d" % q_cap)
     if k is None:
         try:
-            k = involutive_index(t, h_max=q_cap + 1, samples=samples, seed=seed,
-                                 max_dim=max_dim)["k"]
+            k = involutive_index(t, h_max=q_cap + 1, samples=samples, seed=seed)["k"]
         except CapExceeded:
             pass
     top = max(q_cap, k + 1) if k is not None else q_cap
     dims = {}
     for q in range(1, top + 1):
-        dims[q] = cohomology_dim(t, q, 2, max_dim)
+        dims[q] = cohomology_dim(t, q, 2)
     return {
         "two_acyclic": all(v == 0 for v in dims.values()),
         "checked_q_range": [1, top],
@@ -218,18 +216,18 @@ def two_acyclicity_report(t, q_cap, samples=5, seed=0, max_dim=DEFAULT_MAX_DIM,
     }
 
 
-def codifferential(t, q, p, max_dim=DEFAULT_MAX_DIM):
+def codifferential(t, q, p):
     """Matrix of delta*_{q,p}: C^{q-1,p+1} -> C^{q,p}, the Gram adjoint of
     the outgoing differential of C^{q,p}.  Its image is B_{q,p}."""
     if q < 1:
         raise InputError("codifferential needs q >= 1, got %d" % q)
     if p >= t.a_dim:
         raise InputError("codifferential needs p < a_dim, got p = %d" % p)
-    cell = SpencerCell(t, q, p, max_dim)
-    dst = SpencerCell(t, q - 1, p + 1, max_dim)
+    cell = SpencerCell(t, q, p)
+    dst = SpencerCell(t, q - 1, p + 1)
     if cell.dim == 0 or dst.dim == 0:
         return Matrix.zeros(cell.dim, dst.dim)
-    d = delta(cell, max_dim)
+    d = delta(cell)
     return _adjoint(d, cell.gram, dst.gram)
 
 
@@ -291,18 +289,18 @@ class HarmonicSplit:
     by multiplying back: delta o sigma = identity on the image.
     """
 
-    def __init__(self, tableau, q, p, max_dim=DEFAULT_MAX_DIM):
+    def __init__(self, tableau, q, p):
         self.tableau = tableau
         self.q = q
         self.p = p
-        cell = SpencerCell(tableau, q, p, max_dim)
+        cell = SpencerCell(tableau, q, p)
         self.cell = cell
         n = tableau.a_dim
         g = cell.gram
-        self.d_out = delta(cell, max_dim)
+        self.d_out = delta(cell)
         if p >= 1:
-            src_dim = tableau.dim_at(q, max_dim) * ext_basis(n, p - 1).size
-            d_in = _delta(tableau, q + 1, p - 1, src_dim, max_dim)
+            src_dim = tableau.dim_at(q) * ext_basis(n, p - 1).size
+            d_in = _delta(tableau, q + 1, p - 1, src_dim)
         else:
             d_in = Matrix.zeros(cell.dim, 0)
         self._has_target = q >= 1 and p < n and cell.dim > 0
@@ -400,7 +398,7 @@ class HarmonicSplit:
         return [row[0] for row in self.sigma_on_columns(column).rows]
 
 
-def harmonic_split(t, q, p, max_dim=DEFAULT_MAX_DIM):
+def harmonic_split(t, q, p):
     """Harmonic decomposition of C^{q,p}(A); see HarmonicSplit.
 
     Built once per (q, p) and shared through the tableau, written under
@@ -412,13 +410,13 @@ def harmonic_split(t, q, p, max_dim=DEFAULT_MAX_DIM):
     key = (q, p)
     split = t._splits.get(key)
     if split is None:
-        split = HarmonicSplit(t, q, p, max_dim)
+        split = HarmonicSplit(t, q, p)
         with t._lock:
             split = t._splits.setdefault(key, split)
     return split
 
 
-def sigma(t, q, p, max_dim=DEFAULT_MAX_DIM):
+def sigma(t, q, p):
     """The inverse sigma_{q,p}: B^{q-1,p+1} -> B_{q,p} of the differential.
 
     Returns a callable taking GradedCoords in bidegree (q-1, p+1) (full
@@ -430,8 +428,8 @@ def sigma(t, q, p, max_dim=DEFAULT_MAX_DIM):
         raise InputError("sigma needs q >= 1, got %d" % q)
     if p >= t.a_dim:
         raise InputError("sigma needs p < a_dim, got p = %d" % p)
-    split = harmonic_split(t, q, p, max_dim)
-    target_cell = SpencerCell(t, q - 1, p + 1, max_dim)
+    split = harmonic_split(t, q, p)
+    target_cell = SpencerCell(t, q - 1, p + 1)
 
     def apply(target):
         if not isinstance(target, GradedCoords):

@@ -135,12 +135,17 @@ class System:
         return d
 
     @classmethod
-    def from_json_dict(cls, data):
-        t = Tableau.from_json_dict(data)
+    def from_json_dict(cls, data, max_dim=DEFAULT_MAX_DIM):
+        """The system of a tableau JSON object with a phi table; the
+        tableau gets the dimension cap max_dim."""
+        t = Tableau.from_json_dict(data, max_dim)
         nv = t.a_dim + t.dim
+        tables = data.get("phi", {})
+        if not isinstance(tables, dict):
+            raise InputError("system JSON phi must be an object")
         phi = {}
         try:
-            for key, table in data.get("phi", {}).items():
+            for key, table in tables.items():
                 a, i, j = (int(x) for x in key.split(","))
                 phi[(a, i, j)] = Polynomial.from_table(nv, table)
             names = data.get("vars")
@@ -158,12 +163,12 @@ class JetVars:
     canonical bases of the prolongations above.
     """
 
-    def __init__(self, tableau, top, max_dim=DEFAULT_MAX_DIM):
+    def __init__(self, tableau, top):
         self.tableau = tableau
         self.top = top
         self.n = tableau.a_dim
         self.dims = [tableau.dim] + [
-            tableau.level(s, max_dim).dim for s in range(1, top + 1)
+            tableau.level(s).dim for s in range(1, top + 1)
         ]
         self.offsets = []
         off = self.n
@@ -171,9 +176,6 @@ class JetVars:
             self.offsets.append(off)
             off += d
         self.num_vars = off
-
-    def x_index(self, i):
-        return i
 
     def q_index(self, s, alpha):
         return self.offsets[s] + alpha
@@ -201,11 +203,12 @@ class TowerData:
     once, and the chain S_(1), ..., S_(h+1).
 
     jet is the JetVars layout of order h, which builds every level the
-    tower reads under max_dim, and splits[r] the HarmonicSplit of C^{r,1}
-    for r = 1..h+1, read through spencer.harmonic_split, so towers over
-    one tableau that are alive together share them.  The contraction of
-    level s by e_i is tableau.contraction(s, i), memoised on the tableau
-    and shared by every tower over it.
+    tower reads under the tableau's max_dim, and splits[r] the
+    HarmonicSplit of C^{r,1} for r = 1..h+1, read through
+    spencer.harmonic_split, so towers over one tableau that are alive
+    together share them.  The contraction of level s by e_i is
+    tableau.contraction(s, i), memoised on the tableau and shared by
+    every tower over it.
     s_chain[r-1] is S_(r), a PolyMap on the jet layout whose components
     are the cell coordinates of C^{r,1}(A) (index alpha * n + i for the
     level-(r-1) coordinate alpha and the dx slot i); build_s_chain
@@ -219,13 +222,13 @@ class TowerData:
     has its identities evaluated again.
     """
 
-    def __init__(self, tableau, order, s_chain=(), max_dim=DEFAULT_MAX_DIM):
+    def __init__(self, tableau, order, s_chain=()):
         self.tableau = tableau
         self.order = order
         self.s_chain = list(s_chain)
-        self.jet = JetVars(tableau, top=order, max_dim=max_dim)
+        self.jet = JetVars(tableau, top=order)
         self.splits = {
-            r: harmonic_split(tableau, r, 1, max_dim) for r in range(1, order + 2)
+            r: harmonic_split(tableau, r, 1) for r in range(1, order + 2)
         }
         self._checked = None
 
@@ -255,7 +258,7 @@ class TowerData:
 def _total_derivative(poly, j, jet, gforms):
     """D_j poly on the tower: d/dx^j plus g_(s)^._j d/dq_(s)^. for every
     level s with a coefficient form gforms[s]."""
-    out = poly.partial(jet.x_index(j))
+    out = poly.partial(j)
     n = jet.n
     for s, g in enumerate(gforms):
         for gamma in range(jet.dims[s]):
@@ -309,7 +312,7 @@ def _polymap_from_rows(num_vars, exps, m):
     ])
 
 
-def check_phi_in_B02(sys, trials=None, seed=0, max_dim=DEFAULT_MAX_DIM):
+def check_phi_in_B02(sys, trials=None, seed=0):
     """Certificate that Phi takes values in B^{0,2}(A).
 
     Monomial-by-monomial subspace membership when the expansion is small
@@ -317,8 +320,8 @@ def check_phi_in_B02(sys, trials=None, seed=0, max_dim=DEFAULT_MAX_DIM):
     failure raises StructureViolation with a witness.
     """
     t = sys.tableau
-    cell11 = SpencerCell(t, 1, 1, max_dim)
-    d11 = delta(cell11, max_dim)
+    cell11 = SpencerCell(t, 1, 1)
+    d11 = delta(cell11)
     b02 = Subspace(d11.nrows, d11.transpose().rows)
     pm = sys.phi_cell_map()
     monos = _polymap_monomials(pm)
@@ -356,7 +359,7 @@ def check_phi_in_B02(sys, trials=None, seed=0, max_dim=DEFAULT_MAX_DIM):
     }
 
 
-def check_torsion_condition(sys, trials=None, seed=0, max_dim=DEFAULT_MAX_DIM):
+def check_torsion_condition(sys, trials=None, seed=0):
     """Certificate for the cyclic compatibility identity
 
         sum_cyc Phi_*|(x,q)(A_1 + Q_(1)(A_1))(A_2, A_3) = 0,
@@ -381,8 +384,8 @@ def check_torsion_condition(sys, trials=None, seed=0, max_dim=DEFAULT_MAX_DIM):
     checked = 0
     # column q_idx of iota(e_u) holds the level-0 coordinates of the
     # contraction of the q_idx-th basis element of A^(1) by e_u
-    contractions = [t.contraction(1, u, max_dim).transpose().rows for u in range(n)]
-    for q_idx in range(t.dim_at(1, max_dim)):
+    contractions = [t.contraction(1, u).transpose().rows for u in range(n)]
+    for q_idx in range(t.dim_at(1)):
         qdirs = [contractions[u][q_idx] for u in range(n)]
         for u in range(n):
             for v in range(u + 1, n):
@@ -413,7 +416,7 @@ def check_torsion_condition(sys, trials=None, seed=0, max_dim=DEFAULT_MAX_DIM):
     }
 
 
-def build_s_chain(sys, h, samples=5, seed=0, max_dim=DEFAULT_MAX_DIM, k=None):
+def build_s_chain(sys, h, samples=5, seed=0, k=None):
     """The chain S_(1), ..., S_(h+1) solving the tower equations.
 
     Requires two-acyclicity in the range the chain uses; every S_(r) is
@@ -421,18 +424,18 @@ def build_s_chain(sys, h, samples=5, seed=0, max_dim=DEFAULT_MAX_DIM, k=None):
     are re-checked exactly before returning.  The tower keeps that report
     for verify_structure_equations on the same system and chain.  k is
     the involutive index of the tableau when the caller already holds it
-    (see two_acyclicity_report).
+    (see two_acyclicity_report).  A negative order h raises InputError.
     """
+    if h < 0:
+        raise InputError("tower order must be >= 0, got %d" % h)
     t = sys.tableau
-    report = two_acyclicity_report(
-        t, q_cap=max(1, h), samples=samples, seed=seed, max_dim=max_dim, k=k
-    )
+    report = two_acyclicity_report(t, q_cap=max(1, h), samples=samples, seed=seed, k=k)
     if not report["two_acyclic"]:
         raise NotTwoAcyclic(
             "the tableau is not 2-acyclic in the needed range: %r"
             % (report["H_q2_dims"],)
         )
-    tower = TowerData(t, h, max_dim=max_dim)
+    tower = TowerData(t, h)
     nv = tower.jet.num_vars
 
     targets = []

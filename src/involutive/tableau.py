@@ -118,7 +118,11 @@ class Tableau:
 
     Each generator is an r x n Matrix (rows indexed by b, columns by a).
     Prolongations are cached per order; the cache is write-once and safe
-    for concurrent readers.
+    for concurrent readers.  max_dim caps the ambient dimension r *
+    |S^{h+1}| of every level the tableau prolongs (CapExceeded beyond
+    it).  It is fixed at construction, and view_at_level hands it on, so
+    every cached level, contraction, character and harmonic split was
+    computed under the same cap and no answer depends on call history.
 
     Jet coordinates: level 0 is written over the flattened generators in
     their given order (the dependent variables of a system), each level
@@ -141,7 +145,7 @@ class Tableau:
     long as anything, such as a TowerData, holds it.
     """
 
-    def __init__(self, a_dim, b_dim, generators):
+    def __init__(self, a_dim, b_dim, generators, max_dim=DEFAULT_MAX_DIM):
         a_dim = int(a_dim)
         b_dim = int(b_dim)
         if a_dim < 1 or b_dim < 1:
@@ -158,6 +162,7 @@ class Tableau:
             gens.append(g)
         self.a_dim = a_dim
         self.b_dim = b_dim
+        self.max_dim = max_dim
         self.generators = tuple(gens)
         self._gen_vectors = [flatten_generator(g) for g in gens]
         span = Subspace(a_dim * b_dim, self._gen_vectors)
@@ -182,14 +187,20 @@ class Tableau:
         return cls(a_dim, b_dim, mats)
 
     @classmethod
-    def from_json_dict(cls, data):
+    def from_json_dict(cls, data, max_dim=DEFAULT_MAX_DIM):
+        """The tableau of a JSON object with integer a_dim and b_dim and
+        generators given as lists of rows of rational entries (ints or
+        strings such as "3/4"); InputError when it is not of that shape."""
         try:
-            a_dim = data["a_dim"]
-            b_dim = data["b_dim"]
-            gens = data["generators"]
-        except (KeyError, TypeError) as exc:
-            raise InputError("tableau JSON needs a_dim, b_dim, generators") from exc
-        return cls(a_dim, b_dim, gens)
+            a_dim = int(data["a_dim"])
+            b_dim = int(data["b_dim"])
+            gens = [[list(row) for row in g] for g in data["generators"]]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(
+                "tableau JSON needs integer a_dim and b_dim and a list of "
+                "generator matrices"
+            ) from exc
+        return cls(a_dim, b_dim, gens, max_dim)
 
     def to_json_dict(self):
         return {
@@ -204,7 +215,7 @@ class Tableau:
     def dim(self):
         return self._levels[0].dim
 
-    def level(self, h, max_dim=DEFAULT_MAX_DIM):
+    def level(self, h):
         """A^(h) as a Subspace of b (x) S^{h+1}(a*), computed on demand."""
         if h < 0:
             raise InputError("prolongation order must be >= 0, got %d" % h)
@@ -214,17 +225,18 @@ class Tableau:
             while len(self._levels) <= h:
                 prev_h = len(self._levels) - 1
                 nxt = _prolong_once(
-                    self.a_dim, self.b_dim, self._levels[prev_h], prev_h, max_dim
+                    self.a_dim, self.b_dim, self._levels[prev_h], prev_h,
+                    self.max_dim,
                 )
                 self._levels.append(nxt)
         return self._levels[h]
 
-    def jet_basis(self, h, max_dim=DEFAULT_MAX_DIM):
+    def jet_basis(self, h):
         """Basis of the level-h jet coordinates inside b (x) S^{h+1}(a*):
         the flattened generators for h = 0, the basis of A^(h) above."""
         if h == 0:
             return self._gen_vectors
-        return self.level(h, max_dim).basis
+        return self.level(h).basis
 
     def generator_coordinates(self):
         """The flattened generators as a ColumnCoordinates, built once.
@@ -254,8 +266,7 @@ class Tableau:
         lcm of its denominators; for h = 0 that is the canonical basis of
         A^(0) itself.  Ranks depend only on the space spanned, so this
         serves the characters of the view tableau without building it.
-        A^(h) is read with level(h); cartan_test builds the tower under
-        its own cap first.
+        A^(h) is read with level(h), under the tableau's cap.
         """
         basis = self._int_bases.get(h)
         if basis is not None:
@@ -268,26 +279,26 @@ class Tableau:
         with self._lock:
             return self._int_bases.setdefault(h, basis)
 
-    def jet_coordinates(self, h, v, max_dim=DEFAULT_MAX_DIM):
+    def jet_coordinates(self, h, v):
         """Coordinates of v over jet_basis(h); NotInImage when v is outside."""
         if h == 0:
             try:
                 return self.generator_coordinates().of_vector(v)
             except Inconsistent as exc:
                 raise NotInImage("vector does not lie in A^(0)") from exc
-        coords = self.level(h, max_dim).coordinates(v)
+        coords = self.level(h).coordinates(v)
         if coords is None:
             raise NotInImage("vector does not lie in A^(%d)" % h)
         return coords
 
-    def prolong(self, max_dim=DEFAULT_MAX_DIM):
+    def prolong(self):
         """First prolongation A^(1) inside b (x) S^2(a*)."""
-        return self.level(1, max_dim)
+        return self.level(1)
 
-    def dim_at(self, h, max_dim=DEFAULT_MAX_DIM):
-        return self.level(h, max_dim).dim
+    def dim_at(self, h):
+        return self.level(h).dim
 
-    def view_at_level(self, h, max_dim=DEFAULT_MAX_DIM):
+    def view_at_level(self, h):
         """A^(h) regarded as a tableau inside Hom(a, b (x) S^h(a*)).
 
         The embedding sends T to the map X -> i(X) T, which is injective,
@@ -299,7 +310,8 @@ class Tableau:
         the characters off integer_basis(h) and dim A^(h)^(1) off the
         tower as dim A^(h+1).  The view is what the Guillemin normal form
         of A^(h) is built and verified on (normal_form(tab, h=h)), and
-        the tests' oracle; it is never prolonged.
+        the tests' oracle; it is never prolonged.  It has the cap of
+        this tableau.
         """
         if h == 0:
             return self
@@ -311,11 +323,11 @@ class Tableau:
                  for row in range(0, len(source), n)],
                 ncols=n,
             )
-            for v in self.level(h, max_dim).basis
+            for v in self.level(h).basis
         ]
-        return Tableau(n, r * sym_basis(n, h).size, gens)
+        return Tableau(n, r * sym_basis(n, h).size, gens, self.max_dim)
 
-    def contraction(self, h, i, max_dim=DEFAULT_MAX_DIM):
+    def contraction(self, h, i):
         """Matrix of the contraction i(e_i): A^(h) -> A^(h-1) over the jet
         coordinate bases, built once per (h, i).
 
@@ -335,11 +347,11 @@ class Tableau:
         # entries (b, J; i) of the view are the coordinates (b, J) of i(e_i) T
         gather = _view_positions(n, self.b_dim, h)[i::n]
         cols = []
-        for v in self.jet_basis(h, max_dim):
+        for v in self.jet_basis(h):
             image = [v[pos] for pos in gather]
             try:
                 cols.append(image if h == 0 else
-                            self.jet_coordinates(h - 1, image, max_dim))
+                            self.jet_coordinates(h - 1, image))
             except NotInImage as exc:
                 raise StructureViolation(
                     "contraction left the prolongation at level %d" % (h - 1)
@@ -429,7 +441,7 @@ def _prolong_once(n, r, prev, prev_h, max_dim):
     return Subspace.from_echelon(ambient, out)
 
 
-def prolong_via_intersection(tab, h=1, max_dim=DEFAULT_MAX_DIM):
+def prolong_via_intersection(tab, h=1):
     """Independent route to A^(h): intersect A^(h-1) (x) a* with the
     symmetric tensors inside b (x) S^{h-1+1}(a*) (x) a*.
 
@@ -439,13 +451,13 @@ def prolong_via_intersection(tab, h=1, max_dim=DEFAULT_MAX_DIM):
     if h < 1:
         raise InputError("intersection route needs h >= 1, got %d" % h)
     n, r = tab.a_dim, tab.b_dim
-    prev = tab.level(h - 1, max_dim)
+    prev = tab.level(h - 1)
     sb_prev = sym_basis(n, h)
     sb_next = sym_basis(n, h + 1)
     big = r * sb_prev.size * n  # coords (b, J, i) -> (b*|S^h| + J)*n + i
-    if big > max_dim:
+    if big > tab.max_dim:
         raise CapExceeded(
-            "intersection ambient dimension %d exceeds cap %d" % (big, max_dim)
+            "intersection ambient dimension %d exceeds cap %d" % (big, tab.max_dim)
         )
 
     def embed(vec_t):
@@ -628,15 +640,16 @@ def _from_partial_sums(sums, b_dim, flag=None):
     )
 
 
-def cartan_test(tab, samples=5, seed=0, max_dim=DEFAULT_MAX_DIM, h=0):
+def cartan_test(tab, samples=5, seed=0, h=0):
     """Cartan's involutivity test for A^(h), read as the tableau
     view_at_level(h) (h = 0 tests the tableau itself).
 
     Returns {"involutive", "bound", "dim_A1", "characters"} where bound is
     s_1 + 2 s_2 + ... + n s_n of the characters of A^(h) and dim_A1 is
     the dimension of its first prolongation, which is A^(h+1) of the
-    tower: (A^(h))^(1) = A^(h+1).  So only A^(h+1) has to fit in max_dim
-    (CapExceeded otherwise), and no view tableau is built or prolonged.
+    tower: (A^(h))^(1) = A^(h+1).  So only A^(h+1) has to fit in the
+    tableau's max_dim (CapExceeded otherwise), and no view tableau is
+    built or prolonged.
     The inequality dim_A1 <= bound holds for every flag F: sigma_j(F) <=
     sigma_j(generic) and sigma_n(F) = dim A, so bound(F) >= bound(generic)
     >= dim A^(1).  A violation is an internal inconsistency: it raises
@@ -645,7 +658,7 @@ def cartan_test(tab, samples=5, seed=0, max_dim=DEFAULT_MAX_DIM, h=0):
     witness that proves the verdict "involutive" exactly; "not
     involutive" comes from the vote of `samples` flags.
     """
-    dim_a1 = tab.dim_at(h + 1, max_dim)
+    dim_a1 = tab.dim_at(h + 1)
     cv = characters(tab, samples=samples, seed=seed, h=h, dim_a1=dim_a1)
     bound = cv.cartan_bound()
     if dim_a1 > bound:
@@ -662,18 +675,18 @@ def cartan_test(tab, samples=5, seed=0, max_dim=DEFAULT_MAX_DIM, h=0):
     }
 
 
-def involutive_index(tab, h_max, samples=5, seed=0, max_dim=DEFAULT_MAX_DIM):
+def involutive_index(tab, h_max, samples=5, seed=0):
     """Least order k <= h_max at which A^(k) passes the Cartan test.
 
     Order h runs cartan_test(tab, h=h) on the tower, order 0 with the
     caller's seed so that a Cartan test the caller ran is reused: the
     characters come off integer_basis(h) and the bound is checked against
     dim A^(h+1), so the search needs A^(h_max + 1), ambient dimension
-    b_dim * |S^(h_max + 2)|, within max_dim.  An involutive order is
-    usually proved by one witness flag, a non-involutive one by the vote
-    (see characters).  Every further prolongation up to h_max is
-    re-tested rather than assumed involutive.  Raises
-    CapExceeded with the observed trajectory when no order passes.
+    b_dim * |S^(h_max + 2)|, within the tableau's max_dim.  An involutive
+    order is usually proved by one witness flag, a non-involutive one by
+    the vote (see characters).  Every further prolongation up to h_max
+    is re-tested rather than assumed involutive.  Raises CapExceeded
+    with the observed trajectory when no order passes.
     """
     if h_max < 0:
         raise InputError("h_max must be >= 0, got %d" % h_max)
@@ -683,12 +696,11 @@ def involutive_index(tab, h_max, samples=5, seed=0, max_dim=DEFAULT_MAX_DIM):
     k_chars = None
     for h in range(h_max + 1):
         drawn = rng.randrange(2**32)  # also at h = 0: orders >= 1 keep their flags
-        res = cartan_test(tab, samples=samples, seed=drawn if h else seed,
-                          max_dim=max_dim, h=h)
+        res = cartan_test(tab, samples=samples, seed=drawn if h else seed, h=h)
         trajectory.append(
             {
                 "h": h,
-                "dim": tab.dim_at(h, max_dim),
+                "dim": tab.dim_at(h),
                 "characters": res["characters"].s,
                 "involutive": res["involutive"],
             }

@@ -59,7 +59,7 @@ from involutive.linalg import (
 )
 from involutive.poly import Polynomial
 from involutive.spencer import HarmonicSplit, SpencerCell, delta
-from involutive.tableau import DEFAULT_MAX_DIM, cartan_test, flatten_generator
+from involutive.tableau import cartan_test, flatten_generator
 
 
 def dense_rref(rows, ncols):
@@ -318,8 +318,7 @@ def bracket_into_per_pair(alg, basis1, basis2, target):
     return all(target.contains(alg.bracket(x, y)) for x in basis1 for y in basis2)
 
 
-def view_route_involutive_index(tab, h_max, samples=5, seed=0,
-                                max_dim=DEFAULT_MAX_DIM):
+def view_route_involutive_index(tab, h_max, samples=5, seed=0):
     """The involutive index with A^(h) built as view_at_level(h) and that
     tableau tested (and prolonged) on its own, order by order; the same
     seeds, trajectory and errors as tableau.involutive_index."""
@@ -328,13 +327,11 @@ def view_route_involutive_index(tab, h_max, samples=5, seed=0,
     k = None
     k_chars = None
     for h in range(h_max + 1):
-        view = tab.view_at_level(h, max_dim)
-        res = cartan_test(
-            view, samples=samples, seed=rng.randrange(2**32), max_dim=max_dim
-        )
+        view = tab.view_at_level(h)
+        res = cartan_test(view, samples=samples, seed=rng.randrange(2**32))
         trajectory.append({
             "h": h,
-            "dim": tab.dim_at(h, max_dim),
+            "dim": tab.dim_at(h),
             "characters": res["characters"].s,
             "involutive": res["involutive"],
         })
@@ -369,17 +366,17 @@ class AdjointHarmonicSplit(HarmonicSplit):
     HarmonicSplit; _target_cell is the cell C^{q-1,p+1} when delta out
     is nonzero."""
 
-    def __init__(self, tableau, q, p, max_dim=DEFAULT_MAX_DIM):
+    def __init__(self, tableau, q, p):
         self.tableau = tableau
         self.q = q
         self.p = p
-        cell = SpencerCell(tableau, q, p, max_dim)
+        cell = SpencerCell(tableau, q, p)
         self.cell = cell
         n = tableau.a_dim
-        d_out = delta(cell, max_dim)
+        d_out = delta(cell)
         if p >= 1:
-            src = SpencerCell(tableau, q + 1, p - 1, max_dim)
-            d_in = delta(src, max_dim)
+            src = SpencerCell(tableau, q + 1, p - 1)
+            d_in = delta(src)
             if src.dim and cell.dim:
                 adj_in = _adjoint(d_in, src.gram, cell.gram)
             else:
@@ -388,7 +385,7 @@ class AdjointHarmonicSplit(HarmonicSplit):
             d_in = Matrix.zeros(cell.dim, 0)
             adj_in = Matrix.zeros(0, cell.dim)
         if q >= 1 and p < n and cell.dim:
-            dst = SpencerCell(tableau, q - 1, p + 1, max_dim)
+            dst = SpencerCell(tableau, q - 1, p + 1)
             self._target_cell = dst
             if dst.dim:
                 adj_out = _adjoint(d_out, cell.gram, dst.gram)
@@ -433,14 +430,14 @@ class AdjointHarmonicSplit(HarmonicSplit):
             raise StructureViolation("Ker delta* != H (+) B_")
 
 
-def adjoint_sigma(t, q, p, max_dim=DEFAULT_MAX_DIM):
+def adjoint_sigma(t, q, p):
     """spencer.sigma over an AdjointHarmonicSplit and its target cell."""
     if q < 1:
         raise InputError("sigma needs q >= 1, got %d" % q)
     if p >= t.a_dim:
         raise InputError("sigma needs p < a_dim, got p = %d" % p)
-    split = AdjointHarmonicSplit(t, q, p, max_dim)
-    target_cell = split._target_cell or SpencerCell(t, q - 1, p + 1, max_dim)
+    split = AdjointHarmonicSplit(t, q, p)
+    target_cell = split._target_cell or SpencerCell(t, q - 1, p + 1)
 
     def apply(target):
         if not isinstance(target, GradedCoords):
@@ -454,22 +451,22 @@ def adjoint_sigma(t, q, p, max_dim=DEFAULT_MAX_DIM):
     return apply
 
 
-def dense_cohomology_dim(t, q, p, max_dim=DEFAULT_MAX_DIM):
+def dense_cohomology_dim(t, q, p):
     """dim H^{q,p} = dim Ker delta - rank of the incoming delta, each delta
     the dense Koszul differential of the full tensor space applied to the
     cell embedding, ranked by dense_rref."""
     n, r = t.a_dim, t.b_dim
 
     def rank_on(q_, p_):
-        embed = SpencerCell(t, q_, p_, max_dim).embed
+        embed = SpencerCell(t, q_, p_).embed
         image = koszul_delta_full(n, r, q_, p_).matmul(embed)
         return len(dense_rref(image.rows, image.ncols)[1])
 
-    ker = SpencerCell(t, q, p, max_dim).dim - rank_on(q, p)
+    ker = SpencerCell(t, q, p).dim - rank_on(q, p)
     return ker - (rank_on(q + 1, p - 1) if p >= 1 else 0)
 
 
-def section_polar_counts(sys, tower, nf, k, point=None, max_dim=DEFAULT_MAX_DIM):
+def section_polar_counts(sys, tower, nf, k, point=None):
     """(dim H(E_h) for h = 0..n, the restricted counts for h = 0..n-1)
     along the flag of nf.basis_a lifted through the section xi -> (xi,
     S_(k+1)(xi)) at a jet point, the raw counts without any assertion.
@@ -496,7 +493,7 @@ def section_polar_counts(sys, tower, nf, k, point=None, max_dim=DEFAULT_MAX_DIM)
         [s_map.components[beta * n + i].eval(point) for beta in range(dim_k)]
         for i in range(n)
     ]
-    jet_basis = t.jet_basis(k, max_dim)
+    jet_basis = t.jet_basis(k)
 
     def s_of(xi):
         return [sum((xi[i] * s_vals[i][beta] for i in range(n)), Fraction(0))
@@ -532,7 +529,7 @@ def section_polar_counts(sys, tower, nf, k, point=None, max_dim=DEFAULT_MAX_DIM)
         dims.append(n + dim_k - rank(rows, n + dim_k))
 
     block_of = [j for j, block in enumerate(nf.blocks, start=1) for _ in block]
-    view = t.view_at_level(k, max_dim)
+    view = t.view_at_level(k)
     big_n = Matrix.from_columns(
         [view.jet_coordinates(0, flatten_generator(q)) for q in nf.normal_basis()],
         nrows=dim_k,

@@ -326,6 +326,34 @@ def test_malformed_json_is_exit_two(tmp_path, capsys):
     assert main(["tableau", str(bad)]) == 2
 
 
+# tableau JSON of the right keys whose values are not a tableau
+MALFORMED_TABLEAUX = {
+    "entry-not-rational": {"a_dim": 2, "b_dim": 1, "generators": [[[1, "x"]]]},
+    "zero-denominator": {"a_dim": 2, "b_dim": 1, "generators": [[["1/0", 0]]]},
+    "a_dim-not-integer": {"a_dim": "two", "b_dim": 1, "generators": []},
+    "generators-not-a-list": {"a_dim": 2, "b_dim": 1, "generators": 5},
+}
+
+
+@pytest.mark.parametrize("command", ["tableau", "spencer", "system", "cauchy"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_TABLEAUX))
+def test_malformed_tableau_is_exit_two(case, command, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dict(MALFORMED_TABLEAUX[case], phi={})))
+    data = tmp_path / "data.json"
+    data.write_text(json.dumps({"x0": [0, 0], "P_const": [], "P_blocks": {}}))
+    argv = [command, str(path)] + ([str(data)] if command == "cauchy" else [])
+    assert main(argv + ["--json"]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"] and report["results"] == {}
+
+
+def test_negative_tower_order_is_exit_two(wavemap_file, capsys):
+    assert main(["system", wavemap_file, "--tower", "-1", "--json"]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error == "tower order must be >= 0, got -1"
+
+
 def test_failed_check_is_exit_one(tmp_path, capsys):
     t = Tableau(2, 2, [[[1, 0], [0, 0]]])
     sys_ = System(t, {(1, 0, 1): Polynomial.constant(3, 1)})

@@ -9,7 +9,7 @@ from involutive import guillemin
 from involutive.errors import CapExceeded, InputError, NotInvolutive
 from involutive.guillemin import NormalForm, normal_form, verify_normal_form
 from involutive.linalg import Matrix
-from involutive.tableau import Tableau, cartan_test, characters
+from involutive.tableau import DEFAULT_MAX_DIM, Tableau, cartan_test, characters
 
 
 def full_tableau(n, r):
@@ -22,10 +22,10 @@ def full_tableau(n, r):
     return Tableau(n, r, gens)
 
 
-def s21_tableau():
+def s21_tableau(max_dim=DEFAULT_MAX_DIM):
     """Matrices [[p, q], [s, p]]: involutive with characters (2, 1)."""
     return Tableau(
-        2, 2, [[[1, 0], [0, 1]], [[0, 1], [0, 0]], [[0, 0], [1, 0]]]
+        2, 2, [[[1, 0], [0, 1]], [[0, 1], [0, 0]], [[0, 0], [1, 0]]], max_dim
     )
 
 
@@ -198,12 +198,12 @@ def test_normal_form_at_a_level_matches_the_view():
 def test_normal_form_at_a_level_needs_only_the_next_level():
     # For n = r = 2 the form of A^(1) needs A^(2) in b (x) S^3 (ambient 8);
     # prolonging the view of A^(1) would need b (x) S^1 (x) S^2 (ambient 12).
-    nf = normal_form(s21_tableau(), h=1, max_dim=8)
+    nf = normal_form(s21_tableau(max_dim=8), h=1)
     assert nf.s == (3, 1)
     with pytest.raises(CapExceeded, match="dimension 8 exceeds cap 7"):
-        normal_form(s21_tableau(), h=1, max_dim=7)
+        normal_form(s21_tableau(max_dim=7), h=1)
     with pytest.raises(CapExceeded, match="dimension 12 exceeds cap 8"):
-        normal_form(s21_tableau().view_at_level(1), max_dim=8)
+        normal_form(s21_tableau(max_dim=8).view_at_level(1))
 
 
 def test_zero_tableau():

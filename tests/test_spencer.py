@@ -286,21 +286,22 @@ def test_gram_complement_split_matches_the_adjoint_route():
     seen = {"records": 0, "errors": set(), "sigma": 0}
     for t in cases:
         blob = t.to_json_dict()
-        fresh, old = Tableau.from_json_dict(blob), Tableau.from_json_dict(blob)
         max_dim = rng.choice((DEFAULT_MAX_DIM, 12))
+        fresh = Tableau.from_json_dict(blob, max_dim)
+        old = Tableau.from_json_dict(blob, max_dim)
         n = t.a_dim
         for q in range(-1, 4):
             for p in range(-1, n + 2):
-                got = _outcome(lambda: HarmonicSplit(fresh, q, p, max_dim))
-                want = _outcome(lambda: AdjointHarmonicSplit(old, q, p, max_dim))
+                got = _outcome(lambda: HarmonicSplit(fresh, q, p))
+                want = _outcome(lambda: AdjointHarmonicSplit(old, q, p))
                 seen["records"] += 1
                 if isinstance(want, type):
                     assert got is want, (blob, q, p)
                     seen["errors"].add(want)
                     continue
                 assert _split_record(got) == _split_record(want), (blob, q, p)
-                s_new = _outcome(lambda: sigma(fresh, q, p, max_dim))
-                s_old = _outcome(lambda: adjoint_sigma(old, q, p, max_dim))
+                s_new = _outcome(lambda: sigma(fresh, q, p))
+                s_old = _outcome(lambda: adjoint_sigma(old, q, p))
                 if isinstance(s_old, type):
                     assert s_new is s_old, (blob, q, p)
                     continue

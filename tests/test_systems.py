@@ -86,9 +86,10 @@ def test_system_json_round_trip():
 
 def test_system_json_malformed():
     data = wavemap_su2().to_json_dict()
-    data["phi"] = {"0,1": [[1, [0] * 8]]}
-    with pytest.raises(InputError):
-        System.from_json_dict(data)
+    for phi in ({"0,1": [[1, [0] * 8]]}, 5):
+        data["phi"] = phi
+        with pytest.raises(InputError):
+            System.from_json_dict(data)
 
 
 # ------------------------------------------------------ example families

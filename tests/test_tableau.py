@@ -26,7 +26,9 @@ from involutive.errors import (
     UnstableGenericity,
 )
 from involutive.linalg import Matrix, Subspace
+from involutive.spencer import SpencerCell, cohomology_dim, harmonic_split
 from involutive.tableau import (
+    DEFAULT_MAX_DIM,
     CharacterVector,
     Tableau,
     cartan_test,
@@ -37,16 +39,17 @@ from involutive.tableau import (
     involutive_index,
     prolong_via_intersection,
 )
+from test_spencer import _outcome
 
 
-def full_tableau(n, r):
+def full_tableau(n, r, max_dim=DEFAULT_MAX_DIM):
     gens = []
     for b in range(r):
         for i in range(n):
             m = [[Fraction(0)] * n for _ in range(r)]
             m[b][i] = Fraction(1)
             gens.append(m)
-    return Tableau(n, r, gens)
+    return Tableau(n, r, gens, max_dim)
 
 
 def rank_one_tableau():
@@ -377,7 +380,52 @@ def test_prolongation_cache_concurrent():
 
 def test_cap_exceeded():
     with pytest.raises(CapExceeded):
-        full_tableau(3, 3).level(4, max_dim=10)
+        full_tableau(3, 3, max_dim=10).level(4)
+
+
+def test_cap_does_not_depend_on_call_history():
+    # For full(3, 3) the ambient of A^(h) is 3 * |S^(h+1)|: 45 at h = 3
+    # and 63 at h = 4, so a cap of 45 admits A^(3) and refuses A^(4).
+    # The warm tableau first meets, at orders beyond the cap, every entry
+    # point that reads levels on its own; each must refuse instead of
+    # prolonging under a larger cap, so every capped query that follows
+    # gives the verdict it gives on a fresh tableau.
+    def verdicts(t):
+        flag = Matrix.identity(3)
+        return [
+            _outcome(lambda: t.level(3).dim),
+            _outcome(lambda: t.level(4).dim),
+            _outcome(lambda: cartan_test(t, h=2)["involutive"]),
+            _outcome(lambda: cartan_test(t, h=3)["involutive"]),
+            _outcome(lambda: harmonic_split(t, 2, 1).dims()),
+            _outcome(lambda: harmonic_split(t, 4, 1).dims()),
+            _outcome(lambda: character_partial_sums(t, flag, h=3)),
+            _outcome(lambda: character_partial_sums(t, flag, h=4)),
+        ]
+
+    fresh = full_tableau(3, 3, max_dim=45)
+    warm = full_tableau(3, 3, max_dim=45)
+    warm_up = [
+        lambda: warm.integer_basis(4),
+        lambda: character_partial_sums(warm, Matrix.identity(3), h=4),
+        lambda: characters(warm, h=4),
+        lambda: warm.view_at_level(4),
+        lambda: warm.contraction(4, 0),
+        lambda: warm.jet_coordinates(4, [0] * 63),
+        lambda: prolong_via_intersection(warm, 5),
+        lambda: SpencerCell(warm, 5, 0),
+        lambda: cohomology_dim(warm, 4, 1),
+        lambda: involutive_index(warm, h_max=4),
+    ]
+    for call in warm_up:
+        with pytest.raises(CapExceeded):
+            call()
+    assert len(warm._levels) == 4
+    want = verdicts(fresh)
+    assert want[0::2] == [45, True, (30, 0, 24), [30, 42, 45]]
+    assert want[1::2] == [CapExceeded] * 4
+    assert verdicts(warm) == want
+    assert fresh.view_at_level(2).max_dim == 45
 
 
 def test_json_round_trip():
