@@ -27,6 +27,11 @@ and otherwise each pivot row of the back-substituted echelon gives one
 coefficient exactly.  Rows left over once every unknown is a pivot are
 checked by their product with that solution instead of being reduced.
 
+The level k is read off the normal form: its blocks live in Hom(a, b
+(x) S^k(a*)), so basis_b has b_dim * |S^k| rows, which fixes k when n >=
+2.  When n = 1 every prolongation is the same subspace of Hom(a, b) and
+k = 0.  Only the solver needs the tower, and the tower must reach k.
+
 Every contraction is read off the tableau's memoised maps: along the
 adapted directions a_rho, iota(a_rho) = sum_i basis_a[i][rho] *
 Tableau.contraction(k, i) takes level-k jet coordinates to level-(k-1)
@@ -46,12 +51,14 @@ the same at every point (Cartan-Kahler for a linear Pfaffian system
 without torsion), which must equal n + s_{h+1} + ... + s_nu.  The same
 substitution reduces the restricted count of H(E_h) intersected with
 Sigma(A_{h+1}) to the rank of the stacked contractions on the normal
-generators of blocks 1..h; that count must be h + 1.
+generators of blocks 1..h; that count must be h + 1.  Neither check
+reads S, so both take only the tableau and the normal form.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from .errors import (
@@ -63,7 +70,7 @@ from .errors import (
 )
 from .linalg import IntegerEchelon, Matrix, clear_denominators, frac
 from .poly import Polynomial, PolyMap, linear_combination
-from .tableau import flatten_generator, involutive_index
+from .tableau import flatten_generator
 
 DEFAULT_MAX_DEGREE = 10
 
@@ -181,18 +188,34 @@ class FormalSolution:
         }
 
 
-def _affine_x_of_u(n, x0, basis_a):
-    subs = []
-    for i in range(n):
-        terms = {tuple([0] * n): x0[i]} if x0[i] else {}
-        for rho in range(n):
-            c = basis_a.rows[i][rho]
+def _affine(matrix, shift):
+    """The polynomials matrix . u + shift in the variables u of the
+    matrix's columns, one per row."""
+    n = matrix.ncols
+    out = []
+    for row, c0 in zip(matrix.rows, shift):
+        terms = {(0,) * n: c0} if c0 else {}
+        for j, c in enumerate(row):
             if c:
-                e = [0] * n
-                e[rho] = 1
-                terms[tuple(e)] = c
-        subs.append(Polynomial(n, terms))
-    return subs
+                terms[(0,) * j + (1,) + (0,) * (n - j - 1)] = c
+        out.append(Polynomial(n, terms))
+    return out
+
+
+def _level(t, nf):
+    """The level k at which nf is a normal form of t, read off the b_dim
+    * |S^k| rows of its basis_b (k = 0 when n = 1, see the module
+    docstring).  A row count that matches no level raises InputError."""
+    n, rows = t.a_dim, nf.basis_b.nrows
+    k = 0
+    while n > 1 and t.b_dim * math.comb(n + k - 1, k) < rows:
+        k += 1
+    if t.b_dim * math.comb(n + k - 1, k) != rows:
+        raise InputError(
+            "a normal form with %d rows in basis_b matches no level of a "
+            "tableau with a_dim %d and b_dim %d" % (rows, n, t.b_dim)
+        )
+    return k
 
 
 def _normal_gen_info(t, nf, k):
@@ -224,18 +247,6 @@ def _flag_contractions(t, basis_a, k):
     return out
 
 
-def _check_level(t, tower, k):
-    """The level k (the involutive index of t when None), which the tower
-    must reach."""
-    if k is None:
-        k = involutive_index(t, h_max=max(tower.order, 0))["k"]
-    if tower.order < k:
-        raise InputError(
-            "tower of order %d cannot solve at level k = %d" % (tower.order, k)
-        )
-    return k
-
-
 def _compose_chain_map(s_map, x_subs, u_series, jet, degree):
     """S-chain PolyMap composed with the solution jet, truncated."""
     subs = list(x_subs)
@@ -260,14 +271,15 @@ def _monomials(n, d):
     return out
 
 
-def solve_formal(sys, tower, nf, data, degree, k=None, max_degree=DEFAULT_MAX_DEGREE):
+def solve_formal(sys, tower, nf, data, degree, max_degree=DEFAULT_MAX_DEGREE):
     """Unique formal solution through the given truncation degree.
 
     The data supply the block coefficients supported in their own
     variables; everything else is forced by the equations, degree by
     degree, through exact linear solves whose unique solvability is
-    asserted (InconsistentData otherwise; see _solve_slice).  A degree
-    above max_degree raises CapExceeded.
+    asserted (InconsistentData otherwise; see _solve_slice).  The level
+    k is that of nf, and a tower of lower order raises InputError.  A
+    degree above max_degree raises CapExceeded.
     """
     t = sys.tableau
     n = t.a_dim
@@ -275,13 +287,17 @@ def solve_formal(sys, tower, nf, data, degree, k=None, max_degree=DEFAULT_MAX_DE
         raise CapExceeded(
             "truncation degree %d exceeds the cap %d" % (degree, max_degree)
         )
-    k = _check_level(t, tower, k)
+    k = _level(t, nf)
+    if tower.order < k:
+        raise InputError(
+            "tower of order %d cannot solve at level k = %d" % (tower.order, k)
+        )
     jet = tower.jet
     level_dims = jet.dims
     data.validate(n, level_dims[:k], nf.s, degree)
     basis_a = nf.basis_a
     a_inv = basis_a.inverse()
-    x_subs = _affine_x_of_u(n, data.x0, basis_a)
+    x_subs = _affine(basis_a, data.x0)
     big_n, block_of = _normal_gen_info(t, nf, k)
     nk = len(block_of)
     flag_cols = [
@@ -419,20 +435,7 @@ def solve_formal(sys, tower, nf, data, degree, k=None, max_degree=DEFAULT_MAX_DE
     u_series = [level_series(h) for h in range(k + 1)]
     u_maps = [PolyMap(n, comps) for comps in u_series]
     # back to the original coordinates: u = a_inv (x - x0)
-    u_of_x = []
-    for rho in range(n):
-        terms = {}
-        const = Fraction(0)
-        for i in range(n):
-            c = a_inv.rows[rho][i]
-            if c:
-                e = [0] * n
-                e[i] = 1
-                terms[tuple(e)] = c
-                const -= c * data.x0[i]
-        if const:
-            terms[tuple([0] * n)] = const
-        u_of_x.append(Polynomial(n, terms))
+    u_of_x = _affine(a_inv, [-c for c in a_inv.matvec(data.x0)])
     q_maps = [m.compose(u_of_x, degree) for m in u_maps]
     composition = {}
     for rho in range(1, len(nf.blocks) + 1):
@@ -534,8 +537,8 @@ def verify_solution(sys, sol):
     d = sol.degree
     # degrees are measured at the base point: x = x0 + y
     a_inv = sol.nf.basis_a.inverse()
-    f = sol.u_maps[0].compose(PolyMap.linear(a_inv.rows, n).components, d)
-    subs = _affine_x_of_u(n, sol.x0, Matrix.identity(n)) + list(f.components)
+    f = sol.u_maps[0].compose(_affine(a_inv, [0] * n), d)
+    subs = _affine(Matrix.identity(n), sol.x0) + list(f.components)
     keys = [(b, i, j) for i in range(n) for j in range(i + 1, n) for b in range(r)]
     phi = PolyMap(sys.num_vars, [sys.phi_component(*key) for key in keys])
     phi_of_f = phi.compose(subs, d).components
@@ -564,8 +567,9 @@ def verify_solution(sys, sol):
     }
 
 
-def polar_dims(sys, tower, nf, k=None):
-    """Dimensions of the polar spaces along the normal-form integral flag.
+def polar_dims(t, nf):
+    """Dimensions of the polar spaces along the integral flag of the
+    normal form nf of t, at the level k of nf.
 
     Returns dim H(E_h) for h = 0..n, each read as n + dim A^(k) minus the
     rank of the stacked contractions iota(a_l), l < h (see the module
@@ -574,8 +578,7 @@ def polar_dims(sys, tower, nf, k=None):
     s_nu at every step; a miss means the flag is not generic and raises
     UnstableGenericity.
     """
-    t = sys.tableau
-    k = _check_level(t, tower, k)
+    k = _level(t, nf)
     n = t.a_dim
     iota = _flag_contractions(t, nf.basis_a, k)
     dim_k = t.dim_at(k)
@@ -596,30 +599,34 @@ def polar_dims(sys, tower, nf, k=None):
     return dims
 
 
-def restricted_polar_check(sys, tower, nf, h, k=None):
-    """Restricted polar count inside the block splitting.
+def restricted_polar_check(t, nf):
+    """Restricted polar counts inside the block splitting, for every h =
+    0..n-1, at the level k of nf.
 
     Intersects H(E_h) with Sigma(A_{h+1}), spanned by the lifts of
     a_1..a_{h+1} and the normal generators N_low of blocks 1..h, and
     verifies that its dimension h + 1 + #low - rank(stack_{l<h}
     iota(a_l) N_low) is h + 1: with X - S(xi) as the fibre variable a
     lift contributes only its N_low part, which the generators already
-    span (see the module docstring).  UnstableGenericity otherwise.
+    span (see the module docstring).  Returns [True] * n, or raises
+    UnstableGenericity at the first h that fails.
     """
-    t = sys.tableau
-    k = _check_level(t, tower, k)
+    k = _level(t, nf)
     n = t.a_dim
-    if not (0 <= h < n):
-        raise InputError("need 0 <= h < n, got h = %d" % h)
     big_n, block_of = _normal_gen_info(t, nf, k)
-    low = [m for m, j in enumerate(block_of) if j <= h]
-    n_low = Matrix([[row[m] for m in low] for row in big_n.rows], ncols=len(low))
     iota = _flag_contractions(t, nf.basis_a, k)
-    stacked = [row for io in iota[:h] for row in io.matmul(n_low).rows]
-    dim = h + 1 + len(low) - Matrix(stacked, ncols=len(low)).rank()
-    if dim != h + 1:
-        raise UnstableGenericity(
-            "restricted polar space at h = %d has dimension %d, expected %d"
-            % (h, dim, h + 1)
-        )
-    return True
+    # rows of iota(a_l) N for l < h; blocks are in order, so N_low is
+    # the first #low columns of N
+    stacked = []
+    for h in range(n):
+        if h:
+            stacked.extend(iota[h - 1].matmul(big_n).rows)
+        low = sum(1 for j in block_of if j <= h)
+        rank = Matrix([row[:low] for row in stacked], ncols=low).rank()
+        dim = h + 1 + low - rank
+        if dim != h + 1:
+            raise UnstableGenericity(
+                "restricted polar space at h = %d has dimension %d, expected %d"
+                % (h, dim, h + 1)
+            )
+    return [True] * n

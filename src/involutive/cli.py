@@ -133,6 +133,8 @@ def cmd_tableau(args):
     certificates = []
     passed = True
     top = args.prolong if args.prolong is not None else 1
+    if top < 0:
+        raise InputError("--prolong must be >= 0, got %d" % top)
     results["prolongation_dims"] = [t.dim_at(h) for h in range(top + 1)]
     test = cartan_test(t, samples=args.samples, seed=seed)
     results["characters"] = list(test["characters"].s)
@@ -197,6 +199,10 @@ def cmd_spencer(args):
     passed = True
     q_max = args.q_max
     p_max = args.p_max if args.p_max is not None else t.a_dim
+    if q_max < 1:
+        raise InputError("--q-max must be >= 1, got %d" % q_max)
+    if p_max < 0:
+        raise InputError("--p-max must be >= 0, got %d" % p_max)
     table = {}
     for q in range(1, q_max + 1):
         row = {}
@@ -262,12 +268,12 @@ def cmd_system(args):
     certificates = []
     passed = True
     if args.check:
-        b02 = check_phi_in_B02(sys_, seed=args.seed)
+        b02 = check_phi_in_B02(sys_)
         results["phi_in_B02"] = b02
         certificates.append(
             {"name": "phi_in_B02", "passed": b02["passed"], "method": b02["method"]}
         )
-        tor = check_torsion_condition(sys_, seed=args.seed)
+        tor = check_torsion_condition(sys_)
         results["torsion_condition"] = tor
         certificates.append(
             {
@@ -353,7 +359,7 @@ def cmd_cauchy(args):
     results = {"k": k, "s": list(nf.s), "degree": args.degree}
     certificates = []
     passed = True
-    sol = solve_formal(sys_, tower, nf, data, args.degree, k=k,
+    sol = solve_formal(sys_, tower, nf, data, args.degree,
                        max_degree=args.max_degree)
     results["solution"] = sol.to_json_dict()
     if args.verify:
@@ -368,12 +374,8 @@ def cmd_cauchy(args):
         )
         passed = passed and rep["clean"]
     if args.polar:
-        dims = polar_dims(sys_, tower, nf, k=k)
-        results["polar_dims"] = dims
-        restricted = []
-        for h in range(t.a_dim):
-            restricted.append(restricted_polar_check(sys_, tower, nf, h, k=k))
-        results["restricted_polar"] = restricted
+        results["polar_dims"] = polar_dims(t, nf)
+        results["restricted_polar"] = restricted_polar_check(t, nf)
         certificates.append(
             {
                 "name": "polar_dimension_table",

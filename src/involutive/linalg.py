@@ -542,8 +542,6 @@ class Subspace:
         return all(other.contains(v) for v in self.basis)
 
 
-def intersect(u: Subspace, v: Subspace) -> Subspace:
-    return u.intersect(v)
 
 
 def kernel(m: Matrix) -> Subspace:

@@ -213,10 +213,6 @@ class PolyMap:
         self.components = list(components)
 
     @classmethod
-    def zero(cls, num_vars: int, dim: int) -> "PolyMap":
-        return cls(num_vars, [Polynomial.zero(num_vars) for _ in range(dim)])
-
-    @classmethod
     def linear(cls, matrix_rows: Sequence[Sequence], num_vars: int) -> "PolyMap":
         """The linear map with the given matrix, as polynomials."""
         comps = []

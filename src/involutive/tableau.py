@@ -46,7 +46,6 @@ from .linalg import (
     Subspace,
     clear_denominators,
     frac,
-    intersect,
 )
 
 DEFAULT_MAX_DIM = 20000
@@ -492,7 +491,7 @@ def prolong_via_intersection(tab, h=1):
             sym_vectors.append(embed(vec_t))
     right = Subspace(big, sym_vectors)
 
-    inter = intersect(left, right)
+    inter = left.intersect(right)
     out = []
     for w in inter.basis:
         vec_t = [Fraction(0)] * (r * sb_next.size)

@@ -18,10 +18,8 @@ from involutive.cauchy import polar_dims, restricted_polar_check, solve_formal
 from involutive.guillemin import normal_form, verify_normal_form
 from involutive.liealg import sl3_decomposition, su2_algebra
 from involutive.linalg import Matrix, Subspace
-from involutive.poly import Polynomial
 from involutive.spencer import SpencerCell, cohomology_dim, delta
 from involutive.systems import (
-    System,
     build_gg0_system,
     build_s_chain,
     build_wavemap_system,
@@ -328,32 +326,22 @@ def test_criterion_09_maurer_cartan_doubled():
 
 
 def test_criterion_10_polar_dimension_tables():
+    # the polar checks read only the tableau and the normal form
     start = time.perf_counter()
-    fixtures = []
-    sys_wm = build_wavemap_system(su2_algebra())
-    fixtures.append((sys_wm, build_s_chain(sys_wm, 0),
-                     normal_form(sys_wm.tableau, seed=0)))
-    sys_sl3 = build_gg0_system(sl3_decomposition())
-    fixtures.append((sys_sl3, build_s_chain(sys_sl3, 0),
-                     normal_form(sys_sl3.tableau, seed=0)))
-    t_full = Tableau(2, 1, [[[1, 0]], [[0, 1]]])
-    sys_full = System(
-        t_full, {(0, 0, 1): Polynomial(4, {(0, 0, 1, 0): Fraction(1)})}
-    )
-    fixtures.append((sys_full, build_s_chain(sys_full, 0),
-                     normal_form(t_full, seed=0)))
-    t_zero = Tableau(2, 3, [])
-    sys_zero = System(t_zero, {})
-    fixtures.append((sys_zero, build_s_chain(sys_zero, 0),
-                     normal_form(t_zero, seed=0)))
+    tableaux = [
+        build_wavemap_system(su2_algebra()).tableau,
+        build_gg0_system(sl3_decomposition()).tableau,
+        Tableau(2, 1, [[[1, 0]], [[0, 1]]]),
+        Tableau(2, 3, []),
+    ]
     tables = []
-    for sys_, tower, nf in fixtures:
-        n = sys_.tableau.a_dim
-        dims = polar_dims(sys_, tower, nf)
+    for t in tableaux:
+        nf = normal_form(t, seed=0)
+        n = t.a_dim
+        dims = polar_dims(t, nf)
         expected = [n + sum(nf.s[h:]) for h in range(n + 1)]
         assert dims == expected
-        for h in range(n):
-            assert restricted_polar_check(sys_, tower, nf, h)
+        assert restricted_polar_check(t, nf) == [True] * n
         tables.append(dims)
     assert tables == [[8, 2, 2], [5, 2, 2], [4, 3, 2], [2, 2, 2]]
     elapsed = time.perf_counter() - start

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from dense_oracles import compose_oracle, section_polar_counts, solve_affine
+from involutive import cauchy
 from involutive.cauchy import (
     CauchyData,
     _solve_slice,
@@ -600,7 +601,7 @@ def test_solve_at_level_one_agrees_with_base_solve(su2_setup):
         blocks.append(polys)
     consts = [[p.coefficient([0, 0]) for p in sol0.q_maps[0].components]]
     data1 = CauchyData([0, 0], consts, blocks)
-    sol1 = solve_formal(sys_, tower, nf1, data1, 4, k=1)
+    sol1 = solve_formal(sys_, tower, nf1, data1, 4)
     assert sol1.k == 1
     for p, q in zip(sol1.q_maps[0].components, sol0.q_maps[0].components):
         assert p.truncate(4) == q.truncate(4)
@@ -626,7 +627,7 @@ def test_tampered_tower_breaks_mixed_partials(su2_setup):
     blocks = [[Polynomial.zero(1) for _ in range(6)]]
     data = CauchyData([0, 0], [[Fraction(0)] * 6], blocks)
     with pytest.raises(InconsistentData):
-        solve_formal(sys_, bad_tower, nf1, data, 3, k=1)
+        solve_formal(sys_, bad_tower, nf1, data, 3)
 
 
 def maurer_cartan_residual(alg, u_comps, v_comps, degree):
@@ -676,7 +677,7 @@ def test_maurer_cartan_doubled_form(su2_setup):
 
 def test_polar_dims_wavemap(su2_setup):
     sys_, tower, nf = su2_setup
-    assert polar_dims(sys_, tower, nf) == [8, 2, 2]
+    assert polar_dims(sys_.tableau, nf) == [8, 2, 2]
 
 
 def test_polar_dims_at_solved_point(su2_setup):
@@ -693,41 +694,41 @@ def test_polar_dims_at_solved_point(su2_setup):
     ]
     point += [Fraction(0)] * (tower.jet.num_vars - len(point))
     dims, _ = section_polar_counts(sys_, tower, nf, 0, point)
-    assert dims == polar_dims(sys_, tower, nf) == [8, 2, 2]
+    assert dims == polar_dims(sys_.tableau, nf) == [8, 2, 2]
 
 
 def test_polar_dims_gg0_sl3(sl3_setup):
     sys_, tower, nf = sl3_setup
-    assert polar_dims(sys_, tower, nf) == [5, 2, 2]
+    assert polar_dims(sys_.tableau, nf) == [5, 2, 2]
 
 
 def test_polar_dims_hom21(hom21_setup):
     sys_, tower, nf = hom21_setup
-    assert polar_dims(sys_, tower, nf) == [4, 3, 2]
+    assert polar_dims(sys_.tableau, nf) == [4, 3, 2]
 
 
 def test_polar_dims_zero_tableau():
     t = Tableau(2, 3, [])
-    sys_ = System(t, {})
-    tower = build_s_chain(sys_, 0)
     nf = normal_form(t, seed=0)
-    assert polar_dims(sys_, tower, nf) == [2, 2, 2]
-    for h in range(2):
-        assert restricted_polar_check(sys_, tower, nf, h)
+    assert polar_dims(t, nf) == [2, 2, 2]
+    assert restricted_polar_check(t, nf) == [True, True]
 
 
 def test_restricted_polar_counts(su2_setup, sl3_setup, hom21_setup):
     for sys_, tower, nf in (su2_setup, sl3_setup, hom21_setup):
-        n = sys_.tableau.a_dim
-        for h in range(n):
-            assert restricted_polar_check(sys_, tower, nf, h)
+        t = sys_.tableau
+        assert restricted_polar_check(t, nf) == [True] * t.a_dim
 
 
 def polar_case(name):
     """System, tower, normal form and level k for a polar-count case:
     a built-in example, the infinite-type or index-one tableau (k = 1),
-    or the zero tableau; Phi = 0 for the last three."""
-    if name == "infinite-type":
+    the zero tableau, or all of Hom(Q^3, Q), whose characters (1, 1, 1)
+    make the restricted counts at h = 2 stack two different contractions;
+    Phi = 0 for the last four."""
+    if name == "full-3-1":
+        sys_ = System(Tableau(3, 1, [[[1, 0, 0]], [[0, 1, 0]], [[0, 0, 1]]]), {})
+    elif name == "infinite-type":
         sys_ = System(infinite_type_tableau(), {})
     elif name == "index-one":
         sys_ = System(Tableau(3, 3, [[[0, 2, -1], [2, 0, 0], [2, 0, 1]]]), {})
@@ -740,34 +741,33 @@ def polar_case(name):
     return sys_, tower, normal_form(sys_.tableau, seed=0, h=k), k
 
 
-def polar_counts_or_errors(sys_, tower, nf, k):
-    """polar_dims and each restricted_polar_check, an UnstableGenericity
+def polar_counts_or_errors(t, nf):
+    """polar_dims and restricted_polar_check, an UnstableGenericity
     message standing in for the value it rejects."""
-    def run(check, *args):
+    def run(check):
         try:
-            return check(sys_, tower, nf, *args, k=k)
+            return check(t, nf)
         except UnstableGenericity as exc:
             return str(exc)
 
-    return [run(polar_dims)] + [
-        run(restricted_polar_check, h) for h in range(sys_.tableau.a_dim)
-    ]
+    return [run(polar_dims), run(restricted_polar_check)]
 
 
 def expected_polar_report(nf, dims, restricted):
     """What polar_dims and restricted_polar_check report for raw counts:
     the dims, or the message at the first step off the involutive count;
-    True, or the message, for each restricted count."""
+    [True] * n, or the message at the first restricted count that is not
+    h + 1."""
     n = len(dims) - 1
     want = [n + sum(nf.s[h:]) for h in range(n + 1)]
     bad = [h for h in range(n + 1) if dims[h] != want[h]]
     out = [dims if not bad else
            "polar space at step %d has dimension %d, expected %d"
            % (bad[0], dims[bad[0]], want[bad[0]])]
-    for h, dim in enumerate(restricted):
-        out.append(True if dim == h + 1 else
-                   "restricted polar space at h = %d has dimension %d, "
-                   "expected %d" % (h, dim, h + 1))
+    bad = [h for h, dim in enumerate(restricted) if dim != h + 1]
+    out.append([True] * n if not bad else
+               "restricted polar space at h = %d has dimension %d, "
+               "expected %d" % (bad[0], restricted[bad[0]], bad[0] + 1))
     return out
 
 
@@ -778,7 +778,7 @@ def test_polar_counts_match_the_section_oracle():
     # flag, degenerate ones included, where both sides reject.
     rng = random.Random(2006)
     seen = {"normal": 0, "generic": 0, "degenerate": 0, "rejected": 0}
-    for name in EXAMPLE_NAMES + ("infinite-type", "index-one", "zero"):
+    for name in EXAMPLE_NAMES + ("infinite-type", "index-one", "zero", "full-3-1"):
         sys_, tower, nf, k = polar_case(name)
         n = sys_.tableau.a_dim
         for kind in ("normal", "generic", "generic", "degenerate"):
@@ -794,7 +794,7 @@ def test_polar_counts_match_the_section_oracle():
                      for _ in range(tower.jet.num_vars)]
             dims, restricted = section_polar_counts(sys_, tower, trial, k, point)
             want = expected_polar_report(nf, dims, restricted)
-            assert polar_counts_or_errors(sys_, tower, trial, k) == want, (name, kind)
+            assert polar_counts_or_errors(sys_.tableau, trial) == want, (name, kind)
             seen[kind] += 1
             seen["rejected"] += any(isinstance(x, str) for x in want)
     assert seen["rejected"] >= 3, seen
@@ -810,33 +810,54 @@ def test_degenerate_flag_raises_unstable_genericity(su2_setup):
         UnstableGenericity,
         match="^polar space at step 1 has dimension 8, expected 2$",
     ):
-        polar_dims(sys_, tower, trial)
-    assert restricted_polar_check(sys_, tower, trial, 0)
+        polar_dims(sys_.tableau, trial)
+    # h = 0 passes, so the check stops at h = 1
     with pytest.raises(
         UnstableGenericity,
         match="^restricted polar space at h = 1 has dimension 8, expected 2$",
     ):
-        restricted_polar_check(sys_, tower, trial, 1)
+        restricted_polar_check(sys_.tableau, trial)
 
 
-def test_polar_checks_need_the_tower_to_reach_k():
+def test_solve_needs_the_tower_to_reach_k():
     sys_ = System(infinite_type_tableau(), {})
     tower = build_s_chain(sys_, 0, k=1)
     nf = normal_form(sys_.tableau, seed=0, h=1)
-    message = "^tower of order 0 cannot solve at level k = 1$"
-    with pytest.raises(InputError, match=message):
-        polar_dims(sys_, tower, nf, k=1)
-    with pytest.raises(InputError, match=message):
-        restricted_polar_check(sys_, tower, nf, 1, k=1)
     data = CauchyData([0] * 4, [[0] * 5], [[Polynomial.zero(1)] * 5])
+    with pytest.raises(
+        InputError, match="^tower of order 0 cannot solve at level k = 1$"
+    ):
+        solve_formal(sys_, tower, nf, data, 2)
+
+
+def test_normal_form_matching_no_level_is_input_error(su2_setup):
+    # wavemap:su2 has b_dim 6 and n = 2, so basis_b has 6 (k + 1) rows
+    sys_, tower, nf = su2_setup
+    trial = copy.copy(nf)
+    trial.basis_b = Matrix.identity(9)
+    data = CauchyData([0, 0], [], [[Polynomial.zero(1)] * 6])
+    message = "^a normal form with 9 rows in basis_b matches no level"
     with pytest.raises(InputError, match=message):
-        solve_formal(sys_, tower, nf, data, 2, k=1)
+        solve_formal(sys_, tower, trial, data, 2)
+    with pytest.raises(InputError, match=message):
+        polar_dims(sys_.tableau, trial)
+    with pytest.raises(InputError, match=message):
+        restricted_polar_check(sys_.tableau, trial)
 
 
-def test_restricted_polar_rejects_bad_step(sl3_setup):
-    sys_, tower, nf = sl3_setup
-    with pytest.raises(InputError):
-        restricted_polar_check(sys_, tower, nf, 2)
+def test_one_variable_normal_forms_are_level_zero():
+    # for n = 1 every prolongation is the same subspace of Hom(a, b), so
+    # normal forms built at h = 0, 1, 2 all read as level 0
+    t = Tableau(1, 3, [[[1], [0], [2]], [[0], [1], [0]]])
+    for h in range(3):
+        nf = normal_form(t, seed=0, h=h)
+        assert cauchy._level(t, nf) == 0
+        assert polar_dims(t, nf) == [3, 1]
+        assert restricted_polar_check(t, nf) == [True]
+    # no level has 4 rows, and the search stops although |S^k| = 1
+    nf.basis_b = Matrix.identity(4)
+    with pytest.raises(InputError, match="^a normal form with 4 rows"):
+        polar_dims(t, nf)
 
 
 def test_slice_solve_matches_the_affine_oracle():

@@ -354,6 +354,19 @@ def test_negative_tower_order_is_exit_two(wavemap_file, capsys):
     assert error == "tower order must be >= 0, got -1"
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["spencer", "--q-max", "-1"], "--q-max must be >= 1, got -1"),
+    (["spencer", "--q-max", "0"], "--q-max must be >= 1, got 0"),
+    (["spencer", "--p-max", "-1"], "--p-max must be >= 0, got -1"),
+    (["tableau", "--prolong", "-1"], "--prolong must be >= 0, got -1"),
+])
+def test_negative_orders_are_exit_two(argv, error, wavemap_file, capsys):
+    assert main(argv[:1] + [wavemap_file] + argv[1:] + ["--json"]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"] == error
+    assert report["results"] == {}
+
+
 def test_failed_check_is_exit_one(tmp_path, capsys):
     t = Tableau(2, 2, [[[1, 0], [0, 0]]])
     sys_ = System(t, {(1, 0, 1): Polynomial.constant(3, 1)})
