@@ -17,7 +17,12 @@ exact linear slice of the curl equations
 
 and the lower levels integrate the full gradient prescriptions
 d Q_(r) = g_(r)(dx), with g_(r) = S_(r+1) + iota.Q_(r+1) the tower's
-coefficient form (TowerData.coefficient_form).  Unique solvability of
+coefficient form (TowerData.coefficient_form).  The forms g_(0..k) are
+built once and composed with the series as one map per degree d; every
+jet coordinate above level k is substituted by zero, so g_(k) =
+S_(k+1).  The composition is capped at d - 1, and a capped composition
+reads only the terms of degree < d, all known before degree d starts,
+so the curl slice and every lower level share it.  Unique solvability of
 every slice is asserted at runtime; it is exactly what involutivity
 provides.  A slice is kept as sparse rows over its unknowns with the
 right-hand side as one more column, and reduced in one IntegerEchelon:
@@ -247,16 +252,14 @@ def _flag_contractions(t, basis_a, k):
     return out
 
 
-def _compose_chain_map(s_map, x_subs, u_series, jet, degree):
-    """S-chain PolyMap composed with the solution jet, truncated."""
-    subs = list(x_subs)
-    n = jet.n
-    for s, d in enumerate(jet.dims):
-        if s < len(u_series):
-            subs.extend(u_series[s])
-        else:
-            subs.extend([Polynomial.zero(n)] * d)
-    return s_map.compose(subs, degree).components
+def _along(comps, direction, n):
+    """A form with components comps (index alpha * n + i for the
+    coordinate alpha and the dx slot i) evaluated on the direction: one
+    polynomial per alpha."""
+    return [
+        linear_combination(direction, comps[i:i + n], n)
+        for i in range(0, len(comps), n)
+    ]
 
 
 def _monomials(n, d):
@@ -277,7 +280,10 @@ def solve_formal(sys, tower, nf, data, degree, max_degree=DEFAULT_MAX_DEGREE):
     The data supply the block coefficients supported in their own
     variables; everything else is forced by the equations, degree by
     degree, through exact linear solves whose unique solvability is
-    asserted (InconsistentData otherwise; see _solve_slice).  The level
+    asserted (InconsistentData otherwise; see _solve_slice).  Each degree
+    d composes the coefficient forms g_(0..k) once, capped at d - 1, so
+    it reads only known terms; g_(k) = S_(k+1) at the top, where every
+    higher jet coordinate is zero.  The level
     k is that of nf, and a tower of lower order raises InputError.  A
     degree above max_degree raises CapExceeded.
     """
@@ -341,11 +347,20 @@ def solve_formal(sys, tower, nf, data, degree, max_degree=DEFAULT_MAX_DEGREE):
             for beta in range(level_dims[k])
         ]
 
+    # g_(0..k) as one map on the jet layout; every coordinate above level
+    # k is substituted by zero, which leaves g_(k) = S_(k+1)
+    forms = PolyMap(jet.num_vars, [
+        c for h in range(k + 1) for c in tower.coefficient_form(h).components
+    ])
+    above_k = [Polynomial.zero(n)] * sum(level_dims[k + 1:])
+    top = jet.offsets[k] - n
     for d in range(1, degree + 1):
-        u_series = [level_series(h) for h in range(k + 1)]
-        s_top = _compose_chain_map(
-            tower.s_chain[k], x_subs, u_series, jet, d - 1
-        )
+        # capped at d - 1, the composition reads only known terms;
+        # along[rho][alpha] is form coordinate alpha (levels 0..k in jet
+        # order) on the flag direction a_rho
+        subs = x_subs + [p for h in range(k + 1) for p in level_series(h)]
+        g = forms.compose(subs + above_k, d - 1).components
+        along = [_along(g, col, n) for col in flag_cols]
         # curl slice: unknowns are the non-data coefficients at degree d
         unknowns = []
         index_of = {}
@@ -359,9 +374,11 @@ def solve_formal(sys, tower, nf, data, degree, max_degree=DEFAULT_MAX_DEGREE):
         rows = []
         for rho in range(n):
             for sigma in range(rho + 1, n):
-                srho_comp, ssigma_comp = _s_direction_values(
-                    s_top, flag_cols, iota_u, rho, sigma, level_dims[k], n
-                )
+                # iota(a_rho) S(a_sigma) and iota(a_sigma) S(a_rho)
+                srho_comp = [linear_combination(row, along[sigma][top:], n)
+                             for row in iota_u[rho].rows]
+                ssigma_comp = [linear_combination(row, along[rho][top:], n)
+                               for row in iota_u[sigma].rows]
                 for exp_k in _monomials(n, d - 1):
                     e_sig = _bump(exp_k, sigma)
                     e_rho = _bump(exp_k, rho)
@@ -388,22 +405,12 @@ def solve_formal(sys, tower, nf, data, degree, max_degree=DEFAULT_MAX_DEGREE):
                                   - ssigma.coefficient(list(exp_k)))
                         row[nu] = val + target
                         rows.append(row)
-        if unknowns:
-            for (m, exp), c in zip(unknowns, _solve_slice(rows, nu, d)):
-                if c:
-                    g_terms[m][exp] = c
-        elif any(row[nu] for row in rows):
-            raise InconsistentData(
-                "the degree-%d curl slice has no unknowns but nonzero "
-                "residual" % d
-            )
-        # integrate the lower levels downward
+        for (m, exp), c in zip(unknowns, _solve_slice(rows, nu, d)):
+            if c:
+                g_terms[m][exp] = c
+        # integrate the lower levels: d Q_(h) along a_rho is g_(h)(a_rho)
         for h in range(k - 1, -1, -1):
-            u_series = [level_series(hh) for hh in range(k + 1)]
-            g_comp = _compose_chain_map(
-                tower.coefficient_form(h), x_subs, u_series, jet, d - 1
-            )
-            # gradient of Q_(h) in the u-direction rho
+            off = jet.offsets[h] - n
             for exp in _monomials(n, d):
                 coeffs = {}
                 for rho in range(n):
@@ -411,15 +418,8 @@ def solve_formal(sys, tower, nf, data, degree, max_degree=DEFAULT_MAX_DEGREE):
                         continue
                     below = list(_drop(exp, rho))
                     for alpha in range(level_dims[h]):
-                        g = sum(
-                            (
-                                c * g_comp[alpha * n + j_dir].coefficient(below)
-                                for j_dir, c in enumerate(flag_cols[rho])
-                                if c
-                            ),
-                            Fraction(0),
-                        )
-                        value = g / exp[rho]
+                        value = (along[rho][off + alpha].coefficient(below)
+                                 / exp[rho])
                         prev = coeffs.get(alpha)
                         if prev is None:
                             coeffs[alpha] = value
@@ -501,21 +501,6 @@ def _drop(exp, i):
     e = list(exp)
     e[i] -= 1
     return tuple(e)
-
-
-def _s_direction_values(s_top, flag_cols, iota_u, rho, sigma, dim_k, n):
-    """iota(a_rho) S(a_sigma) and iota(a_sigma) S(a_rho) as polynomial
-    vectors in the level-(k-1) jet coordinates."""
-    out = []
-    for io, direction in ((iota_u[rho], sigma), (iota_u[sigma], rho)):
-        comps = [
-            linear_combination(
-                flag_cols[direction], s_top[beta * n:(beta + 1) * n], n
-            )
-            for beta in range(dim_k)
-        ]
-        out.append([linear_combination(row, comps, n) for row in io.rows])
-    return out[0], out[1]
 
 
 def verify_solution(sys, sol):

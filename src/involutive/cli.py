@@ -79,8 +79,6 @@ def _sanitize(obj):
         return {str(k): _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_sanitize(v) for v in obj]
-    if hasattr(obj, "s") and hasattr(obj, "cartan_bound"):
-        return list(obj.s)
     return obj
 
 

@@ -59,6 +59,7 @@ from .linalg import (
     kernel,
 )
 from .tableau import (
+    _FLAG_BASE_BOUND,
     _sample_flag,
     _vector_to_matrix,
     cartan_test,
@@ -275,7 +276,7 @@ def normal_form(t, samples=5, seed=0, h=0):
         return NormalForm(Matrix.identity(n), Matrix.identity(r), cv.s, [], {})
     targets = [sum(cv.s[: j + 1]) for j in range(n)]
     rng = random.Random(seed)
-    bound = 8
+    bound = _FLAG_BASE_BOUND
     failure = None
     for _ in range(_NF_ATTEMPTS):
         flag = _sample_flag(rng, n, bound)

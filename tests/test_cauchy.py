@@ -830,6 +830,36 @@ def test_solve_needs_the_tower_to_reach_k():
         solve_formal(sys_, tower, nf, data, 2)
 
 
+def test_solver_composes_the_tower_once_per_degree(monkeypatch, su2_setup):
+    # one composition of g_(0..k), capped at d - 1, serves the curl slice
+    # and every lower level at degree d, and each of the k + 1 series goes
+    # back to x once: d + k + 1 calls in all
+    calls = []
+    compose = PolyMap.compose
+
+    def counting_compose(self, *args, **kwargs):
+        calls.append(1)
+        return compose(self, *args, **kwargs)
+
+    sys_ = System(infinite_type_tableau(), {})
+    tower = build_s_chain(sys_, 1, k=1)
+    nf = normal_form(sys_.tableau, seed=0, h=1)
+    block = [Polynomial(1, {(0,): Fraction(i + 1), (1,): Fraction(1, i + 2)})
+             for i in range(5)]
+    data = CauchyData([0] * 4, [[1, 0, 2, 0, -1]], [block])
+    monkeypatch.setattr(PolyMap, "compose", counting_compose)
+    for degree in (3, 6):
+        calls.clear()
+        solve_formal(sys_, tower, nf, data, degree)
+        assert len(calls) == degree + 2
+    # wavemap:su2 is at k = 0, under a tower of order 1
+    sys_, tower, nf = su2_setup
+    data = CauchyData([0, 0], [], [[Polynomial(1, {(1,): Fraction(1)})] * 6])
+    calls.clear()
+    solve_formal(sys_, tower, nf, data, 4)
+    assert len(calls) == 5
+
+
 def test_normal_form_matching_no_level_is_input_error(su2_setup):
     # wavemap:su2 has b_dim 6 and n = 2, so basis_b has 6 (k + 1) rows
     sys_, tower, nf = su2_setup
@@ -863,11 +893,13 @@ def test_one_variable_normal_forms_are_level_zero():
 def test_slice_solve_matches_the_affine_oracle():
     # sparse slices, consistent, inconsistent and underdetermined: the
     # integer-echelon solve gives solve_affine's solution, or the error
-    # that its verdict calls for, with the same count of free directions
+    # that its verdict calls for, with the same count of free directions;
+    # nu = 0 is a slice with no unknowns, solved by [] when every
+    # right-hand side is zero and inconsistent otherwise
     rng = random.Random(1883)
     seen = {"solved": 0, "inconsistent": 0, "underdetermined": 0}
     for _ in range(200):
-        nu, nrows = rng.randint(1, 6), rng.randint(1, 12)
+        nu, nrows = rng.randint(0, 6), rng.randint(1, 12)
         dense = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3))
                   if rng.random() < 0.35 else Fraction(0) for _ in range(nu)]
                  for _ in range(nrows)]
