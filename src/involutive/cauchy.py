@@ -32,16 +32,18 @@ and otherwise each pivot row of the back-substituted echelon gives one
 coefficient exactly.  Rows left over once every unknown is a pivot are
 checked by their product with that solution instead of being reduced.
 
-The level k is read off the normal form: its blocks live in Hom(a, b
-(x) S^k(a*)), so basis_b has b_dim * |S^k| rows, which fixes k when n >=
-2.  When n = 1 every prolongation is the same subspace of Hom(a, b) and
-k = 0.  Only the solver needs the tower, and the tower must reach k.
-
-Every contraction is read off the tableau's memoised maps: along the
-adapted directions a_rho, iota(a_rho) = sum_i basis_a[i][rho] *
-Tableau.contraction(k, i) takes level-k jet coordinates to level-(k-1)
-jet coordinates (to b when k = 0).  The curl rows above are written in
-those coordinates.
+The solver, the residual and the polar counts read one frame of the
+normal form nf of the tableau t, built once per (t, nf) and memoised on
+nf, which is immutable (see _frame).  It holds the level k, basis_a and
+its inverse, the flag contractions iota(a_rho) = sum_i basis_a[i][rho] *
+Tableau.contraction(k, i), which take level-k jet coordinates to
+level-(k-1) jet coordinates (to b when k = 0) and in which the curl rows
+above are written, the level-k coordinates N of the normal generators,
+and iota(a_rho) N.  The level k is read off nf: its blocks live in
+Hom(a, b (x) S^k(a*)), so basis_b has b_dim * |S^k| rows, which fixes k
+when n >= 2.  When n = 1 every prolongation is the same subspace of
+Hom(a, b) and k = 0.  Only the solver needs the tower, and the tower
+must reach k.
 
 The polar-space checks count along the integral flag E_h spanned by the
 normal-form directions a_1..a_h lifted through the section xi -> (xi,
@@ -65,6 +67,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from functools import cached_property, reduce
 
 from .errors import (
     CapExceeded,
@@ -207,49 +210,53 @@ def _affine(matrix, shift):
     return out
 
 
-def _level(t, nf):
-    """The level k at which nf is a normal form of t, read off the b_dim
-    * |S^k| rows of its basis_b (k = 0 when n = 1, see the module
-    docstring).  A row count that matches no level raises InputError."""
-    n, rows = t.a_dim, nf.basis_b.nrows
-    k = 0
-    while n > 1 and t.b_dim * math.comb(n + k - 1, k) < rows:
-        k += 1
-    if t.b_dim * math.comb(n + k - 1, k) != rows:
-        raise InputError(
-            "a normal form with %d rows in basis_b matches no level of a "
-            "tableau with a_dim %d and b_dim %d" % (rows, n, t.b_dim)
+class _Frame:
+    """The Cauchy frame of the normal form nf of t (see the module
+    docstring): k, basis_a, a_inv, iota[rho], big_n = N with one column
+    per normal generator, their block indices block_of, and gen_val[rho]
+    = iota(a_rho) N.  A basis_b whose row count matches no level raises
+    InputError.  a_inv is taken on first use, since the polar counts also
+    run on degenerate flags, which they reject."""
+
+    def __init__(self, t, nf):
+        n, rows = t.a_dim, nf.basis_b.nrows
+        k = 0
+        while n > 1 and t.b_dim * math.comb(n + k - 1, k) < rows:
+            k += 1
+        if t.b_dim * math.comb(n + k - 1, k) != rows:
+            raise InputError(
+                "a normal form with %d rows in basis_b matches no level of a "
+                "tableau with a_dim %d and b_dim %d" % (rows, n, t.b_dim)
+            )
+        self.k = k
+        self.basis_a = nf.basis_a
+        iota_e = [t.contraction(k, i) for i in range(n)]
+        zero = Matrix.zeros(iota_e[0].nrows, iota_e[0].ncols)
+        self.iota = [
+            reduce(Matrix.add, (io * c for io, c in zip(iota_e, col) if c), zero)
+            for col in self.basis_a.transpose().rows
+        ]
+        # A^(k) viewed in Hom(a, b (x) S^k) has the level-k basis as generators
+        view = t.view_at_level(k)
+        self.big_n = Matrix.from_columns(
+            [view.jet_coordinates(0, flatten_generator(q)) for q in nf.normal_basis()],
+            nrows=view.dim,
         )
-    return k
+        self.block_of = [j for j, block in enumerate(nf.blocks, start=1) for _ in block]
+        self.gen_val = [io.matmul(self.big_n).rows for io in self.iota]
+
+    @cached_property
+    def a_inv(self):
+        return self.basis_a.inverse()
 
 
-def _normal_gen_info(t, nf, k):
-    """Level-k coordinates of the normal generators, one column each, and
-    their block indices."""
-    block_of = [j for j, block in enumerate(nf.blocks, start=1) for _ in block]
-    # A^(k) viewed in Hom(a, b (x) S^k) has the level-k basis as generators
-    view = t.view_at_level(k)
-    coord_cols = [
-        view.jet_coordinates(0, flatten_generator(q)) for q in nf.normal_basis()
-    ]
-    return Matrix.from_columns(coord_cols, nrows=view.dim), block_of
-
-
-def _flag_contractions(t, basis_a, k):
-    """iota(a_rho) = sum_i basis_a[i][rho] * t.contraction(k, i) for each
-    flag direction a_rho: level-k jet coordinates -> level-(k-1) jet
-    coordinates, or b when k = 0."""
-    n = t.a_dim
-    iota_e = [t.contraction(k, i) for i in range(n)]
-    out = []
-    for rho in range(n):
-        acc = Matrix.zeros(iota_e[0].nrows, iota_e[0].ncols)
-        for i in range(n):
-            c = basis_a.rows[i][rho]
-            if c:
-                acc = acc.add(iota_e[i] * c)
-        out.append(acc)
-    return out
+def _frame(t, nf):
+    """The _Frame of (t, nf), built once and memoised on the immutable
+    nf, keyed by the identity of t; a race only builds it twice."""
+    memo = nf._frame
+    if memo is None or memo[0] is not t:
+        memo = nf._frame = (t, _Frame(t, nf))
+    return memo[1]
 
 
 def _along(comps, direction, n):
@@ -263,15 +270,9 @@ def _along(comps, direction, n):
 
 
 def _monomials(n, d):
-    if d == 0:
-        return [tuple([0] * n)]
-    out = []
-    for combo in itertools.combinations_with_replacement(range(n), d):
-        e = [0] * n
-        for i in combo:
-            e[i] += 1
-        out.append(tuple(e))
-    return out
+    """The exponents of the degree-d monomials in n variables."""
+    return [tuple(combo.count(i) for i in range(n))
+            for combo in itertools.combinations_with_replacement(range(n), d)]
 
 
 def solve_formal(sys, tower, nf, data, degree, max_degree=DEFAULT_MAX_DEGREE):
@@ -283,17 +284,21 @@ def solve_formal(sys, tower, nf, data, degree, max_degree=DEFAULT_MAX_DEGREE):
     asserted (InconsistentData otherwise; see _solve_slice).  Each degree
     d composes the coefficient forms g_(0..k) once, capped at d - 1, so
     it reads only known terms; g_(k) = S_(k+1) at the top, where every
-    higher jet coordinate is zero.  The level
-    k is that of nf, and a tower of lower order raises InputError.  A
-    degree above max_degree raises CapExceeded.
+    higher jet coordinate is zero.  The level k and every map of nf
+    come from its frame (see _frame), and a tower of lower order raises
+    InputError.  A degree below 0 raises InputError, one above max_degree
+    CapExceeded.
     """
     t = sys.tableau
     n = t.a_dim
+    if degree < 0:
+        raise InputError("truncation degree must be >= 0, got %d" % degree)
     if degree > max_degree:
         raise CapExceeded(
             "truncation degree %d exceeds the cap %d" % (degree, max_degree)
         )
-    k = _level(t, nf)
+    frame = _frame(t, nf)
+    k = frame.k
     if tower.order < k:
         raise InputError(
             "tower of order %d cannot solve at level k = %d" % (tower.order, k)
@@ -302,38 +307,25 @@ def solve_formal(sys, tower, nf, data, degree, max_degree=DEFAULT_MAX_DEGREE):
     level_dims = jet.dims
     data.validate(n, level_dims[:k], nf.s, degree)
     basis_a = nf.basis_a
-    a_inv = basis_a.inverse()
     x_subs = _affine(basis_a, data.x0)
-    big_n, block_of = _normal_gen_info(t, nf, k)
+    big_n, block_of = frame.big_n, frame.block_of
     nk = len(block_of)
-    flag_cols = [
-        [basis_a.rows[i][rho] for i in range(n)] for rho in range(n)
-    ]
-    iota_u = _flag_contractions(t, basis_a, k)
-    # gen_val[rho][out][m]: normal generator m contracted by a_rho
-    gen_val = [io.matmul(big_n).rows for io in iota_u]
+    flag_cols = basis_a.transpose().rows
 
-    # block coefficient series, seeded with the data
-    g_terms = [dict() for _ in range(nk)]
-    for m in range(nk):
-        j = block_of[m]
-        a_idx = sum(1 for mm in range(m) if block_of[mm] == j)
-        p = data.blocks[j - 1][a_idx]
-        for exp, c in p.terms.items():
-            g_terms[m][exp + (0,) * (n - j)] = c
+    # block coefficient series, seeded with the data; blocks are in order
+    g_terms = [
+        {exp + (0,) * (n - j): c for exp, c in p.terms.items()}
+        for p, j in zip([p for block in data.blocks for p in block], block_of)
+    ]
 
     def is_data_exponent(m, exp):
         j = block_of[m]
         return all(exp[i] == 0 for i in range(j, n))
 
     # lower-level series, seeded with the constants
-    lower_terms = [dict() for _ in range(k)]
-    for h in range(k):
-        for alpha, c in enumerate(data.constants[h]):
-            if c:
-                lower_terms[h].setdefault(alpha, {})[tuple([0] * n)] = c
-        for alpha in range(level_dims[h]):
-            lower_terms[h].setdefault(alpha, {})
+    lower_terms = [
+        [{(0,) * n: c} if c else {} for c in data.constants[h]] for h in range(k)
+    ]
 
     def level_series(h):
         if h < k:
@@ -376,14 +368,15 @@ def solve_formal(sys, tower, nf, data, degree, max_degree=DEFAULT_MAX_DEGREE):
             for sigma in range(rho + 1, n):
                 # iota(a_rho) S(a_sigma) and iota(a_sigma) S(a_rho)
                 srho_comp = [linear_combination(row, along[sigma][top:], n)
-                             for row in iota_u[rho].rows]
+                             for row in frame.iota[rho].rows]
                 ssigma_comp = [linear_combination(row, along[rho][top:], n)
-                               for row in iota_u[sigma].rows]
+                               for row in frame.iota[sigma].rows]
                 for exp_k in _monomials(n, d - 1):
                     e_sig = _bump(exp_k, sigma)
                     e_rho = _bump(exp_k, rho)
                     for vals_rho, vals_sigma, srho, ssigma in zip(
-                        gen_val[rho], gen_val[sigma], srho_comp, ssigma_comp
+                        frame.gen_val[rho], frame.gen_val[sigma], srho_comp,
+                        ssigma_comp,
                     ):
                         row = {}
                         val = Fraction(0)
@@ -435,17 +428,13 @@ def solve_formal(sys, tower, nf, data, degree, max_degree=DEFAULT_MAX_DEGREE):
     u_series = [level_series(h) for h in range(k + 1)]
     u_maps = [PolyMap(n, comps) for comps in u_series]
     # back to the original coordinates: u = a_inv (x - x0)
+    a_inv = frame.a_inv
     u_of_x = _affine(a_inv, [-c for c in a_inv.matvec(data.x0)])
     q_maps = [m.compose(u_of_x, degree) for m in u_maps]
-    composition = {}
-    for rho in range(1, len(nf.blocks) + 1):
-        ok = True
-        for m in range(nk):
-            if block_of[m] == rho:
-                for exp in g_terms[m]:
-                    if any(exp[i] for i in range(rho, n)):
-                        ok = False
-        composition[rho] = ok
+    composition = {rho: True for rho in range(1, len(nf.blocks) + 1)}
+    for m, rho in enumerate(block_of):
+        if any(any(exp[rho:]) for exp in g_terms[m]):
+            composition[rho] = False
     return FormalSolution(
         degree, data.x0, k, q_maps, u_maps,
         [Polynomial(n, g_terms[m]) for m in range(nk)],
@@ -521,7 +510,7 @@ def verify_solution(sys, sol):
     n, r = t.a_dim, t.b_dim
     d = sol.degree
     # degrees are measured at the base point: x = x0 + y
-    a_inv = sol.nf.basis_a.inverse()
+    a_inv = _frame(t, sol.nf).a_inv
     f = sol.u_maps[0].compose(_affine(a_inv, [0] * n), d)
     subs = _affine(Matrix.identity(n), sol.x0) + list(f.components)
     keys = [(b, i, j) for i in range(n) for j in range(i + 1, n) for b in range(r)]
@@ -563,15 +552,14 @@ def polar_dims(t, nf):
     s_nu at every step; a miss means the flag is not generic and raises
     UnstableGenericity.
     """
-    k = _level(t, nf)
+    frame = _frame(t, nf)
     n = t.a_dim
-    iota = _flag_contractions(t, nf.basis_a, k)
-    dim_k = t.dim_at(k)
+    dim_k = t.dim_at(frame.k)
     echelon = IntegerEchelon()
     dims = []
     for h in range(n + 1):
         if h:
-            for row in iota[h - 1].rows:
+            for row in frame.iota[h - 1].rows:
                 echelon.add(clear_denominators(row))
         dim_h = n + dim_k - len(echelon)
         expected = n + sum(nf.s[h:])
@@ -596,17 +584,15 @@ def restricted_polar_check(t, nf):
     span (see the module docstring).  Returns [True] * n, or raises
     UnstableGenericity at the first h that fails.
     """
-    k = _level(t, nf)
+    frame = _frame(t, nf)
     n = t.a_dim
-    big_n, block_of = _normal_gen_info(t, nf, k)
-    iota = _flag_contractions(t, nf.basis_a, k)
     # rows of iota(a_l) N for l < h; blocks are in order, so N_low is
     # the first #low columns of N
     stacked = []
     for h in range(n):
         if h:
-            stacked.extend(iota[h - 1].matmul(big_n).rows)
-        low = sum(1 for j in block_of if j <= h)
+            stacked.extend(frame.gen_val[h - 1])
+        low = sum(1 for j in frame.block_of if j <= h)
         rank = Matrix([row[:low] for row in stacked], ncols=low).rank()
         dim = h + 1 + low - rank
         if dim != h + 1:

@@ -342,6 +342,8 @@ def _human_system(results):
 def cmd_cauchy(args):
     sys_ = _load_system(args, args.system)
     data = CauchyData.from_json_dict(_load_json(args, args.data))
+    if args.verify and args.degree < 1:
+        raise InputError("--verify needs --degree >= 1")
     if args.degree > args.max_degree:
         raise CapExceeded(
             "degree %d exceeds the cap %d (raise --max-degree to override)"

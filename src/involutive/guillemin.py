@@ -76,26 +76,38 @@ class NormalForm:
     basis_a: n x n invertible Matrix whose columns are A_1..A_n.
     basis_b: r x r invertible Matrix whose columns are B_1..B_r.
     s: character tuple (s_1..s_n); nu: index of the last nonzero one.
-    blocks: list over j = 1..nu of lists of r x n Matrices (standard
+    blocks: tuple over j = 1..nu of tuples of r x n Matrices (standard
         bases) - block j holds Q_{[j],1..s_j}.
     coeffs: dict mapping (j, a, h, b) (1-based) to the free coefficient
         of B_b (x) alpha^h in Q_{[j],a}.
+
+    A normal form is immutable: rebinding a field raises AttributeError,
+    and a different one is a new NormalForm.  So what is derived from it
+    stays valid; the one writable slot, _frame, memoises the Cauchy
+    frame (see cauchy._frame).
     """
+
+    __slots__ = ("basis_a", "basis_b", "s", "nu", "blocks", "coeffs", "_frame")
 
     def __init__(self, basis_a, basis_b, s, blocks, coeffs):
         self.basis_a = basis_a
         self.basis_b = basis_b
         self.s = tuple(int(x) for x in s)
         self.nu = max((j + 1 for j, x in enumerate(self.s) if x != 0), default=0)
-        self.blocks = blocks
+        self.blocks = tuple(tuple(block) for block in blocks)
         self.coeffs = coeffs
+        self._frame = None
+
+    def __setattr__(self, name, value):
+        if name != "_frame" and hasattr(self, name):
+            raise AttributeError(
+                "a NormalForm is immutable, %s cannot be rebound" % name
+            )
+        object.__setattr__(self, name, value)
 
     def normal_basis(self):
         """The normal basis as one flat list, blocks in order."""
-        out = []
-        for block in self.blocks:
-            out.extend(block)
-        return out
+        return [q for block in self.blocks for q in block]
 
     def to_json_dict(self):
         return {

@@ -201,16 +201,21 @@ class Polynomial:
 
 
 class PolyMap:
-    """A vector of polynomials in a shared list of variables."""
+    """An immutable vector of polynomials (a tuple) in a shared list of
+    variables."""
 
     __slots__ = ("num_vars", "components")
 
     def __init__(self, num_vars: int, components: Sequence[Polynomial]):
-        for p in components:
-            if p.num_vars != num_vars:
-                raise DimensionMismatch("component arity mismatch")
         self.num_vars = num_vars
-        self.components = list(components)
+        self.components = tuple(components)
+        if any(p.num_vars != num_vars for p in self.components):
+            raise DimensionMismatch("component arity mismatch")
+
+    def __setattr__(self, name, value):
+        if hasattr(self, name):
+            raise AttributeError("a PolyMap is immutable, %s cannot be rebound" % name)
+        object.__setattr__(self, name, value)
 
     @classmethod
     def linear(cls, matrix_rows: Sequence[Sequence], num_vars: int) -> "PolyMap":

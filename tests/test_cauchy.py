@@ -1,6 +1,6 @@
 """Formal Cauchy solutions, residual verification, and polar counts."""
 
-import copy
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -9,6 +9,7 @@ import pytest
 
 from dense_oracles import compose_oracle, section_polar_counts, solve_affine
 from involutive import cauchy
+from involutive.bases import sym_basis
 from involutive.cauchy import (
     CauchyData,
     _solve_slice,
@@ -26,7 +27,7 @@ from involutive.errors import (
     UnstableGenericity,
 )
 from involutive.cli import EXAMPLE_NAMES, build_example
-from involutive.guillemin import normal_form
+from involutive.guillemin import NormalForm, normal_form
 from involutive.liealg import abelian_algebra, sl3_decomposition, su2_algebra
 from involutive.linalg import Matrix
 from involutive.poly import Polynomial, PolyMap
@@ -38,7 +39,11 @@ from involutive.systems import (
     build_wavemap_system,
 )
 from involutive.tableau import Tableau, involutive_index
-from test_spencer import infinite_type_tableau
+from test_spencer import (
+    INDEX_TWO_CUBIC,
+    infinite_type_tableau,
+    third_derivative_tableau,
+)
 
 
 # Independent oracle for the harmonic-map system: the classical double
@@ -675,6 +680,25 @@ def test_maurer_cartan_doubled_form(su2_setup):
     assert all(p.is_zero() for p in residual)
 
 
+def test_maurer_cartan_literal_residual_is_minus_the_bracket(su2_setup):
+    # the system encodes d_y u = [u, v] and d_x v = -[u, v], so for theta
+    # = u dx + v dy the literal residual d_x v - d_y u + [u, v] is -[u, v],
+    # and 2 theta is the flat form (the doubled test above)
+    sys_, tower, nf = su2_setup
+    alg = su2_algebra()
+    u_line = [Polynomial.constant(1, 1), Polynomial.zero(1), Polynomial.zero(1)]
+    v_line = [Polynomial.zero(1), Polynomial.constant(1, 1), Polynomial.zero(1)]
+    u_maps, v_maps = wavemap_oracle(alg, u_line, v_line, 5)
+    data = wavemap_data_from_oracle(sys_, nf, u_maps, v_maps, 5)
+    sol = solve_formal(sys_, tower, nf, data, 5)
+    u_comps = sol.q_maps[0].components[:3]
+    v_comps = sol.q_maps[0].components[3:]
+    residual = maurer_cartan_residual(alg, u_comps, v_comps, 4)
+    bracket = bracket_polys(alg, u_comps, v_comps)
+    assert residual == [p.truncate(4).neg() for p in bracket]
+    assert not all(p.is_zero() for p in residual)
+
+
 def test_polar_dims_wavemap(su2_setup):
     sys_, tower, nf = su2_setup
     assert polar_dims(sys_.tableau, nf) == [8, 2, 2]
@@ -782,14 +806,15 @@ def test_polar_counts_match_the_section_oracle():
         sys_, tower, nf, k = polar_case(name)
         n = sys_.tableau.a_dim
         for kind in ("normal", "generic", "generic", "degenerate"):
-            trial = copy.copy(nf)
+            trial = nf
             if kind != "normal":
                 cols = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
                 if kind == "degenerate":
                     # a zero direction, or one repeating an earlier one
                     l = rng.randrange(n)
                     cols[l] = [0] * n if l == 0 or rng.random() < 0.5 else cols[0]
-                trial.basis_a = Matrix.from_columns(cols)
+                trial = NormalForm(Matrix.from_columns(cols), nf.basis_b, nf.s,
+                                   nf.blocks, nf.coeffs)
             point = [Fraction(rng.randint(-5, 5), rng.randint(1, 3))
                      for _ in range(tower.jet.num_vars)]
             dims, restricted = section_polar_counts(sys_, tower, trial, k, point)
@@ -802,9 +827,9 @@ def test_polar_counts_match_the_section_oracle():
 
 def test_degenerate_flag_raises_unstable_genericity(su2_setup):
     sys_, tower, nf = su2_setup
-    trial = copy.copy(nf)
-    trial.basis_a = Matrix(
-        [[0] + row[1:] for row in nf.basis_a.rows], ncols=2
+    trial = NormalForm(
+        Matrix([[0] + row[1:] for row in nf.basis_a.rows], ncols=2),
+        nf.basis_b, nf.s, nf.blocks, nf.coeffs,
     )
     with pytest.raises(
         UnstableGenericity,
@@ -863,8 +888,7 @@ def test_solver_composes_the_tower_once_per_degree(monkeypatch, su2_setup):
 def test_normal_form_matching_no_level_is_input_error(su2_setup):
     # wavemap:su2 has b_dim 6 and n = 2, so basis_b has 6 (k + 1) rows
     sys_, tower, nf = su2_setup
-    trial = copy.copy(nf)
-    trial.basis_b = Matrix.identity(9)
+    trial = NormalForm(nf.basis_a, Matrix.identity(9), nf.s, nf.blocks, nf.coeffs)
     data = CauchyData([0, 0], [], [[Polynomial.zero(1)] * 6])
     message = "^a normal form with 9 rows in basis_b matches no level"
     with pytest.raises(InputError, match=message):
@@ -881,11 +905,11 @@ def test_one_variable_normal_forms_are_level_zero():
     t = Tableau(1, 3, [[[1], [0], [2]], [[0], [1], [0]]])
     for h in range(3):
         nf = normal_form(t, seed=0, h=h)
-        assert cauchy._level(t, nf) == 0
+        assert cauchy._frame(t, nf).k == 0
         assert polar_dims(t, nf) == [3, 1]
         assert restricted_polar_check(t, nf) == [True]
     # no level has 4 rows, and the search stops although |S^k| = 1
-    nf.basis_b = Matrix.identity(4)
+    nf = NormalForm(nf.basis_a, Matrix.identity(4), nf.s, nf.blocks, nf.coeffs)
     with pytest.raises(InputError, match="^a normal form with 4 rows"):
         polar_dims(t, nf)
 
@@ -929,3 +953,92 @@ def test_slice_solve_matches_the_affine_oracle():
         assert _solve_slice(rows, nu, 4) == x
         seen["solved"] += 1
     assert min(seen.values()) >= 30, seen
+
+
+# Cauchy data of the k = 2 fixture: Q_(0) and Q_(1) at x0 = 0, no blocks
+INDEX_TWO_CONSTANTS = [[1, 0, 2, 0, -1], [3]]
+
+
+def index_two_problem():
+    t = third_derivative_tableau(INDEX_TWO_CUBIC)
+    sys_ = System(t, {})
+    tower = build_s_chain(sys_, 2, k=2)
+    nf = normal_form(t, seed=0, h=2)
+    return sys_, tower, nf, CauchyData([0] * t.a_dim, INDEX_TWO_CONSTANTS)
+
+
+def test_index_two_solution_matches_the_affine_oracle():
+    # With Phi = 0 the equations are linear with constant coefficients, so
+    # the Taylor coefficients of F = Q_(0) through degree d solve one
+    # affine system: the coefficients of degree < d of the equations,
+    # F(0) = P_(0), and the 1-jet of F at 0 equal to the element T of
+    # A^(1) with coordinates P_(1): entry (b, j) of sum_alpha d_i F^alpha
+    # Q_alpha is the coordinate (b, e_i + e_j) of T.  No contraction,
+    # normal form or tower enters it.
+    sys_, tower, nf, data = index_two_problem()
+    t = sys_.tableau
+    n, r, degree = t.a_dim, t.b_dim, 3
+    sol = solve_formal(sys_, tower, nf, data, degree)
+    assert sol.k == 2
+    monos = [e for e in itertools.product(range(degree + 1), repeat=n)
+             if sum(e) <= degree]
+    unknowns = list(itertools.product(range(t.dim), monos))
+    col = {key: j for j, key in enumerate(unknowns)}
+
+    def bump(e, i):
+        return e[:i] + (e[i] + 1,) + e[i + 1:]
+
+    unit = [bump((0,) * n, i) for i in range(n)]
+    rows, rhs = [], []
+
+    def add_row(entries, value):
+        row = [Fraction(0)] * len(unknowns)
+        for key, c in entries:
+            row[col[key]] += c
+        rows.append(row)
+        rhs.append(Fraction(value))
+
+    gens = list(enumerate(t.generators))
+    pairs = itertools.combinations(range(n), 2)
+    for b, (i, j), e in itertools.product(range(r), pairs, monos):
+        if sum(e) < degree:
+            add_row([entry for alpha, g in gens for entry in (
+                ((alpha, bump(e, j)), g.rows[b][i] * (e[j] + 1)),
+                ((alpha, bump(e, i)), -g.rows[b][j] * (e[i] + 1)),
+            )], 0)
+    for alpha, value in enumerate(data.constants[0]):
+        add_row([((alpha, (0,) * n), 1)], value)
+    top = [sum(c * v for c, v in zip(data.constants[1], entry))
+           for entry in zip(*t.level(1).basis)]
+    sym2 = sym_basis(n, 2)
+    for b, i, j in itertools.product(range(r), range(n), range(n)):
+        add_row([((alpha, unit[i]), g.rows[b][j]) for alpha, g in gens],
+                top[b * sym2.size + sym2.index_of[tuple(sorted((i, j)))]])
+    x, homogeneous = solve_affine(Matrix(rows, ncols=len(unknowns)), rhs)
+    assert homogeneous == []
+    want = [Polynomial(n, {e: x[col[alpha, e]] for e in monos if x[col[alpha, e]]})
+            for alpha in range(t.dim)]
+    assert list(sol.q_maps[0].components) == want
+    # F is affine, as A^(2) = 0, and Q_(1) is the constant P_(1)
+    assert max(p.total_degree() for p in want) == 1
+    assert sol.q_maps[1].components == (Polynomial.constant(n, 3),)
+
+
+def test_one_frame_serves_the_solver_the_residual_and_the_polar_counts(monkeypatch):
+    # the frame of one (t, nf) is built on the first call and read by the
+    # rest: one view of A^(k) for the normal generators, one inversion of
+    # basis_a
+    sys_, tower, nf, data = index_two_problem()
+    t = sys_.tableau
+    views, inverted = [], []
+    view_at_level, inverse = Tableau.view_at_level, Matrix.inverse
+    monkeypatch.setattr(Tableau, "view_at_level",
+                        lambda self, h: views.append(h) or view_at_level(self, h))
+    monkeypatch.setattr(Matrix, "inverse",
+                        lambda self: inverted.append(self) or inverse(self))
+    sol = solve_formal(sys_, tower, nf, data, 3)
+    assert verify_solution(sys_, sol)["clean"]
+    assert polar_dims(t, nf) == [5] * 6
+    assert restricted_polar_check(t, nf) == [True] * 5
+    assert views == [2]
+    assert sum(m is nf.basis_a for m in inverted) == 1

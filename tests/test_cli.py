@@ -1,5 +1,6 @@
 """End-to-end checks of the command line interface."""
 
+import ast
 import hashlib
 import json
 import os
@@ -17,7 +18,11 @@ from involutive.cli import EXAMPLE_NAMES, build_parser, main
 from involutive.poly import Polynomial
 from involutive.systems import System
 from involutive.tableau import Tableau
-from test_spencer import infinite_type_tableau
+from test_spencer import (
+    INDEX_TWO_CUBIC,
+    infinite_type_tableau,
+    third_derivative_tableau,
+)
 
 
 @pytest.fixture()
@@ -86,12 +91,31 @@ def infinite_type_files(tmp_path):
     return str(path), str(data)
 
 
-@pytest.mark.parametrize("name", EXAMPLE_NAMES + ("index-one", "infinite-type"))
+def index_two_files(tmp_path):
+    """Phi = 0 over third_derivative_tableau(INDEX_TWO_CUBIC), with dim
+    A^(h) = 5, 1, 0 and k = 2, and Cauchy data for it: two constant
+    levels and no blocks, since A^(2) = 0."""
+    path = tmp_path / "index_two.json"
+    t = third_derivative_tableau(INDEX_TWO_CUBIC)
+    path.write_text(json.dumps(System(t, {}).to_json_dict()))
+    data = tmp_path / "data.json"
+    data.write_text(json.dumps(
+        CauchyData([0] * 5, [[1, 0, 2, 0, -1], [3]]).to_json_dict()
+    ))
+    return str(path), str(data)
+
+
+FIXTURE_FILES = {
+    "index-one": index_one_files,
+    "infinite-type": infinite_type_files,
+    "index-two": index_two_files,
+}
+
+
+@pytest.mark.parametrize("name", EXAMPLE_NAMES + tuple(FIXTURE_FILES))
 def test_every_subcommand_on_every_example(name, tmp_path, capsys):
-    if name == "index-one":
-        path, data = index_one_files(tmp_path)
-    elif name == "infinite-type":
-        path, data = infinite_type_files(tmp_path)
+    if name in FIXTURE_FILES:
+        path, data = FIXTURE_FILES[name](tmp_path)
     else:
         path, data = example_files(tmp_path, name)
     for argv in (
@@ -122,9 +146,18 @@ def test_every_subcommand_on_every_example(name, tmp_path, capsys):
             assert results["involutive_characters"] == [5, 0, 0, 0]
             assert [c["passed"] for c in report["certificates"]] == [False]
             continue
+        if name == "index-two" and argv[0] == "tableau":
+            # orders 0 and 1 are not involutive, A^(2) = 0 is
+            results = report["results"]
+            assert results["characters"] == [5, 0, 0, 0, 0]
+            assert results["prolongation_dims"] == [5, 1]
+            assert results["involutive_index"] == 2
+            assert results["involutive_characters"] == [0] * 5
+            assert [c["passed"] for c in report["certificates"]] == [False]
+            continue
         assert all(c["passed"] for c in report["certificates"]), argv
-        if name in ("index-one", "infinite-type") and argv[0] == "cauchy":
-            assert report["results"]["k"] == 1
+        if name in FIXTURE_FILES and argv[0] == "cauchy":
+            assert report["results"]["k"] == (2 if name == "index-two" else 1)
     if name == "infinite-type":
         # the curl slices at the top level have unknowns here
         capsys.readouterr()
@@ -135,6 +168,19 @@ def test_every_subcommand_on_every_example(name, tmp_path, capsys):
         assert (results["k"], results["s"]) == (1, [5, 0, 0, 0])
         assert results["polar_dims"] == [9, 4, 4, 4, 4]
         assert results["restricted_polar"] == [True] * 4
+        assert results["residual"]["clean"] is True
+        assert results["residual"]["first_failure"] is None
+        assert all(c["passed"] for c in report["certificates"])
+    if name == "index-two":
+        # the solver integrates the lower level h = 1 from degree 1 on
+        capsys.readouterr()
+        argv = ["cauchy", path, data, "--degree", "5", "--verify", "--polar", "--json"]
+        assert main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        results = report["results"]
+        assert (results["k"], results["s"]) == (2, [0] * 5)
+        assert results["polar_dims"] == [5] * 6
+        assert results["restricted_polar"] == [True] * 5
         assert results["residual"]["clean"] is True
         assert results["residual"]["first_failure"] is None
         assert all(c["passed"] for c in report["certificates"])
@@ -168,6 +214,24 @@ def test_production_names_no_contract_vector():
                 if "contract_vector" in fh.read():
                     users.append(name)
     assert users == []
+
+
+def test_production_imports_only_the_standard_library():
+    # the engine is stdlib-only: every absolute import in the package names
+    # a standard-library module (sys.stdlib_module_names, Python >= 3.10)
+    package = os.path.dirname(bases.__file__)
+    roots = set()
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name)) as fh:
+                tree = ast.parse(fh.read(), name)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    roots.update(alias.name.split(".")[0] for alias in node.names)
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    roots.add(node.module.split(".")[0])
+    assert {"fractions", "math"} <= roots
+    assert sorted(roots - sys.stdlib_module_names) == []
 
 
 def test_max_degree_raises_the_series_cap(tmp_path, capsys):
@@ -359,9 +423,13 @@ def test_negative_tower_order_is_exit_two(wavemap_file, capsys):
     (["spencer", "--q-max", "0"], "--q-max must be >= 1, got 0"),
     (["spencer", "--p-max", "-1"], "--p-max must be >= 0, got -1"),
     (["tableau", "--prolong", "-1"], "--prolong must be >= 0, got -1"),
+    (["cauchy", "--degree", "-1", "--verify"], "--verify needs --degree >= 1"),
+    (["cauchy", "--degree", "0", "--verify"], "--verify needs --degree >= 1"),
+    (["cauchy", "--degree", "-1"], "truncation degree must be >= 0, got -1"),
 ])
-def test_negative_orders_are_exit_two(argv, error, wavemap_file, capsys):
-    assert main(argv[:1] + [wavemap_file] + argv[1:] + ["--json"]) == 2
+def test_negative_orders_are_exit_two(argv, error, wavemap_file, data_file, capsys):
+    files = [wavemap_file] + ([data_file] if argv[0] == "cauchy" else [])
+    assert main(argv[:1] + files + argv[1:] + ["--json"]) == 2
     report = json.loads(capsys.readouterr().out)
     assert report["error"] == error
     assert report["results"] == {}

@@ -211,7 +211,7 @@ def test_zero_tableau():
     nf = normal_form(t)
     assert nf.s == (0, 0)
     assert nf.nu == 0
-    assert nf.blocks == []
+    assert nf.blocks == ()
     assert nf.coeffs == {}
     report = verify_normal_form(t, nf)
     assert report["all_passed"], report
@@ -267,6 +267,18 @@ def test_json_round_trip():
     assert back.basis_b == nf.basis_b
     assert back.coeffs == nf.coeffs
     assert verify_normal_form(t, back)["all_passed"]
+
+
+def test_normal_form_is_immutable():
+    # what is derived from a normal form (the Cauchy frame) cannot go stale
+    nf = normal_form(cylinder_tableau())
+    for name in ("basis_a", "basis_b", "s", "nu", "blocks", "coeffs"):
+        with pytest.raises(AttributeError, match="cannot be rebound"):
+            setattr(nf, name, getattr(nf, name))
+    assert isinstance(nf.blocks, tuple) and nf.blocks
+    assert all(isinstance(block, tuple) for block in nf.blocks)
+    with pytest.raises(TypeError):
+        nf.blocks[0] = ()
 
 
 def test_malformed_json_rejected():

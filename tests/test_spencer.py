@@ -4,6 +4,7 @@ import random
 import re
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+import math
 from math import comb
 
 import pytest
@@ -69,6 +70,32 @@ def infinite_type_tableau():
 
     diag = [[1 if a == b < 3 else 0 for b in range(4)] for a in range(4)]
     return Tableau(4, 4, [diag] + [unit(i, 3) for i in range(4)])
+
+
+def third_derivative_tableau(cubic):
+    """The tableau of a cubic form F, given as {sorted index triple:
+    coefficient}, in N variables: n = r = N, and generator i is the
+    matrix (d_i d_a d_b F)_{a,b}.  A is the degree-2 part of the inverse
+    system of F, A^(1) is spanned by F and A^(2) = 0, so the index k is 2
+    when A^(1) is not involutive."""
+    num = 1 + max(max(key) for key in cubic)
+
+    def third(*idx):
+        key = tuple(sorted(idx))
+        return cubic.get(key, 0) * math.prod(
+            math.factorial(key.count(v)) for v in set(key)
+        )
+
+    return Tableau(num, num, [
+        [[third(i, a, b) for b in range(num)] for a in range(num)]
+        for i in range(num)
+    ])
+
+
+# F = x2 x3^2 + x1 x3 x4 + x0 x4^2 + x0 x2 x4 + x0 x1 x2: dim A^(h) = 5, 1,
+# 0, and 2-acyclic for q <= 3, so the Cauchy problem sits at k = 2
+INDEX_TWO_CUBIC = {(2, 3, 3): 1, (1, 3, 4): 1, (0, 4, 4): 1, (0, 2, 4): 1,
+                   (0, 1, 2): 1}
 
 
 def random_tableau(rng, n, r, want):

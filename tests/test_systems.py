@@ -459,29 +459,50 @@ def test_structure_equations_reuse_the_chain_report(monkeypatch):
     assert calls == [1, 2, 1, 2, 1, 2]
 
 
-def test_edited_chain_is_checked_again():
+def test_edited_chain_is_checked_again(monkeypatch):
     # order 0 has no structure equation, so only the chain identities can
-    # catch an edited S_(1)
+    # catch an edited S_(1).  The chain and its components are tuples, so
+    # an edit rebinds the chain, and a chain rebound is checked afresh.
     sys = wavemap_su2()
     tower = build_s_chain(sys, h=0)
     assert verify_structure_equations(sys, tower)["all_passed"]
+    s1 = tower.s_chain[0]
     nv = tower.jet.num_vars
+    with pytest.raises(TypeError):
+        tower.s_chain[0] = s1
+    with pytest.raises(TypeError):
+        s1.components[0] = Polynomial.constant(nv, 1)
+    with pytest.raises(AttributeError):
+        s1.components = s1.components
     bump = PolyMap(nv, [Polynomial.constant(nv, 1)]
-                   + [Polynomial.zero(nv)] * (tower.s_chain[0].dim - 1))
-    tower.s_chain[0] = tower.s_chain[0].add(bump)
+                   + [Polynomial.zero(nv)] * (s1.dim - 1))
+    tower.s_chain = (s1.add(bump),)
     with pytest.raises(StructureViolation):
         verify_structure_equations(sys, tower)
     # so is a component replaced inside S_(1)
     tower = build_s_chain(sys, h=0)
-    tower.s_chain[0].components[0] = Polynomial.constant(nv, 1)
+    s1 = tower.s_chain[0]
+    tower.s_chain = (PolyMap(nv, (Polynomial.constant(nv, 1),) + s1.components[1:]),)
     with pytest.raises(StructureViolation):
         verify_structure_equations(sys, tower)
     # and an S_(1) moved inside B_{1,1}, which only delta(S_(1)) = Phi sees
     tower = build_s_chain(sys, h=0)
     shift = [Polynomial.constant(nv, c) for c in tower.splits[1].b_down.basis[0]]
-    tower.s_chain[0] = tower.s_chain[0].add(PolyMap(nv, shift))
+    tower.s_chain = (tower.s_chain[0].add(PolyMap(nv, shift)),)
     with pytest.raises(StructureViolation, match="delta_S1_equals_phi"):
         verify_structure_equations(sys, tower)
+    # the kept proof serves only the chain tuple it checked: an equal chain
+    # in a new tuple is proved again
+    tower = build_s_chain(sys, h=0)
+    proofs = []
+    prove = systems._verify_delta_identities
+    monkeypatch.setattr(systems, "_verify_delta_identities",
+                        lambda *args: proofs.append(1) or prove(*args))
+    assert verify_structure_equations(sys, tower)["all_passed"]
+    assert proofs == []
+    tower.s_chain = tuple(list(tower.s_chain))
+    assert verify_structure_equations(sys, tower)["all_passed"]
+    assert proofs == [1]
 
 
 # ----------------------------------------------------- frozen sign checks
