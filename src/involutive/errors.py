@@ -25,8 +25,9 @@ class Inconsistent(InvolutiveError):
 
 
 class UnstableGenericity(InvolutiveError):
-    """Random sampling failed to certify a generic value (codimensions
-    disagreed across samples even after enlarging the sample range)."""
+    """Random flags failed to certify a generic value (their codimensions
+    disagreed even after enlarging the coefficient range); another seed
+    may succeed."""
 
 
 class NotInvolutive(InvolutiveError):

@@ -261,7 +261,7 @@ def _construct(t, cv, flag):
     return NormalForm(basis_a, basis_b, s, blocks, coeffs)
 
 
-def normal_form(t, samples=5, seed=0, h=0):
+def normal_form(t, seed=0, h=0):
     """Compute adapted bases and the normal basis of an involutive tableau.
 
     For h > 0 the tableau is A^(h) of t's prolongation tower, read as
@@ -275,7 +275,7 @@ def normal_form(t, samples=5, seed=0, h=0):
     Raises NotInvolutive when the Cartan test fails, and
     UnstableGenericity when no sampled flag yields a verifying form.
     """
-    res = cartan_test(t, samples=samples, seed=seed, h=h)
+    res = cartan_test(t, seed=seed, h=h)
     if not res["involutive"]:
         raise NotInvolutive(
             "normal form requires an involutive tableau (dim A^(1) = %d, "
@@ -301,7 +301,7 @@ def normal_form(t, samples=5, seed=0, h=0):
         except BadDecomposition as exc:
             failure = str(exc)
             continue
-        report = verify_normal_form(t, nf, samples=samples, seed=seed, h=h)
+        report = verify_normal_form(t, nf, seed=seed, h=h)
         if report["all_passed"]:
             return nf
         failure = report
@@ -318,7 +318,7 @@ def _first_failure(checks):
     return None
 
 
-def verify_normal_form(t, nf, samples=5, seed=0, h=0):
+def verify_normal_form(t, nf, seed=0, h=0):
     """Re-check every normal-form invariant of nf against the tableau.
 
     For h > 0 the tableau is A^(h) of t's tower, read as in normal_form.
@@ -345,7 +345,7 @@ def verify_normal_form(t, nf, samples=5, seed=0, h=0):
     s = nf.s
     nu = nf.nu
     try:
-        cv = characters(t, samples=samples, seed=seed, h=h)
+        cv = characters(t, seed=seed, h=h)
         chars_match = cv.s == s
     except UnstableGenericity:
         cv = None

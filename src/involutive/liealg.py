@@ -30,7 +30,7 @@ in an IntegerEchelon over the target basis.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
+from operator import mul
 
 from .errors import (
     BadDecomposition,
@@ -52,54 +52,29 @@ from .linalg import (
 )
 
 
-def _bareiss(rows, exchange):
+def _bareiss(rows):
     """Bareiss fraction-free elimination of a square integer matrix, in
-    place; returns (sign, pivots).
+    place and without row exchanges; returns its pivots.
 
     Step c replaces every entry below the pivot row by (p * x - f * y)
     divided by the previous pivot, which is exact, so every number stays
     an integer minor of the input.  The pivot of step c is the leading
-    (c+1) x (c+1) minor of the rows in their current order, and the last
-    one times sign is the determinant.  With exchange a zero pivot is
-    replaced by a lower row (sign flips) and a column with no nonzero
-    entry ends the elimination with pivot 0; without it the rows keep
-    their order, so the pivots are the leading principal minors, and the
-    first zero one ends the elimination.
+    principal (c+1) x (c+1) minor, and the first zero one ends the
+    elimination.
     """
-    n = len(rows)
-    sign = 1
     prev = 1
     pivots = []
-    for c in range(n):
-        if rows[c][c] == 0 and exchange:
-            below = next((i for i in range(c + 1, n) if rows[i][c] != 0), None)
-            if below is not None:
-                rows[c], rows[below] = rows[below], rows[c]
-                sign = -sign
+    for c in range(len(rows)):
         p = rows[c][c]
         pivots.append(p)
         if p == 0:
             break
         top = rows[c]
-        for i in range(c + 1, n):
+        for i in range(c + 1, len(rows)):
             f = rows[i][c]
             rows[i] = [(p * x - f * y) // prev for x, y in zip(rows[i], top)]
         prev = p
-    return sign, pivots
-
-
-def det(m):
-    """Exact determinant by Bareiss fraction-free elimination: each row is
-    cleared to integers, and the integer determinant is divided by the
-    product of the row scales once, at the end."""
-    if m.nrows != m.ncols:
-        raise DimensionMismatch("determinant needs a square matrix")
-    if m.nrows == 0:
-        return Fraction(1)
-    rows = [clear_denominators(row) for row in m.rows]
-    scale = prod(lcm(*(x.denominator for x in row)) for row in m.rows)
-    sign, pivots = _bareiss(rows, exchange=True)
-    return Fraction(sign * pivots[-1], scale)
+    return pivots
 
 
 def definiteness(gram):
@@ -116,9 +91,7 @@ def definiteness(gram):
     n = gram.nrows
     if n == 0:
         return "zero"
-    _, minors = _bareiss(
-        [clear_denominators(row) for row in gram.rows], exchange=False
-    )
+    minors = _bareiss([clear_denominators(row) for row in gram.rows])
     if all(d > 0 for d in minors):
         return "positive"
     if all((d > 0 if k % 2 == 0 else d < 0) for k, d in enumerate(minors, 1)):
@@ -288,45 +261,19 @@ class LieAlgebra:
             raise InputError("malformed Lie algebra JSON") from exc
 
 
-def _centralizer(alg, space_basis, of_basis):
-    """{X in span(space_basis) : [X, v] = 0 for all v in of_basis}."""
-    d = alg.dim
-    if not space_basis:
+def _annihilated(basis, of_basis, pairing, d):
+    """{X in span(basis) : pairing(X, v) = 0 for all v in of_basis}, for a
+    vector-valued pairing linear in X: the bracket gives a centralizer,
+    the Killing form an orthogonal complement.  Column j of the condition
+    matrix stacks pairing(basis_j, v) over of_basis; its kernel,
+    recombined over basis, is returned as the canonical Subspace."""
+    if not basis:
         return Subspace(d, [])
-    if not of_basis:
-        return Subspace(d, space_basis)
-    cols = []
-    for x in space_basis:
-        col = []
-        for v in of_basis:
-            col.extend(alg.bracket(x, v))
-        cols.append(col)
-    coeff_vectors = Matrix.from_columns(cols, nrows=len(of_basis) * d).kernel()
+    cols = [[c for v in of_basis for c in pairing(x, v)] for x in basis]
     gens = []
-    for cv in coeff_vectors:
+    for cv in Matrix.from_columns(cols).kernel():
         w = [Fraction(0)] * d
-        for c, x in zip(cv, space_basis):
-            if c:
-                w = [wi + c * xi for wi, xi in zip(w, x)]
-        gens.append(w)
-    return Subspace(d, gens)
-
-
-def _ortho_complement_in(killing, inside_basis, of_basis, d):
-    """{X in span(inside_basis) : K(X, v) = 0 for all v in of_basis}."""
-    if not inside_basis:
-        return Subspace(d, [])
-    rows = []
-    for v in of_basis:
-        kv = killing.matvec(v)
-        rows.append([sum(x[t] * kv[t] for t in range(d)) for x in inside_basis])
-    if not rows:
-        return Subspace(d, inside_basis)
-    coeff_vectors = Matrix(rows, ncols=len(inside_basis)).kernel()
-    gens = []
-    for cv in coeff_vectors:
-        w = [Fraction(0)] * d
-        for c, x in zip(cv, inside_basis):
+        for c, x in zip(cv, basis):
             if c:
                 w = [wi + c * xi for wi, xi in zip(w, x)]
         gens.append(w)
@@ -372,11 +319,15 @@ class CartanDecomposition:
         for v in g0_basis + a_basis:
             if len(v) != d:
                 raise DimensionMismatch("subspace vector length differs from dim g")
-        self.killing = algebra.killing_form()
+        killing = self.killing = algebra.killing_form()
+
+        def killing_pairing(x, v):
+            return [sum(map(mul, x, killing.matvec(v)))]
+
         g0 = Subspace(d, g0_basis)
         if g0.dim != len(g0_basis):
             raise BadDecomposition("g0 basis is linearly dependent")
-        m = _ortho_complement_in(self.killing, Matrix.identity(d).rows, g0.basis, d)
+        m = _annihilated(Matrix.identity(d).rows, g0.basis, killing_pairing, d)
         if g0.dim + m.dim != d:
             raise BadDecomposition(
                 "g0 and its Killing orthocomplement do not split g "
@@ -401,17 +352,17 @@ class CartanDecomposition:
             for y in a_basis[i + 1 :]:
                 if any(c != 0 for c in algebra.bracket(x, y)):
                     raise BadDecomposition("a is not abelian")
-        if _centralizer(algebra, m.basis, a.basis) != a:
+        if _annihilated(m.basis, a.basis, algebra.bracket, d) != a:
             raise BadDecomposition("a is not maximal abelian in m")
         self.g0 = g0
         self.m = m
         self.a_basis = a_basis
         self.a = a
-        self.b = _ortho_complement_in(self.killing, m.basis, a.basis, d)
+        self.b = _annihilated(m.basis, a.basis, killing_pairing, d)
         if self.b.dim + a.dim != m.dim:
             raise BadDecomposition("a and its orthocomplement do not split m")
-        self.g_a = _centralizer(algebra, g0.basis, a.basis)
-        self.p = _ortho_complement_in(self.killing, g0.basis, self.g_a.basis, d)
+        self.g_a = _annihilated(g0.basis, a.basis, algebra.bracket, d)
+        self.p = _annihilated(g0.basis, self.g_a.basis, killing_pairing, d)
         if self.p.dim + self.g_a.dim != g0.dim:
             raise BadDecomposition("g_a and its orthocomplement do not split g0")
         if not _bracket_into(algebra, [list(v) for v in a_basis], self.b.basis, self.p):

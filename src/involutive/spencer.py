@@ -190,18 +190,19 @@ def cohomology_dim(t, q, p):
     return h
 
 
-def two_acyclicity_report(t, q_cap, samples=5, seed=0, k=None):
+def two_acyclicity_report(t, q_cap, seed=0, k=None):
     """H^{q,2} for q = 1..max(q_cap, k+1), with k the involutive index.
 
     The involutive index is included when it is computable within the
     tableau's cap; the report records exactly which range was verified.  A
-    caller that already holds the index passes it as k.
+    caller that already holds the index passes it as k; otherwise it is
+    certified with the flags of involutive_index(t, seed=seed).
     """
     if q_cap < 1:
         raise InputError("need q_cap >= 1, got %d" % q_cap)
     if k is None:
         try:
-            k = involutive_index(t, h_max=q_cap + 1, samples=samples, seed=seed)["k"]
+            k = involutive_index(t, h_max=q_cap + 1, seed=seed)["k"]
         except CapExceeded:
             pass
     top = max(q_cap, k + 1) if k is not None else q_cap

@@ -392,20 +392,21 @@ def check_torsion_condition(sys):
     }
 
 
-def build_s_chain(sys, h, samples=5, seed=0, k=None):
+def build_s_chain(sys, h, seed=0, k=None):
     """The chain S_(1), ..., S_(h+1) solving the tower equations.
 
     Requires two-acyclicity in the range the chain uses; every S_(r) is
     the canonical preimage inside B_{r,1}(A) and the defining identities
     are re-checked exactly before returning.  The tower keeps that report
     for verify_structure_equations on the same system and chain.  k is
-    the involutive index of the tableau when the caller already holds it
-    (see two_acyclicity_report).  A negative order h raises InputError.
+    the involutive index of the tableau when the caller already holds it;
+    otherwise seed certifies it (see two_acyclicity_report).  A negative
+    order h raises InputError.
     """
     if h < 0:
         raise InputError("tower order must be >= 0, got %d" % h)
     t = sys.tableau
-    report = two_acyclicity_report(t, q_cap=max(1, h), samples=samples, seed=seed, k=k)
+    report = two_acyclicity_report(t, q_cap=max(1, h), seed=seed, k=k)
     if not report["two_acyclic"]:
         raise NotTwoAcyclic(
             "the tableau is not 2-acyclic in the needed range: %r"
@@ -509,15 +510,11 @@ def _verify_delta_identities(tower, targets):
     return checks
 
 
-def _label_key(label):
-    if label[0] == "x":
-        return (0, label[1], 0)
-    return (1, label[1], label[2])
-
-
 class _TwoForm:
     """A 2-form with Polynomial coefficients over the coordinate coframe
-    {dx^i, dq_(s)^alpha} of the tower space."""
+    {dx^i, dq_(s)^alpha} of the tower space, keyed by pairs a < b of
+    jet-variable indices: i for x^i and jet.q_index(s, alpha) for
+    q_(s)^alpha."""
 
     def __init__(self, nv):
         self.nv = nv
@@ -526,7 +523,7 @@ class _TwoForm:
     def add_term(self, la, lb, poly):
         if poly.is_zero() or la == lb:
             return
-        if _label_key(la) > _label_key(lb):
+        if la > lb:
             la, lb, poly = lb, la, poly.neg()
         key = (la, lb)
         cur = self.terms.get(key)
@@ -540,9 +537,7 @@ class _TwoForm:
         return not self.terms
 
     def first_nonzero(self):
-        for key in sorted(self.terms, key=lambda k: (_label_key(k[0]), _label_key(k[1]))):
-            return key
-        return None
+        return min(self.terms, default=None)
 
 
 def verify_structure_equations(sys, tower):
@@ -559,7 +554,8 @@ def verify_structure_equations(sys, tower):
     identities: the ones build_s_chain proved when it built this tower
     for sys and the chain is unchanged (see TowerData), otherwise
     evaluated here.  Returns a report; raises StructureViolation on the
-    first failing identity, carrying (r, component).
+    first failing identity, carrying (r, component) and the least coframe
+    pair left over, named as in JetVars.names().
     """
     jet = tower.jet
     h = tower.order
@@ -568,14 +564,21 @@ def verify_structure_equations(sys, tower):
     checks = _chain_checks(sys, tower)
     gforms = [tower.coefficient_form(r) for r in range(h + 1)]
 
-    def reduce_label(label, level_cap):
-        """Expansion of a coordinate 1-form modulo {beta_(0..level_cap)}:
-        dq_(s) with s <= level_cap becomes g_(s)(dx); any other label is
-        kept with the unit coefficient, written None."""
-        if label[0] == "q" and label[1] <= level_cap:
-            s, alpha = label[1], label[2]
-            return [(("x", i), gforms[s].components[alpha * n + i]) for i in range(n)]
-        return [(label, None)]
+    # the dx coefficients g_(s)^alpha_i of every q_(s)^alpha below the top
+    g_rows = {
+        jet.q_index(s, alpha): gforms[s].components[alpha * n:(alpha + 1) * n]
+        for s in range(h)
+        for alpha in range(jet.dims[s])
+    }
+
+    def reduce_var(var, level_cap):
+        """Expansion of the coordinate 1-form d(var) modulo
+        {beta_(0..level_cap)}: dq_(s)^alpha with s <= level_cap becomes
+        g_(s)^alpha(dx); any other variable is kept with the unit
+        coefficient, written None."""
+        if n <= var < jet.offsets[level_cap] + jet.dims[level_cap]:
+            return list(enumerate(g_rows[var]))
+        return [(var, None)]
 
     for r in range(h):
         # d beta_(r): -(sum_i d g^alpha_i wedge dx^i) per component alpha
@@ -588,12 +591,7 @@ def verify_structure_equations(sys, tower):
                     pg = g.partial(var)
                     if pg.is_zero():
                         continue
-                    label = (
-                        ("x", var)
-                        if var < n
-                        else ("q",) + _level_of(jet, var)
-                    )
-                    sub.add_term(label, ("x", i), pg.neg())
+                    sub.add_term(var, i, pg.neg())
             # + beta_(r+1) wedge-dot dx, contracted into level r coords;
             # beta_(r+1)^B = dq_(r+1)^B - g_(r+1)^B_j dx^j (pi when r+1 = h)
             for i in range(n):
@@ -603,23 +601,24 @@ def verify_structure_equations(sys, tower):
                     if not c:
                         continue
                     sub.add_term(
-                        ("q", r + 1, bidx), ("x", i), Polynomial.constant(nv, c)
+                        jet.q_index(r + 1, bidx), i, Polynomial.constant(nv, c)
                     )
                     for j in range(n):
                         g2 = gforms[r + 1].components[bidx * n + j]
-                        sub.add_term(("x", j), ("x", i), g2.scale(-c))
+                        sub.add_term(j, i, g2.scale(-c))
             # quotient by the ideal {beta_(0..r)}
             reduced = _TwoForm(nv)
             for (la, lb), poly in sub.terms.items():
-                for (la2, ca) in reduce_label(la, r):
+                for (la2, ca) in reduce_var(la, r):
                     pa = poly if ca is None else poly.mul(ca)
-                    for (lb2, cb) in reduce_label(lb, r):
+                    for (lb2, cb) in reduce_var(lb, r):
                         reduced.add_term(la2, lb2, pa if cb is None else pa.mul(cb))
             if not reduced.is_zero():
-                witness = reduced.first_nonzero()
+                names = jet.names()
+                va, vb = reduced.first_nonzero()
                 raise StructureViolation(
                     "structure equation fails at r = %d, component %d, "
-                    "coframe pair %r" % (r, alpha, witness)
+                    "coframe pair d%s ^ d%s" % (r, alpha, names[va], names[vb])
                 )
         checks.append(
             {"name": "structure_equation_r%d" % r, "passed": True, "detail": ""}
@@ -628,14 +627,6 @@ def verify_structure_equations(sys, tower):
     if bad:
         raise StructureViolation("tower identities fail: %r" % (bad[0],))
     return {"order": h, "checks": checks, "all_passed": True}
-
-
-def _level_of(jet, var):
-    for s in range(len(jet.dims)):
-        start = jet.offsets[s]
-        if start <= var < start + jet.dims[s]:
-            return (s, var - start)
-    raise InputError("variable index %d is not a jet coordinate" % var)
 
 
 def build_gg0_system(cd):

@@ -16,9 +16,10 @@ coordinate vector of length r*n (index b*n + i).  Higher prolongations use
 the monomial bases of bases.py, again b-major.  Flags are sampled with
 integer coefficients.  When the first flag attains the Cartan bound
 dim A^(1) it proves involutivity and its characters exactly (a witness);
-otherwise the characters are certified by agreement of several
-independent samples, and a disagreement raises UnstableGenericity
-instead of returning a silently wrong answer.
+otherwise the characters are certified by agreement of five
+independent flags, and a disagreement raises UnstableGenericity
+instead of returning a silently wrong answer.  The seed is the only
+setting of either route.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ DEFAULT_MAX_DIM = 20000
 
 _FLAG_ATTEMPTS = 4
 _FLAG_BASE_BOUND = 8
+_FLAG_SAMPLES = 5
 
 
 class CharacterVector:
@@ -138,7 +140,7 @@ class Tableau:
     A^(h-1) in jet coordinates (A^(-1) = b), built once per (h, i) for
     the tower and the Spencer differential alike; it and the view layout
     read the same position list (_view_positions, over bases.sym_raise).
-    Certified characters are memoised per (level, samples, seed), so
+    Certified characters are memoised per (level, seed), so
     repeated Cartan tests of one tableau sample their flags once, and
     spencer.harmonic_split shares each harmonic split per (q, p) for as
     long as anything, such as a TowerData, holds it.
@@ -561,7 +563,7 @@ def character_partial_sums(tab, flag, h=0):
     return sums
 
 
-def characters(tab, samples=5, seed=0, h=0, dim_a1=None):
+def characters(tab, seed=0, h=0, dim_a1=None):
     """Characters of A^(h), read as the tableau view_at_level(h), from
     a witness flag or certified generic flags.
 
@@ -576,19 +578,17 @@ def characters(tab, samples=5, seed=0, h=0, dim_a1=None):
     sigma_j(F) is generic, so s(F) are its characters, exactly.  The
     result then carries F as its flag attribute.
 
-    Otherwise the characters are voted: `samples` independent random
+    Otherwise the characters are voted: _FLAG_SAMPLES independent random
     flags, F being the first, must give the same partial sums; a
     disagreement retries with a geometrically growing coefficient range,
     and otherwise UnstableGenericity is raised.  A "not involutive"
     verdict of cartan_test always comes from the vote.  A result is
-    memoised on the tableau under (h, samples, seed) and returned again
-    for the same key, whichever way it was certified; a failure stores
-    nothing.  The ranks do not depend on the basis they are taken over,
-    so the result equals characters(tab.view_at_level(h), samples, seed).
+    memoised on the tableau under (h, seed) and returned again for the
+    same key, whichever way it was certified; a failure stores nothing.
+    The ranks do not depend on the basis they are taken over, so the
+    result equals characters(tab.view_at_level(h), seed).
     """
-    if samples < 1:
-        raise InputError("need samples >= 1, got %d" % samples)
-    key = (h, samples, seed)
+    key = (h, seed)
     cv = tab._characters.get(key)
     if cv is not None:
         return cv
@@ -609,7 +609,7 @@ def characters(tab, samples=5, seed=0, h=0, dim_a1=None):
     for _ in range(_FLAG_ATTEMPTS):
         seqs += [
             character_partial_sums(tab, _sample_flag(rng, n, bound), h)
-            for _ in range(samples - len(seqs))
+            for _ in range(_FLAG_SAMPLES - len(seqs))
         ]
         best = seqs[0]
         if all(s == best for s in seqs):
@@ -626,7 +626,7 @@ def characters(tab, samples=5, seed=0, h=0, dim_a1=None):
         bound *= 8
     raise UnstableGenericity(
         "flag samples disagree after %d attempts (last sequences: %r); "
-        "raise the sample count or the coefficient range" % (_FLAG_ATTEMPTS, last)
+        "retry with another seed" % (_FLAG_ATTEMPTS, last)
     )
 
 
@@ -639,7 +639,7 @@ def _from_partial_sums(sums, b_dim, flag=None):
     )
 
 
-def cartan_test(tab, samples=5, seed=0, h=0):
+def cartan_test(tab, seed=0, h=0):
     """Cartan's involutivity test for A^(h), read as the tableau
     view_at_level(h) (h = 0 tests the tableau itself).
 
@@ -655,13 +655,13 @@ def cartan_test(tab, samples=5, seed=0, h=0):
     StructureViolation and drops the memoised characters.  dim_A1 is
     handed to characters(), so a first flag whose bound equals it is a
     witness that proves the verdict "involutive" exactly; "not
-    involutive" comes from the vote of `samples` flags.
+    involutive" comes from the vote of _FLAG_SAMPLES flags.
     """
     dim_a1 = tab.dim_at(h + 1)
-    cv = characters(tab, samples=samples, seed=seed, h=h, dim_a1=dim_a1)
+    cv = characters(tab, seed=seed, h=h, dim_a1=dim_a1)
     bound = cv.cartan_bound()
     if dim_a1 > bound:
-        tab._characters.pop((h, samples, seed), None)
+        tab._characters.pop((h, seed), None)
         raise StructureViolation(
             "dim A^(1) = %d exceeds the character bound %d; the characters "
             "and the prolongation tower are inconsistent" % (dim_a1, bound)
@@ -674,7 +674,7 @@ def cartan_test(tab, samples=5, seed=0, h=0):
     }
 
 
-def involutive_index(tab, h_max, samples=5, seed=0):
+def involutive_index(tab, h_max, seed=0):
     """Least order k <= h_max at which A^(k) passes the Cartan test.
 
     Order h runs cartan_test(tab, h=h) on the tower, order 0 with the
@@ -695,7 +695,7 @@ def involutive_index(tab, h_max, samples=5, seed=0):
     k_chars = None
     for h in range(h_max + 1):
         drawn = rng.randrange(2**32)  # also at h = 0: orders >= 1 keep their flags
-        res = cartan_test(tab, samples=samples, seed=drawn if h else seed, h=h)
+        res = cartan_test(tab, seed=drawn if h else seed, h=h)
         trajectory.append(
             {
                 "h": h,

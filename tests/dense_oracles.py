@@ -13,7 +13,7 @@ adjoint matrices of a Lie algebra as dense Fraction rows (commutator
 coordinates by Matrix.solve), the oracle for the sparse structure
 constants of LieAlgebra.  dense_det and dense_definiteness are the
 Fraction Gaussian elimination and the minor-by-minor Sylvester test that
-liealg.det and liealg.definiteness replaced with one Bareiss elimination;
+liealg.definiteness replaced with one Bareiss elimination;
 bracket_into_per_pair is the pair-by-pair Subspace.contains check that
 one rank test replaced.  view_route_involutive_index is the involutive
 index search that builds the view tableau of every order and prolongs
@@ -318,7 +318,7 @@ def bracket_into_per_pair(alg, basis1, basis2, target):
     return all(target.contains(alg.bracket(x, y)) for x in basis1 for y in basis2)
 
 
-def view_route_involutive_index(tab, h_max, samples=5, seed=0):
+def view_route_involutive_index(tab, h_max, seed=0):
     """The involutive index with A^(h) built as view_at_level(h) and that
     tableau tested (and prolonged) on its own, order by order; the same
     seeds, trajectory and errors as tableau.involutive_index."""
@@ -328,7 +328,7 @@ def view_route_involutive_index(tab, h_max, samples=5, seed=0):
     k_chars = None
     for h in range(h_max + 1):
         view = tab.view_at_level(h)
-        res = cartan_test(view, samples=samples, seed=rng.randrange(2**32))
+        res = cartan_test(view, seed=rng.randrange(2**32))
         trajectory.append({
             "h": h,
             "dim": tab.dim_at(h),

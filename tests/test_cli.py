@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from involutive import bases
+from involutive import bases, cli
 from involutive.bases import sym_basis
 from involutive.cauchy import CauchyData
 from involutive.cli import EXAMPLE_NAMES, build_parser, main
@@ -435,6 +435,17 @@ def test_negative_orders_are_exit_two(argv, error, wavemap_file, data_file, caps
     assert report["results"] == {}
 
 
+def test_negative_degree_is_rejected_before_the_index_search(
+        wavemap_file, data_file, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("involutive_index ran for a negative degree")
+
+    monkeypatch.setattr(cli, "involutive_index", refuse)
+    assert main(["cauchy", wavemap_file, data_file, "--degree", "-1", "--json"]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"] == "truncation degree must be >= 0, got -1"
+
+
 def test_failed_check_is_exit_one(tmp_path, capsys):
     t = Tableau(2, 2, [[[1, 0], [0, 0]]])
     sys_ = System(t, {(1, 0, 1): Polynomial.constant(3, 1)})
@@ -519,7 +530,7 @@ def test_repeated_main_calls_give_identical_reports(wavemap_file, data_file, cap
         with pytest.raises(SystemExit) as done:
             main(argv)
         assert done.value.code == 0
-    main(["tableau", wavemap_file, "--prolong", "2", "--seed", "5", "--samples", "2"])
+    main(["tableau", wavemap_file, "--prolong", "2", "--seed", "5", "--characters"])
     parser = build_parser()
     for _ in range(2):
         for argv, (code, out) in zip(runs, reference):

@@ -26,7 +26,6 @@ from involutive.liealg import (
     LieAlgebra,
     abelian_algebra,
     definiteness,
-    det,
     sl2_decomposition,
     sl2_matrices,
     sl3_decomposition,
@@ -37,19 +36,12 @@ from involutive.linalg import Matrix, Subspace
 
 
 def test_det_examples():
-    assert det(Matrix([[2]])) == 2
-    assert det(Matrix([[1, 2], [3, 4]])) == -2
-    assert det(Matrix([[0, 1], [1, 0]])) == -1
-    assert det(Matrix([[1, 2], [2, 4]])) == 0
-    assert det(Matrix.identity(5)) == 1
-
-
-def test_det_multiplicative():
-    rng = random.Random(11)
-    for _ in range(10):
-        a = Matrix([[rng.randint(-4, 4) for _ in range(3)] for _ in range(3)])
-        b = Matrix([[rng.randint(-4, 4) for _ in range(3)] for _ in range(3)])
-        assert det(a.matmul(b)) == det(a) * det(b)
+    # hand-computed determinants, checks of the oracle behind definiteness
+    assert dense_det(Matrix([[2]])) == 2
+    assert dense_det(Matrix([[1, 2], [3, 4]])) == -2
+    assert dense_det(Matrix([[0, 1], [1, 0]])) == -1
+    assert dense_det(Matrix([[1, 2], [2, 4]])) == 0
+    assert dense_det(Matrix.identity(5)) == 1
 
 
 def test_definiteness():
@@ -83,19 +75,14 @@ def seeded_symmetric(rng, n):
     )
 
 
-def test_det_and_definiteness_match_dense_oracles():
+def test_definiteness_matches_dense_oracle():
     rng = random.Random(4112)
     seen = set()
     for _ in range(300):
-        n = rng.randint(0, 6)
-        m = seeded_symmetric(rng, n)
-        assert det(m) == dense_det(m)
+        m = seeded_symmetric(rng, rng.randint(0, 6))
         verdict = definiteness(m)
         assert verdict == dense_definiteness(m)
         seen.add(verdict)
-        g = Matrix([[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
-                    for _ in range(n)], ncols=n)
-        assert det(g) == dense_det(g)
     assert seen == {"zero", "positive", "negative", "indefinite_or_degenerate"}
 
 

@@ -397,6 +397,30 @@ def test_tampered_tower_is_caught():
         verify_structure_equations(sys, bad)
 
 
+@pytest.mark.parametrize("order, names, component, pair", [
+    (2, ["x1"], 1, "dx1 ^ dx2"),
+    # two pairs are left over; the witness is the least in variable order
+    (1, ["q1_1", "q1_2"], 0, "dx1 ^ dq1_1"),
+])
+def test_structure_witness_names_the_coframe_pair(order, names, component, pair):
+    # the jet variables `names` added to component 0 of S_(1) break the
+    # structure equation at r = 0; the witness names a coframe pair
+    sys = wavemap_su2()
+    tower = build_s_chain(sys, h=order)
+    nv = tower.jet.num_vars
+    s1 = tower.s_chain[0]
+    edited = s1.components[0]
+    for name in names:
+        edited = edited.add(Polynomial.variable(nv, tower.jet.names().index(name)))
+    tower.s_chain = (PolyMap(nv, (edited,) + s1.components[1:]),) + tower.s_chain[1:]
+    with pytest.raises(StructureViolation) as err:
+        verify_structure_equations(sys, tower)
+    assert str(err.value) == (
+        "structure equation fails at r = 0, component %d, coframe pair %s"
+        % (component, pair)
+    )
+
+
 def test_tower_builds_its_splits_and_contractions_once(monkeypatch):
     # order 2: splits of C^{1,1}, C^{2,1}, C^{3,1} and the contractions
     # of levels 0 to 3 in both directions, shared by the Spencer

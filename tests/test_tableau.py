@@ -440,8 +440,6 @@ def test_json_round_trip():
 
 def test_character_errors():
     with pytest.raises(InputError):
-        characters(full_tableau(2, 1), samples=0)
-    with pytest.raises(InputError):
         full_tableau(2, 1).level(-1)
 
 
@@ -600,26 +598,28 @@ def test_characters_memo(monkeypatch):
 
     monkeypatch.setattr(tableau_module, "character_partial_sums", counting)
     t = full_tableau(2, 2)
+    votes = tableau_module._FLAG_SAMPLES
     first = characters(t, seed=3)
-    assert len(evaluated) == 5
+    assert len(evaluated) == votes == 5
     assert characters(t, seed=3) is first
     assert cartan_test(t, seed=3)["characters"] is first
-    assert len(evaluated) == 5
-    # each other key is certified once and kept apart from the rest
+    assert len(evaluated) == votes
+    # each other (h, seed) key is certified once and kept apart from the rest
     results = {}
-    for key in ((0, 4, 3), (0, 5, 4), (1, 5, 3), (2, 5, 3)):
-        h, samples, seed = key
+    for key in ((0, 4), (0, 7), (1, 3), (2, 3)):
+        h, seed = key
         before = len(evaluated)
-        results[key] = characters(t, samples=samples, seed=seed, h=h)
-        assert len(evaluated) - before == samples
+        results[key] = characters(t, seed=seed, h=h)
+        assert len(evaluated) - before == votes
         assert set(evaluated[before:]) == {h}
-    for (h, samples, seed), cv in results.items():
-        assert characters(t, samples=samples, seed=seed, h=h) is cv
+    for (h, seed), cv in results.items():
+        assert characters(t, seed=seed, h=h) is cv
         assert cv is not first
         fresh = Tableau.from_json_dict(t.to_json_dict())
-        assert cv == characters(fresh, samples=samples, seed=seed, h=h)
-    assert results[(1, 5, 3)].s == (4, 2) and first.s == (2, 2)
-    assert results[(2, 5, 3)].s == (6, 2)
+        assert cv == characters(fresh, seed=seed, h=h)
+    assert results[(1, 3)].s == (4, 2) and first.s == (2, 2)
+    assert results[(2, 3)].s == (6, 2)
+    assert set(t._characters) == {(0, 3)} | set(results)
     # a fresh tableau certifies again
     before = len(evaluated)
     fresh = Tableau.from_json_dict(t.to_json_dict())

@@ -60,9 +60,9 @@ def test_involutive_index_counts_flags_at_every_order():
     # the index search must reach that entry point at every order h,
     # through cartan_test and characters, and not a private copy.  An
     # involutive order is proved by its first flag alone (a witness); a
-    # non-involutive order is voted in rounds of `samples` flags.
+    # non-involutive order is voted in rounds of _FLAG_SAMPLES flags.
     tracer = load_tracer()
-    h_max, samples = 3, 5
+    h_max = 3
     with fresh_involutive():
         lib = _Lib({mod for _, mod, _ in tracer.FUNCTIONS})
         tr = tracer.Tracer()
@@ -78,7 +78,7 @@ def test_involutive_index_counts_flags_at_every_order():
         indices = []
         for t, _ in cases:
             tr.begin("index")
-            indices.append(tab.involutive_index(t, h_max, samples=samples, seed=0))
+            indices.append(tab.involutive_index(t, h_max, seed=0))
             tr.end(1.0)
     assert [index["k"] for index in indices] == [k for _, k in cases]
     spans = tr.spans
@@ -103,6 +103,7 @@ def test_involutive_index_counts_flags_at_every_order():
             if h >= k:
                 assert flags == 1, (c, h, counts)
             else:
-                # one round of `samples` flags per attempt, at least one
-                assert flags >= samples and flags % samples == 0, (c, h, counts)
+                # one round of _FLAG_SAMPLES flags per attempt, at least one
+                votes = tab._FLAG_SAMPLES
+                assert flags >= votes and flags % votes == 0, (c, h, counts)
     assert not any(span[0] == "tableau.view_at_level" for span in spans)
