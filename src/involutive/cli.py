@@ -50,6 +50,7 @@ from .errors import (
     CapExceeded,
     InputError,
     InvolutiveError,
+    UnstableGenericity,
 )
 from .guillemin import normal_form, verify_normal_form
 from .liealg import abelian_algebra, sl2_decomposition, sl3_decomposition, su2_algebra
@@ -518,6 +519,7 @@ def main(argv=None):
         args.seed = int(os.environ.get("ARTIFACT_SEED", "0"))
     args.input_digest = {}
     start = time.perf_counter()
+    retry_seed = False
     try:
         passed, results, certificates = args.func(args)
         code = 0 if passed else 1
@@ -531,6 +533,7 @@ def main(argv=None):
     except InvolutiveError as exc:
         passed, results, certificates = False, {}, []
         code, error = 1, str(exc)
+        retry_seed = isinstance(exc, UnstableGenericity)
     elapsed = time.perf_counter() - start
     report = {
         "command": args.command,
@@ -547,7 +550,7 @@ def main(argv=None):
     else:
         if error is not None:
             print("error: %s" % error, file=sys.stderr)
-            if code == 1 and "genericity" in error.lower():
+            if retry_seed:
                 print("hint: retry with a different --seed", file=sys.stderr)
         else:
             for line in args.human(report["results"]):

@@ -10,9 +10,15 @@ and the differential delta: C^{q,p} -> C^{q-1,p+1} is
 
 built from the contractions i(e_i): A^(q-1) -> A^(q-2) that
 Tableau.contraction already holds for the prolongation tower.  This
-module computes cohomology dimensions H^{q,p} = dim Ker delta - rank of
-the incoming delta, decides 2-acyclicity, and produces the harmonic
-decomposition
+module computes cohomology dimensions
+
+    dim H^{q,p} = dim C^{q,p} - rank delta^{q,p} - rank delta^{q+1,p-1},
+
+with dim C^{q,p} = dim A^(q-1) * C(n, p) read off the tower and each
+rank memoised on the tableau per (q, p), so neighbouring queries and
+the 2-acyclicity report share their ranks and build a cell only for a
+differential not yet ranked.  It decides 2-acyclicity and produces the
+harmonic decomposition
 
     C^{q,p} = B^{q,p} (+) H^{q,p} (+) B_{q,p}
 
@@ -167,21 +173,36 @@ def _delta(t, q, p, dim):
     return m
 
 
-def _delta_in(t, q, p):
-    """Differential arriving at C^{q,p} from C^{q+1,p-1} (zero-source for p=0)."""
-    if p == 0:
-        return Matrix.zeros(SpencerCell(t, q, p).dim, 0)
-    source = SpencerCell(t, q + 1, p - 1)
-    return delta(source)
+def _delta_rank(t, q, p):
+    """rank delta^{q,p}, memoised on the tableau per (q, p).
+
+    A zero differential (q = 0 or p >= n) has rank 0 and is not stored.
+    A miss builds the cell and ranks delta; the write is under the
+    tableau's lock, like the contractions, and a failed build stores
+    nothing.
+    """
+    if q == 0 or p >= t.a_dim:
+        return 0
+    key = (q, p)
+    rank = t._delta_ranks.get(key)
+    if rank is None:
+        rank = delta(SpencerCell(t, q, p)).rank()
+        with t._lock:
+            rank = t._delta_ranks.setdefault(key, rank)
+    return rank
 
 
 def cohomology_dim(t, q, p):
-    """dim H^{q,p}(A) = dim Ker delta^{q,p} - rank delta^{q+1,p-1}."""
-    cell = SpencerCell(t, q, p)
-    d_out = delta(cell)
-    ker_dim = cell.dim - d_out.rank()
-    rank_in = _delta_in(t, q, p).rank()
-    h = ker_dim - rank_in
+    """dim H^{q,p}(A) = dim C^{q,p} - rank delta^{q,p} - rank delta^{q+1,p-1}.
+
+    dim C^{q,p} = dim A^(q-1) * C(n, p) is read off the tower (b at
+    q = 0), and the ranks come from the tableau's memo (see _delta_rank),
+    so a cell is built only for a differential not yet ranked.
+    """
+    if q < 0 or p < 0:
+        raise InputError("cohomology needs q, p >= 0, got (%d, %d)" % (q, p))
+    dim = (t.dim_at(q - 1) if q else t.b_dim) * ext_basis(t.a_dim, p).size
+    h = dim - _delta_rank(t, q, p) - (_delta_rank(t, q + 1, p - 1) if p else 0)
     if h < 0:
         raise StructureViolation(
             "negative cohomology dimension at (q,p)=(%d,%d); differentials "

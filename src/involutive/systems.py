@@ -516,8 +516,7 @@ class _TwoForm:
     jet-variable indices: i for x^i and jet.q_index(s, alpha) for
     q_(s)^alpha."""
 
-    def __init__(self, nv):
-        self.nv = nv
+    def __init__(self):
         self.terms = {}
 
     def add_term(self, la, lb, poly):
@@ -584,7 +583,7 @@ def verify_structure_equations(sys, tower):
         # d beta_(r): -(sum_i d g^alpha_i wedge dx^i) per component alpha
         d_r = jet.dims[r]
         for alpha in range(d_r):
-            sub = _TwoForm(nv)
+            sub = _TwoForm()
             for i in range(n):
                 g = gforms[r].components[alpha * n + i]
                 for var in range(nv):
@@ -607,7 +606,7 @@ def verify_structure_equations(sys, tower):
                         g2 = gforms[r + 1].components[bidx * n + j]
                         sub.add_term(j, i, g2.scale(-c))
             # quotient by the ideal {beta_(0..r)}
-            reduced = _TwoForm(nv)
+            reduced = _TwoForm()
             for (la, lb), poly in sub.terms.items():
                 for (la2, ca) in reduce_var(la, r):
                     pa = poly if ca is None else poly.mul(ca)

@@ -122,8 +122,9 @@ class Tableau:
     for concurrent readers.  max_dim caps the ambient dimension r *
     |S^{h+1}| of every level the tableau prolongs (CapExceeded beyond
     it).  It is fixed at construction, and view_at_level hands it on, so
-    every cached level, contraction, character and harmonic split was
-    computed under the same cap and no answer depends on call history.
+    every cached level, contraction, character, differential rank and
+    harmonic split was computed under the same cap and no answer depends
+    on call history.
 
     Jet coordinates: level 0 is written over the flattened generators in
     their given order (the dependent variables of a system), each level
@@ -141,9 +142,11 @@ class Tableau:
     the tower and the Spencer differential alike; it and the view layout
     read the same position list (_view_positions, over bases.sym_raise).
     Certified characters are memoised per (level, seed), so
-    repeated Cartan tests of one tableau sample their flags once, and
-    spencer.harmonic_split shares each harmonic split per (q, p) for as
-    long as anything, such as a TowerData, holds it.
+    repeated Cartan tests of one tableau sample their flags once; the
+    rank of each nonzero Spencer differential delta^{q,p} is memoised
+    per (q, p), so spencer.cohomology_dim ranks each differential once;
+    and spencer.harmonic_split shares each harmonic split per (q, p) for
+    as long as anything, such as a TowerData, holds it.
     """
 
     def __init__(self, a_dim, b_dim, generators, max_dim=DEFAULT_MAX_DIM):
@@ -179,6 +182,7 @@ class Tableau:
         # weak: a split holds its cell, which holds this tableau
         self._splits = weakref.WeakValueDictionary()
         self._characters = {}
+        self._delta_ranks = {}
         self._lock = threading.Lock()
 
     @classmethod
@@ -503,7 +507,7 @@ def prolong_via_intersection(tab, h=1):
                 red = sb_prev.index_of[multiindex_remove(mono, i0)]
                 vec_t[b * sb_next.size + m_idx] = w[(b * sb_prev.size + red) * n + i0]
         if embed(vec_t) != w:
-            raise UnstableGenericity(
+            raise StructureViolation(
                 "intersection produced a tensor outside the symmetric space; "
                 "this indicates an internal convention error"
             )

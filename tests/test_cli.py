@@ -7,14 +7,16 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from involutive import bases, cli
+from involutive import bases, cli, spencer
 from involutive.bases import sym_basis
 from involutive.cauchy import CauchyData
 from involutive.cli import EXAMPLE_NAMES, build_parser, main
+from involutive.errors import StructureViolation, UnstableGenericity
 from involutive.poly import Polynomial
 from involutive.systems import System
 from involutive.tableau import Tableau
@@ -444,6 +446,48 @@ def test_negative_degree_is_rejected_before_the_index_search(
     assert main(["cauchy", wavemap_file, data_file, "--degree", "-1", "--json"]) == 2
     report = json.loads(capsys.readouterr().out)
     assert report["error"] == "truncation degree must be >= 0, got -1"
+
+
+def test_two_acyclic_spencer_builds_each_cell_once(wavemap_file, capsys, monkeypatch):
+    # the H table and the 2-acyclicity report share the ranks memoised on
+    # the tableau, so no cell C^{q,p} is built twice
+    builds = Counter()
+    build_cell = spencer.SpencerCell.__init__
+
+    def counting(self, tableau, q, p):
+        builds[q, p] += 1
+        build_cell(self, tableau, q, p)
+
+    reports = []
+
+    def keep_report(*args, **kwargs):
+        reports.append(spencer.two_acyclicity_report(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(spencer.SpencerCell, "__init__", counting)
+    monkeypatch.setattr(cli, "two_acyclicity_report", keep_report)
+    assert main(["spencer", wavemap_file, "--two-acyclic", "--json"]) == 0
+    assert builds and max(builds.values()) == 1
+    table = json.loads(capsys.readouterr().out)["results"]["H_dims"]
+    h_q2 = reports[0]["H_q2_dims"]
+    assert {int(q): row["2"] for q, row in table.items()} == {
+        q: h for q, h in h_q2.items() if str(q) in table
+    }
+
+
+@pytest.mark.parametrize("exc, hint", [
+    (UnstableGenericity("flag samples disagree after 4 attempts"), True),
+    (StructureViolation("order 2 failed the Cartan test"), False),
+])
+def test_seed_hint_follows_the_error_type(exc, hint, wavemap_file, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "involutive_index", fail)
+    assert main(["tableau", wavemap_file, "--involutive-index"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: %s\n" % exc)
+    assert ("hint: retry with a different --seed" in err) is hint
 
 
 def test_failed_check_is_exit_one(tmp_path, capsys):

@@ -9,7 +9,7 @@ from math import comb
 
 import pytest
 
-from dense_oracles import AdjointHarmonicSplit, adjoint_sigma
+from dense_oracles import AdjointHarmonicSplit, adjoint_sigma, dense_cohomology_dim
 from involutive.bases import GradedCoords, koszul_delta_full
 from involutive.errors import (
     CapExceeded,
@@ -23,6 +23,7 @@ from involutive.linalg import Matrix, Subspace
 from involutive.spencer import (
     HarmonicSplit,
     SpencerCell,
+    _delta_rank,
     _orthogonal,
     codifferential,
     cohomology_dim,
@@ -502,12 +503,50 @@ def test_spencer_table():
 
 
 def test_cells_computable_concurrently():
-    t = wavemap1_tableau()
+    # the parallel pass runs on a fresh tableau, so its threads race the
+    # write paths of the levels, contractions and rank memo
     grid = [(q, p) for q in range(3) for p in range(3)]
-    serial = [cohomology_dim(t, q, p) for q, p in grid]
+    serial = [cohomology_dim(wavemap1_tableau(), q, p) for q, p in grid]
+    t = wavemap1_tableau()
     with ThreadPoolExecutor(max_workers=6) as ex:
         parallel = list(ex.map(lambda qp: cohomology_dim(t, *qp), grid))
     assert serial == parallel
+
+
+def test_cohomology_from_memoised_ranks_matches_the_dense_oracle():
+    # any query order, on a fresh tableau and again on the warm one,
+    # gives the dense count of dim Ker delta - rank of the incoming delta
+    rng = random.Random(2024)
+    cases = [full_tableau(2, 2), wavemap1_tableau(), Tableau(3, 1, [])]
+    for _ in range(6):
+        n, r = rng.randint(1, 3), rng.randint(1, 3)
+        cases.append(random_tableau(rng, n, r, rng.randint(1, min(3, n * r))))
+    for t in cases:
+        n = t.a_dim
+        grid = [(q, p) for q in range(4) for p in range(n + 1)]
+        oracle = Tableau(n, t.b_dim, t.generators)
+        want = {qp: dense_cohomology_dim(oracle, *qp) for qp in grid}
+        fresh = Tableau(n, t.b_dim, t.generators)
+        for _ in range(2):
+            rng.shuffle(grid)
+            assert {qp: cohomology_dim(fresh, *qp) for qp in grid} == want
+        # the grid reads every nonzero delta^{q,p} with q <= 4 exactly
+        assert set(fresh._delta_ranks) == {
+            (q, p) for q in range(1, 5) for p in range(n)
+        }
+
+
+def test_zero_differentials_build_no_cell_and_store_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a zero differential built a cell")
+
+    t = full_tableau(2, 2)
+    monkeypatch.setattr(SpencerCell, "__init__", refuse)
+    assert [_delta_rank(t, 0, p) for p in range(4)] == [0] * 4
+    assert [_delta_rank(t, q, p) for q in range(1, 4) for p in (2, 3)] == [0] * 6
+    assert cohomology_dim(t, 0, 0) == 2
+    assert [cohomology_dim(t, q, 4) for q in range(4)] == [0] * 4
+    assert t._delta_ranks == {}
 
 
 def test_orthogonality_is_read_through_the_gram_matrix():

@@ -155,6 +155,14 @@ def test_prolong_matches_intersection_route():
         assert t.level(2) == prolong_via_intersection(t, 2)
 
 
+def test_intersection_route_reports_a_non_symmetric_tensor_as_internal(monkeypatch):
+    # an intersection that keeps all of A (x) a* holds non-symmetric
+    # tensors; that is an internal inconsistency, not a genericity failure
+    monkeypatch.setattr(Subspace, "intersect", lambda self, other: self)
+    with pytest.raises(StructureViolation, match="internal convention error"):
+        prolong_via_intersection(full_tableau(2, 1), 1)
+
+
 def dense_prolong_once(n, r, prev_basis, prev_h):
     """The dense Fraction route from A^(prev_h) to A^(prev_h + 1), kept as
     the oracle: symmetry constraints over the canonical Fraction basis,
