@@ -516,17 +516,15 @@ def verify_solution(sys, sol):
     keys = [(b, i, j) for i in range(n) for j in range(i + 1, n) for b in range(r)]
     phi = PolyMap(sys.num_vars, [sys.phi_component(*key) for key in keys])
     phi_of_f = phi.compose(subs, d).components
+    # d_i F^alpha, once per direction; of degree < d, as F has degree <= d
+    partials = [[fa.partial(i) for i in range(n)] for fa in f.components]
     worst = None
     for (b, i, j), phi_bij in zip(keys, phi_of_f):
-        lhs = Polynomial.zero(n)
+        coeffs, polys = [-1], [phi_bij]
         for alpha, gmat in enumerate(t.generators):
-            ci = gmat.rows[b][i]
-            cj = gmat.rows[b][j]
-            if ci:
-                lhs = lhs.add(f.components[alpha].partial(j).scale(ci))
-            if cj:
-                lhs = lhs.sub(f.components[alpha].partial(i).scale(cj))
-        res = lhs.truncate(d).sub(phi_bij)
+            coeffs += (gmat.rows[b][i], -gmat.rows[b][j])
+            polys += (partials[alpha][j], partials[alpha][i])
+        res = linear_combination(coeffs, polys, n)
         if not res.is_zero():
             low = res.lowest_degree()
             if worst is None or low < worst["degree"]:

@@ -420,8 +420,11 @@ def cmd_examples(args):
     sys_ = build_example(args.name)
     blob = json.dumps(_sanitize(sys_.to_json_dict()), indent=2, sort_keys=True)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(blob + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(blob + "\n")
+        except OSError as exc:
+            raise InputError("cannot write %s: %s" % (args.out, exc)) from exc
         results = {"name": args.name, "written": args.out}
     else:
         results = {"name": args.name, "system": sys_.to_json_dict()}

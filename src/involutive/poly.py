@@ -10,7 +10,9 @@ Products, substitutions and linear combinations run on integer kernels:
 each operand is cleared once to integer coefficients over the least
 common multiple of its denominators, the inner loops multiply and add
 Python ints, and exactly one normalised Fraction is built per nonzero
-coefficient of the result.  terms stays a dict of nonzero Fractions.
+coefficient of the result.  A Polynomial is immutable: terms is a
+read-only mapping of nonzero Fractions, and Polynomial._of, the internal
+constructor, takes a dict of them built in this module as it is.
 
 Substitution (Polynomial.compose and PolyMap.compose) runs on one
 kernel, _substitute.  It builds the integer value of each monomial once,
@@ -27,6 +29,7 @@ import math
 from collections.abc import Mapping
 from fractions import Fraction
 from operator import add
+from types import MappingProxyType
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch
@@ -54,7 +57,24 @@ class Polynomial:
                 elif e in clean:
                     del clean[e]
         self.num_vars = num_vars
-        self.terms = clean
+        self.terms = MappingProxyType(clean)
+
+    @classmethod
+    def _of(cls, num_vars: int, terms: dict) -> "Polynomial":
+        """A polynomial over a dict of nonzero Fractions built in this
+        module, taken as it is: no coercion, no copy, no check."""
+        p = object.__new__(cls)
+        p.num_vars = num_vars
+        p.terms = MappingProxyType(terms)
+        return p
+
+    def __setattr__(self, name, value):
+        if hasattr(self, name):
+            raise AttributeError("a Polynomial is immutable, %s cannot be rebound" % name)
+        object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        return (Polynomial, (self.num_vars, dict(self.terms)))
 
     @classmethod
     def zero(cls, num_vars: int) -> "Polynomial":
@@ -108,24 +128,18 @@ class Polynomial:
                 out.pop(e, None)
             else:
                 out[e] = s
-        p = Polynomial(self.num_vars)
-        p.terms = out
-        return p
+        return Polynomial._of(self.num_vars, out)
 
     def neg(self) -> "Polynomial":
-        p = Polynomial(self.num_vars)
-        p.terms = {e: -c for e, c in self.terms.items()}
-        return p
+        return Polynomial._of(self.num_vars, {e: -c for e, c in self.terms.items()})
 
     def sub(self, other: "Polynomial") -> "Polynomial":
         return self.add(other.neg())
 
     def scale(self, c) -> "Polynomial":
         c = frac(c)
-        p = Polynomial(self.num_vars)
-        if c != 0:
-            p.terms = {e: c * v for e, v in self.terms.items()}
-        return p
+        return Polynomial._of(self.num_vars,
+                              {e: c * v for e, v in self.terms.items()} if c else {})
 
     def mul(self, other: "Polynomial", max_degree: int | None = None) -> "Polynomial":
         """Product; with max_degree, terms above it are never formed."""
@@ -134,9 +148,8 @@ class Polynomial:
         den_r, ints_r = _cleared(other.terms)
         right = sorted((sum(e), e, c) for e, c in ints_r.items())
         cap = math.inf if max_degree is None else max_degree
-        p = Polynomial(self.num_vars)
-        p.terms = _fractions(_mul_terms(left, right, cap), den_l * den_r)
-        return p
+        return Polynomial._of(self.num_vars,
+                              _fractions(_mul_terms(left, right, cap), den_l * den_r))
 
     def partial(self, var: int) -> "Polynomial":
         if not 0 <= var < self.num_vars:
@@ -149,9 +162,7 @@ class Polynomial:
             e2 = list(e)
             e2[var] = k - 1
             out[tuple(e2)] = c * k
-        p = Polynomial(self.num_vars)
-        p.terms = out
-        return p
+        return Polynomial._of(self.num_vars, out)
 
     def eval(self, point: Sequence) -> Fraction:
         if len(point) != self.num_vars:
@@ -175,9 +186,8 @@ class Polynomial:
         return _substitute([self], self.num_vars, subs, max_degree)[0]
 
     def truncate(self, max_degree: int) -> "Polynomial":
-        p = Polynomial(self.num_vars)
-        p.terms = {e: c for e, c in self.terms.items() if sum(e) <= max_degree}
-        return p
+        return Polynomial._of(self.num_vars,
+                              {e: c for e, c in self.terms.items() if sum(e) <= max_degree})
 
     def lowest_degree(self) -> int:
         """Smallest total degree with a nonzero term, or -1 if zero."""
@@ -300,12 +310,10 @@ def linear_combination(coeffs: Iterable, polys: Iterable[Polynomial],
         k = num * (den // d)
         for e, v in ints.items():
             acc[e] = acc.get(e, 0) + k * v
-    q = Polynomial(num_vars)
-    q.terms = _fractions(acc, den)
-    return q
+    return Polynomial._of(num_vars, _fractions(acc, den))
 
 
-def _cleared(terms: dict) -> tuple[int, dict]:
+def _cleared(terms: Mapping) -> tuple[int, dict]:
     """(den, ints): the Fraction coefficients of terms as integers over
     den, the least common multiple of their denominators."""
     den = 1
@@ -373,9 +381,7 @@ def _substitute(polys: Sequence[Polynomial], num_vars: int,
             k = c * den ** (top - sum(e))
             for f, v in _monomial_value(table, e, factors, cap).items():
                 acc[f] = acc.get(f, 0) + k * v
-        q = Polynomial(m)
-        q.terms = _fractions(acc, p_den * den ** top)
-        out.append(q)
+        out.append(Polynomial._of(m, _fractions(acc, p_den * den ** top)))
     return out
 
 

@@ -28,10 +28,11 @@ Solvability and uniqueness come from two-acyclicity; each S_(r) is the
 canonical preimage in B_{r,1}(A).  A TowerData holds one tower: its jet
 layout, the harmonic splits of C^{r,1} and the chain, each built once,
 and it writes the coefficient forms g_(r) from them and the contractions
-iota, which Tableau.contraction builds once per tableau.  The chain is a
-tuple of immutable PolyMaps, so the proof of its identities that
-build_s_chain keeps is reused for the same system and the same chain
-tuple, and a rebound chain is proved again.
+iota, which Tableau.contraction builds once per tableau.  The System,
+the chain tuple, its PolyMaps and their Polynomials are immutable all
+the way down, so the proof of the chain identities that build_s_chain
+keeps is reused for the same system and the same chain tuple, and a
+rebound chain is proved again.
 verify_structure_equations then forms the 1-forms
 beta_(r) = dQ_(r) - g_(r)(dx) and the tableau form
 pi_(h) = dQ_(h) - S_(h+1)(dx) and checks the structure equations
@@ -49,6 +50,7 @@ harmonic-map systems over a Lie algebra (n = 2, b = g (+) g).
 from __future__ import annotations
 
 from fractions import Fraction
+from types import MappingProxyType
 
 from .bases import ext_basis
 from .errors import (
@@ -71,7 +73,10 @@ class System:
     phi maps (a, i, j) with 0 <= i < j < n and 0 <= a < b_dim to a
     Polynomial in n + dim A variables ordered (x^1..x^n, q^1..q^s).
     Only pairs i < j are stored; the opposite slot order is the negative.
+    A System is immutable: phi is a read-only mapping, var_names a tuple.
     """
+
+    __slots__ = ("tableau", "phi", "var_names")
 
     def __init__(self, tableau, phi, var_names=None):
         self.tableau = tableau
@@ -92,14 +97,19 @@ class System:
                 )
             if not poly.is_zero():
                 clean[(a, i, j)] = poly
-        self.phi = clean
+        self.phi = MappingProxyType(clean)
         if var_names is None:
             var_names = ["x%d" % (i + 1) for i in range(n)] + [
                 "q%d" % (a + 1) for a in range(s)
             ]
         if len(var_names) != nv:
             raise DimensionMismatch("expected %d variable names" % nv)
-        self.var_names = list(var_names)
+        self.var_names = tuple(var_names)
+
+    def __setattr__(self, name, value):
+        if hasattr(self, name):
+            raise AttributeError("a System is immutable, %s cannot be rebound" % name)
+        object.__setattr__(self, name, value)
 
     @property
     def num_vars(self):
@@ -147,9 +157,12 @@ class System:
             for key, table in tables.items():
                 a, i, j = (int(x) for x in key.split(","))
                 phi[(a, i, j)] = Polynomial.from_table(nv, table)
-            names = data.get("vars")
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError("malformed system JSON") from exc
+        names = data.get("vars")
+        if "vars" in data and not (isinstance(names, list)
+                                   and all(isinstance(v, str) for v in names)):
+            raise InputError("system JSON vars must be a list of strings")
         return cls(t, phi, var_names=names)
 
 
@@ -214,8 +227,9 @@ class TowerData:
     slot i).  build_s_chain grows the chain by rebinding it.
 
     build_s_chain also keeps the report of the chain identities it has
-    proved, with the system and the chain tuple it checked.  Chains and
-    components are tuples, so an edited chain is a new tuple:
+    proved, with the system and the chain tuple it checked.  Both are
+    immutable all the way down (phi and terms are read-only mappings,
+    chains and components tuples), so an edited chain is a new tuple:
     verify_structure_equations reuses the report only for the same
     system object and the same chain object, and evaluates the
     identities of a hand-built or rebound chain again.
@@ -239,32 +253,28 @@ class TowerData:
         n, nv = jet.n, jet.num_vars
         comps = list(self.s_chain[r].components)
         if r + 1 <= jet.top:
+            q_next = [Polynomial.variable(nv, jet.q_index(r + 1, beta))
+                      for beta in range(jet.dims[r + 1])]
             for i in range(n):
                 rows = self.tableau.contraction(r + 1, i).rows
                 for alpha in range(jet.dims[r]):
-                    terms = {}
-                    for beta, c in enumerate(rows[alpha]):
-                        if c:
-                            e = [0] * nv
-                            e[jet.q_index(r + 1, beta)] = 1
-                            terms[tuple(e)] = c
-                    comps[alpha * n + i] = comps[alpha * n + i].add(
-                        Polynomial(nv, terms)
-                    )
+                    k = alpha * n + i
+                    comps[k] = linear_combination(
+                        [1, *rows[alpha]], [comps[k], *q_next], nv)
         return PolyMap(nv, comps)
 
 
 def _total_derivative(poly, j, jet, gforms):
     """D_j poly on the tower: d/dx^j plus g_(s)^._j d/dq_(s)^. for every
     level s with a coefficient form gforms[s]."""
-    out = poly.partial(j)
     n = jet.n
+    polys = [poly.partial(j)]
     for s, g in enumerate(gforms):
         for gamma in range(jet.dims[s]):
             pf = poly.partial(jet.q_index(s, gamma))
             if not pf.is_zero():
-                out = out.add(pf.mul(g.components[gamma * n + j]))
-    return out
+                polys.append(pf.mul(g.components[gamma * n + j]))
+    return linear_combination([1] * len(polys), polys, jet.num_vars)
 
 
 def _dbar(tower, ell):
@@ -367,16 +377,14 @@ def check_torsion_condition(sys):
             for v in range(u + 1, n):
                 for w in range(v + 1, n):
                     for a in range(r):
-                        total = Polynomial.zero(nv)
+                        terms = []
                         for (p1, p2, p3) in ((u, v, w), (v, w, u), (w, u, v)):
                             comp = sys.phi_component(a, p2, p3)
-                            term = comp.partial(p1)
-                            for alpha, c in enumerate(qdirs[p1]):
-                                if c:
-                                    term = term.add(
-                                        comp.partial(n + alpha).scale(c)
-                                    )
-                            total = total.add(term)
+                            terms.append((1, comp.partial(p1)))
+                            terms += [(c, comp.partial(n + alpha))
+                                      for alpha, c in enumerate(qdirs[p1]) if c]
+                        coeffs, polys = zip(*terms)
+                        total = linear_combination(coeffs, polys, nv)
                         checked += 1
                         if not total.is_zero():
                             raise StructureViolation(
@@ -510,33 +518,14 @@ def _verify_delta_identities(tower, targets):
     return checks
 
 
-class _TwoForm:
-    """A 2-form with Polynomial coefficients over the coordinate coframe
-    {dx^i, dq_(s)^alpha} of the tower space, keyed by pairs a < b of
-    jet-variable indices: i for x^i and jet.q_index(s, alpha) for
-    q_(s)^alpha."""
-
-    def __init__(self):
-        self.terms = {}
-
-    def add_term(self, la, lb, poly):
-        if poly.is_zero() or la == lb:
-            return
-        if la > lb:
-            la, lb, poly = lb, la, poly.neg()
-        key = (la, lb)
-        cur = self.terms.get(key)
-        new = poly if cur is None else cur.add(poly)
-        if new.is_zero():
-            self.terms.pop(key, None)
-        else:
-            self.terms[key] = new
-
-    def is_zero(self):
-        return not self.terms
-
-    def first_nonzero(self):
-        return min(self.terms, default=None)
+def _wedge(form, la, lb, c, poly):
+    """Add c * poly d(la) ^ d(lb) to form, a 2-form on the coframe of the
+    jet variables (see JetVars) kept as {(a, b): (coefficients,
+    polynomials)} on pairs a < b, each summed by linear_combination."""
+    if la != lb:
+        coeffs, polys = form.setdefault((min(la, lb), max(la, lb)), ([], []))
+        coeffs.append(c if la < lb else -c)
+        polys.append(poly)
 
 
 def verify_structure_equations(sys, tower):
@@ -560,6 +549,7 @@ def verify_structure_equations(sys, tower):
     h = tower.order
     n = jet.n
     nv = jet.num_vars
+    one = Polynomial.constant(nv, 1)
     checks = _chain_checks(sys, tower)
     gforms = [tower.coefficient_form(r) for r in range(h + 1)]
 
@@ -583,14 +573,13 @@ def verify_structure_equations(sys, tower):
         # d beta_(r): -(sum_i d g^alpha_i wedge dx^i) per component alpha
         d_r = jet.dims[r]
         for alpha in range(d_r):
-            sub = _TwoForm()
+            sub = {}
             for i in range(n):
                 g = gforms[r].components[alpha * n + i]
                 for var in range(nv):
                     pg = g.partial(var)
-                    if pg.is_zero():
-                        continue
-                    sub.add_term(var, i, pg.neg())
+                    if not pg.is_zero():
+                        _wedge(sub, var, i, -1, pg)
             # + beta_(r+1) wedge-dot dx, contracted into level r coords;
             # beta_(r+1)^B = dq_(r+1)^B - g_(r+1)^B_j dx^j (pi when r+1 = h)
             for i in range(n):
@@ -599,22 +588,24 @@ def verify_structure_equations(sys, tower):
                     c = io.rows[alpha][bidx]
                     if not c:
                         continue
-                    sub.add_term(
-                        jet.q_index(r + 1, bidx), i, Polynomial.constant(nv, c)
-                    )
+                    _wedge(sub, jet.q_index(r + 1, bidx), i, c, one)
                     for j in range(n):
-                        g2 = gforms[r + 1].components[bidx * n + j]
-                        sub.add_term(j, i, g2.scale(-c))
+                        _wedge(sub, j, i, -c, gforms[r + 1].components[bidx * n + j])
             # quotient by the ideal {beta_(0..r)}
-            reduced = _TwoForm()
-            for (la, lb), poly in sub.terms.items():
+            reduced = {}
+            for (la, lb), (coeffs, polys) in sub.items():
+                poly = linear_combination(coeffs, polys, nv)
+                if poly.is_zero():
+                    continue
                 for (la2, ca) in reduce_var(la, r):
                     pa = poly if ca is None else poly.mul(ca)
                     for (lb2, cb) in reduce_var(lb, r):
-                        reduced.add_term(la2, lb2, pa if cb is None else pa.mul(cb))
-            if not reduced.is_zero():
+                        _wedge(reduced, la2, lb2, 1, pa if cb is None else pa.mul(cb))
+            left = [pair for pair, (coeffs, polys) in reduced.items()
+                    if not linear_combination(coeffs, polys, nv).is_zero()]
+            if left:
                 names = jet.names()
-                va, vb = reduced.first_nonzero()
+                va, vb = min(left)
                 raise StructureViolation(
                     "structure equation fails at r = %d, component %d, "
                     "coframe pair d%s ^ d%s" % (r, alpha, names[va], names[vb])

@@ -197,8 +197,9 @@ class Tableau:
         generators given as lists of rows of rational entries (ints or
         strings such as "3/4"); InputError when it is not of that shape."""
         try:
-            a_dim = int(data["a_dim"])
-            b_dim = int(data["b_dim"])
+            a_dim, b_dim = data["a_dim"], data["b_dim"]
+            if type(a_dim) is not int or type(b_dim) is not int:
+                raise TypeError("a_dim and b_dim must be JSON integers")
             gens = [[list(row) for row in g] for g in data["generators"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(

@@ -133,9 +133,7 @@ def compose_oracle(p, subs):
 
 def _polynomial(num_vars, terms):
     """A Polynomial over terms, dropping the zero coefficients."""
-    p = Polynomial(num_vars)
-    p.terms = {e: c for e, c in terms.items() if c}
-    return p
+    return Polynomial._of(num_vars, {e: c for e, c in terms.items() if c})
 
 
 def fraction_mul(p, q, max_degree=None):

@@ -398,6 +398,7 @@ MALFORMED_TABLEAUX = {
     "zero-denominator": {"a_dim": 2, "b_dim": 1, "generators": [[["1/0", 0]]]},
     "a_dim-not-integer": {"a_dim": "two", "b_dim": 1, "generators": []},
     "generators-not-a-list": {"a_dim": 2, "b_dim": 1, "generators": 5},
+    "a_dim-fractional": {"a_dim": 2.5, "b_dim": 1, "generators": [[[1, 0]]]},
 }
 
 
@@ -412,6 +413,40 @@ def test_malformed_tableau_is_exit_two(case, command, tmp_path, capsys):
     assert main(argv + ["--json"]) == 2
     report = json.loads(capsys.readouterr().out)
     assert report["error"] and report["results"] == {}
+
+
+# "vars" values of a system JSON that are not a list of variable names;
+# wavemap:su2 has eight variables, so the string has one letter each
+MALFORMED_VARS = {
+    "number": 5,
+    "string": "abcdefgh",
+    "null": None,
+    "list-of-numbers": list(range(8)),
+}
+
+
+@pytest.mark.parametrize("command", ["system", "cauchy"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_VARS))
+def test_malformed_vars_is_exit_two(case, command, wavemap_file, data_file,
+                                    tmp_path, capsys):
+    with open(wavemap_file) as fh:
+        blob = json.load(fh)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dict(blob, vars=MALFORMED_VARS[case])))
+    argv = [command, str(path)] + ([data_file] if command == "cauchy" else [])
+    capsys.readouterr()
+    assert main(argv + ["--json"]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"] == "system JSON vars must be a list of strings"
+    assert report["results"] == {}
+
+
+def test_examples_out_under_missing_directory_is_exit_two(tmp_path, capsys):
+    out = tmp_path / "missing" / "su2.json"
+    assert main(["examples", "wavemap:su2", "--out", str(out), "--json"]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"].startswith("cannot write %s: " % out)
+    assert report["results"] == {}
 
 
 def test_negative_tower_order_is_exit_two(wavemap_file, capsys):

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import copy
 import gc
 import math
+import pickle
 import random
 from fractions import Fraction
 from types import MappingProxyType
@@ -309,3 +311,14 @@ def test_compose_leaves_no_reference_cycle():
         assert got == PolyMap(2, fraction_substitute([p, p.partial(0)], 2, subs, cap))
         assert got_p == got.components[0]
         assert got.is_zero() == (cap == -1)
+
+
+def test_pickle_and_deepcopy_round_trip():
+    p = Polynomial(2, {(2, 1): Fraction(3, 4), (0, 0): Fraction(-5)})
+    pm = PolyMap(2, [p, Polynomial.zero(2), p.partial(0)])
+    for copy_of in (lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy):
+        q, qm = copy_of(p), copy_of(pm)
+        assert q == p and q is not p and qm == pm
+        assert type(q.terms) is MappingProxyType
+        with pytest.raises(TypeError):
+            q.terms[(0, 0)] = Fraction(1)

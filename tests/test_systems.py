@@ -485,8 +485,9 @@ def test_structure_equations_reuse_the_chain_report(monkeypatch):
 
 def test_edited_chain_is_checked_again(monkeypatch):
     # order 0 has no structure equation, so only the chain identities can
-    # catch an edited S_(1).  The chain and its components are tuples, so
-    # an edit rebinds the chain, and a chain rebound is checked afresh.
+    # catch an edited S_(1).  The chain and its components are tuples of
+    # immutable polynomials, so an edit rebinds the chain, and a chain
+    # rebound is checked afresh.
     sys = wavemap_su2()
     tower = build_s_chain(sys, h=0)
     assert verify_structure_equations(sys, tower)["all_passed"]
@@ -498,6 +499,11 @@ def test_edited_chain_is_checked_again(monkeypatch):
         s1.components[0] = Polynomial.constant(nv, 1)
     with pytest.raises(AttributeError):
         s1.components = s1.components
+    # the polynomials inside are immutable too
+    with pytest.raises(TypeError):
+        s1.components[0].terms[(0,) * nv] = Fraction(1)
+    with pytest.raises(AttributeError):
+        s1.components[0].terms = {}
     bump = PolyMap(nv, [Polynomial.constant(nv, 1)]
                    + [Polynomial.zero(nv)] * (s1.dim - 1))
     tower.s_chain = (s1.add(bump),)
@@ -527,6 +533,23 @@ def test_edited_chain_is_checked_again(monkeypatch):
     tower.s_chain = tuple(list(tower.s_chain))
     assert verify_structure_equations(sys, tower)["all_passed"]
     assert proofs == [1]
+
+
+def test_system_behind_a_kept_proof_cannot_change():
+    # the kept chain proof is keyed on the system object, so its phi and
+    # its names cannot be written or rebound once built
+    sys = wavemap_su2()
+    build_s_chain(sys, h=0)
+    key = min(sys.phi)
+    with pytest.raises(TypeError):
+        sys.phi[key] = sys.phi[key].scale(2)
+    with pytest.raises(AttributeError):
+        sys.phi = dict(sys.phi)
+    with pytest.raises(AttributeError):
+        sys.var_names = sys.var_names
+    assert isinstance(sys.var_names, tuple)
+    with pytest.raises(AttributeError):
+        sys.cache = {}
 
 
 # ----------------------------------------------------- frozen sign checks
