@@ -126,11 +126,11 @@ class NormalForm:
     @classmethod
     def from_json_dict(cls, data):
         try:
-            basis_a = Matrix([[frac(x) for x in row] for row in data["basis_a"]])
-            basis_b = Matrix([[frac(x) for x in row] for row in data["basis_b"]])
+            basis_a = Matrix(data["basis_a"])
+            basis_b = Matrix(data["basis_b"])
             s = [int(x) for x in data["characters"]]
             blocks = [
-                [Matrix([[frac(x) for x in row] for row in q]) for q in block]
+                [Matrix(q) for q in block]
                 for block in data["blocks"]
             ]
             coeffs = {

@@ -147,7 +147,7 @@ class LieAlgebra:
         """
         if not mats:
             raise InputError("need at least one basis matrix")
-        mats = [m if isinstance(m, Matrix) else Matrix([[frac(x) for x in row] for row in m]) for m in mats]
+        mats = [m if isinstance(m, Matrix) else Matrix(m) for m in mats]
         sz = mats[0].nrows
         for m in mats:
             if m.nrows != sz or m.ncols != sz:

@@ -32,7 +32,7 @@ from operator import add
 from types import MappingProxyType
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InputError
 from .linalg import Vector, frac
 
 
@@ -207,7 +207,12 @@ class Polynomial:
 
     @classmethod
     def from_table(cls, num_vars: int, table: Iterable) -> "Polynomial":
-        return cls(num_vars, [(tuple(e), frac(c)) for c, e in table])
+        """The polynomial of a to_table list; every exponent must be an
+        int, as a JSON integer reads (InputError otherwise)."""
+        terms = [(tuple(e), c) for c, e in table]
+        if any(type(k) is not int for e, _ in terms for k in e):
+            raise InputError("polynomial exponents must be integers")
+        return cls(num_vars, terms)
 
 
 class PolyMap:

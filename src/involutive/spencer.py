@@ -15,15 +15,15 @@ module computes cohomology dimensions
     dim H^{q,p} = dim C^{q,p} - rank delta^{q,p} - rank delta^{q+1,p-1},
 
 with dim C^{q,p} = dim A^(q-1) * C(n, p) read off the tower and each
-rank memoised on the tableau per (q, p), so neighbouring queries and
-the 2-acyclicity report share their ranks and build a cell only for a
-differential not yet ranked.  It decides 2-acyclicity and produces the
-harmonic decomposition
+rank kept in the tableau's memo (Tableau.memo) per (q, p), so
+neighbouring queries and the 2-acyclicity report share their ranks and
+build a cell only for a differential not yet ranked.  It decides
+2-acyclicity and produces the harmonic decomposition
 
     C^{q,p} = B^{q,p} (+) H^{q,p} (+) B_{q,p}
 
 together with the inverse map sigma_{q,p}: B^{q-1,p+1} -> B_{q,p} of the
-restricted differential.
+restricted differential, each split kept in the same memo per (q, p).
 
 Inner products: the standard bases of a and b are declared orthonormal;
 the induced inner product makes the monomial/wedge basis orthogonal with
@@ -177,19 +177,12 @@ def _delta_rank(t, q, p):
     """rank delta^{q,p}, memoised on the tableau per (q, p).
 
     A zero differential (q = 0 or p >= n) has rank 0 and is not stored.
-    A miss builds the cell and ranks delta; the write is under the
-    tableau's lock, like the contractions, and a failed build stores
-    nothing.
+    A miss builds the cell and ranks delta.
     """
     if q == 0 or p >= t.a_dim:
         return 0
-    key = (q, p)
-    rank = t._delta_ranks.get(key)
-    if rank is None:
-        rank = delta(SpencerCell(t, q, p)).rank()
-        with t._lock:
-            rank = t._delta_ranks.setdefault(key, rank)
-    return rank
+    return t.memo(("delta_rank", q, p),
+                  lambda: delta(SpencerCell(t, q, p)).rank())
 
 
 def cohomology_dim(t, q, p):
@@ -282,7 +275,9 @@ class HarmonicSplit:
                 written in the bases (image of delta in C^{q-1,p+1}) ->
                 (basis of b_down); square of size dim b_down
 
-    Only the cell C^{q,p} and its Gram matrix G are built.  G is
+    Only the cell C^{q,p} and its Gram matrix G are built, and the split
+    keeps of the cell only its dimension dim and G as gram, so it holds
+    no reference to the tableau.  G is
     positive definite (E^T diag(g) E with E injective and g > 0), so the
     adjoint spaces are G-orthogonal complements: Ker delta*_in is the
     complement of Im delta_in, kernel(D_in^T G), and B_{q,p} = Im
@@ -312,13 +307,12 @@ class HarmonicSplit:
     """
 
     def __init__(self, tableau, q, p):
-        self.tableau = tableau
         self.q = q
         self.p = p
         cell = SpencerCell(tableau, q, p)
-        self.cell = cell
+        self.dim = cell.dim
+        self.gram = g = cell.gram
         n = tableau.a_dim
-        g = cell.gram
         self.d_out = delta(cell)
         if p >= 1:
             src_dim = tableau.dim_at(q) * ext_basis(n, p - 1).size
@@ -339,10 +333,9 @@ class HarmonicSplit:
     def _verify(self, d_in, ker_dim):
         """Checks (a)-(c) of the class docstring; d_in is the matrix of the
         incoming differential and ker_dim the dimension of Ker delta_out."""
-        cell = self.cell
-        if cell.dim == 0:
+        if self.dim == 0:
             return
-        g = cell.gram
+        g = self.gram
         pairs = [
             (self.b_up, self.harmonic),
             (self.b_up, self.b_down),
@@ -353,7 +346,7 @@ class HarmonicSplit:
                 "harmonic components of C^{%d,%d} are not orthogonal"
                 % (self.q, self.p)
             )
-        if self.b_up.dim + self.harmonic.dim + self.b_down.dim != cell.dim:
+        if self.b_up.dim + self.harmonic.dim + self.b_down.dim != self.dim:
             raise StructureViolation(
                 "harmonic components of C^{%d,%d} do not sum to the cell"
                 % (self.q, self.p)
@@ -375,7 +368,7 @@ class HarmonicSplit:
         """
         if not self._has_target:
             return Matrix.zeros(0, 0)
-        self._b_down_matrix = Matrix.from_columns(self.b_down.basis, nrows=self.cell.dim)
+        self._b_down_matrix = Matrix.from_columns(self.b_down.basis, nrows=self.dim)
         image_basis = _image_subspace(self.d_out).basis
         try:
             self._restricted = ColumnCoordinates(self.d_out.matmul(self._b_down_matrix))
@@ -403,7 +396,7 @@ class HarmonicSplit:
         if not self._has_target:
             if not _is_zero(targets):
                 raise NotInImage("the differential out of this cell is zero")
-            return Matrix.zeros(self.cell.dim, targets.ncols)
+            return Matrix.zeros(self.dim, targets.ncols)
         try:
             y = self._restricted.of_columns(targets)
         except Inconsistent as exc:
@@ -423,19 +416,10 @@ class HarmonicSplit:
 def harmonic_split(t, q, p):
     """Harmonic decomposition of C^{q,p}(A); see HarmonicSplit.
 
-    Built once per (q, p) and shared through the tableau, written under
-    its lock like the contractions; a failed build stores nothing.  The
-    tableau holds its splits weakly, since each split refers back to it
-    through its cell: a split lives as long as a caller (a TowerData, a
-    sigma) holds it, and the tableau is freed by reference counting.
+    Built once per (q, p) and kept in the tableau's memo, so every caller
+    (a TowerData, a sigma) shares it; a failed build stores nothing.
     """
-    key = (q, p)
-    split = t._splits.get(key)
-    if split is None:
-        split = HarmonicSplit(t, q, p)
-        with t._lock:
-            split = t._splits.setdefault(key, split)
-    return split
+    return t.memo(("harmonic_split", q, p), lambda: HarmonicSplit(t, q, p))
 
 
 def sigma(t, q, p):
@@ -451,6 +435,7 @@ def sigma(t, q, p):
     if p >= t.a_dim:
         raise InputError("sigma needs p < a_dim, got p = %d" % p)
     split = harmonic_split(t, q, p)
+    cell = SpencerCell(t, q, p)
     target_cell = SpencerCell(t, q - 1, p + 1)
 
     def apply(target):
@@ -463,7 +448,7 @@ def sigma(t, q, p):
             )
         cy = target_cell.coordinates_of(list(target.coords))
         cx = split.sigma_on_cell_coords(cy)
-        return GradedCoords(q, p, split.cell.embed_coords(cx))
+        return GradedCoords(q, p, cell.embed_coords(cx))
 
     return apply
 

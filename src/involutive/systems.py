@@ -63,7 +63,7 @@ from .errors import (
 )
 from .linalg import IntegerEchelon, Matrix, Subspace, clear_denominators
 from .poly import Polynomial, PolyMap, linear_combination
-from .spencer import SpencerCell, delta, harmonic_split, two_acyclicity_report
+from .spencer import _delta, harmonic_split, two_acyclicity_report
 from .tableau import DEFAULT_MAX_DIM, Tableau
 
 
@@ -217,8 +217,8 @@ class TowerData:
     jet is the JetVars layout of order h, which builds every level the
     tower reads under the tableau's max_dim, and splits[r] the
     HarmonicSplit of C^{r,1} for r = 1..h+1, read through
-    spencer.harmonic_split, so towers over one tableau that are alive
-    together share them.  The contraction of level s by e_i is
+    spencer.harmonic_split, so every tower over one tableau shares
+    them.  The contraction of level s by e_i is
     tableau.contraction(s, i), memoised on the tableau and shared by
     every tower over it.
     s_chain is the tuple (S_(1), ..., S_(h+1)); S_(r) is a PolyMap on the
@@ -324,11 +324,12 @@ def _polymap_from_rows(num_vars, exps, m):
 def check_phi_in_B02(sys):
     """Certificate that Phi takes values in B^{0,2}(A), checked by
     subspace membership monomial by monomial.  A failure raises
-    StructureViolation with a witness.
+    StructureViolation with a witness.  delta^{1,1} is written straight
+    from the contractions; the cell itself is not built.
     """
     t = sys.tableau
-    cell11 = SpencerCell(t, 1, 1)
-    d11 = delta(cell11)
+    cell_dim = t.dim * t.a_dim  # dim C^{1,1} = dim A * C(n, 1)
+    d11 = _delta(t, 1, 1, cell_dim)
     b02 = Subspace(d11.nrows, d11.transpose().rows)
     monos = _polymap_monomials(sys.phi_cell_map())
     for exp, vec in sorted(monos.items()):
@@ -341,7 +342,7 @@ def check_phi_in_B02(sys):
         "method": "expansion",
         "monomials": len(monos),
         "b02_dim": b02.dim,
-        "cell_dim": cell11.dim,
+        "cell_dim": cell_dim,
     }
 
 

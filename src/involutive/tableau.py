@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import random
 import threading
-import weakref
 from fractions import Fraction
 from operator import mul
 
@@ -46,7 +45,6 @@ from .linalg import (
     Matrix,
     Subspace,
     clear_denominators,
-    frac,
 )
 
 DEFAULT_MAX_DIM = 20000
@@ -122,9 +120,8 @@ class Tableau:
     for concurrent readers.  max_dim caps the ambient dimension r *
     |S^{h+1}| of every level the tableau prolongs (CapExceeded beyond
     it).  It is fixed at construction, and view_at_level hands it on, so
-    every cached level, contraction, character, differential rank and
-    harmonic split was computed under the same cap and no answer depends
-    on call history.
+    every level and every memoised value was computed under the same cap
+    and no answer depends on call history.
 
     Jet coordinates: level 0 is written over the flattened generators in
     their given order (the dependent variables of a system), each level
@@ -133,20 +130,22 @@ class Tableau:
 
     integer_basis(h) is the canonical basis of A^(h) with each vector
     cleared to integers and laid out as the flattened generators of
-    view_at_level(h), built once per level; the character ranks at order
-    h are taken over it with an IntegerEchelon.  Prolongation runs over
-    integers too: each step clears the basis of A^(h) the same way and
-    solves its symmetry constraints in an IntegerEchelon (see
-    _prolong_once).  contraction(h, i) is the map i(e_i): A^(h) ->
-    A^(h-1) in jet coordinates (A^(-1) = b), built once per (h, i) for
-    the tower and the Spencer differential alike; it and the view layout
-    read the same position list (_view_positions, over bases.sym_raise).
-    Certified characters are memoised per (level, seed), so
-    repeated Cartan tests of one tableau sample their flags once; the
-    rank of each nonzero Spencer differential delta^{q,p} is memoised
-    per (q, p), so spencer.cohomology_dim ranks each differential once;
-    and spencer.harmonic_split shares each harmonic split per (q, p) for
-    as long as anything, such as a TowerData, holds it.
+    view_at_level(h); the character ranks at order h are taken over it
+    with an IntegerEchelon.  Prolongation runs over integers too: each
+    step clears the basis of A^(h) the same way and solves its symmetry
+    constraints in an IntegerEchelon (see _prolong_once).
+    contraction(h, i) is the map i(e_i): A^(h) -> A^(h-1) in jet
+    coordinates (A^(-1) = b), shared by the tower and the Spencer
+    differential; it and the view layout read the same position list
+    (_view_positions, over bases.sym_raise).
+
+    Every value derived from the tableau, other than the levels, is kept
+    in one write-once memo (see memo), keyed by the name of the function
+    that builds it and its arguments: generator_coordinates,
+    integer_basis per level, contraction per (h, i), characters per
+    (level, seed), spencer's differential ranks and harmonic splits per
+    (q, p).  No memoised value refers back to the tableau, so a tableau
+    is freed by reference counting.
     """
 
     def __init__(self, a_dim, b_dim, generators, max_dim=DEFAULT_MAX_DIM):
@@ -157,7 +156,7 @@ class Tableau:
         gens = []
         for g in generators:
             if not isinstance(g, Matrix):
-                g = Matrix([[frac(x) for x in row] for row in g], ncols=a_dim)
+                g = Matrix(g, ncols=a_dim)
             if g.nrows != b_dim or g.ncols != a_dim:
                 raise DimensionMismatch(
                     "generator is %dx%d, expected %dx%d"
@@ -176,19 +175,13 @@ class Tableau:
                 "space of dimension %d" % (len(gens), span.dim)
             )
         self._levels = [span]
-        self._gen_coords = None
-        self._int_bases = {}
-        self._contractions = {}
-        # weak: a split holds its cell, which holds this tableau
-        self._splits = weakref.WeakValueDictionary()
-        self._characters = {}
-        self._delta_ranks = {}
+        self._memo = {}
         self._lock = threading.Lock()
 
     @classmethod
     def from_vectors(cls, a_dim, b_dim, vectors):
         """Build a tableau from b-major coordinate vectors in b (x) a*."""
-        mats = [_vector_to_matrix([frac(x) for x in v], b_dim, a_dim) for v in vectors]
+        mats = [_vector_to_matrix(list(v), b_dim, a_dim) for v in vectors]
         return cls(a_dim, b_dim, mats)
 
     @classmethod
@@ -221,6 +214,22 @@ class Tableau:
     def dim(self):
         return self._levels[0].dim
 
+    def memo(self, key, build):
+        """The value memoised under key, built by build() on a miss.
+
+        The memo is write-once: the store is a setdefault under the
+        tableau's lock, so when threads race on one miss the first writer
+        wins and every caller gets the identical object.  A build that
+        raises stores nothing, and the next call builds again.
+        """
+        try:
+            return self._memo[key]
+        except KeyError:
+            pass
+        value = build()
+        with self._lock:
+            return self._memo.setdefault(key, value)
+
     def level(self, h):
         """A^(h) as a Subspace of b (x) S^{h+1}(a*), computed on demand."""
         if h < 0:
@@ -250,18 +259,13 @@ class Tableau:
         Its rows are the pivots of the canonical span A^(0); the
         generators restricted there are invertible because they span it.
         """
-        if self._gen_coords is None:
-            with self._lock:
-                if self._gen_coords is None:
-                    pivots = self._levels[0].pivots
-                    gens = Matrix.from_columns(
-                        self._gen_vectors, nrows=self.a_dim * self.b_dim
-                    )
-                    inverse = Matrix(
-                        [gens.rows[i] for i in pivots], ncols=self.dim
-                    ).inverse()
-                    self._gen_coords = ColumnCoordinates(gens, pivots, inverse)
-        return self._gen_coords
+        def build():
+            pivots = self._levels[0].pivots
+            gens = Matrix.from_columns(self._gen_vectors, nrows=self.a_dim * self.b_dim)
+            inverse = Matrix([gens.rows[i] for i in pivots], ncols=self.dim).inverse()
+            return ColumnCoordinates(gens, pivots, inverse)
+
+        return self.memo(("generator_coordinates",), build)
 
     def integer_basis(self, h=0):
         """An integer basis of A^(h) in the layout of the flattened
@@ -274,16 +278,14 @@ class Tableau:
         serves the characters of the view tableau without building it.
         A^(h) is read with level(h), under the tableau's cap.
         """
-        basis = self._int_bases.get(h)
-        if basis is not None:
-            return basis
-        source = _view_positions(self.a_dim, self.b_dim, h)
-        basis = [
-            [v[pos] for pos in source]
-            for v in map(clear_denominators, self.level(h).basis)
-        ]
-        with self._lock:
-            return self._int_bases.setdefault(h, basis)
+        def build():
+            source = _view_positions(self.a_dim, self.b_dim, h)
+            return [
+                [v[pos] for pos in source]
+                for v in map(clear_denominators, self.level(h).basis)
+            ]
+
+        return self.memo(("integer_basis", h), build)
 
     def jet_coordinates(self, h, v):
         """Coordinates of v over jet_basis(h); NotInImage when v is outside."""
@@ -343,10 +345,9 @@ class Tableau:
         beta.  A contraction that leaves A^(h-1) means the tower is
         inconsistent and raises StructureViolation.
         """
-        key = (h, i)
-        m = self._contractions.get(key)
-        if m is not None:
-            return m
+        return self.memo(("contraction", h, i), lambda: self._contract(h, i))
+
+    def _contract(self, h, i):
         if h < 0 or not 0 <= i < self.a_dim:
             raise InputError("no contraction of level %d by e_%d" % (h, i))
         n = self.a_dim
@@ -362,9 +363,7 @@ class Tableau:
                 raise StructureViolation(
                     "contraction left the prolongation at level %d" % (h - 1)
                 ) from exc
-        m = Matrix.from_columns(cols, nrows=self.dim_at(h - 1) if h else self.b_dim)
-        with self._lock:
-            return self._contractions.setdefault(key, m)
+        return Matrix.from_columns(cols, nrows=self.dim_at(h - 1) if h else self.b_dim)
 
 
 def _view_positions(n, r, h):
@@ -593,10 +592,12 @@ def characters(tab, seed=0, h=0, dim_a1=None):
     The ranks do not depend on the basis they are taken over, so the
     result equals characters(tab.view_at_level(h), seed).
     """
-    key = (h, seed)
-    cv = tab._characters.get(key)
-    if cv is not None:
-        return cv
+    return tab.memo(("characters", h, seed),
+                    lambda: _certify(tab, seed, h, dim_a1))
+
+
+def _certify(tab, seed, h, dim_a1):
+    """The characters of A^(h) from the witness or the vote; see characters."""
     n = tab.a_dim
     b_dim = tab.b_dim * sym_basis(n, h).size
     rng = random.Random(seed)
@@ -606,9 +607,7 @@ def characters(tab, seed=0, h=0, dim_a1=None):
     dim = len(tab.integer_basis(h))
     if (dim_a1 is not None and first[-1] == dim
             and n * first[-1] - sum(first[:-1]) == dim_a1):
-        cv = _from_partial_sums(first, b_dim, flag)
-        with tab._lock:
-            return tab._characters.setdefault(key, cv)
+        return _from_partial_sums(first, b_dim, flag)
     seqs = [first]
     last = None
     for _ in range(_FLAG_ATTEMPTS):
@@ -624,8 +623,7 @@ def characters(tab, seed=0, h=0, dim_a1=None):
                     "character sum %d does not match dim A^(%d) = %d; "
                     "sampled flags were not generic" % (cv.total(), h, dim)
                 )
-            with tab._lock:
-                return tab._characters.setdefault(key, cv)
+            return cv
         last = seqs
         seqs = []
         bound *= 8
@@ -666,7 +664,7 @@ def cartan_test(tab, seed=0, h=0):
     cv = characters(tab, seed=seed, h=h, dim_a1=dim_a1)
     bound = cv.cartan_bound()
     if dim_a1 > bound:
-        tab._characters.pop((h, seed), None)
+        tab._memo.pop(("characters", h, seed), None)
         raise StructureViolation(
             "dim A^(1) = %d exceeds the character bound %d; the characters "
             "and the prolongation tower are inconsistent" % (dim_a1, bound)

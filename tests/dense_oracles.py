@@ -370,6 +370,7 @@ class AdjointHarmonicSplit(HarmonicSplit):
         self.p = p
         cell = SpencerCell(tableau, q, p)
         self.cell = cell
+        self.dim = cell.dim
         n = tableau.a_dim
         d_out = delta(cell)
         if p >= 1:

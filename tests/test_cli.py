@@ -399,6 +399,7 @@ MALFORMED_TABLEAUX = {
     "a_dim-not-integer": {"a_dim": "two", "b_dim": 1, "generators": []},
     "generators-not-a-list": {"a_dim": 2, "b_dim": 1, "generators": 5},
     "a_dim-fractional": {"a_dim": 2.5, "b_dim": 1, "generators": [[[1, 0]]]},
+    "entry-true": {"a_dim": 2, "b_dim": 1, "generators": [[[True, 0]]]},
 }
 
 
@@ -410,6 +411,46 @@ def test_malformed_tableau_is_exit_two(case, command, tmp_path, capsys):
     data = tmp_path / "data.json"
     data.write_text(json.dumps({"x0": [0, 0], "P_const": [], "P_blocks": {}}))
     argv = [command, str(path)] + ([str(data)] if command == "cauchy" else [])
+    assert main(argv + ["--json"]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"] and report["results"] == {}
+
+
+# one entry of wavemap:su2 ("system") or of its Cauchy data ("data")
+# replaced by a JSON value that is neither an exact rational coefficient
+# nor an integer exponent, although int() or Fraction() would take it
+MALFORMED_ENTRIES = {
+    "phi-coefficient-true": ("system", ("phi", "0,0,1", 0, 0), True),
+    "phi-exponent-fractional": ("system", ("phi", "0,0,1", 0, 1, 4), 1.5),
+    "phi-exponent-string": ("system", ("phi", "0,0,1", 0, 1, 4), "1"),
+    "phi-exponent-true": ("system", ("phi", "0,0,1", 0, 1, 4), True),
+    "x0-true": ("data", ("x0", 0), True),
+    "block-coefficient-true": ("data", ("P_blocks", "1", 0, 0, 0), True),
+    "block-exponent-fractional": ("data", ("P_blocks", "1", 0, 1, 1, 0), 1.5),
+    "block-exponent-string": ("data", ("P_blocks", "1", 0, 1, 1, 0), "1"),
+    "block-exponent-true": ("data", ("P_blocks", "1", 0, 1, 1, 0), True),
+}
+
+
+@pytest.mark.parametrize("command, case", [
+    (command, case) for case, (target, _, _) in sorted(MALFORMED_ENTRIES.items())
+    for command in (("system", "cauchy") if target == "system" else ("cauchy",))
+])
+def test_malformed_entry_is_exit_two(command, case, wavemap_file, data_file,
+                                     tmp_path, capsys):
+    target, keys, value = MALFORMED_ENTRIES[case]
+    files = {"system": wavemap_file, "data": data_file}
+    with open(files[target]) as fh:
+        blob = json.load(fh)
+    node = blob
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(blob))
+    files[target] = str(path)
+    argv = [command, files["system"]] + ([files["data"]] if command == "cauchy" else [])
+    capsys.readouterr()
     assert main(argv + ["--json"]) == 2
     report = json.loads(capsys.readouterr().out)
     assert report["error"] and report["results"] == {}

@@ -187,11 +187,20 @@ def test_gg0_rejects_singular_basis():
 # ---------------------------------------------------------- phi in B^{0,2}
 
 
-def test_phi_in_b02_wavemap():
-    cert = check_phi_in_B02(wavemap_su2())
+def test_phi_in_b02_wavemap(monkeypatch):
+    # delta^{1,1} is written from the contractions; no cell is built
+    sys = wavemap_su2()
+    cell_dim = SpencerCell(sys.tableau, 1, 1).dim
+
+    def refuse(*args):
+        raise AssertionError("check_phi_in_B02 built a cell")
+
+    monkeypatch.setattr(SpencerCell, "__init__", refuse)
+    cert = check_phi_in_B02(sys)
     assert cert["passed"]
     assert cert["method"] == "expansion"
     assert cert["b02_dim"] == 6
+    assert cert["cell_dim"] == cell_dim == 12
 
 
 def test_phi_in_b02_gg0():
@@ -330,8 +339,8 @@ def test_s_chain_solution_is_unique_in_its_slice():
             split = HarmonicSplit(t, r, 1)
             if split.b_down.dim == 0:
                 continue
-            bd = Matrix.from_columns(split.b_down.basis, nrows=split.cell.dim)
-            restricted = delta(split.cell).matmul(bd)
+            bd = Matrix.from_columns(split.b_down.basis, nrows=split.dim)
+            restricted = delta(SpencerCell(t, r, 1)).matmul(bd)
             assert restricted.kernel() == []
 
 
@@ -435,7 +444,7 @@ def test_tower_builds_its_splits_and_contractions_once(monkeypatch):
         split_init(self, *args, **kwargs)
 
     def counting_contraction(self, h, i, *args, **kwargs):
-        if (h, i) not in self._contractions:
+        if ("contraction", h, i) not in self._memo:
             counts["contractions"] += 1
         return contraction(self, h, i, *args, **kwargs)
 

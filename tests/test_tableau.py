@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import gc
 import random
+import sys
+import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import comb
@@ -27,6 +31,7 @@ from involutive.errors import (
 )
 from involutive.linalg import Matrix, Subspace
 from involutive.spencer import SpencerCell, cohomology_dim, harmonic_split
+from involutive.systems import build_s_chain, verify_structure_equations
 from involutive.tableau import (
     DEFAULT_MAX_DIM,
     CharacterVector,
@@ -39,7 +44,7 @@ from involutive.tableau import (
     involutive_index,
     prolong_via_intersection,
 )
-from test_spencer import _outcome
+from test_spencer import _outcome, memoised
 
 
 def full_tableau(n, r, max_dim=DEFAULT_MAX_DIM):
@@ -386,6 +391,83 @@ def test_prolongation_cache_concurrent():
     assert all(r is results[0] for r in results)
 
 
+MEMOISED = ("generator_coordinates", "integer_basis", "contraction",
+            "characters", "delta_rank", "harmonic_split")
+
+
+def test_tableau_with_every_memo_is_freed_by_refcount():
+    # no memoised value refers back to its tableau, so a tableau whose
+    # chain is built and checked is freed without the cycle collector
+    sys_ = build_example("wavemap:su2")
+    t = sys_.tableau
+    tower = build_s_chain(sys_, h=1)
+    assert verify_structure_equations(sys_, tower)["all_passed"]
+    cartan_test(t, seed=5)
+    t.generator_coordinates()
+    assert all(memoised(t, name) for name in MEMOISED)
+    assert len(t._levels) >= 3
+    ref = weakref.ref(t)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del sys_, t, tower
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_failed_memo_build_stores_nothing():
+    t = rank_one_tableau()
+    builds = []
+
+    def failing():
+        builds.append("failed")
+        raise StructureViolation("no value")
+
+    for _ in range(2):
+        with pytest.raises(StructureViolation):
+            t.memo(("probe",), failing)
+    assert builds == ["failed", "failed"] and memoised(t, "probe") == set()
+    value = object()
+    assert t.memo(("probe",), lambda: value) is value
+    assert t.memo(("probe",), failing) is value
+    # a contraction that leaves the tower raises each time it is asked for
+    t._levels.append(Subspace.full(2 * sym_basis(2, 2).size))
+    for _ in range(2):
+        with pytest.raises(StructureViolation):
+            t.contraction(1, 0)
+    assert memoised(t, "contraction") == set()
+
+
+def test_racing_memo_misses_get_one_object():
+    # every thread misses, builds its own value and stores it; the first
+    # store wins and all callers get it
+    workers = 6
+    t = rank_one_tableau()
+    barrier = threading.Barrier(workers)
+
+    def build():
+        barrier.wait(timeout=30)
+        return object()
+
+    with ThreadPoolExecutor(max_workers=workers) as ex:
+        got = list(ex.map(lambda _: t.memo(("race",), build), range(workers),
+                          timeout=60))
+    assert all(v is got[0] for v in got)
+    # the same through the public entry points, switching threads often
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        t = full_tableau(2, 2)
+        with ThreadPoolExecutor(max_workers=workers) as ex:
+            splits = list(ex.map(lambda _: harmonic_split(t, 2, 1), range(workers),
+                                 timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(v is splits[0] for v in splits)
+
+
 def test_cap_exceeded():
     with pytest.raises(CapExceeded):
         full_tableau(3, 3, max_dim=10).level(4)
@@ -627,7 +709,7 @@ def test_characters_memo(monkeypatch):
         assert cv == characters(fresh, seed=seed, h=h)
     assert results[(1, 3)].s == (4, 2) and first.s == (2, 2)
     assert results[(2, 3)].s == (6, 2)
-    assert set(t._characters) == {(0, 3)} | set(results)
+    assert memoised(t, "characters") == {(0, 3)} | set(results)
     # a fresh tableau certifies again
     before = len(evaluated)
     fresh = Tableau.from_json_dict(t.to_json_dict())
@@ -686,7 +768,7 @@ def test_cartan_bound_below_dim_a1_is_a_structure_violation(monkeypatch):
                         lambda tab, flag, h=0: [2, 2])
     with pytest.raises(StructureViolation):
         cartan_test(t, seed=5)
-    assert t._characters == {}
+    assert memoised(t, "characters") == set()
 
 
 def witness_pool(rng, size=100):
@@ -741,7 +823,7 @@ def test_rejected_witness_and_failed_vote_store_nothing(monkeypatch):
                         lambda tab, flag, h=0: [0, 0])
     with pytest.raises(UnstableGenericity, match="character sum 0"):
         cartan_test(t, seed=5)
-    assert t._characters == {}
+    assert memoised(t, "characters") == set()
     # rank one: the first flag has sigma_n = dim A but the bound 2 != 1,
     # so it is the vote's first sample, and the vote disagrees every round
     t = rank_one_tableau()
@@ -754,6 +836,6 @@ def test_rejected_witness_and_failed_vote_store_nothing(monkeypatch):
     monkeypatch.setattr(tableau_module, "character_partial_sums", disagreeing)
     with pytest.raises(UnstableGenericity, match="disagree"):
         cartan_test(t, seed=5)
-    assert t._characters == {}
+    assert memoised(t, "characters") == set()
     assert len(evaluated) == 5 * tableau_module._FLAG_ATTEMPTS
     assert evaluated[0] == _sample_flag(random.Random(5), 2, 8)
