@@ -52,7 +52,7 @@ from .errors import (
     InvolutiveError,
     UnstableGenericity,
 )
-from .guillemin import normal_form, verify_normal_form
+from .guillemin import normal_form
 from .liealg import abelian_algebra, sl2_decomposition, sl3_decomposition, su2_algebra
 from .spencer import cohomology_dim, harmonic_split, two_acyclicity_report
 from .systems import (

@@ -21,6 +21,11 @@ the end, which gives the canonical reduced row-echelon form; kernels,
 solutions, inverses and Subspace bases are read off that.  Subspaces of
 Q^N are kept in that canonical basis, which makes equality of subspaces
 a syntactic comparison of the stored rows.
+
+A caller that keeps a matrix as integer rows over one positive
+denominator (cleared) multiplies with integer_matmul and inverts with
+integer_inverse, a fraction-free Gauss-Jordan elimination, so no
+Fraction is formed until it reads an entry off.
 """
 
 from __future__ import annotations
@@ -173,6 +178,64 @@ class IntegerEchelon:
                 v[c] = -row[f] * (m // row[c])
             basis.append(v)
         return basis
+
+
+def cleared(m: "Matrix") -> tuple[list[list[int]], int]:
+    """m as integer rows over one positive denominator: (rows, den) with
+    m = rows / den, den the lcm of all denominators of m."""
+    den = lcm(*(x.denominator for row in m.rows for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in m.rows], den
+
+
+def integer_matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The product a * b of integer matrices given as lists of rows,
+    skipping zero entries of both factors."""
+    if any(len(row) != len(b) for row in a):
+        raise DimensionMismatch("matmul shape mismatch")
+    width = len(b[0]) if b else 0
+    b_nonzeros = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    product = []
+    for row in a:
+        acc = [0] * width
+        for x, nonzeros in zip(row, b_nonzeros):
+            if x:
+                for j, y in nonzeros:
+                    acc[j] += x * y
+        product.append(acc)
+    return product
+
+
+def integer_inverse(m: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+    """The inverse of a square integer matrix as (rows, den) with den > 0
+    and inverse = rows / den; Inconsistent when m is singular.
+
+    Fraction-free Gauss-Jordan on [m | I]: step c swaps a row with a
+    nonzero entry in column c into place and replaces every other row by
+    (p * x - f * y) / prev, with p the new pivot, f the row's entry in
+    column c and prev the pivot of step c - 1.  As in Bareiss elimination
+    each division is exact and every entry stays an integer minor.  At
+    the end the left half is d * I with d = +-det m and the right half is
+    d * m^-1.
+    """
+    n = len(m)
+    rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    if any(len(row) != 2 * n for row in rows):
+        raise DimensionMismatch("only square matrices can be inverted")
+    prev = 1
+    for c in range(n):
+        k = next((i for i in range(c, n) if rows[i][c]), None)
+        if k is None:
+            raise Inconsistent("matrix is singular")
+        rows[c], rows[k] = rows[k], rows[c]
+        top = rows[c]
+        p = top[c]
+        for i in range(n):
+            if i != c:
+                f = rows[i][c]
+                rows[i] = [(p * x - f * y) // prev for x, y in zip(rows[i], top)]
+        prev = p
+    sign = 1 if prev > 0 else -1
+    return [[sign * x for x in row[n:]] for row in rows], sign * prev
 
 
 def _rref_rows(echelon: IntegerEchelon, ncols: int) -> tuple[list[Vector], list[int]]:

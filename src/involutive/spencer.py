@@ -36,8 +36,11 @@ codifferential forms it.  A harmonic split needs only the spaces the
 adjoints cut out, and those are G-orthogonal complements inside its own
 cell: Ker delta*_in = kernel(D_in^T G) and B_{q,p} = kernel(K^T G) for
 a basis K of Ker delta_out, and H^{q,p} is one kernel of the stacked
-matrix [D_out; D_in^T G].  So a split builds one cell and inverts no
-Gram matrix.  It is certified by products and dimensions alone: the
+matrix [D_out; D_in^T G].  G is p! (G_jet (x) I) for the Gram matrix
+G_jet of the jet coordinates of A^(q-1), memoised per level, and the
+differentials come from the contractions, so a split builds no cell and
+inverts no Gram matrix; it stores the rank of its outgoing differential
+in the rank memo.  It is certified by products and dimensions alone: the
 three parts are pairwise G-orthogonal, their dimensions add up to the
 cell, D_out D_in = 0, D_out kills H and dim B + dim H = dim Ker delta.
 Because G is positive definite, G-orthogonal parts are independent, and
@@ -58,8 +61,16 @@ reference the tests compare delta against.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 
-from .bases import GradedCoords, ext_basis, full_space_dim, gram_diagonal, wedge_insert
+from .bases import (
+    GradedCoords,
+    ext_basis,
+    full_space_dim,
+    gram_diagonal,
+    sym_basis,
+    wedge_insert,
+)
 from .errors import (
     CapExceeded,
     DimensionMismatch,
@@ -70,6 +81,8 @@ from .errors import (
 )
 from .linalg import ColumnCoordinates, Matrix, Subspace, frac, kernel
 from .tableau import involutive_index
+
+_ZERO = Fraction(0)
 
 
 class SpencerCell:
@@ -275,9 +288,14 @@ class HarmonicSplit:
                 written in the bases (image of delta in C^{q-1,p+1}) ->
                 (basis of b_down); square of size dim b_down
 
-    Only the cell C^{q,p} and its Gram matrix G are built, and the split
-    keeps of the cell only its dimension dim and G as gram, so it holds
-    no reference to the tableau.  G is
+    No cell is built: the Gram matrix of C^{q,p} is G = p! (G_jet (x)
+    I_C(n,p)) in the cell order alpha * C(n,p) + k, with G_jet =
+    J diag(|m_I|^2) J^T over the rows J of jet_basis(q - 1) (the identity
+    of b for q = 0), memoised on the tableau (_jet_gram), and delta out
+    of the cell comes from _delta.  Its rank is stored in the tableau's
+    rank memo, so cohomology_dim builds no cell for it afterwards.  The
+    split keeps the cell's dimension dim and G as gram, so it holds no
+    reference to the tableau.  A negative q or p raises InputError.  G is
     positive definite (E^T diag(g) E with E injective and g > 0), so the
     adjoint spaces are G-orthogonal complements: Ker delta*_in is the
     complement of Im delta_in, kernel(D_in^T G), and B_{q,p} = Im
@@ -307,26 +325,33 @@ class HarmonicSplit:
     """
 
     def __init__(self, tableau, q, p):
+        if q < 0 or p < 0:
+            raise InputError(
+                "harmonic split needs q, p >= 0, got (%d, %d)" % (q, p)
+            )
         self.q = q
         self.p = p
-        cell = SpencerCell(tableau, q, p)
-        self.dim = cell.dim
-        self.gram = g = cell.gram
         n = tableau.a_dim
-        self.d_out = delta(cell)
+        w = ext_basis(n, p).size
+        jet_gram = _jet_gram(tableau, q - 1)
+        self.dim = jet_gram.nrows * w
+        self.gram = g = _cell_gram(jet_gram, p, w)
+        self.d_out = _delta(tableau, q, p, self.dim)
         if p >= 1:
             src_dim = tableau.dim_at(q) * ext_basis(n, p - 1).size
             d_in = _delta(tableau, q + 1, p - 1, src_dim)
         else:
-            d_in = Matrix.zeros(cell.dim, 0)
-        self._has_target = q >= 1 and p < n and cell.dim > 0
+            d_in = Matrix.zeros(self.dim, 0)
+        self._has_target = q >= 1 and p < n and self.dim > 0
         self.b_up = _image_subspace(d_in)
         ker_out = kernel(self.d_out)
+        if q >= 1 and p < n:
+            tableau.memo(("delta_rank", q, p), lambda: self.dim - ker_out.dim)
         self.harmonic = kernel(self.d_out.vstack(d_in.transpose().matmul(g)))
         if self._has_target:
             self.b_down = kernel(ker_out.basis_matrix().matmul(g))
         else:
-            self.b_down = Subspace(cell.dim, [])
+            self.b_down = Subspace(self.dim, [])
         self._verify(d_in, ker_out.dim)
         self.sigma_matrix = self._build_sigma()
 
@@ -411,6 +436,39 @@ class HarmonicSplit:
         sigma_on_columns on one column."""
         column = Matrix._of([[frac(x)] for x in target_cell_coords], 1)
         return [row[0] for row in self.sigma_on_columns(column).rows]
+
+
+def _jet_gram(t, h):
+    """G_jet(h) = J diag(|m_I|^2) J^T over the rows J of t.jet_basis(h),
+    the Gram matrix of the level-h jet coordinates; the identity of b
+    for h = -1.  Memoised on the tableau per level."""
+    def build():
+        if h < 0:
+            return Matrix.identity(t.b_dim)
+        sym = sym_basis(t.a_dim, h + 1)
+        norms = [sym.norm_sq(m) for m in sym.indices] * t.b_dim
+        jet = Matrix(t.jet_basis(h), ncols=len(norms))
+        scaled = Matrix([[x * g for x, g in zip(v, norms)] for v in jet.rows],
+                        ncols=len(norms))
+        return scaled.matmul(jet.transpose())
+
+    return t.memo(("jet_gram", h), build)
+
+
+def _cell_gram(jet_gram, p, w):
+    """The Gram matrix p! (G_jet (x) I_w) of a cell with w = C(n, p)
+    wedge slots, in the cell order alpha * w + k."""
+    f = factorial(p)
+    size = jet_gram.nrows * w
+    rows = []
+    for g_row in jet_gram.rows:
+        for k in range(w):
+            row = [_ZERO] * size
+            for beta, x in enumerate(g_row):
+                if x:
+                    row[beta * w + k] = f * x
+            rows.append(row)
+    return Matrix(rows, ncols=size)
 
 
 def harmonic_split(t, q, p):

@@ -108,10 +108,6 @@ def flatten_generator(m):
     return [x for row in m.rows for x in row]
 
 
-def _vector_to_matrix(v, r, n):
-    return Matrix([list(v[b * n : (b + 1) * n]) for b in range(r)], ncols=n)
-
-
 class Tableau:
     """A subspace of Hom(a, b) given by independent generator matrices.
 
@@ -143,9 +139,10 @@ class Tableau:
     in one write-once memo (see memo), keyed by the name of the function
     that builds it and its arguments: generator_coordinates,
     integer_basis per level, contraction per (h, i), characters per
-    (level, seed), spencer's differential ranks and harmonic splits per
-    (q, p).  No memoised value refers back to the tableau, so a tableau
-    is freed by reference counting.
+    (level, seed), spencer's jet Gram matrices per level and its
+    differential ranks and harmonic splits per (q, p).  No memoised
+    value refers back to the tableau, so a tableau is freed by reference
+    counting.
     """
 
     def __init__(self, a_dim, b_dim, generators, max_dim=DEFAULT_MAX_DIM):
@@ -177,12 +174,6 @@ class Tableau:
         self._levels = [span]
         self._memo = {}
         self._lock = threading.Lock()
-
-    @classmethod
-    def from_vectors(cls, a_dim, b_dim, vectors):
-        """Build a tableau from b-major coordinate vectors in b (x) a*."""
-        mats = [_vector_to_matrix(list(v), b_dim, a_dim) for v in vectors]
-        return cls(a_dim, b_dim, mats)
 
     @classmethod
     def from_json_dict(cls, data, max_dim=DEFAULT_MAX_DIM):
@@ -316,10 +307,11 @@ class Tableau:
 
         The Cartan test at order h does not build this tableau: it reads
         the characters off integer_basis(h) and dim A^(h)^(1) off the
-        tower as dim A^(h+1).  The view is what the Guillemin normal form
-        of A^(h) is built and verified on (normal_form(tab, h=h)), and
-        the tests' oracle; it is never prolonged.  It has the cap of
-        this tableau.
+        tower as dim A^(h+1), and the Guillemin normal form of A^(h)
+        reads its generators off integer_basis(h) too.  The Cauchy frame
+        writes normal generators in the view's coordinates, and the
+        tests use it as an oracle; it is never prolonged.  It has the
+        cap of this tableau.
         """
         if h == 0:
             return self

@@ -29,6 +29,11 @@ solve of the curl slices in cauchy.  section_polar_counts counts polar
 spaces on the flag lifted through the section S_(k+1) at a jet point,
 with bases.contract_vector, the oracle for the ranks of stacked flag
 contractions behind cauchy.polar_dims and restricted_polar_check.
+fraction_construct, fraction_normal_form and fraction_verify_normal_form
+build and check the Guillemin normal form in Fraction matrices over the
+canonical basis of the view tableau of the level, the oracle for the
+integer route of guillemin.  tableau_from_vectors builds a tableau from
+b-major coordinate vectors.
 """
 
 from __future__ import annotations
@@ -44,22 +49,36 @@ from involutive.bases import (
     sym_basis,
 )
 from involutive.errors import (
+    BadDecomposition,
     CapExceeded,
     DimensionMismatch,
+    Inconsistent,
     InputError,
+    NotInvolutive,
     StructureViolation,
     UnstableGenericity,
 )
+from involutive.guillemin import _NF_ATTEMPTS, NormalForm
 from involutive.linalg import (
+    IntegerEchelon,
     Matrix,
     Subspace,
     _kernel_of_rref,
     _solution_of_rref,
+    clear_denominators,
     kernel,
 )
 from involutive.poly import Polynomial
 from involutive.spencer import HarmonicSplit, SpencerCell, delta
-from involutive.tableau import cartan_test, flatten_generator
+from involutive.tableau import (
+    _FLAG_BASE_BOUND,
+    Tableau,
+    _sample_flag,
+    cartan_test,
+    character_partial_sums,
+    characters,
+    flatten_generator,
+)
 
 
 def dense_rref(rows, ncols):
@@ -552,3 +571,315 @@ def section_polar_counts(sys, tower, nf, k, point=None):
         image = [[col[o] for col in cols] for o in range(len(cond))]
         restricted.append(len(params) - rank(image, len(params)))
     return dims, restricted
+
+
+def tableau_from_vectors(a_dim, b_dim, vectors):
+    """The tableau spanned by b-major coordinate vectors in b (x) a*."""
+    return Tableau(a_dim, b_dim, [_vector_to_matrix(v, b_dim, a_dim) for v in vectors])
+
+
+def _vector_to_matrix(v, r, n):
+    return Matrix([list(v[b * n:(b + 1) * n]) for b in range(r)], ncols=n)
+
+
+def _fraction_tableau_matrices(t):
+    n, r = t.a_dim, t.b_dim
+    return [_vector_to_matrix(v, r, n) for v in t.level(0).basis]
+
+
+def _fraction_kernel_filtration(mats, flag_rows, n, r, depth):
+    """Coordinate subspaces K_rho = {x : sum x^beta M_beta(A_l) = 0, l <= rho}."""
+    d = len(mats)
+    out = [Subspace(d, Matrix.identity(d).rows)]
+    rows = []
+    for rho in range(1, depth + 1):
+        v = flag_rows[rho - 1]
+        for b in range(r):
+            rows.append([sum(m.rows[b][i] * v[i] for i in range(n)) for m in mats])
+        out.append(kernel(Matrix(rows, ncols=d)) if d else Subspace(0, []))
+    return out
+
+
+def _fraction_echelon_extend(current, echelon, target_basis):
+    for v in target_basis:
+        if echelon.add(clear_denominators(v)):
+            current.append(list(v))
+
+
+def fraction_construct(t, cv, flag):
+    """The normal form of the tableau t on the flag (an n x n Matrix), all
+    in Fraction matrices over the canonical basis of t."""
+    n, r = t.a_dim, t.b_dim
+    s = cv.s
+    nu = cv.nu
+    mats = _fraction_tableau_matrices(t)
+    d = len(mats)
+    flag_rows = [list(row) for row in flag.rows]
+    kernels = _fraction_kernel_filtration(mats, flag_rows, n, r, nu)
+    u_spaces = []
+    for rho in range(1, nu + 1):
+        vecs = []
+        for x in kernels[rho - 1].basis:
+            w = [Fraction(0)] * r
+            for beta, c in enumerate(x):
+                if c:
+                    col = mats[beta].matvec(flag_rows[rho - 1])
+                    w = [wi + c * ci for wi, ci in zip(w, col)]
+            vecs.append(w)
+        u = Subspace(r, vecs)
+        if u.dim != s[rho - 1]:
+            raise BadDecomposition(
+                "image step %d has dimension %d, expected the character %d"
+                % (rho, u.dim, s[rho - 1])
+            )
+        u_spaces.append(u)
+    for rho in range(1, nu):
+        if not u_spaces[rho].is_subspace_of(u_spaces[rho - 1]):
+            raise BadDecomposition(
+                "image filtration is not nested at step %d" % (rho + 1)
+            )
+    if nu > 0:
+        total = Subspace(r, [m.matvec(e) for m in mats for e in Matrix.identity(n).rows])
+        if total != u_spaces[0]:
+            raise BadDecomposition(
+                "total image has dimension %d, expected %d from the first "
+                "character" % (total.dim, u_spaces[0].dim)
+            )
+    cols = []
+    echelon = IntegerEchelon()
+    for rho in range(nu, 0, -1):
+        _fraction_echelon_extend(cols, echelon, u_spaces[rho - 1].basis)
+        if len(cols) != s[rho - 1]:
+            raise BadDecomposition(
+                "echelon extension through image step %d reached %d vectors, "
+                "expected %d" % (rho, len(cols), s[rho - 1])
+            )
+    _fraction_echelon_extend(cols, echelon, Matrix.identity(r).rows)
+    basis_b = Matrix.from_columns(cols, nrows=r)
+    basis_a = Matrix.from_columns(flag_rows, nrows=n)
+    b_inv = basis_b.inverse()
+    new_mats = [b_inv.matmul(m).matmul(basis_a) for m in mats]
+    pairs = [(j, a) for j in range(1, nu + 1) for a in range(1, s[j - 1] + 1)]
+    phi = Matrix(
+        [[m.rows[a - 1][j - 1] for m in new_mats] for (j, a) in pairs], ncols=d
+    )
+    try:
+        x = phi.inverse()
+    except Inconsistent as exc:
+        raise BadDecomposition("pivot functionals are not a basis of A*") from exc
+    blocks = []
+    coeffs = {}
+    col = 0
+    for j in range(1, nu + 1):
+        block = []
+        for a in range(1, s[j - 1] + 1):
+            std_rows = [[Fraction(0)] * n for _ in range(r)]
+            for beta in range(d):
+                c = x.rows[beta][col]
+                if c:
+                    for bi in range(r):
+                        mrow = mats[beta].rows[bi]
+                        srow = std_rows[bi]
+                        for ni in range(n):
+                            srow[ni] += c * mrow[ni]
+            std = Matrix(std_rows, ncols=n)
+            block.append(std)
+            q_new = b_inv.matmul(std).matmul(basis_a)
+            for h in range(j + 1, n + 1):
+                top = s[h - 1] if h <= nu else 0
+                for b in range(top + 1, s[j - 1] + 1):
+                    val = q_new.rows[b - 1][h - 1]
+                    if val != 0:
+                        coeffs[(j, a, h, b)] = val
+            col += 1
+        blocks.append(block)
+    return NormalForm(basis_a, basis_b, s, blocks, coeffs)
+
+
+def fraction_normal_form(t, seed=0, h=0):
+    """guillemin.normal_form with fraction_construct on view_at_level(h)
+    and fraction_verify_normal_form, drawing the same flags."""
+    res = cartan_test(t, seed=seed, h=h)
+    if not res["involutive"]:
+        raise NotInvolutive("normal form requires an involutive tableau")
+    cv = res["characters"]
+    view = t.view_at_level(h)
+    n, r = view.a_dim, view.b_dim
+    if view.dim == 0:
+        return NormalForm(Matrix.identity(n), Matrix.identity(r), cv.s, [], {})
+    targets = [sum(cv.s[: j + 1]) for j in range(n)]
+    rng = random.Random(seed)
+    bound = _FLAG_BASE_BOUND
+    failure = None
+    for _ in range(_NF_ATTEMPTS):
+        flag = _sample_flag(rng, n, bound)
+        bound *= 4
+        if flag != cv.flag and character_partial_sums(t, flag, h) != targets:
+            continue
+        try:
+            nf = fraction_construct(view, cv, Matrix(flag, ncols=n))
+        except BadDecomposition as exc:
+            failure = str(exc)
+            continue
+        report = fraction_verify_normal_form(t, nf, seed=seed, h=h)
+        if report["all_passed"]:
+            return nf
+        failure = report
+    raise UnstableGenericity(
+        "no sampled flag produced a verifying normal form after %d attempts; "
+        "last failure: %r" % (_NF_ATTEMPTS, failure)
+    )
+
+
+def _first_failure(checks):
+    return next((c for c in checks if not c["passed"]), None)
+
+
+def fraction_verify_normal_form(t, nf, seed=0, h=0):
+    """guillemin.verify_normal_form in Fraction matrices on the view
+    tableau of level h: every product is Matrix.matmul over the
+    canonical basis of the view, and pairings compare Fractions."""
+    view = t.view_at_level(h)
+    n, r = view.a_dim, view.b_dim
+    checks = []
+
+    def add(name, passed, detail=""):
+        checks.append({"name": name, "passed": bool(passed), "detail": detail})
+
+    inv_a = nf.basis_a.nrows == n and nf.basis_a.ncols == n and nf.basis_a.rank() == n
+    inv_b = nf.basis_b.nrows == r and nf.basis_b.ncols == r and nf.basis_b.rank() == r
+    add("bases_invertible", inv_a and inv_b)
+    s = nf.s
+    nu = nf.nu
+    try:
+        cv = characters(t, seed=seed, h=h)
+        chars_match = cv.s == s
+    except UnstableGenericity:
+        cv = None
+        chars_match = False
+    add("characters_match", chars_match,
+        "stored %r vs certified %r" % (s, None if cv is None else cv.s))
+    if not (inv_a and inv_b and chars_match):
+        return {
+            "all_passed": False,
+            "checks": checks,
+            "tail_rows_within_principal_block": None,
+            "first_failure": _first_failure(checks),
+        }
+    flag = nf.basis_a.transpose()
+    targets = [sum(s[: j + 1]) for j in range(n)]
+    add("flag_generic", character_partial_sums(t, flag, h) == targets)
+    sizes_ok = len(nf.blocks) == nu and all(
+        len(nf.blocks[j]) == s[j] for j in range(nu)
+    ) and sum(s) == view.dim
+    add("block_sizes", sizes_ok)
+    if not sizes_ok:
+        return {
+            "all_passed": False,
+            "checks": checks,
+            "tail_rows_within_principal_block": None,
+            "first_failure": _first_failure(checks),
+        }
+    mats = _fraction_tableau_matrices(view)
+    b_inv = nf.basis_b.inverse()
+    new_mats = [b_inv.matmul(m).matmul(nf.basis_a) for m in mats]
+    zero_rows_ok = True
+    zero_detail = ""
+    s1 = s[0] if nu > 0 else 0
+    for idx, m in enumerate(new_mats):
+        for b in range(s1, r):
+            if any(x != 0 for x in m.rows[b]):
+                zero_rows_ok = False
+                zero_detail = "tableau basis element %d has a nonzero entry in row %d" % (idx, b + 1)
+                break
+        if not zero_rows_ok:
+            break
+    add("zero_rows_beyond_s1", zero_rows_ok, zero_detail)
+    pairs = [(j, a) for j in range(1, nu + 1) for a in range(1, s[j - 1] + 1)]
+    flat = nf.normal_basis()
+    pairing_ok = len(flat) == len(pairs)
+    pair_detail = ""
+    if pairing_ok:
+        new_q = [b_inv.matmul(q).matmul(nf.basis_a) for q in flat]
+        for row_i, (j, a) in enumerate(pairs):
+            for col_i in range(len(flat)):
+                want = Fraction(1) if row_i == col_i else Fraction(0)
+                got = new_q[col_i].rows[a - 1][j - 1]
+                if got != want:
+                    pairing_ok = False
+                    pair_detail = (
+                        "pairing of pi_%d^%d with normal-basis element %d is %s"
+                        % (j, a, col_i + 1, got)
+                    )
+                    break
+            if not pairing_ok:
+                break
+    add("dual_basis_pairing", pairing_ok, pair_detail)
+    span_ok = True
+    span_detail = ""
+    for rho in range(1, nu + 1):
+        base = IntegerEchelon(
+            clear_denominators([m.rows[a - 1][l - 1] for m in new_mats])
+            for l in range(1, rho + 1)
+            for a in range(1, s[l - 1] + 1)
+        )
+        low = s[rho] if rho < nu else 0
+        for i in range(rho, n + 1):
+            for b in range(low + 1, s[rho - 1] + 1):
+                probe = [m.rows[b - 1][i - 1] for m in new_mats]
+                if base.add(clear_denominators(probe)):
+                    span_ok = False
+                    span_detail = (
+                        "row %d of column %d escapes the span of pivot "
+                        "functionals up to block %d" % (b, i, rho)
+                    )
+                    break
+            if not span_ok:
+                break
+        if not span_ok:
+            break
+    add("span_conditions", span_ok, span_detail)
+    support_ok = pairing_ok
+    support_detail = "" if pairing_ok else "not checked: pairing failed"
+    tail_within = None
+    if pairing_ok:
+        qi = 0
+        for j in range(1, nu + 1):
+            for a in range(1, s[j - 1] + 1):
+                q = new_q[qi]
+                qi += 1
+                for b in range(1, r + 1):
+                    for col in range(1, n + 1):
+                        val = q.rows[b - 1][col - 1]
+                        if col < j or (col == j and b != a):
+                            allowed = False
+                        elif col == j:
+                            allowed = val == 1
+                        elif col <= nu:
+                            allowed = s[col - 1] < b <= s[j - 1]
+                        else:
+                            allowed = b <= s[j - 1]
+                            if val != 0 and b > (s[nu - 1] if nu else 0):
+                                tail_within = False
+                        if val != 0 and not allowed:
+                            support_ok = False
+                            support_detail = (
+                                "Q_[%d],%d has entry %s at row %d, column %d, "
+                                "outside the triangular ranges" % (j, a, val, b, col)
+                            )
+                            break
+                    if not support_ok:
+                        break
+                if not support_ok:
+                    break
+            if not support_ok:
+                break
+        if tail_within is None and nu < n:
+            tail_within = True
+    add("support_pattern", support_ok, support_detail)
+    return {
+        "all_passed": all(c["passed"] for c in checks),
+        "checks": checks,
+        "tail_rows_within_principal_block": tail_within,
+        "first_failure": _first_failure(checks),
+    }

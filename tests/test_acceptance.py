@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import pytest
 
+from dense_oracles import tableau_from_vectors
 from involutive.cauchy import polar_dims, restricted_polar_check, solve_formal
 from involutive.guillemin import normal_form, verify_normal_form
 from involutive.liealg import sl3_decomposition, su2_algebra
@@ -71,7 +72,7 @@ def build_corpus(seed=9, size=22):
         ]
         span = Subspace(n * r, raw)
         corpus.append(
-            Tableau.from_vectors(n, r, span.basis) if span.dim else Tableau(n, r, [])
+            tableau_from_vectors(n, r, span.basis) if span.dim else Tableau(n, r, [])
         )
     return corpus
 

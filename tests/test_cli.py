@@ -551,6 +551,26 @@ def test_two_acyclic_spencer_builds_each_cell_once(wavemap_file, capsys, monkeyp
     }
 
 
+@pytest.mark.parametrize("command", [
+    ["spencer", "--two-acyclic", "--harmonic"],
+    ["system", "--check", "--tower", "2", "--structure"],
+])
+def test_harmonic_splits_build_no_cell_twice(command, wavemap_file, capsys, monkeypatch):
+    # a harmonic split builds no cell: its Gram matrix comes from the jet
+    # Gram matrix and its differential from the contractions, and it
+    # stores the rank of delta, so no cell C^{q,p} is built twice
+    builds = Counter()
+    build_cell = spencer.SpencerCell.__init__
+
+    def counting(self, tableau, q, p):
+        builds[q, p] += 1
+        build_cell(self, tableau, q, p)
+
+    monkeypatch.setattr(spencer.SpencerCell, "__init__", counting)
+    assert main([command[0], wavemap_file] + command[1:]) == 0
+    assert max(builds.values(), default=0) <= 1, builds
+
+
 @pytest.mark.parametrize("exc, hint", [
     (UnstableGenericity("flag samples disagree after 4 attempts"), True),
     (StructureViolation("order 2 failed the Cartan test"), False),

@@ -1,14 +1,21 @@
 """Tests for the triangular normal form of involutive tableaux."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
+from dense_oracles import (
+    fraction_normal_form,
+    fraction_verify_normal_form,
+    tableau_from_vectors,
+)
 from involutive import guillemin
+from involutive.cli import EXAMPLE_NAMES, build_example
 from involutive.errors import CapExceeded, InputError, NotInvolutive
 from involutive.guillemin import NormalForm, normal_form, verify_normal_form
-from involutive.linalg import Matrix
+from involutive.linalg import Matrix, Subspace
 from involutive.tableau import DEFAULT_MAX_DIM, Tableau, cartan_test, characters
 
 
@@ -87,6 +94,7 @@ def test_s21_normal_form_verifies():
         "dual_basis_pairing",
         "span_conditions",
         "support_pattern",
+        "coefficients_match",
     ]
     assert report["first_failure"] is None
     # only block 1 has room for free coefficients, in row 2 of column 2
@@ -284,6 +292,101 @@ def test_normal_form_is_immutable():
 def test_malformed_json_rejected():
     with pytest.raises(InputError):
         NormalForm.from_json_dict({"basis_a": [["1"]]})
+    good = normal_form(cylinder_tableau()).to_json_dict()
+    key = next(iter(good["coefficients"]))
+    bad_characters = ([1.7, 0, 0], ["1", 0, 0], [True, 0, 0], [-1, 0, 0], 7)
+    for chars in bad_characters:
+        with pytest.raises(InputError):
+            NormalForm.from_json_dict(dict(good, characters=chars))
+    for bad_key in ("1,1,2", "1,1,2,2,1", "1,1,x,2", "1,1,2,+2", "1,1,2,1_0", ""):
+        coeffs = dict(good["coefficients"])
+        coeffs[bad_key] = coeffs.pop(key)
+        with pytest.raises(InputError):
+            NormalForm.from_json_dict(dict(good, coefficients=coeffs))
+    assert NormalForm.from_json_dict(good).to_json_dict() == good
+
+
+def _reports_agree(got, want):
+    """The integer report against the Fraction oracle's: every check the
+    oracle has, bit for bit, and the same verdict and first failure."""
+    names = [c["name"] for c in want["checks"]]
+    assert [c for c in got["checks"] if c["name"] in names] == want["checks"]
+    for key in ("all_passed", "tail_rows_within_principal_block", "first_failure"):
+        assert got[key] == want[key], key
+
+
+def _oracle_cases():
+    """(tableau JSON, seed, level): 40 random involutive tableaux with
+    2 <= n <= 3 and r <= 3, the built-in examples, and level 1 of the
+    involutive fixtures."""
+    rng = random.Random(2028)
+    cases = []
+    while len(cases) < 40:
+        n, r = rng.randint(2, 3), rng.randint(1, 3)
+        raw = [[rng.randint(-3, 3) for _ in range(n * r)]
+               for _ in range(rng.randint(1, n * r))]
+        if Subspace(n * r, raw).dim != len(raw):
+            continue
+        t = tableau_from_vectors(n, r, raw)
+        seed = rng.randrange(100)
+        if cartan_test(t, seed=seed)["involutive"]:
+            cases.append((t.to_json_dict(), seed, 0))
+    cases += [(build_example(name).tableau.to_json_dict(), 0, 0)
+              for name in EXAMPLE_NAMES]
+    cases += [(make().to_json_dict(), seed, 1)
+              for make in (s21_tableau, cylinder_tableau, offdiag_tableau,
+                           lambda: full_tableau(2, 2), lambda: full_tableau(3, 1))
+              for seed in (0, 7)]
+    return cases
+
+
+def test_integer_route_matches_the_fraction_oracle():
+    # each route on its own copy of the tableau, so neither reads a memo
+    # the other filled; the normal forms are equal bit for bit, and each
+    # verification, of the true form and of three corruptions, reports the
+    # oracle's checks
+    shapes = set()
+    for blob, seed, h in _oracle_cases():
+        t, old = Tableau.from_json_dict(blob), Tableau.from_json_dict(blob)
+        nf = normal_form(t, seed=seed, h=h)
+        assert nf.to_json_dict() == fraction_normal_form(old, seed, h).to_json_dict()
+        shapes.add((t.a_dim, nf.s))
+        swapped = Matrix.from_columns(list(reversed(nf.basis_b.transpose().rows)),
+                                      nrows=nf.basis_b.nrows)
+        wrong_s = (nf.s[0], 0) + nf.s[2:] if len(nf.s) > 1 and nf.s[1] else nf.s
+        for form in (
+            nf,
+            NormalForm(nf.basis_a, swapped, nf.s, nf.blocks, nf.coeffs),
+            NormalForm(Matrix.identity(t.a_dim), nf.basis_b, nf.s, nf.blocks, nf.coeffs),
+            NormalForm(nf.basis_a, nf.basis_b, wrong_s, nf.blocks, nf.coeffs),
+        ):
+            got = verify_normal_form(t, form, seed=seed, h=h)
+            _reports_agree(got, fraction_verify_normal_form(old, form, seed, h))
+        assert verify_normal_form(t, nf, seed=seed, h=h)["all_passed"]
+    assert len(shapes) >= 10, shapes
+
+
+def test_verify_checks_the_coefficients():
+    # the stored coefficients must be exactly the nonzero entries of the
+    # normal basis in the free ranges: a changed, an extra and a missing
+    # one each fail the last check only
+    t = build_example("wavemap:su2").tableau
+    blob = normal_form(t).to_json_dict()
+    assert blob["coefficients"]["1,4,2,4"] == "-7/4"
+    changed = dict(blob["coefficients"], **{"1,4,2,4": "5"})
+    extra = dict(blob["coefficients"], **{"1,1,2,1": "3"})
+    dropped = dict(blob["coefficients"])
+    del dropped["1,4,2,4"]
+    for coeffs in (changed, extra, dropped):
+        nf = NormalForm.from_json_dict(dict(blob, coefficients=coeffs))
+        report = verify_normal_form(t, nf)
+        assert not report["all_passed"]
+        assert report["first_failure"]["name"] == "coefficients_match"
+        assert report["first_failure"]["detail"]
+        assert [c["name"] for c in report["checks"] if not c["passed"]] == [
+            "coefficients_match"
+        ]
+    assert verify_normal_form(t, NormalForm.from_json_dict(blob))["all_passed"]
 
 
 def test_deterministic():

@@ -9,7 +9,12 @@ from math import comb
 
 import pytest
 
-from dense_oracles import AdjointHarmonicSplit, adjoint_sigma, dense_cohomology_dim
+from dense_oracles import (
+    AdjointHarmonicSplit,
+    adjoint_sigma,
+    dense_cohomology_dim,
+    tableau_from_vectors,
+)
 from involutive.bases import GradedCoords, koszul_delta_full
 from involutive.errors import (
     CapExceeded,
@@ -102,7 +107,7 @@ INDEX_TWO_CUBIC = {(2, 3, 3): 1, (1, 3, 4): 1, (0, 4, 4): 1, (0, 2, 4): 1,
 def random_tableau(rng, n, r, want):
     raw = [[Fraction(rng.randint(-3, 3)) for _ in range(n * r)] for _ in range(want)]
     span = Subspace(n * r, raw)
-    return Tableau.from_vectors(n, r, span.basis) if span.dim else Tableau(n, r, [])
+    return tableau_from_vectors(n, r, span.basis) if span.dim else Tableau(n, r, [])
 
 
 def test_cell_dimensions():
@@ -124,7 +129,7 @@ def test_cell_coordinates_match_solve_oracle():
         raw = [[Fraction(rng.randint(-3, 3)) for _ in range(n * r)]
                for _ in range(rng.randint(1, n * r))]
         if Subspace(n * r, raw).dim == len(raw):
-            cases.append(Tableau.from_vectors(n, r, raw))
+            cases.append(tableau_from_vectors(n, r, raw))
     for t in cases:
         for q in range(4):
             for p in range(t.a_dim + 1):

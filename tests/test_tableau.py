@@ -15,6 +15,7 @@ from dense_oracles import (
     dense_kernel,
     dense_rref,
     dense_span,
+    tableau_from_vectors,
     view_route_involutive_index,
 )
 from involutive import tableau as tableau_module
@@ -72,7 +73,7 @@ def random_tableau(rng, n, r, want):
         [Fraction(rng.randint(-3, 3)) for _ in range(n * r)] for _ in range(want)
     ]
     span = Subspace(n * r, raw)
-    return Tableau.from_vectors(n, r, span.basis) if span.dim else Tableau(n, r, [])
+    return tableau_from_vectors(n, r, span.basis) if span.dim else Tableau(n, r, [])
 
 
 def test_character_vector_invariants():
@@ -307,7 +308,7 @@ def test_jet_coordinates_match_solve_oracle():
         raw = [[Fraction(rng.randint(-3, 3)) for _ in range(n * r)]
                for _ in range(rng.randint(1, n * r))]
         if Subspace(n * r, raw).dim == len(raw):
-            t = Tableau.from_vectors(n, r, raw)
+            t = tableau_from_vectors(n, r, raw)
             assert t.jet_basis(0) == raw
             cases.append(t)
     outside_seen = 0
@@ -392,7 +393,7 @@ def test_prolongation_cache_concurrent():
 
 
 MEMOISED = ("generator_coordinates", "integer_basis", "contraction",
-            "characters", "delta_rank", "harmonic_split")
+            "characters", "delta_rank", "harmonic_split", "jet_gram")
 
 
 def test_tableau_with_every_memo_is_freed_by_refcount():
@@ -566,7 +567,7 @@ def rational_tableau(rng, n, r, want):
     ]
     span = Subspace(n * r, raw)
     gens = raw if span.dim == want else span.basis
-    return Tableau.from_vectors(n, r, gens) if gens else Tableau(n, r, [])
+    return tableau_from_vectors(n, r, gens) if gens else Tableau(n, r, [])
 
 
 def oracle_flags(rng, n):
