@@ -76,7 +76,7 @@ from .errors import (
     InputError,
     UnstableGenericity,
 )
-from .linalg import IntegerEchelon, Matrix, clear_denominators, frac
+from .linalg import IntegerEchelon, Matrix, clear_denominators, cleared, frac
 from .poly import Polynomial, PolyMap, linear_combination
 from .tableau import flatten_generator
 
@@ -214,9 +214,10 @@ class _Frame:
     """The Cauchy frame of the normal form nf of t (see the module
     docstring): k, basis_a, a_inv, iota[rho], big_n = N with one column
     per normal generator, their block indices block_of, and gen_val[rho]
-    = iota(a_rho) N.  A basis_b whose row count matches no level raises
-    InputError.  a_inv is taken on first use, since the polar counts also
-    run on degenerate flags, which they reject."""
+    = iota(a_rho) N as (rows, den), integer rows over one positive
+    denominator (linalg.cleared).  A basis_b whose row count matches no
+    level raises InputError.  a_inv is taken on first use, since the
+    polar counts also run on degenerate flags, which they reject."""
 
     def __init__(self, t, nf):
         n, rows = t.a_dim, nf.basis_b.nrows
@@ -243,7 +244,7 @@ class _Frame:
             nrows=view.dim,
         )
         self.block_of = [j for j, block in enumerate(nf.blocks, start=1) for _ in block]
-        self.gen_val = [io.matmul(self.big_n).rows for io in self.iota]
+        self.gen_val = [cleared(io.matmul(self.big_n)) for io in self.iota]
 
     @cached_property
     def a_inv(self):
@@ -312,11 +313,18 @@ def solve_formal(sys, tower, nf, data, degree, max_degree=DEFAULT_MAX_DEGREE):
     nk = len(block_of)
     flag_cols = basis_a.transpose().rows
 
-    # block coefficient series, seeded with the data; blocks are in order
-    g_terms = [
-        {exp + (0,) * (n - j): c for exp, c in p.terms.items()}
-        for p, j in zip([p for block in data.blocks for p in block], block_of)
+    # block coefficient series, seeded with the data; blocks are in order.
+    # g_num[m] holds the integer numerators of series m over g_den, one
+    # positive denominator shared by every block series
+    data_series = [p for block in data.blocks for p in block]
+    g_den = math.lcm(*(p.den for p in data_series))
+    g_num = [
+        {exp + (0,) * (n - j): v * (g_den // p.den) for exp, v in p.numerators.items()}
+        for p, j in zip(data_series, block_of)
     ]
+
+    def block_series():
+        return [Polynomial._reduced(n, dict(g), g_den) for g in g_num]
 
     def is_data_exponent(m, exp):
         j = block_of[m]
@@ -333,7 +341,7 @@ def solve_formal(sys, tower, nf, data, degree, max_degree=DEFAULT_MAX_DEGREE):
                 Polynomial(n, lower_terms[h][alpha])
                 for alpha in range(level_dims[h])
             ]
-        gens = [Polynomial(n, g_terms[m]) for m in range(nk)]
+        gens = block_series()
         return [
             linear_combination(big_n.rows[beta], gens, n)
             for beta in range(level_dims[k])
@@ -361,29 +369,41 @@ def solve_formal(sys, tower, nf, data, degree, max_degree=DEFAULT_MAX_DEGREE):
                 if not is_data_exponent(m, exp):
                     index_of[(m, exp)] = len(unknowns)
                     unknowns.append((m, exp))
-        # sparse rows {unknown: coefficient}, right-hand side in column nu
+        # sparse integer rows {unknown: coefficient}, right-hand side in
+        # column nu
         nu = len(unknowns)
         rows = []
         for rho in range(n):
+            v_rho, d_rho = frame.gen_val[rho]
             for sigma in range(rho + 1, n):
-                # iota(a_rho) S(a_sigma) and iota(a_sigma) S(a_rho)
-                srho_comp = [linear_combination(row, along[sigma][top:], n)
-                             for row in frame.iota[rho].rows]
-                ssigma_comp = [linear_combination(row, along[rho][top:], n)
-                               for row in frame.iota[sigma].rows]
+                v_sigma, d_sigma = frame.gen_val[sigma]
+                # iota(a_rho) S(a_sigma) and iota(a_sigma) S(a_rho), each
+                # component with the lcm of g_den and its denominators
+                targets = []
+                for row_rho, row_sigma in zip(frame.iota[rho].rows,
+                                              frame.iota[sigma].rows):
+                    srho = linear_combination(row_rho, along[sigma][top:], n)
+                    ssigma = linear_combination(row_sigma, along[rho][top:], n)
+                    targets.append((srho.numerators, srho.den, ssigma.numerators,
+                                    ssigma.den, math.lcm(g_den, srho.den, ssigma.den)))
                 for exp_k in _monomials(n, d - 1):
                     e_sig = _bump(exp_k, sigma)
                     e_rho = _bump(exp_k, rho)
-                    for vals_rho, vals_sigma, srho, ssigma in zip(
-                        frame.gen_val[rho], frame.gen_val[sigma], srho_comp,
-                        ssigma_comp,
+                    f_sig = (exp_k[sigma] + 1) * d_sigma
+                    f_rho = (exp_k[rho] + 1) * d_rho
+                    for vals_rho, vals_sigma, (a, a_den, b, b_den, den) in zip(
+                        v_rho, v_sigma, targets,
                     ):
+                        # with D = d_rho d_sigma, row holds D times the
+                        # coefficients of iota(a_rho) d_sigma Q -
+                        # iota(a_sigma) d_rho Q on the unknowns, and
+                        # known / g_den is D times its value on the known
+                        # terms
                         row = {}
-                        val = Fraction(0)
-                        # iota(a_rho) d_sigma Q - iota(a_sigma) d_rho Q
+                        known = 0
                         for m in range(nk):
-                            c1 = vals_rho[m] * (exp_k[sigma] + 1)
-                            c2 = vals_sigma[m] * (exp_k[rho] + 1)
+                            c1 = vals_rho[m] * f_sig
+                            c2 = vals_sigma[m] * f_rho
                             for coeff, exp in ((c1, e_sig), (-c2, e_rho)):
                                 if not coeff:
                                     continue
@@ -391,16 +411,23 @@ def solve_formal(sys, tower, nf, data, degree, max_degree=DEFAULT_MAX_DEGREE):
                                 if idx is not None:
                                     row[idx] = row.get(idx, 0) + coeff
                                 else:
-                                    val -= coeff * g_terms[m].get(
-                                        exp, Fraction(0)
-                                    )
-                        target = (srho.coefficient(list(exp_k))
-                                  - ssigma.coefficient(list(exp_k)))
-                        row[nu] = val + target
+                                    known += coeff * g_num[m].get(exp, 0)
+                        # row . x = D target - known / g_den for target =
+                        # a / a_den - b / b_den, all times den
+                        target = (a.get(exp_k, 0) * (den // a_den)
+                                  - b.get(exp_k, 0) * (den // b_den))
+                        row = {idx: c * den for idx, c in row.items()}
+                        row[nu] = d_rho * d_sigma * target - known * (den // g_den)
                         rows.append(row)
-        for (m, exp), c in zip(unknowns, _solve_slice(rows, nu, d)):
+        solution = _solve_slice(rows, nu, d)
+        den = math.lcm(g_den, *(c.denominator for c in solution))
+        if den != g_den:
+            scale = den // g_den
+            g_num = [{exp: v * scale for exp, v in g.items()} for g in g_num]
+            g_den = den
+        for (m, exp), c in zip(unknowns, solution):
             if c:
-                g_terms[m][exp] = c
+                g_num[m][exp] = c.numerator * (den // c.denominator)
         # integrate the lower levels: d Q_(h) along a_rho is g_(h)(a_rho)
         for h in range(k - 1, -1, -1):
             off = jet.offsets[h] - n
@@ -433,12 +460,10 @@ def solve_formal(sys, tower, nf, data, degree, max_degree=DEFAULT_MAX_DEGREE):
     q_maps = [m.compose(u_of_x, degree) for m in u_maps]
     composition = {rho: True for rho in range(1, len(nf.blocks) + 1)}
     for m, rho in enumerate(block_of):
-        if any(any(exp[rho:]) for exp in g_terms[m]):
+        if any(any(exp[rho:]) for exp in g_num[m]):
             composition[rho] = False
     return FormalSolution(
-        degree, data.x0, k, q_maps, u_maps,
-        [Polynomial(n, g_terms[m]) for m in range(nk)],
-        composition, nf,
+        degree, data.x0, k, q_maps, u_maps, block_series(), composition, nf,
     )
 
 
@@ -589,9 +614,9 @@ def restricted_polar_check(t, nf):
     stacked = []
     for h in range(n):
         if h:
-            stacked.extend(frame.gen_val[h - 1])
+            stacked.extend(frame.gen_val[h - 1][0])
         low = sum(1 for j in frame.block_of if j <= h)
-        rank = Matrix([row[:low] for row in stacked], ncols=low).rank()
+        rank = len(IntegerEchelon(row[:low] for row in stacked))
         dim = h + 1 + low - rank
         if dim != h + 1:
             raise UnstableGenericity(

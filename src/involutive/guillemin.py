@@ -371,11 +371,13 @@ def verify_normal_form(t, nf, seed=0, h=0):
     "tail_rows_within_principal_block": bool|None, "first_failure"}.
     The checks are, in order: bases_invertible, characters_match,
     flag_generic, block_sizes, zero_rows_beyond_s1, dual_basis_pairing,
-    span_conditions, support_pattern and coefficients_match, which asks
-    that nf.coeffs be exactly the nonzero entries of the normal basis in
-    the free ranges.  The tail entry is informational only: it records
-    whether tail-column coefficients (columns beyond nu) stayed within
-    the first s_nu rows.
+    span_conditions, support_pattern and coefficients_match.
+    block_sizes also asks that every block matrix be r x n, so a
+    malformed form fails a check instead of a product, and
+    coefficients_match asks that nf.coeffs be exactly the nonzero entries
+    of the normal basis in the free ranges.  The tail entry is
+    informational only: it records whether tail-column coefficients
+    (columns beyond nu) stayed within the first s_nu rows.
     """
     n = t.a_dim
     r = t.b_dim * sym_basis(n, h).size
@@ -412,7 +414,9 @@ def verify_normal_form(t, nf, seed=0, h=0):
     gens = _generators(t, h)
     sizes_ok = len(nf.blocks) == nu and all(
         len(nf.blocks[j]) == s[j] for j in range(nu)
-    ) and sum(s) == len(gens)
+    ) and sum(s) == len(gens) and all(
+        q.nrows == r and q.ncols == n for q in nf.normal_basis()
+    )
     add("block_sizes", sizes_ok)
     if not sizes_ok:
         return _report(checks)
@@ -494,10 +498,10 @@ def verify_normal_form(t, nf, seed=0, h=0):
             for b in range(1, r + 1):
                 for col in range(1, n + 1):
                     val = q[b - 1][col - 1]
-                    if col < j or (col == j and b != a):
-                        allowed = False
-                    elif col == j:
-                        allowed = val == q_den
+                    if col <= j:
+                        # column j holds only the (a, j) entry, which
+                        # dual_basis_pairing has proved to be 1
+                        allowed = col == j and b == a
                     elif col <= nu:
                         allowed = s[col - 1] < b <= s[j - 1]
                     else:

@@ -1,18 +1,23 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
-A Polynomial stores a map from exponent tuples to nonzero Fraction
-coefficients.  These house the non-homogeneous terms of the PDE systems,
-the inductively constructed chain maps, residuals, and truncated Taylor
+These house the non-homogeneous terms of the PDE systems, the
+inductively constructed chain maps, residuals, and truncated Taylor
 series, so all operations (product, derivative, composition, evaluation)
 are exact.
 
-Products, substitutions and linear combinations run on integer kernels:
-each operand is cleared once to integer coefficients over the least
-common multiple of its denominators, the inner loops multiply and add
-Python ints, and exactly one normalised Fraction is built per nonzero
-coefficient of the result.  A Polynomial is immutable: terms is a
-read-only mapping of nonzero Fractions, and Polynomial._of, the internal
-constructor, takes a dict of them built in this module as it is.
+A Polynomial holds integer numerators over one positive denominator:
+a dict from exponent tuples to nonzero ints, and den, reduced so that
+den and the numerators share no factor.  That form is unique, so equal
+polynomials compare equal field by field.  add, neg, scale, partial,
+truncate, coefficient, mul, compose and linear_combination run on the
+numerators, multiplying and adding Python ints, and reduce each result
+once by the gcd of its numerators and denominator.  terms, the public
+read-only mapping of nonzero Fractions, is built on its first read and
+kept, so a polynomial that is only computed with builds no Fraction.  A
+Polynomial is immutable: every attribute write raises AttributeError,
+and Polynomial._of, the internal constructor, takes numerators already
+in lowest terms over den as they are.  The public constructor takes
+int, Fraction or string coefficients and int exponents (not bool).
 
 Substitution (Polynomial.compose and PolyMap.compose) runs on one
 kernel, _substitute.  It builds the integer value of each monomial once,
@@ -35,15 +40,19 @@ from typing import Iterable, Sequence
 from .errors import DimensionMismatch, InputError
 from .linalg import Vector, frac
 
+_set = object.__setattr__
+
 
 class Polynomial:
-    __slots__ = ("num_vars", "terms")
+    __slots__ = ("num_vars", "den", "_ints", "_terms")
 
     def __init__(self, num_vars: int, terms: Mapping[tuple, object] | Iterable = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
         clean: dict[tuple[int, ...], Fraction] = {}
         for exps, coeff in items:
-            e = tuple(int(x) for x in exps)
+            e = tuple(exps)
+            if any(type(x) is not int for x in e):
+                raise InputError("polynomial exponents must be integers")
             if len(e) != num_vars:
                 raise DimensionMismatch("exponent vector length != num_vars")
             if any(x < 0 for x in e):
@@ -56,61 +65,98 @@ class Polynomial:
                     clean[e] = c
                 elif e in clean:
                     del clean[e]
-        self.num_vars = num_vars
-        self.terms = MappingProxyType(clean)
+        den = math.lcm(*(c.denominator for c in clean.values()))
+        _set(self, "num_vars", num_vars)
+        _set(self, "den", den)
+        _set(self, "_ints", {e: c.numerator * (den // c.denominator)
+                             for e, c in clean.items()})
+        _set(self, "_terms", None)
 
     @classmethod
-    def _of(cls, num_vars: int, terms: dict) -> "Polynomial":
-        """A polynomial over a dict of nonzero Fractions built in this
-        module, taken as it is: no coercion, no copy, no check."""
+    def _of(cls, num_vars: int, ints: dict, den: int = 1) -> "Polynomial":
+        """The polynomial with the nonzero numerators ints over den > 0,
+        already in lowest terms, taken as they are: no copy, no check."""
         p = object.__new__(cls)
-        p.num_vars = num_vars
-        p.terms = MappingProxyType(terms)
+        _set(p, "num_vars", num_vars)
+        _set(p, "den", den)
+        _set(p, "_ints", ints)
+        _set(p, "_terms", None)
         return p
 
+    @classmethod
+    def _reduced(cls, num_vars: int, ints: dict, den: int) -> "Polynomial":
+        """The polynomial with the nonzero numerators ints over den > 0,
+        divided by their common factor with den."""
+        if den != 1:
+            g = math.gcd(den, *ints.values())
+            if g != 1:
+                den //= g
+                ints = {e: v // g for e, v in ints.items()}
+        return cls._of(num_vars, ints, den)
+
     def __setattr__(self, name, value):
-        if hasattr(self, name):
-            raise AttributeError("a Polynomial is immutable, %s cannot be rebound" % name)
-        object.__setattr__(self, name, value)
+        raise AttributeError("a Polynomial is immutable, %s cannot be rebound" % name)
 
     def __reduce__(self):
         return (Polynomial, (self.num_vars, dict(self.terms)))
 
+    @property
+    def terms(self) -> Mapping:
+        """The read-only mapping of nonzero Fraction coefficients, built
+        on the first read and kept."""
+        terms = self._terms
+        if terms is None:
+            den = self.den
+            if den == 1:
+                terms = {e: Fraction(v) for e, v in self._ints.items()}
+            else:
+                terms = {e: Fraction(v, den) for e, v in self._ints.items()}
+            terms = MappingProxyType(terms)
+            _set(self, "_terms", terms)
+        return terms
+
+    @property
+    def numerators(self) -> Mapping:
+        """The read-only mapping of the nonzero integer numerators over den."""
+        return MappingProxyType(self._ints)
+
     @classmethod
     def zero(cls, num_vars: int) -> "Polynomial":
-        return cls(num_vars)
+        return cls._of(num_vars, {})
 
     @classmethod
     def constant(cls, num_vars: int, c) -> "Polynomial":
-        return cls(num_vars, {(0,) * num_vars: frac(c)})
+        c = frac(c)
+        if not c:
+            return cls._of(num_vars, {})
+        return cls._of(num_vars, {(0,) * num_vars: c.numerator}, c.denominator)
 
     @classmethod
     def variable(cls, num_vars: int, i: int) -> "Polynomial":
         e = [0] * num_vars
         e[i] = 1
-        return cls(num_vars, {tuple(e): Fraction(1)})
+        return cls._of(num_vars, {tuple(e): 1})
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._ints
 
     def total_degree(self) -> int:
         """Degree of the zero polynomial is reported as -1."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
+        return max(map(sum, self._ints), default=-1)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Polynomial)
             and self.num_vars == other.num_vars
-            and self.terms == other.terms
+            and self.den == other.den
+            and self._ints == other._ints
         )
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self._ints:
             return "Polynomial(0)"
         bits = []
-        for e in sorted(self.terms, key=lambda t: (sum(t), t)):
+        for e in sorted(self._ints, key=lambda t: (sum(t), t)):
             mono = "*".join(f"v{i}^{k}" for i, k in enumerate(e) if k)
             bits.append(f"{self.terms[e]}{'*' + mono if mono else ''}")
         return "Polynomial(" + " + ".join(bits) + ")"
@@ -121,48 +167,55 @@ class Polynomial:
 
     def add(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
-            if s == 0:
-                out.pop(e, None)
-            else:
+        den_l, den_r = self.den, other.den
+        den = den_l if den_l == den_r else math.lcm(den_l, den_r)
+        k = den // den_l
+        out = dict(self._ints) if k == 1 else {e: k * v for e, v in self._ints.items()}
+        k = den // den_r
+        for e, v in other._ints.items():
+            s = out.get(e, 0) + k * v
+            if s:
                 out[e] = s
-        return Polynomial._of(self.num_vars, out)
+            else:
+                out.pop(e, None)
+        return Polynomial._reduced(self.num_vars, out, den)
 
     def neg(self) -> "Polynomial":
-        return Polynomial._of(self.num_vars, {e: -c for e, c in self.terms.items()})
+        return Polynomial._of(self.num_vars, {e: -v for e, v in self._ints.items()},
+                              self.den)
 
     def sub(self, other: "Polynomial") -> "Polynomial":
         return self.add(other.neg())
 
     def scale(self, c) -> "Polynomial":
         c = frac(c)
-        return Polynomial._of(self.num_vars,
-                              {e: c * v for e, v in self.terms.items()} if c else {})
+        if not c:
+            return Polynomial._of(self.num_vars, {})
+        num = c.numerator
+        return Polynomial._reduced(self.num_vars,
+                                   {e: num * v for e, v in self._ints.items()},
+                                   self.den * c.denominator)
 
     def mul(self, other: "Polynomial", max_degree: int | None = None) -> "Polynomial":
         """Product; with max_degree, terms above it are never formed."""
         self._check(other)
-        den_l, left = _cleared(self.terms)
-        den_r, ints_r = _cleared(other.terms)
-        right = sorted((sum(e), e, c) for e, c in ints_r.items())
+        right = sorted((sum(e), e, c) for e, c in other._ints.items())
         cap = math.inf if max_degree is None else max_degree
-        return Polynomial._of(self.num_vars,
-                              _fractions(_mul_terms(left, right, cap), den_l * den_r))
+        return Polynomial._reduced(self.num_vars, _mul_terms(self._ints, right, cap),
+                                   self.den * other.den)
 
     def partial(self, var: int) -> "Polynomial":
         if not 0 <= var < self.num_vars:
             raise DimensionMismatch("variable index out of range")
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e, c in self.terms.items():
+        out: dict[tuple[int, ...], int] = {}
+        for e, v in self._ints.items():
             k = e[var]
             if k == 0:
                 continue
             e2 = list(e)
             e2[var] = k - 1
-            out[tuple(e2)] = c * k
-        return Polynomial._of(self.num_vars, out)
+            out[tuple(e2)] = v * k
+        return Polynomial._reduced(self.num_vars, out, self.den)
 
     def eval(self, point: Sequence) -> Fraction:
         if len(point) != self.num_vars:
@@ -186,33 +239,36 @@ class Polynomial:
         return _substitute([self], self.num_vars, subs, max_degree)[0]
 
     def truncate(self, max_degree: int) -> "Polynomial":
-        return Polynomial._of(self.num_vars,
-                              {e: c for e, c in self.terms.items() if sum(e) <= max_degree})
+        return Polynomial._reduced(
+            self.num_vars,
+            {e: v for e, v in self._ints.items() if sum(e) <= max_degree}, self.den)
 
     def lowest_degree(self) -> int:
         """Smallest total degree with a nonzero term, or -1 if zero."""
-        if not self.terms:
-            return -1
-        return min(sum(e) for e in self.terms)
+        return min(map(sum, self._ints), default=-1)
 
     def coefficient(self, exps: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
+        v = self._ints.get(tuple(exps))
+        return Fraction(v, self.den) if v else Fraction(0)
 
     def to_table(self) -> list[list]:
-        """Serializable form: [[coeff string, [exponents]], ...], sorted."""
+        """Serializable form: [[coeff string, [exponents]], ...], sorted.
+        Each string is the coefficient in lowest terms as Fraction prints
+        it, written from the numerators without building the Fraction."""
+        den = self.den
         out = []
-        for e in sorted(self.terms, key=lambda t: (sum(t), t)):
-            out.append([str(self.terms[e]), list(e)])
+        for e in sorted(self._ints, key=lambda t: (sum(t), t)):
+            v = self._ints[e]
+            g = math.gcd(v, den)
+            out.append([str(v // g) if g == den else "%d/%d" % (v // g, den // g),
+                        list(e)])
         return out
 
     @classmethod
     def from_table(cls, num_vars: int, table: Iterable) -> "Polynomial":
         """The polynomial of a to_table list; every exponent must be an
         int, as a JSON integer reads (InputError otherwise)."""
-        terms = [(tuple(e), c) for c, e in table]
-        if any(type(k) is not int for e, _ in terms for k in e):
-            raise InputError("polynomial exponents must be integers")
-        return cls(num_vars, terms)
+        return cls(num_vars, [(tuple(e), c) for c, e in table])
 
 
 class PolyMap:
@@ -222,15 +278,17 @@ class PolyMap:
     __slots__ = ("num_vars", "components")
 
     def __init__(self, num_vars: int, components: Sequence[Polynomial]):
-        self.num_vars = num_vars
-        self.components = tuple(components)
-        if any(p.num_vars != num_vars for p in self.components):
+        components = tuple(components)
+        if any(p.num_vars != num_vars for p in components):
             raise DimensionMismatch("component arity mismatch")
+        _set(self, "num_vars", num_vars)
+        _set(self, "components", components)
 
     def __setattr__(self, name, value):
-        if hasattr(self, name):
-            raise AttributeError("a PolyMap is immutable, %s cannot be rebound" % name)
-        object.__setattr__(self, name, value)
+        raise AttributeError("a PolyMap is immutable, %s cannot be rebound" % name)
+
+    def __reduce__(self):
+        return (PolyMap, (self.num_vars, self.components))
 
     @classmethod
     def linear(cls, matrix_rows: Sequence[Sequence], num_vars: int) -> "PolyMap":
@@ -304,38 +362,19 @@ def linear_combination(coeffs: Iterable, polys: Iterable[Polynomial],
     for c, p in zip(coeffs, polys):
         if p.num_vars != num_vars:
             raise DimensionMismatch("polynomial arity mismatch")
-        if not c or not p.terms:
+        if not c or not p._ints:
             continue
         num, c_den = c.as_integer_ratio()
-        p_den, ints = _cleared(p.terms)
-        scaled.append((num, c_den * p_den, ints))
-        den = math.lcm(den, c_den * p_den)
+        d = c_den * p.den
+        scaled.append((num, d, p._ints))
+        if d != den:
+            den = math.lcm(den, d)
     acc: dict[tuple[int, ...], int] = {}
     for num, d, ints in scaled:
         k = num * (den // d)
         for e, v in ints.items():
             acc[e] = acc.get(e, 0) + k * v
-    return Polynomial._of(num_vars, _fractions(acc, den))
-
-
-def _cleared(terms: Mapping) -> tuple[int, dict]:
-    """(den, ints): the Fraction coefficients of terms as integers over
-    den, the least common multiple of their denominators."""
-    den = 1
-    for c in terms.values():
-        if c.denominator != 1:
-            den = math.lcm(den, c.denominator)
-    if den == 1:
-        return 1, {e: c.numerator for e, c in terms.items()}
-    return den, {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
-
-
-def _fractions(ints: dict, den: int) -> dict:
-    """The nonzero integer coefficients of ints over den, each as one
-    normalised Fraction."""
-    if den == 1:
-        return {e: Fraction(v) for e, v in ints.items() if v}
-    return {e: Fraction(v, den) for e, v in ints.items() if v}
+    return Polynomial._reduced(num_vars, {e: v for e, v in acc.items() if v}, den)
 
 
 def _mul_terms(left: dict, right: list, cap) -> dict:
@@ -358,13 +397,13 @@ def _substitute(polys: Sequence[Polynomial], num_vars: int,
     """Each of polys (all in num_vars variables) with subs[i] put for
     variable i, truncated at max_degree if given.
 
-    The subs are cleared to integers over one common denominator den, so
-    the value of a monomial x^e is an integer term dict over den^|e|.
-    Each value is built at most once per call, as the value of
-    x^(e - e_i) times subs[i] for the last variable i of e, in one table
-    that all of polys share.  Every product is capped at max_degree, so
-    no term above it is formed.  The integer coefficients of each result
-    accumulate in one dict over one denominator.
+    The subs are brought to one common denominator den, so the value of
+    a monomial x^e is an integer term dict over den^|e|.  Each value is
+    built at most once per call, as the value of x^(e - e_i) times
+    subs[i] for the last variable i of e, in one table that all of polys
+    share.  Every product is capped at max_degree, so no term above it is
+    formed.  The integer coefficients of each result accumulate in one
+    dict over one denominator.
     """
     if len(subs) != num_vars:
         raise DimensionMismatch("compose needs one substitution per variable")
@@ -372,21 +411,21 @@ def _substitute(polys: Sequence[Polynomial], num_vars: int,
     if any(s.num_vars != m for s in subs):
         raise DimensionMismatch("substitutions have mixed arities")
     cap = math.inf if max_degree is None else max_degree
-    cleared = [_cleared(s.terms) for s in subs]
-    den = math.lcm(*(d for d, _ in cleared))
-    factors = [sorted((sum(f), f, c * (den // d)) for f, c in ints.items())
-               for d, ints in cleared]
+    den = math.lcm(*(s.den for s in subs))
+    factors = [sorted((sum(f), f, c * (den // s.den)) for f, c in s._ints.items())
+               for s in subs]
     table = {(0,) * num_vars: {(0,) * m: 1} if cap >= 0 else {}}
     out = []
     for p in polys:
-        p_den, ints = _cleared(p.terms)
+        ints = p._ints
         top = max(map(sum, ints), default=0)
         acc: dict[tuple[int, ...], int] = {}
         for e, c in ints.items():
             k = c * den ** (top - sum(e))
             for f, v in _monomial_value(table, e, factors, cap).items():
                 acc[f] = acc.get(f, 0) + k * v
-        out.append(Polynomial._of(m, _fractions(acc, p_den * den ** top)))
+        out.append(Polynomial._reduced(m, {f: v for f, v in acc.items() if v},
+                                       p.den * den ** top))
     return out
 
 

@@ -37,12 +37,14 @@ adjoints cut out, and those are G-orthogonal complements inside its own
 cell: Ker delta*_in = kernel(D_in^T G) and B_{q,p} = kernel(K^T G) for
 a basis K of Ker delta_out, and H^{q,p} is one kernel of the stacked
 matrix [D_out; D_in^T G].  G is p! (G_jet (x) I) for the Gram matrix
-G_jet of the jet coordinates of A^(q-1), memoised per level, and the
-differentials come from the contractions, so a split builds no cell and
-inverts no Gram matrix; it stores the rank of its outgoing differential
-in the rank memo.  It is certified by products and dimensions alone: the
-three parts are pairwise G-orthogonal, their dimensions add up to the
-cell, D_out D_in = 0, D_out kills H and dim B + dim H = dim Ker delta.
+G_jet of the jet coordinates of A^(q-1), memoised per level as integer
+rows over one denominator, and the differentials come from the
+contractions, so a split builds no cell and inverts no Gram matrix; its
+products with G and its kernels run on integer rows, and it stores the
+rank of its outgoing differential in the rank memo.  It is certified by
+products and dimensions alone: the three parts are pairwise
+G-orthogonal, their dimensions add up to the cell, D_out D_in = 0,
+D_out kills H and dim B + dim H = dim Ker delta.
 Because G is positive definite, G-orthogonal parts are independent, and
 these checks imply Ker delta = B (+) H, Ker delta* = H (+) B_ and that
 the three parts fill the cell (see HarmonicSplit), with no sum or
@@ -61,6 +63,7 @@ reference the tests compare delta against.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import factorial
 
 from .bases import (
@@ -79,11 +82,17 @@ from .errors import (
     NotInImage,
     StructureViolation,
 )
-from .linalg import ColumnCoordinates, Matrix, Subspace, frac, kernel
+from .linalg import (
+    IntegerEchelon,
+    Matrix,
+    Subspace,
+    clear_denominators,
+    cleared,
+    frac,
+    integer_inverse,
+    integer_matmul,
+)
 from .tableau import involutive_index
-
-_ZERO = Fraction(0)
-
 
 class SpencerCell:
     """One cell C^{q,p}(A) with its embedding into b (x) S^q (x) Lambda^p.
@@ -259,8 +268,16 @@ def codifferential(t, q, p):
     return _adjoint(d, cell.gram, dst.gram)
 
 
-def _image_subspace(m):
-    return Subspace(m.nrows, m.transpose().rows)
+def _columns(rows, ncols):
+    """The columns of the integer matrix with the given rows and ncols
+    columns."""
+    return list(zip(*rows)) if rows else [()] * ncols
+
+
+def _span(dim, vectors):
+    """The Subspace of Q^dim spanned by integer vectors, through the
+    integer echelon."""
+    return Subspace.from_echelon(dim, IntegerEchelon(vectors))
 
 
 def _adjoint(d, gram_src, gram_dst):
@@ -268,13 +285,24 @@ def _adjoint(d, gram_src, gram_dst):
     return gram_src.inverse().matmul(d.transpose().matmul(gram_dst))
 
 
+def _cleared_basis(s):
+    """The basis of the Subspace s, each row cleared to integers."""
+    return list(map(clear_denominators, s.basis))
+
+
 def _orthogonal(u, v, gram):
-    """u and v are G-orthogonal: U G V^T is zero for their basis matrices."""
-    return _is_zero(u.basis_matrix().matmul(gram).matmul(v.basis_matrix().transpose()))
+    """u and v are G-orthogonal: U G V^T is zero for their basis
+    matrices, with every row cleared to integers, which scales no entry
+    of the product to or from zero.  gram is G as a Matrix, or the
+    integer rows of a positive multiple of G."""
+    if isinstance(gram, Matrix):
+        gram = cleared(gram)[0]
+    u_g = integer_matmul(_cleared_basis(u), gram)
+    return _zero_rows(integer_matmul(u_g, _columns(_cleared_basis(v), v.ambient_dim)))
 
 
-def _is_zero(m):
-    return not any(any(row) for row in m.rows)
+def _zero_rows(rows):
+    return not any(map(any, rows))
 
 
 class HarmonicSplit:
@@ -294,8 +322,10 @@ class HarmonicSplit:
     of b for q = 0), memoised on the tableau (_jet_gram), and delta out
     of the cell comes from _delta.  Its rank is stored in the tableau's
     rank memo, so cohomology_dim builds no cell for it afterwards.  The
-    split keeps the cell's dimension dim and G as gram, so it holds no
-    reference to the tableau.  A negative q or p raises InputError.  G is
+    split keeps the cell's dimension dim and G cleared once, as the
+    integer rows of G_jet (x) I of which G is a positive multiple; gram
+    builds G itself as a Matrix on first read.  So it holds no reference
+    to the tableau.  A negative q or p raises InputError.  G is
     positive definite (E^T diag(g) E with E injective and g > 0), so the
     adjoint spaces are G-orthogonal complements: Ker delta*_in is the
     complement of Im delta_in, kernel(D_in^T G), and B_{q,p} = Im
@@ -303,7 +333,9 @@ class HarmonicSplit:
     basis K of Ker delta_out.  The harmonic space is one kernel of the
     stacked matrix [D_out; D_in^T G].  The spaces, hence their canonical
     bases, are those of the adjoints G_src^{-1} D^T G_dst, with no
-    neighbouring cell and no Gram inverse.
+    neighbouring cell and no Gram inverse.  The products with G and the
+    three kernels run on integer rows: each kernel is read off one
+    IntegerEchelon, whose reduced rows give the canonical basis.
 
     Construction certifies the decomposition with products and
     dimensions (_verify), in this order:
@@ -333,34 +365,48 @@ class HarmonicSplit:
         self.p = p
         n = tableau.a_dim
         w = ext_basis(n, p).size
-        jet_gram = _jet_gram(tableau, q - 1)
-        self.dim = jet_gram.nrows * w
-        self.gram = g = _cell_gram(jet_gram, p, w)
-        self.d_out = _delta(tableau, q, p, self.dim)
+        jet_gram, self._jet_den = _jet_gram(tableau, q - 1)
+        self.dim = dim = len(jet_gram) * w
+        self._gram_rows = g = _cell_gram(jet_gram, w)
+        self.d_out = _delta(tableau, q, p, dim)
         if p >= 1:
             src_dim = tableau.dim_at(q) * ext_basis(n, p - 1).size
             d_in = _delta(tableau, q + 1, p - 1, src_dim)
         else:
-            d_in = Matrix.zeros(self.dim, 0)
-        self._has_target = q >= 1 and p < n and self.dim > 0
-        self.b_up = _image_subspace(d_in)
-        ker_out = kernel(self.d_out)
+            d_in = Matrix.zeros(dim, 0)
+        self._has_target = q >= 1 and p < n and dim > 0
+        d_in_columns = _columns(cleared(d_in)[0], d_in.ncols)
+        self.b_up = _span(dim, d_in_columns)
+        # Ker delta_out, then H = Ker [D_out; D_in^T G] in the same echelon
+        echelon = IntegerEchelon(map(clear_denominators, self.d_out.rows))
+        rank_out = len(echelon)
+        ker_out = echelon.kernel(dim)
         if q >= 1 and p < n:
-            tableau.memo(("delta_rank", q, p), lambda: self.dim - ker_out.dim)
-        self.harmonic = kernel(self.d_out.vstack(d_in.transpose().matmul(g)))
+            tableau.memo(("delta_rank", q, p), lambda: rank_out)
+        for row in integer_matmul(d_in_columns, g):
+            echelon.add(row)
+        self.harmonic = _span(dim, echelon.kernel(dim))
         if self._has_target:
-            self.b_down = kernel(ker_out.basis_matrix().matmul(g))
+            b_down = IntegerEchelon(integer_matmul(ker_out, g)).kernel(dim)
+            self.b_down = _span(dim, b_down)
         else:
-            self.b_down = Subspace(self.dim, [])
-        self._verify(d_in, ker_out.dim)
+            self.b_down = Subspace(dim, [])
+        self._verify(d_in, len(ker_out))
         self.sigma_matrix = self._build_sigma()
+
+    @cached_property
+    def gram(self):
+        """The Gram matrix G of the cell as a Matrix, built on first read."""
+        scale = Fraction(factorial(self.p), self._jet_den)
+        return Matrix._of([[scale * x for x in row] for row in self._gram_rows], self.dim)
 
     def _verify(self, d_in, ker_dim):
         """Checks (a)-(c) of the class docstring; d_in is the matrix of the
-        incoming differential and ker_dim the dimension of Ker delta_out."""
+        incoming differential and ker_dim the dimension of Ker delta_out.
+        Every product runs on integer rows (see _orthogonal)."""
         if self.dim == 0:
             return
-        g = self.gram
+        g = self._gram_rows
         pairs = [
             (self.b_up, self.harmonic),
             (self.b_up, self.b_down),
@@ -376,10 +422,12 @@ class HarmonicSplit:
                 "harmonic components of C^{%d,%d} do not sum to the cell"
                 % (self.q, self.p)
             )
+        d_out = list(map(clear_denominators, self.d_out.rows))
         if not (
             self.b_up.dim + self.harmonic.dim == ker_dim
-            and _is_zero(self.d_out.matmul(d_in))
-            and _is_zero(self.d_out.matmul(self.harmonic.basis_matrix().transpose()))
+            and _zero_rows(integer_matmul(d_out, cleared(d_in)[0]))
+            and _zero_rows(integer_matmul(
+                d_out, _columns(_cleared_basis(self.harmonic), self.dim)))
         ):
             raise StructureViolation(
                 "Ker delta != B (+) H at (q,p)=(%d,%d)" % (self.q, self.p)
@@ -388,87 +436,138 @@ class HarmonicSplit:
     def _build_sigma(self):
         """Solve delta(sigma(w)) = w for each basis vector of the image.
 
-        delta restricted to b_down and its factorisation are kept for
-        sigma_on_columns.
+        delta restricted to b_down, R = D_out B_down^T, is kept as integer
+        rows with the first rows on which it is invertible and the
+        fraction-free inverse there (linalg.integer_inverse), for
+        sigma_on_columns.  Dependent columns of R raise StructureViolation.
         """
         if not self._has_target:
             return Matrix.zeros(0, 0)
-        self._b_down_matrix = Matrix.from_columns(self.b_down.basis, nrows=self.dim)
-        image_basis = _image_subspace(self.d_out).basis
-        try:
-            self._restricted = ColumnCoordinates(self.d_out.matmul(self._b_down_matrix))
-            return self._restricted.of_columns(
-                Matrix.from_columns(image_basis, nrows=self.d_out.nrows)
+        d_rows, d_den = cleared(self.d_out)
+        b_rows, b_den = cleared(self.b_down.basis_matrix())
+        self._b_down_columns = _columns(b_rows, self.dim)
+        restricted = integer_matmul(d_rows, self._b_down_columns)
+        k = len(b_rows)
+        # the first independent rows of R are the pivots of its transpose
+        rows = IntegerEchelon(_columns(restricted, k)).reduced()[1]
+        if len(rows) < k:
+            raise StructureViolation(
+                "sigma failed to invert delta at (q,p)=(%d,%d)" % (self.q, self.p)
             )
+        inverse, inv_den = integer_inverse([restricted[i] for i in rows])
+        # R = restricted / (d_den b_den), and R[rows]^-1 = inverse * d_den
+        # b_den / inv_den
+        self._restricted = (restricted, rows, inverse, inv_den)
+        self._d_den = d_den
+        m = self.d_out.nrows
+        image = _span(m, _columns(d_rows, self.dim)).basis_matrix()
+        image_rows, den = cleared(image)
+        try:
+            y, y_den = self._coordinates(_columns(image_rows, m), den)
         except Inconsistent as exc:
             raise StructureViolation(
                 "sigma failed to invert delta at (q,p)=(%d,%d)"
                 % (self.q, self.p)
             ) from exc
+        scale = Fraction(d_den * b_den, y_den)
+        return Matrix._of([[scale * v for v in row] for row in y], k)
+
+    def _coordinates(self, targets, den):
+        """(y, y_den): the Y with R Y = targets / den for R of _build_sigma,
+        as integer rows with Y = y * d_den * b_den / y_den, for the
+        denominators d_den of D_out and b_den of the basis of b_down;
+        Inconsistent when a column of targets is outside the image of R."""
+        restricted, rows, inverse, inv_den = self._restricted
+        if not rows:
+            if not _zero_rows(targets):
+                raise Inconsistent("a right-hand side is not in the column space")
+            return [], 1
+        y = integer_matmul(inverse, [targets[i] for i in rows])
+        # R Y = targets / den exactly when restricted y = inv_den targets
+        for got, want in zip(integer_matmul(restricted, y), targets):
+            if any(a != inv_den * b for a, b in zip(got, want)):
+                raise Inconsistent("a right-hand side is not in the column space")
+        return y, inv_den * den
 
     def dims(self):
         return (self.b_up.dim, self.harmonic.dim, self.b_down.dim)
 
-    def sigma_on_columns(self, targets):
-        """Preimages in B_{q,p} of the columns of targets, each given in
-        C^{q-1,p+1} coordinates, as the columns of a matrix over the cell.
+    def sigma_on_columns(self, targets, den, ncols):
+        """Preimages in B_{q,p} of the columns of targets / den, integer
+        rows in C^{q-1,p+1} coordinates with ncols columns, as (rows, den):
+        the preimages are the columns of rows / den, integer rows over the
+        cell and a positive denominator.
 
-        ColumnCoordinates.of_columns proves delta(x) = target for every
-        column by one product, and one more product with the basis of
-        B_{q,p} writes the preimages in the cell.  NotInImage when a
-        column is outside the image of delta.
+        One product proves delta(x) = target for every column, and one
+        more product with the integer basis of B_{q,p} writes the
+        preimages in the cell.  NotInImage when a column is outside the
+        image of delta; DimensionMismatch when targets has the wrong
+        number of rows.
         """
+        y = []
         if not self._has_target:
-            if not _is_zero(targets):
+            if not _zero_rows(targets):
                 raise NotInImage("the differential out of this cell is zero")
-            return Matrix.zeros(self.dim, targets.ncols)
-        try:
-            y = self._restricted.of_columns(targets)
-        except Inconsistent as exc:
-            raise NotInImage(
-                "target is not in the image of delta on C^{%d,%d}"
-                % (self.q, self.p)
-            ) from exc
-        return self._b_down_matrix.matmul(y)
+        elif len(targets) != self.d_out.nrows:
+            raise DimensionMismatch("rhs height mismatch")
+        else:
+            try:
+                y, y_den = self._coordinates(targets, den)
+            except Inconsistent as exc:
+                raise NotInImage(
+                    "target is not in the image of delta on C^{%d,%d}"
+                    % (self.q, self.p)
+                ) from exc
+        if not y:
+            return [[0] * ncols for _ in range(self.dim)], 1
+        # x = B_down^T Y = b_columns y d_den / y_den
+        scale = Fraction(self._d_den, y_den)
+        rows = integer_matmul(self._b_down_columns, y)
+        if scale.numerator != 1:
+            rows = [[scale.numerator * v for v in row] for row in rows]
+        return rows, scale.denominator
 
     def sigma_on_cell_coords(self, target_cell_coords):
         """Preimage in B_{q,p} of a target given in C^{q-1,p+1} coordinates:
         sigma_on_columns on one column."""
-        column = Matrix._of([[frac(x)] for x in target_cell_coords], 1)
-        return [row[0] for row in self.sigma_on_columns(column).rows]
+        column, den = cleared(Matrix._of([[frac(x)] for x in target_cell_coords], 1))
+        rows, den = self.sigma_on_columns(column, den, 1)
+        return [Fraction(row[0], den) for row in rows]
 
 
 def _jet_gram(t, h):
     """G_jet(h) = J diag(|m_I|^2) J^T over the rows J of t.jet_basis(h),
-    the Gram matrix of the level-h jet coordinates; the identity of b
-    for h = -1.  Memoised on the tableau per level."""
+    the Gram matrix of the level-h jet coordinates, as (rows, den): its
+    integer rows over one positive denominator, with J cleared to
+    integers once.  The identity of b for h = -1.  Memoised on the
+    tableau per level."""
     def build():
         if h < 0:
-            return Matrix.identity(t.b_dim)
+            return [[int(i == j) for j in range(t.b_dim)] for i in range(t.b_dim)], 1
         sym = sym_basis(t.a_dim, h + 1)
-        norms = [sym.norm_sq(m) for m in sym.indices] * t.b_dim
-        jet = Matrix(t.jet_basis(h), ncols=len(norms))
-        scaled = Matrix([[x * g for x, g in zip(v, norms)] for v in jet.rows],
-                        ncols=len(norms))
-        return scaled.matmul(jet.transpose())
+        # |m_I|^2 = (h+1)! / I! is a multinomial coefficient, an integer
+        norms = [sym.norm_sq(m).numerator for m in sym.indices] * t.b_dim
+        jet, den = cleared(Matrix._of(t.jet_basis(h), len(norms)))
+        scaled = [[x * g for x, g in zip(v, norms)] for v in jet]
+        return integer_matmul(scaled, _columns(jet, len(norms))), den * den
 
     return t.memo(("jet_gram", h), build)
 
 
-def _cell_gram(jet_gram, p, w):
-    """The Gram matrix p! (G_jet (x) I_w) of a cell with w = C(n, p)
-    wedge slots, in the cell order alpha * w + k."""
-    f = factorial(p)
-    size = jet_gram.nrows * w
+def _cell_gram(jet_gram, w):
+    """The integer rows of G_jet (x) I_w for the integer rows of G_jet,
+    a cell with w = C(n, p) wedge slots, in the cell order alpha * w + k;
+    the cell's Gram matrix is p! / den times it."""
+    size = len(jet_gram) * w
     rows = []
-    for g_row in jet_gram.rows:
+    for g_row in jet_gram:
+        nonzero = [(beta * w, x) for beta, x in enumerate(g_row) if x]
         for k in range(w):
-            row = [_ZERO] * size
-            for beta, x in enumerate(g_row):
-                if x:
-                    row[beta * w + k] = f * x
+            row = [0] * size
+            for col, x in nonzero:
+                row[col + k] = x
             rows.append(row)
-    return Matrix(rows, ncols=size)
+    return rows
 
 
 def harmonic_split(t, q, p):

@@ -49,6 +49,7 @@ harmonic-map systems over a Lie algebra (n = 2, b = g (+) g).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -204,9 +205,9 @@ def _embed_poly(poly, num_vars):
         return poly
     if poly.num_vars > num_vars:
         raise DimensionMismatch("cannot shrink a polynomial's variable list")
-    pad = num_vars - poly.num_vars
-    return Polynomial(
-        num_vars, {exp + (0,) * pad: c for exp, c in poly.terms.items()}
+    pad = (0,) * (num_vars - poly.num_vars)
+    return Polynomial._of(
+        num_vars, {exp + pad: v for exp, v in poly.numerators.items()}, poly.den
     )
 
 
@@ -300,24 +301,28 @@ def _dbar(tower, ell):
 
 
 def _polymap_monomials(pm):
-    """{exponent tuple: coefficient vector} across all components."""
+    """({exponent tuple: coefficient vector}, den) across all components:
+    the vectors hold integer numerators over den, one positive
+    denominator for the whole map."""
+    den = math.lcm(*(p.den for p in pm.components))
     out = {}
     for idx, poly in enumerate(pm.components):
-        for exp, c in poly.terms.items():
+        k = den // poly.den
+        for exp, v in poly.numerators.items():
             vec = out.get(exp)
             if vec is None:
-                vec = [Fraction(0)] * pm.dim
+                vec = [0] * pm.dim
                 out[exp] = vec
-            vec[idx] = c
-    return out
+            vec[idx] = k * v
+    return out, den
 
 
-def _polymap_from_rows(num_vars, exps, m):
-    """The PolyMap whose component idx has coefficient m[idx][j] at the
-    monomial exps[j]."""
+def _polymap_from_rows(num_vars, exps, rows, den):
+    """The PolyMap whose component idx has coefficient rows[idx][j] / den
+    at the monomial exps[j], for integer rows and den > 0."""
     return PolyMap(num_vars, [
-        Polynomial(num_vars, {exp: c for exp, c in zip(exps, row) if c})
-        for row in m.rows
+        Polynomial._reduced(num_vars, {exp: v for exp, v in zip(exps, row) if v}, den)
+        for row in rows
     ])
 
 
@@ -331,7 +336,7 @@ def check_phi_in_B02(sys):
     cell_dim = t.dim * t.a_dim  # dim C^{1,1} = dim A * C(n, 1)
     d11 = _delta(t, 1, 1, cell_dim)
     b02 = Subspace(d11.nrows, d11.transpose().rows)
-    monos = _polymap_monomials(sys.phi_cell_map())
+    monos, _ = _polymap_monomials(sys.phi_cell_map())
     for exp, vec in sorted(monos.items()):
         if not b02.contains(vec):
             raise StructureViolation(
@@ -430,13 +435,12 @@ def build_s_chain(sys, h, seed=0, k=None):
         """Append S_(r), the canonical preimage of rhs (C^{r-1,2} coords)
         under delta^{r,1}, and keep rhs as the target of its identity.
         The coefficient vectors of all monomials go through the split as
-        the columns of one matrix."""
+        the integer columns of one matrix."""
         split = tower.splits[r]
-        monos = _polymap_monomials(rhs_map)
-        columns = Matrix.from_columns(list(monos.values()), nrows=rhs_map.dim)
-        tower.s_chain += (
-            _polymap_from_rows(nv, list(monos), split.sigma_on_columns(columns)),
-        )
+        monos, den = _polymap_monomials(rhs_map)
+        columns = list(zip(*monos.values())) or [()] * rhs_map.dim
+        rows, den = split.sigma_on_columns(columns, den, len(monos))
+        tower.s_chain += (_polymap_from_rows(nv, list(monos), rows, den),)
         targets.append(rhs_map)
 
     solve_into(1, _phi_on_jet(sys, nv))
@@ -506,8 +510,7 @@ def _verify_delta_identities(tower, targets):
         # outside it is the first row it keeps
         echelon = IntegerEchelon(map(clear_denominators, split.b_down.basis))
         member = not any(
-            echelon.add(clear_denominators(vec))
-            for vec in _polymap_monomials(s_map).values()
+            echelon.add(vec) for vec in _polymap_monomials(s_map)[0].values()
         )
         checks.append(
             {

@@ -152,7 +152,7 @@ def compose_oracle(p, subs):
 
 def _polynomial(num_vars, terms):
     """A Polynomial over terms, dropping the zero coefficients."""
-    return Polynomial._of(num_vars, {e: c for e, c in terms.items() if c})
+    return Polynomial(num_vars, {e: c for e, c in terms.items() if c})
 
 
 def fraction_mul(p, q, max_degree=None):

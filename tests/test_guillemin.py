@@ -265,6 +265,44 @@ def test_verify_pinpoints_wrong_characters():
     assert report["first_failure"]["name"] == "characters_match"
 
 
+def test_verify_fails_block_sizes_on_a_misshapen_block():
+    # a block matrix that is not r x n fails block_sizes, and the check
+    # stops there instead of a product raising DimensionMismatch
+    t = build_example("wavemap:su2").tableau
+    nf = normal_form(t)
+    blocks = list(nf.blocks)
+    blocks[0] = (Matrix.identity(2),) + tuple(blocks[0][1:])
+    bad = NormalForm(nf.basis_a, nf.basis_b, nf.s, blocks, nf.coeffs)
+    report = verify_normal_form(t, bad)
+    assert not report["all_passed"]
+    assert report["first_failure"]["name"] == "block_sizes"
+    assert [c["name"] for c in report["checks"]][-1] == "block_sizes"
+
+
+def test_pairing_alone_guards_the_unit_entry():
+    # support_pattern accepts the (a, j) entry of Q_[j],a without looking
+    # at its value: dual_basis_pairing has proved it is 1, and a form with
+    # that entry changed fails the pairing before the pattern is read
+    t = build_example("wavemap:su2").tableau
+    nf = normal_form(t)
+    assert verify_normal_form(t, nf)["all_passed"]
+    basis_b, basis_a = nf.basis_b, nf.basis_a
+    # Q = B X A^-1 has B^-1 Q A = X; put 2 where X holds the unit entry
+    j, a = 1, 1
+    q = nf.blocks[j - 1][a - 1]
+    adapted = basis_b.inverse().matmul(q).matmul(basis_a)
+    assert adapted.rows[a - 1][j - 1] == 1
+    adapted.rows[a - 1][j - 1] = Fraction(2)
+    changed = basis_b.matmul(adapted).matmul(basis_a.inverse())
+    blocks = [list(block) for block in nf.blocks]
+    blocks[j - 1][a - 1] = changed
+    report = verify_normal_form(
+        t, NormalForm(basis_a, basis_b, nf.s, blocks, nf.coeffs))
+    failed = [c["name"] for c in report["checks"] if not c["passed"]]
+    assert failed[0] == "dual_basis_pairing"
+    assert report["first_failure"]["detail"].endswith("is 2")
+
+
 def test_json_round_trip():
     t = cylinder_tableau()
     nf = normal_form(t)

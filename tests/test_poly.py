@@ -17,7 +17,8 @@ from dense_oracles import (
     fraction_mul,
     fraction_substitute,
 )
-from involutive.errors import DimensionMismatch
+from involutive import poly
+from involutive.errors import DimensionMismatch, InputError
 from involutive.poly import Polynomial, PolyMap, linear_combination
 
 
@@ -322,3 +323,116 @@ def test_pickle_and_deepcopy_round_trip():
         assert type(q.terms) is MappingProxyType
         with pytest.raises(TypeError):
             q.terms[(0, 0)] = Fraction(1)
+
+
+def test_exponents_must_be_ints():
+    # a float or bool exponent is not read as an int, in a mapping or in
+    # pairs, as from_table already refused them
+    for bad in ((1.5,), (True,), ("1",), (1.0,)):
+        for terms in ({bad: 1}, [(bad, 1)]):
+            with pytest.raises(InputError, match="exponents must be integers"):
+                Polynomial(1, terms)
+        with pytest.raises(InputError, match="exponents must be integers"):
+            Polynomial.from_table(1, [["1", list(bad)]])
+    assert Polynomial(2, {(2, 0): 1}) == Polynomial.variable(2, 0).mul(Polynomial.variable(2, 0))
+
+
+def lowest_terms(p: Polynomial) -> bool:
+    """The numerators of p are nonzero ints over a positive denominator
+    that shares no factor with all of them."""
+    nums = list(p.numerators.values())
+    return (
+        type(p.den) is int and p.den > 0 and all(type(v) is int and v for v in nums)
+        and math.gcd(p.den, *nums) == 1
+    )
+
+
+def test_numerators_are_in_lowest_terms():
+    x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    half = Fraction(1, 2)
+    cases = [
+        x.scale(half).scale(2),
+        x.scale(half).add(x.scale(half)),
+        Polynomial(2, {(2, 0): half}).partial(0),
+        x.scale(half).add(y.scale(Fraction(1, 3))).truncate(0),
+        x.add(y.scale(Fraction(1, 6))).sub(y.scale(Fraction(1, 6))),
+        linear_combination([half, Fraction(3, 2)], [x, x], 2),
+        x.scale(half).mul(Polynomial.constant(2, 2)),
+    ]
+    assert cases[:3] + cases[4:] == [x, x, x, x, x.scale(2), x]
+    assert cases[3].is_zero() and cases[3].den == 1
+    assert all(lowest_terms(p) and p.den == 1 for p in cases)
+    p = Polynomial(2, {(1, 0): Fraction(2, 4), (0, 1): Fraction(1, 3)})
+    assert (p.den, dict(p.numerators)) == (6, {(1, 0): 3, (0, 1): 2})
+    assert p == Polynomial(2, {(0, 1): Fraction(2, 6), (1, 0): half})
+    with pytest.raises(AttributeError, match="cannot be rebound"):
+        p.den = 1
+    with pytest.raises(TypeError):
+        p.numerators[(1, 0)] = 1
+
+
+# coefficients over denominators 1, 2, 3, 4 and 6, so sums and products
+# cancel factors of the common denominator
+cancelling = st.builds(Fraction, st.integers(-6, 6), st.sampled_from((1, 2, 3, 4, 6)))
+
+
+def cancelling_poly(num_vars: int):
+    exps = st.tuples(*(st.integers(min_value=0, max_value=2) for _ in range(num_vars)))
+    return st.dictionaries(exps, cancelling, max_size=5).map(lambda d: Polynomial(num_vars, d))
+
+
+def fraction_partial(p: Polynomial, var: int) -> Polynomial:
+    out = {}
+    for e, c in p.terms.items():
+        if e[var]:
+            out[e[:var] + (e[var] - 1,) + e[var + 1:]] = c * e[var]
+    return Polynomial(p.num_vars, out)
+
+
+@settings(max_examples=80, deadline=None)
+@given(cancelling_poly(2), cancelling_poly(2), st.sampled_from((None, -1, 0, 1, 2, 3)))
+def test_integer_operations_match_the_fraction_oracles(p, q, cap):
+    # p - p share terms with p, so every sum below has terms that cancel
+    # outright next to ones whose denominators cancel
+    r = p.add(q.neg())
+    assert same_terms(p.add(q), fraction_linear_combination([1, 1], [p, q], 2))
+    assert same_terms(r.add(p), fraction_linear_combination([1, 1], [r, p], 2))
+    assert same_terms(p.mul(q, cap), fraction_mul(p, q, cap))
+    assert same_terms(r.mul(r, cap), fraction_mul(r, r, cap))
+    for var in range(2):
+        assert same_terms(r.partial(var), fraction_partial(r, var))
+    coeffs = [Fraction(1, 2), -2, Fraction(-1, 2), Fraction(2, 3)]
+    polys = [p, q, p, r]
+    assert same_terms(linear_combination(coeffs, polys, 2),
+                      fraction_linear_combination(coeffs, polys, 2))
+    subs = [r, q.scale(Fraction(3, 2))]
+    want = fraction_substitute([p, r, q], 2, subs, cap)
+    got = PolyMap(2, [p, r, q]).compose(subs, cap).components
+    assert all(same_terms(g, w) for g, w in zip(got, want))
+    assert same_terms(p.compose(subs, cap), want[0])
+    assert all(lowest_terms(x) for x in [p.add(q), r, p.mul(q, cap), *got])
+    # to_table writes each coefficient as its Fraction prints
+    for x in [r, p.mul(q, cap), *got]:
+        assert x.to_table() == [[str(c), list(e)] for e, c in
+                                sorted(x.terms.items(), key=lambda t: (sum(t[0]), t[0]))]
+
+
+def test_compose_and_linear_combination_build_no_fraction(monkeypatch):
+    # the integer kernels build no Fraction; terms builds one per term on
+    # its first read and keeps them
+    x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    p = Polynomial(2, {(2, 1): Fraction(3, 4), (0, 1): Fraction(-1, 6), (0, 0): 2})
+    subs = [x.add(Polynomial.constant(2, Fraction(1, 2))), x.mul(y).scale(Fraction(2, 3))]
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(poly, "Fraction", counting)
+    composed = PolyMap(2, [p, p.partial(0), x]).compose(subs, 4)
+    total = linear_combination([Fraction(1, 3), 2, -1], list(composed.components) + [p], 2)
+    assert built == []
+    terms = total.terms
+    assert len(built) == len(terms) > 0
+    assert total.terms is terms and len(built) == len(terms)
