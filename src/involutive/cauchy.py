@@ -324,7 +324,7 @@ def solve_formal(sys, tower, nf, data, degree, max_degree=DEFAULT_MAX_DEGREE):
     ]
 
     def block_series():
-        return [Polynomial._reduced(n, dict(g), g_den) for g in g_num]
+        return [Polynomial.from_numerators(n, dict(g), g_den) for g in g_num]
 
     def is_data_exponent(m, exp):
         j = block_of[m]
@@ -470,10 +470,9 @@ def solve_formal(sys, tower, nf, data, degree, max_degree=DEFAULT_MAX_DEGREE):
 def _solve_slice(rows, nu, d):
     """The unique solution of the degree-d curl slice in nu unknowns.
 
-    Each row is a {column: coefficient} dict over the unknowns 0..nu-1
-    with the right-hand side in column nu.  The rows, cleared of
-    denominators, are reduced in one IntegerEchelon until it holds nu
-    pivots.  A pivot in column nu means the slice is inconsistent, and
+    Each row is a {column: coefficient} dict of integer coefficients over
+    the unknowns 0..nu-1 with the right-hand side in column nu.  The rows
+    are reduced in one IntegerEchelon until it holds nu pivots.  A pivot in column nu means the slice is inconsistent, and
     fewer than nu pivots after every row that it is underdetermined; both
     raise InconsistentData, in that order.  Otherwise every unknown is a
     pivot, the back-substituted row of pivot c reads x_c = row[nu] /
@@ -483,7 +482,7 @@ def _solve_slice(rows, nu, d):
     echelon = IntegerEchelon()
     rest = iter(rows)
     for row in rest:
-        echelon.add(dict(zip(row, clear_denominators(row.values()))))
+        echelon.add(row)
         if len(echelon) == nu:
             break
     kept, pivots = echelon.reduced()

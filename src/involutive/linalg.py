@@ -205,6 +205,12 @@ def integer_matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> li
     return product
 
 
+def integer_columns(rows: Sequence[Sequence[int]], ncols: int) -> list[Sequence[int]]:
+    """The columns of the integer matrix with the given rows and ncols
+    columns (ncols empty columns when there are no rows)."""
+    return list(zip(*rows)) if rows else [()] * ncols
+
+
 def integer_inverse(m: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
     """The inverse of a square integer matrix as (rows, den) with den > 0
     and inverse = rows / den; Inconsistent when m is singular.
@@ -476,17 +482,6 @@ class ColumnCoordinates:
             x = self.inverse.matvec(x)
         if self.matrix.matvec(x) != list(v):
             raise Inconsistent("right-hand side is not in the column space")
-        return x
-
-    def of_columns(self, b: Matrix) -> Matrix:
-        """The X with m * X = b; Inconsistent when a column of b is outside."""
-        if b.nrows != self.matrix.nrows:
-            raise DimensionMismatch("rhs height mismatch")
-        x = Matrix._of([b.rows[i] for i in self.rows], b.ncols)
-        if self.inverse is not None:
-            x = self.inverse.matmul(x)
-        if self.matrix.matmul(x) != b:
-            raise Inconsistent("a right-hand side is not in the column space")
         return x
 
 

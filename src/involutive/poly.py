@@ -15,9 +15,11 @@ once by the gcd of its numerators and denominator.  terms, the public
 read-only mapping of nonzero Fractions, is built on its first read and
 kept, so a polynomial that is only computed with builds no Fraction.  A
 Polynomial is immutable: every attribute write raises AttributeError,
-and Polynomial._of, the internal constructor, takes numerators already
-in lowest terms over den as they are.  The public constructor takes
-int, Fraction or string coefficients and int exponents (not bool).
+Polynomial.from_numerators is the integer entry point: it takes nonzero
+int numerators over a positive den and reduces them (Polynomial._of, the
+internal constructor, skips that reduction for numerators already in
+lowest terms).  The public constructor takes int, Fraction or string
+coefficients and int exponents (not bool).
 
 Substitution (Polynomial.compose and PolyMap.compose) runs on one
 kernel, _substitute.  It builds the integer value of each monomial once,
@@ -84,9 +86,11 @@ class Polynomial:
         return p
 
     @classmethod
-    def _reduced(cls, num_vars: int, ints: dict, den: int) -> "Polynomial":
-        """The polynomial with the nonzero numerators ints over den > 0,
-        divided by their common factor with den."""
+    def from_numerators(cls, num_vars: int, ints: dict, den: int = 1) -> "Polynomial":
+        """The polynomial with the numerators ints over den > 0, divided
+        by their common factor with den: the integer entry point.  ints
+        maps exponent tuples of length num_vars to nonzero ints, and is
+        kept, not copied or checked."""
         if den != 1:
             g = math.gcd(den, *ints.values())
             if g != 1:
@@ -178,7 +182,7 @@ class Polynomial:
                 out[e] = s
             else:
                 out.pop(e, None)
-        return Polynomial._reduced(self.num_vars, out, den)
+        return Polynomial.from_numerators(self.num_vars, out, den)
 
     def neg(self) -> "Polynomial":
         return Polynomial._of(self.num_vars, {e: -v for e, v in self._ints.items()},
@@ -192,17 +196,17 @@ class Polynomial:
         if not c:
             return Polynomial._of(self.num_vars, {})
         num = c.numerator
-        return Polynomial._reduced(self.num_vars,
-                                   {e: num * v for e, v in self._ints.items()},
-                                   self.den * c.denominator)
+        return Polynomial.from_numerators(
+            self.num_vars, {e: num * v for e, v in self._ints.items()},
+            self.den * c.denominator)
 
     def mul(self, other: "Polynomial", max_degree: int | None = None) -> "Polynomial":
         """Product; with max_degree, terms above it are never formed."""
         self._check(other)
         right = sorted((sum(e), e, c) for e, c in other._ints.items())
         cap = math.inf if max_degree is None else max_degree
-        return Polynomial._reduced(self.num_vars, _mul_terms(self._ints, right, cap),
-                                   self.den * other.den)
+        return Polynomial.from_numerators(
+            self.num_vars, _mul_terms(self._ints, right, cap), self.den * other.den)
 
     def partial(self, var: int) -> "Polynomial":
         if not 0 <= var < self.num_vars:
@@ -215,7 +219,7 @@ class Polynomial:
             e2 = list(e)
             e2[var] = k - 1
             out[tuple(e2)] = v * k
-        return Polynomial._reduced(self.num_vars, out, self.den)
+        return Polynomial.from_numerators(self.num_vars, out, self.den)
 
     def eval(self, point: Sequence) -> Fraction:
         if len(point) != self.num_vars:
@@ -239,7 +243,7 @@ class Polynomial:
         return _substitute([self], self.num_vars, subs, max_degree)[0]
 
     def truncate(self, max_degree: int) -> "Polynomial":
-        return Polynomial._reduced(
+        return Polynomial.from_numerators(
             self.num_vars,
             {e: v for e, v in self._ints.items() if sum(e) <= max_degree}, self.den)
 
@@ -374,7 +378,7 @@ def linear_combination(coeffs: Iterable, polys: Iterable[Polynomial],
         k = num * (den // d)
         for e, v in ints.items():
             acc[e] = acc.get(e, 0) + k * v
-    return Polynomial._reduced(num_vars, {e: v for e, v in acc.items() if v}, den)
+    return Polynomial.from_numerators(num_vars, {e: v for e, v in acc.items() if v}, den)
 
 
 def _mul_terms(left: dict, right: list, cap) -> dict:
@@ -424,8 +428,8 @@ def _substitute(polys: Sequence[Polynomial], num_vars: int,
             k = c * den ** (top - sum(e))
             for f, v in _monomial_value(table, e, factors, cap).items():
                 acc[f] = acc.get(f, 0) + k * v
-        out.append(Polynomial._reduced(m, {f: v for f, v in acc.items() if v},
-                                       p.den * den ** top))
+        out.append(Polynomial.from_numerators(
+            m, {f: v for f, v in acc.items() if v}, p.den * den ** top))
     return out
 
 

@@ -89,6 +89,7 @@ from .linalg import (
     clear_denominators,
     cleared,
     frac,
+    integer_columns,
     integer_inverse,
     integer_matmul,
 )
@@ -268,12 +269,6 @@ def codifferential(t, q, p):
     return _adjoint(d, cell.gram, dst.gram)
 
 
-def _columns(rows, ncols):
-    """The columns of the integer matrix with the given rows and ncols
-    columns."""
-    return list(zip(*rows)) if rows else [()] * ncols
-
-
 def _span(dim, vectors):
     """The Subspace of Q^dim spanned by integer vectors, through the
     integer echelon."""
@@ -293,12 +288,11 @@ def _cleared_basis(s):
 def _orthogonal(u, v, gram):
     """u and v are G-orthogonal: U G V^T is zero for their basis
     matrices, with every row cleared to integers, which scales no entry
-    of the product to or from zero.  gram is G as a Matrix, or the
-    integer rows of a positive multiple of G."""
-    if isinstance(gram, Matrix):
-        gram = cleared(gram)[0]
+    of the product to or from zero.  gram is the integer rows of a
+    positive multiple of G."""
     u_g = integer_matmul(_cleared_basis(u), gram)
-    return _zero_rows(integer_matmul(u_g, _columns(_cleared_basis(v), v.ambient_dim)))
+    v_columns = integer_columns(_cleared_basis(v), v.ambient_dim)
+    return _zero_rows(integer_matmul(u_g, v_columns))
 
 
 def _zero_rows(rows):
@@ -375,7 +369,7 @@ class HarmonicSplit:
         else:
             d_in = Matrix.zeros(dim, 0)
         self._has_target = q >= 1 and p < n and dim > 0
-        d_in_columns = _columns(cleared(d_in)[0], d_in.ncols)
+        d_in_columns = integer_columns(cleared(d_in)[0], d_in.ncols)
         self.b_up = _span(dim, d_in_columns)
         # Ker delta_out, then H = Ker [D_out; D_in^T G] in the same echelon
         echelon = IntegerEchelon(map(clear_denominators, self.d_out.rows))
@@ -427,7 +421,7 @@ class HarmonicSplit:
             self.b_up.dim + self.harmonic.dim == ker_dim
             and _zero_rows(integer_matmul(d_out, cleared(d_in)[0]))
             and _zero_rows(integer_matmul(
-                d_out, _columns(_cleared_basis(self.harmonic), self.dim)))
+                d_out, integer_columns(_cleared_basis(self.harmonic), self.dim)))
         ):
             raise StructureViolation(
                 "Ker delta != B (+) H at (q,p)=(%d,%d)" % (self.q, self.p)
@@ -445,11 +439,11 @@ class HarmonicSplit:
             return Matrix.zeros(0, 0)
         d_rows, d_den = cleared(self.d_out)
         b_rows, b_den = cleared(self.b_down.basis_matrix())
-        self._b_down_columns = _columns(b_rows, self.dim)
+        self._b_down_columns = integer_columns(b_rows, self.dim)
         restricted = integer_matmul(d_rows, self._b_down_columns)
         k = len(b_rows)
         # the first independent rows of R are the pivots of its transpose
-        rows = IntegerEchelon(_columns(restricted, k)).reduced()[1]
+        rows = IntegerEchelon(integer_columns(restricted, k)).reduced()[1]
         if len(rows) < k:
             raise StructureViolation(
                 "sigma failed to invert delta at (q,p)=(%d,%d)" % (self.q, self.p)
@@ -460,10 +454,10 @@ class HarmonicSplit:
         self._restricted = (restricted, rows, inverse, inv_den)
         self._d_den = d_den
         m = self.d_out.nrows
-        image = _span(m, _columns(d_rows, self.dim)).basis_matrix()
+        image = _span(m, integer_columns(d_rows, self.dim)).basis_matrix()
         image_rows, den = cleared(image)
         try:
-            y, y_den = self._coordinates(_columns(image_rows, m), den)
+            y, y_den = self._coordinates(integer_columns(image_rows, m), den)
         except Inconsistent as exc:
             raise StructureViolation(
                 "sigma failed to invert delta at (q,p)=(%d,%d)"
@@ -549,7 +543,7 @@ def _jet_gram(t, h):
         norms = [sym.norm_sq(m).numerator for m in sym.indices] * t.b_dim
         jet, den = cleared(Matrix._of(t.jet_basis(h), len(norms)))
         scaled = [[x * g for x, g in zip(v, norms)] for v in jet]
-        return integer_matmul(scaled, _columns(jet, len(norms))), den * den
+        return integer_matmul(scaled, integer_columns(jet, len(norms))), den * den
 
     return t.memo(("jet_gram", h), build)
 

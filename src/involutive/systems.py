@@ -62,7 +62,13 @@ from .errors import (
     NotTwoAcyclic,
     StructureViolation,
 )
-from .linalg import IntegerEchelon, Matrix, Subspace, clear_denominators
+from .linalg import (
+    IntegerEchelon,
+    Matrix,
+    Subspace,
+    clear_denominators,
+    integer_columns,
+)
 from .poly import Polynomial, PolyMap, linear_combination
 from .spencer import _delta, harmonic_split, two_acyclicity_report
 from .tableau import DEFAULT_MAX_DIM, Tableau
@@ -206,7 +212,7 @@ def _embed_poly(poly, num_vars):
     if poly.num_vars > num_vars:
         raise DimensionMismatch("cannot shrink a polynomial's variable list")
     pad = (0,) * (num_vars - poly.num_vars)
-    return Polynomial._of(
+    return Polynomial.from_numerators(
         num_vars, {exp + pad: v for exp, v in poly.numerators.items()}, poly.den
     )
 
@@ -321,7 +327,8 @@ def _polymap_from_rows(num_vars, exps, rows, den):
     """The PolyMap whose component idx has coefficient rows[idx][j] / den
     at the monomial exps[j], for integer rows and den > 0."""
     return PolyMap(num_vars, [
-        Polynomial._reduced(num_vars, {exp: v for exp, v in zip(exps, row) if v}, den)
+        Polynomial.from_numerators(
+            num_vars, {exp: v for exp, v in zip(exps, row) if v}, den)
         for row in rows
     ])
 
@@ -438,7 +445,7 @@ def build_s_chain(sys, h, seed=0, k=None):
         the integer columns of one matrix."""
         split = tower.splits[r]
         monos, den = _polymap_monomials(rhs_map)
-        columns = list(zip(*monos.values())) or [()] * rhs_map.dim
+        columns = integer_columns(list(monos.values()), rhs_map.dim)
         rows, den = split.sigma_on_columns(columns, den, len(monos))
         tower.s_chain += (_polymap_from_rows(nv, list(monos), rows, den),)
         targets.append(rhs_map)

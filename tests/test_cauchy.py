@@ -29,7 +29,7 @@ from involutive.errors import (
 from involutive.cli import EXAMPLE_NAMES, build_example
 from involutive.guillemin import NormalForm, normal_form
 from involutive.liealg import abelian_algebra, sl3_decomposition, su2_algebra
-from involutive.linalg import Matrix
+from involutive.linalg import Matrix, clear_denominators
 from involutive.poly import Polynomial, PolyMap
 from involutive.systems import (
     System,
@@ -932,9 +932,11 @@ def test_slice_solve_matches_the_affine_oracle():
             rhs = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(nrows)]
         else:
             rhs = m.matvec([Fraction(rng.randint(-3, 3)) for _ in range(nu)])
-        rows = [{j: x for j, x in enumerate(row) if x} for row in dense]
-        for row, b in zip(rows, rhs):
-            row[nu] = b
+        # each row cleared to integers, which keeps its solutions
+        rows = []
+        for row, b in zip(dense, rhs):
+            *ints, rhs_int = clear_denominators(row + [b])
+            rows.append({j: x for j, x in enumerate(ints) if x} | {nu: rhs_int})
         try:
             x, homogeneous = solve_affine(m, rhs)
         except Inconsistent:

@@ -561,7 +561,7 @@ def test_zero_differentials_build_no_cell_and_store_nothing(monkeypatch):
 
 
 def test_orthogonality_is_read_through_the_gram_matrix():
-    g = Matrix([[2, 1], [1, 1]])
+    g = [[2, 1], [1, 1]]
     u = Subspace(2, [[1, 0]])
     assert _orthogonal(u, Subspace(2, [[1, -2]]), g)
     assert not _orthogonal(u, Subspace(2, [[0, 1]]), g)
