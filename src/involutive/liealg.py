@@ -292,9 +292,9 @@ def _gram(killing, basis):
 def _bracket_into(alg, basis1, basis2, target):
     """[x, y] in target for every x in basis1 and y in basis2, decided by
     one rank test: the brackets, cleared to integers, are added to an
-    IntegerEchelon of the target basis, and the first one that raises its
-    rank is outside the target."""
-    echelon = IntegerEchelon(clear_denominators(v) for v in target.basis)
+    IntegerEchelon of the target's integer rows, and the first one that
+    raises its rank is outside the target."""
+    echelon = IntegerEchelon(target.integer_rows)
     for x in basis1:
         for y in basis2:
             if echelon.add(clear_denominators(alg.bracket(x, y))):

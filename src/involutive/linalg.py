@@ -20,7 +20,9 @@ back-substitutes the echelon and divides each row by its pivot once, at
 the end, which gives the canonical reduced row-echelon form; kernels,
 solutions, inverses and Subspace bases are read off that.  Subspaces of
 Q^N are kept in that canonical basis, which makes equality of subspaces
-a syntactic comparison of the stored rows.
+a syntactic comparison of the stored rows, together with the same rows
+as primitive integers (Subspace.integer_rows), which callers that work
+on integer rows read instead of clearing the basis again.
 
 A caller that keeps a matrix as integer rows over one positive
 denominator (cleared) multiplies with integer_matmul and inverts with
@@ -44,13 +46,17 @@ _ONE = Fraction(1)
 
 def frac(x) -> Fraction:
     """Coerce ints, strings like '3/4', and Fractions to Fraction; a bool
-    is not a number here (JSON true is not 1)."""
+    is not a number here (JSON true is not 1).  A string of decimal
+    digits, with at most a leading '-', is read with int, which accepts
+    exactly what Fraction accepts there, only faster."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
         try:
+            if x.isdecimal() or (x[:1] == "-" and x[1:].isdecimal()):
+                return Fraction(int(x))
             return Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"{x!r} is not an exact rational") from exc
@@ -244,15 +250,21 @@ def integer_inverse(m: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
     return [[sign * x for x in row[n:]] for row in rows], sign * prev
 
 
-def _rref_rows(echelon: IntegerEchelon, ncols: int) -> tuple[list[Vector], list[int]]:
+def _rref_rows(
+    echelon: IntegerEchelon, ncols: int
+) -> tuple[list[Vector], list[int], list[list[int]]]:
     """The nonzero rows of the reduced row-echelon form of the echelon's
-    rows, as dense Fractions, and the pivot columns."""
+    rows, as dense Fractions, the pivot columns, and the same rows as
+    dense primitive integers with positive pivots (the echelon's rows)."""
     rows, pivots = echelon.reduced()
     out = []
+    integer = []
     for row, c in zip(rows, pivots):
         p = row[c]
-        out.append([Fraction(row.get(k, 0), p) for k in range(ncols)])
-    return out, pivots
+        dense = [row.get(k, 0) for k in range(ncols)]
+        integer.append(dense)
+        out.append([Fraction(x, p) for x in dense])
+    return out, pivots, integer
 
 
 class Matrix:
@@ -406,7 +418,7 @@ class Matrix:
         space, with the zero rows last.  The elimination runs in the
         integer echelon; the rows become Fractions only at the end.
         """
-        rows, pivots = _rref_rows(self._echelon(), self.ncols)
+        rows, pivots, _ = _rref_rows(self._echelon(), self.ncols)
         rows += [[_ZERO] * self.ncols for _ in range(self.nrows - len(rows))]
         return Matrix._of(rows, self.ncols), pivots
 
@@ -515,10 +527,14 @@ class Subspace:
 
     Two Subspace objects are equal exactly when they describe the same
     span, because construction always reduces the generators.  pivots[i]
-    is the leading column of basis[i].
+    is the leading column of basis[i].  integer_rows[i] is basis[i] as
+    primitive integers with a positive pivot, the one integer row that
+    clear_denominators gives for it: from_echelon keeps the echelon's
+    rows, and a Subspace built from generators clears its basis on the
+    first read.
     """
 
-    __slots__ = ("ambient_dim", "basis", "pivots")
+    __slots__ = ("ambient_dim", "basis", "pivots", "_integer_rows")
 
     def __init__(self, ambient_dim: int, generators: Sequence[Sequence] = ()):
         gens = [vec(g) for g in generators]
@@ -529,14 +545,22 @@ class Subspace:
         self.ambient_dim = ambient_dim
         self.basis = red.rows[: len(pivots)]
         self.pivots = pivots
+        self._integer_rows = None
 
     @classmethod
     def from_echelon(cls, ambient_dim: int, echelon: IntegerEchelon) -> "Subspace":
         """The span of the rows of an integer echelon in Q^ambient_dim."""
         s = object.__new__(cls)
         s.ambient_dim = ambient_dim
-        s.basis, s.pivots = _rref_rows(echelon, ambient_dim)
+        s.basis, s.pivots, s._integer_rows = _rref_rows(echelon, ambient_dim)
         return s
+
+    @property
+    def integer_rows(self) -> list[list[int]]:
+        """The basis rows as primitive integers with positive pivots."""
+        if self._integer_rows is None:
+            self._integer_rows = list(map(clear_denominators, self.basis))
+        return self._integer_rows
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":

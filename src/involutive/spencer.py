@@ -280,18 +280,13 @@ def _adjoint(d, gram_src, gram_dst):
     return gram_src.inverse().matmul(d.transpose().matmul(gram_dst))
 
 
-def _cleared_basis(s):
-    """The basis of the Subspace s, each row cleared to integers."""
-    return list(map(clear_denominators, s.basis))
-
-
 def _orthogonal(u, v, gram):
     """u and v are G-orthogonal: U G V^T is zero for their basis
-    matrices, with every row cleared to integers, which scales no entry
-    of the product to or from zero.  gram is the integer rows of a
-    positive multiple of G."""
-    u_g = integer_matmul(_cleared_basis(u), gram)
-    v_columns = integer_columns(_cleared_basis(v), v.ambient_dim)
+    matrices, taken as their integer rows, which scales no entry of the
+    product to or from zero.  gram is the integer rows of a positive
+    multiple of G."""
+    u_g = integer_matmul(u.integer_rows, gram)
+    v_columns = integer_columns(v.integer_rows, v.ambient_dim)
     return _zero_rows(integer_matmul(u_g, v_columns))
 
 
@@ -421,7 +416,7 @@ class HarmonicSplit:
             self.b_up.dim + self.harmonic.dim == ker_dim
             and _zero_rows(integer_matmul(d_out, cleared(d_in)[0]))
             and _zero_rows(integer_matmul(
-                d_out, integer_columns(_cleared_basis(self.harmonic), self.dim)))
+                d_out, integer_columns(self.harmonic.integer_rows, self.dim)))
         ):
             raise StructureViolation(
                 "Ker delta != B (+) H at (q,p)=(%d,%d)" % (self.q, self.p)

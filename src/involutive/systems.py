@@ -66,7 +66,6 @@ from .linalg import (
     IntegerEchelon,
     Matrix,
     Subspace,
-    clear_denominators,
     integer_columns,
 )
 from .poly import Polynomial, PolyMap, linear_combination
@@ -515,7 +514,7 @@ def _verify_delta_identities(tower, targets):
         )
         # one echelon per level, seeded with B_{r,1}: a monomial vector
         # outside it is the first row it keeps
-        echelon = IntegerEchelon(map(clear_denominators, split.b_down.basis))
+        echelon = IntegerEchelon(split.b_down.integer_rows)
         member = not any(
             echelon.add(vec) for vec in _polymap_monomials(s_map)[0].values()
         )

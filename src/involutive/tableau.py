@@ -14,12 +14,14 @@ and the least order k at which the prolongation tower becomes involutive.
 Conventions.  An element of Hom(a, b) = b (x) a* is stored as a b-major
 coordinate vector of length r*n (index b*n + i).  Higher prolongations use
 the monomial bases of bases.py, again b-major.  Flags are sampled with
-integer coefficients.  When the first flag attains the Cartan bound
-dim A^(1) it proves involutivity and its characters exactly (a witness);
-otherwise the characters are certified by agreement of five
-independent flags, and a disagreement raises UnstableGenericity
-instead of returning a silently wrong answer.  The seed is the only
-setting of either route.
+integer coefficients.  Characters are proved by the first certificate
+that applies: a zero level has characters (0, ..., 0) and draws no flag;
+a first flag that attains the Cartan bound dim A^(1) proves involutivity
+and its characters exactly (a witness); a first flag whose partial sums
+reach the rank bound min(dim A, j dim b) proves them generic; otherwise
+the characters are certified by agreement of five independent flags,
+and a disagreement raises UnstableGenericity instead of returning a
+silently wrong answer.  The seed is the only setting of every route.
 """
 
 from __future__ import annotations
@@ -124,12 +126,12 @@ class Tableau:
     h >= 1 over the canonical reduced basis of A^(h).  jet_basis and
     jet_coordinates are the one place that convention lives.
 
-    integer_basis(h) is the canonical basis of A^(h) with each vector
-    cleared to integers and laid out as the flattened generators of
-    view_at_level(h); the character ranks at order h are taken over it
-    with an IntegerEchelon.  Prolongation runs over integers too: each
-    step clears the basis of A^(h) the same way and solves its symmetry
-    constraints in an IntegerEchelon (see _prolong_once).
+    integer_basis(h) is the integer rows of A^(h) (Subspace.integer_rows)
+    laid out as the flattened generators of view_at_level(h); the
+    character ranks at order h are taken over it with an IntegerEchelon.
+    Prolongation runs over integers too: each step reads the integer rows
+    of A^(h) and solves its symmetry constraints in an IntegerEchelon
+    (see _prolong_once).
     contraction(h, i) is the map i(e_i): A^(h) -> A^(h-1) in jet
     coordinates (A^(-1) = b), shared by the tower and the Spencer
     differential; it and the view layout read the same position list
@@ -263,18 +265,16 @@ class Tableau:
         generators of view_at_level(h), built once per level.
 
         Entry (b, J; i), at index (b*|S^h| + J)*n + i, is the coordinate
-        (b, J + e_i) of the canonical basis vector of A^(h) scaled by the
-        lcm of its denominators; for h = 0 that is the canonical basis of
-        A^(0) itself.  Ranks depend only on the space spanned, so this
-        serves the characters of the view tableau without building it.
+        (b, J + e_i) of the integer row of A^(h) (the canonical basis
+        vector scaled by the lcm of its denominators); for h = 0 these
+        are the integer rows of A^(0) themselves.  Ranks depend only on
+        the space spanned, so this serves the characters of the view
+        tableau without building it.
         A^(h) is read with level(h), under the tableau's cap.
         """
         def build():
             source = _view_positions(self.a_dim, self.b_dim, h)
-            return [
-                [v[pos] for pos in source]
-                for v in map(clear_denominators, self.level(h).basis)
-            ]
+            return [[v[pos] for pos in source] for v in self.level(h).integer_rows]
 
         return self.memo(("integer_basis", h), build)
 
@@ -383,9 +383,10 @@ def _prolong_once(n, r, prev, prev_h, max_dim):
     maps bijectively onto A^(prev_h + 1): T[b, M] = c_i[b, J] for any one
     (J, i) with J + e_i = M.  Both index maps are read off sym_raise.
 
-    Everything runs over the integers: T_beta is the canonical basis
-    vector of A^(prev_h) cleared of denominators (rescaling T_beta only
-    rescales the unknowns q^beta_i), the constraints are sparse integer
+    Everything runs over the integers: T_beta is the integer row of
+    A^(prev_h), its canonical basis vector cleared of denominators
+    (rescaling T_beta only rescales the unknowns q^beta_i), which the
+    previous step kept from its echelon; the constraints are sparse integer
     rows of an IntegerEchelon, whose integer kernel gives integer tensors,
     and the level is the canonical span of those.
     """
@@ -400,7 +401,7 @@ def _prolong_once(n, r, prev, prev_h, max_dim):
     d = prev.dim
     if d == 0:
         return Subspace(ambient, [])
-    basis = [clear_denominators(v) for v in prev.basis]
+    basis = prev.integer_rows
     # column (b, J) of the previous level -> its nonzero (beta, T_beta[b, J])
     entries = [
         [(beta, x) for beta, v in enumerate(basis) if (x := v[pos])]
@@ -560,46 +561,59 @@ def character_partial_sums(tab, flag, h=0):
 
 
 def characters(tab, seed=0, h=0, dim_a1=None):
-    """Characters of A^(h), read as the tableau view_at_level(h), from
-    a witness flag or certified generic flags.
+    """Characters of A^(h), read as the tableau view_at_level(h), proved
+    by the first of four certificates that applies (see _certify).
 
-    The first flag F is drawn from Random(seed).  When dim_a1 = dim
-    A^(h+1) is given, F is tried as a witness first.  Every flag F has
-    partial sums sigma_j(F) <= sigma_j(generic), because the generic rank
-    is the largest, and sigma_n(F) = dim A^(h), because F spans a.  So the
-    bound n sigma_n - (sigma_1 + ... + sigma_{n-1}) of F is at least the
-    generic bound, which is at least dim A^(h+1) by Cartan's inequality.
-    When sigma_n(F) = dim A^(h) and the bound of F equals dim_a1, both
-    inequalities are equalities: the tableau is involutive and every
-    sigma_j(F) is generic, so s(F) are its characters, exactly.  The
-    result then carries F as its flag attribute.
+    Every flag F has partial sums sigma_j(F) <= sigma_j(generic) <=
+    min(d, j b) for d = dim A^(h) and b = b_dim |S^h|, because the generic
+    rank is the largest and the evaluation map on j flag vectors goes from
+    A^(h) to j copies of b; and sigma_n(F) = d, because F spans a.
 
-    Otherwise the characters are voted: _FLAG_SAMPLES independent random
-    flags, F being the first, must give the same partial sums; a
-    disagreement retries with a geometrically growing coefficient range,
-    and otherwise UnstableGenericity is raised.  A "not involutive"
-    verdict of cartan_test always comes from the vote.  A result is
-    memoised on the tableau under (h, seed) and returned again for the
-    same key, whichever way it was certified; a failure stores nothing.
-    The ranks do not depend on the basis they are taken over, so the
-    result equals characters(tab.view_at_level(h), seed).
+    1. Zero level.  When d = 0 every sigma_j is 0: the characters are
+       (0, ..., 0), and no Random is built and no flag is drawn.
+    2. Witness.  The first flag F is drawn from Random(seed).  When
+       dim_a1 = dim A^(h+1) is given, F is tried as a witness: the bound
+       n sigma_n - (sigma_1 + ... + sigma_{n-1}) of F is at least the
+       generic bound, which is at least dim A^(h+1) by Cartan's
+       inequality.  When sigma_n(F) = d and the bound of F equals dim_a1,
+       both inequalities are equalities: the tableau is involutive and
+       every sigma_j(F) is generic, so s(F) are its characters, exactly.
+       The result then carries F as its flag attribute.
+    3. Rank bound.  When sigma_j(F) = min(d, j b) for every j, the first
+       inequality chain is tight, so every sigma_j(F) is generic.  The
+       result carries no flag: flag means a witness of involutivity.
+    4. Vote.  Otherwise _FLAG_SAMPLES independent random flags, F being
+       the first, must give the same partial sums; a disagreement retries
+       with a geometrically growing coefficient range, and otherwise
+       UnstableGenericity is raised.
+
+    A result is memoised on the tableau under (h, seed) and returned
+    again for the same key, whichever way it was certified; a failure
+    stores nothing.  The ranks do not depend on the basis they are taken
+    over, so the result equals characters(tab.view_at_level(h), seed).
     """
     return tab.memo(("characters", h, seed),
                     lambda: _certify(tab, seed, h, dim_a1))
 
 
 def _certify(tab, seed, h, dim_a1):
-    """The characters of A^(h) from the witness or the vote; see characters."""
+    """The characters of A^(h) by the first certificate that applies, in
+    the order of the characters docstring: a zero level, the witness, the
+    rank bound, the vote."""
     n = tab.a_dim
     b_dim = tab.b_dim * sym_basis(n, h).size
+    dim = len(tab.integer_basis(h))
+    if dim == 0:
+        return CharacterVector([0] * n, b_dim)
     rng = random.Random(seed)
     bound = _FLAG_BASE_BOUND
     flag = _sample_flag(rng, n, bound)
     first = character_partial_sums(tab, flag, h)
-    dim = len(tab.integer_basis(h))
     if (dim_a1 is not None and first[-1] == dim
             and n * first[-1] - sum(first[:-1]) == dim_a1):
         return _from_partial_sums(first, b_dim, flag)
+    if first == [min(dim, j * b_dim) for j in range(1, n + 1)]:
+        return _from_partial_sums(first, b_dim)
     seqs = [first]
     last = None
     for _ in range(_FLAG_ATTEMPTS):
@@ -649,8 +663,10 @@ def cartan_test(tab, seed=0, h=0):
     >= dim A^(1).  A violation is an internal inconsistency: it raises
     StructureViolation and drops the memoised characters.  dim_A1 is
     handed to characters(), so a first flag whose bound equals it is a
-    witness that proves the verdict "involutive" exactly; "not
-    involutive" comes from the vote of _FLAG_SAMPLES flags.
+    witness that proves the verdict "involutive" exactly.  A zero level
+    is involutive with no flag drawn.  "Not involutive" is proved by a
+    first flag at the rank bound min(dim A, j dim b) or by the vote of
+    _FLAG_SAMPLES flags.
     """
     dim_a1 = tab.dim_at(h + 1)
     cv = characters(tab, seed=seed, h=h, dim_a1=dim_a1)
@@ -677,10 +693,13 @@ def involutive_index(tab, h_max, seed=0):
     characters come off integer_basis(h) and the bound is checked against
     dim A^(h+1), so the search needs A^(h_max + 1), ambient dimension
     b_dim * |S^(h_max + 2)|, within the tableau's max_dim.  An involutive
-    order is usually proved by one witness flag, a non-involutive one by
-    the vote (see characters).  Every further prolongation up to h_max
-    is re-tested rather than assumed involutive.  Raises CapExceeded
-    with the observed trajectory when no order passes.
+    order is usually proved by one witness flag, a zero order by no flag,
+    and a non-involutive one by one flag at the rank bound or else by
+    the vote (see characters); every order h >= 1 draws its seed from
+    the search's own Random(seed) whichever way it is proved.  Every
+    further prolongation up to h_max is re-tested rather than assumed
+    involutive.  Raises CapExceeded with the observed trajectory when no
+    order passes.
     """
     if h_max < 0:
         raise InputError("h_max must be >= 0, got %d" % h_max)

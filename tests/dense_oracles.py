@@ -18,6 +18,9 @@ bracket_into_per_pair is the pair-by-pair Subspace.contains check that
 one rank test replaced.  view_route_involutive_index is the involutive
 index search that builds the view tableau of every order and prolongs
 it, the oracle for the search on the prolongation tower.
+vote_characters is the five-flag vote alone, with no zero-level, witness
+or rank-bound shortcut, the oracle for the certificates of
+tableau.characters.
 AdjointHarmonicSplit and adjoint_sigma build a harmonic split from three
 Spencer cells and the Gram adjoints of both differentials, and check it
 by comparing subspaces, the oracle for the split read off the Gram
@@ -71,7 +74,10 @@ from involutive.linalg import (
 from involutive.poly import Polynomial
 from involutive.spencer import HarmonicSplit, SpencerCell, delta
 from involutive.tableau import (
+    _FLAG_ATTEMPTS,
     _FLAG_BASE_BOUND,
+    _FLAG_SAMPLES,
+    CharacterVector,
     Tableau,
     _sample_flag,
     cartan_test,
@@ -333,6 +339,29 @@ def dense_definiteness(gram):
 def bracket_into_per_pair(alg, basis1, basis2, target):
     """[x, y] in target for every pair, one Subspace.contains each."""
     return all(target.contains(alg.bracket(x, y)) for x in basis1 for y in basis2)
+
+
+def vote_characters(tab, seed=0, h=0):
+    """The characters of A^(h) by the vote of _FLAG_SAMPLES flags drawn
+    from Random(seed), retried with an eightfold coefficient bound on a
+    disagreement: the same draws as tableau.characters, every flag's
+    partial sums taken, nothing memoised.  UnstableGenericity when the
+    flags keep disagreeing or their total is not dim A^(h)."""
+    n = tab.a_dim
+    b_dim = tab.b_dim * sym_basis(n, h).size
+    rng = random.Random(seed)
+    bound = _FLAG_BASE_BOUND
+    for _ in range(_FLAG_ATTEMPTS):
+        seqs = [character_partial_sums(tab, _sample_flag(rng, n, bound), h)
+                for _ in range(_FLAG_SAMPLES)]
+        if all(s == seqs[0] for s in seqs):
+            sums = seqs[0]
+            if sums[-1] != tab.dim_at(h):
+                raise UnstableGenericity("character sum is not dim A^(%d)" % h)
+            return CharacterVector(
+                [sums[0]] + [sums[j] - sums[j - 1] for j in range(1, n)], b_dim)
+        bound *= 8
+    raise UnstableGenericity("flag samples disagree")
 
 
 def view_route_involutive_index(tab, h_max, seed=0):

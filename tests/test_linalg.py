@@ -6,13 +6,14 @@ from fractions import Fraction
 import pytest
 
 from dense_oracles import dense_kernel, dense_rref, solve_affine
-from involutive.errors import DimensionMismatch, Inconsistent
+from involutive.errors import DimensionMismatch, Inconsistent, InputError
 from involutive.linalg import (
     ColumnCoordinates,
     IntegerEchelon,
     Matrix,
     Subspace,
     clear_denominators,
+    frac,
     kernel,
     vec,
 )
@@ -293,6 +294,39 @@ def test_fraction_strings_parse():
     m = Matrix([["1/2", "-3"], ["0", "7/5"]])
     assert m.rows[0][0] == Fraction(1, 2)
     assert m.rows[1][1] == Fraction(7, 5)
+
+
+@pytest.mark.parametrize("text", [
+    "0", "7", "-7", "007", "-0", "123456789012345678901234567890", "\u0663",
+    "-\u0663", "", "-", "--7", "1_0", " 7", "7 ", "+7", "3/4", "-3/4", "1.5",
+    "1e3", "\u00b2", "x", "1/0",
+])
+def test_frac_reads_strings_as_fraction_does(text):
+    # plain integer strings take a faster route; every string must still
+    # give Fraction(text), or be rejected exactly when Fraction rejects it
+    try:
+        expected = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(InputError):
+            frac(text)
+    else:
+        value = frac(text)
+        assert type(value) is Fraction and value == expected
+
+
+def test_subspace_integer_rows_clear_the_basis():
+    # from_echelon keeps the echelon's primitive rows; a Subspace built
+    # from generators clears its Fraction basis on the first read; both
+    # are the rows clear_denominators gives for the canonical basis
+    for m in oracle_cases(random.Random(2011), 200):
+        from_gens = Subspace(m.ncols, m.rows)
+        echelon = IntegerEchelon(clear_denominators(row) for row in m.rows)
+        from_ints = Subspace.from_echelon(m.ncols, echelon)
+        expected = [clear_denominators(v) for v in from_gens.basis]
+        assert from_gens.integer_rows == expected == from_ints.integer_rows
+        assert from_gens.integer_rows is from_gens.integer_rows
+        assert all(type(x) is int for row in expected for x in row)
+        assert all(row[p] > 0 for row, p in zip(expected, from_gens.pivots))
 
 
 def oracle_cases(rng, count):

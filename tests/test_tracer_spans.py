@@ -57,10 +57,12 @@ class _Lib:
 
 def test_involutive_index_counts_flags_at_every_order():
     # tableau.flags_evaluated counts the character_partial_sums spans, so
-    # the index search must reach that entry point at every order h,
-    # through cartan_test and characters, and not a private copy.  An
-    # involutive order is proved by its first flag alone (a witness); a
-    # non-involutive order is voted in rounds of _FLAG_SAMPLES flags.
+    # the index search must reach that entry point at every order h that
+    # draws flags, through cartan_test and characters, and not a private
+    # copy.  An involutive order is proved by its first flag alone (a
+    # witness), and so is an order whose first flag reaches the rank bound
+    # min(dim A, j dim b); a zero order draws no flag; any other order is
+    # voted in rounds of _FLAG_SAMPLES flags.
     tracer = load_tracer()
     h_max = 3
     with fresh_involutive():
@@ -68,19 +70,28 @@ def test_involutive_index_counts_flags_at_every_order():
         tr = tracer.Tracer()
         tr.install(lib)
         tab = lib.modules["tableau"]
+        votes = tab._FLAG_SAMPLES
         # span{f_0 (x) e_0*, f_1 (x) e_1*} in Hom(Q^2, Q^2): involutive;
-        # the n = r = 3 tableau of one generator: characters (1, 0, 0),
-        # A^(1) = 0, so orders >= 1 are involutive and order 0 is not
+        # the n = r = 3 tableau of one generator: characters (1, 0, 0) at
+        # the rank bound, A^(1) = 0, so orders >= 1 are zero; a tableau in
+        # Hom(Q^2, Q^3) with characters (2, 1) below the rank bound (3, 3)
+        # and dim A^(1) = 3 < 4, involutive from order 1 on
         cases = [
-            (tab.Tableau(2, 2, [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]), 0),
-            (tab.Tableau(3, 3, [[[0, 2, -1], [2, 0, 0], [2, 0, 1]]]), 1),
+            (tab.Tableau(2, 2, [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]),
+             0, [1, 1, 1, 1]),
+            (tab.Tableau(3, 3, [[[0, 2, -1], [2, 0, 0], [2, 0, 1]]]),
+             1, [1, 0, 0, 0]),
+            (tab.Tableau(2, 3, [[[0, 0], [1, 0], [0, 0]],
+                                [[1, 1], [0, -1], [0, -1]],
+                                [[0, 0], [0, -1], [0, 0]]]),
+             1, [votes, 1, 1, 1]),
         ]
         indices = []
-        for t, _ in cases:
+        for t, _, _ in cases:
             tr.begin("index")
             indices.append(tab.involutive_index(t, h_max, seed=0))
             tr.end(1.0)
-    assert [index["k"] for index in indices] == [k for _, k in cases]
+    assert [index["k"] for index in indices] == [k for _, k, _ in cases]
     spans = tr.spans
 
     def ancestor(i, name):
@@ -97,13 +108,5 @@ def test_involutive_index_counts_flags_at_every_order():
             assert spans[span[3]][0] == "tableau.characters"
             per_order[ancestor(i, "tableau.cartan_test")] += 1
     counts = [per_order[i] for i in tests]
-    for c, (_, k) in enumerate(cases):
-        for h in range(h_max + 1):
-            flags = counts[c * (h_max + 1) + h]
-            if h >= k:
-                assert flags == 1, (c, h, counts)
-            else:
-                # one round of _FLAG_SAMPLES flags per attempt, at least one
-                votes = tab._FLAG_SAMPLES
-                assert flags >= votes and flags % votes == 0, (c, h, counts)
+    assert counts == [c for _, _, flags in cases for c in flags]
     assert not any(span[0] == "tableau.view_at_level" for span in spans)
