@@ -11,7 +11,8 @@ Subcommands:
 
 Every command accepts --json for a machine-readable report carrying the
 same numbers as the human output, a --seed (falling back to the
-ARTIFACT_SEED environment variable, then 0), and resource caps
+ARTIFACT_SEED environment variable, then 0; a non-integer ARTIFACT_SEED
+is bad input), and resource caps
 (--max-dim, --max-degree) that fail loudly with exit code 3.  The seed
 is the only setting of the random flags that certify Cartan
 characters; a failed certification (exit 1) may pass under another
@@ -515,15 +516,25 @@ def build_parser():
     return p
 
 
+def _environment_seed():
+    """The ARTIFACT_SEED environment variable as an int, 0 when unset;
+    InputError when it is not an integer."""
+    text = os.environ.get("ARTIFACT_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise InputError("ARTIFACT_SEED must be an integer, got %r" % text) from None
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.seed is None:
-        args.seed = int(os.environ.get("ARTIFACT_SEED", "0"))
     args.input_digest = {}
     start = time.perf_counter()
     retry_seed = False
     try:
+        if args.seed is None:
+            args.seed = _environment_seed()
         passed, results, certificates = args.func(args)
         code = 0 if passed else 1
         error = None

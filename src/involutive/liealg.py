@@ -5,9 +5,9 @@ constructor enforces antisymmetry and the Jacobi identity exactly.  The
 constants live in one sparse table {(i, j): {k: c}} of the nonzero
 c_{ij}^k, and bracket, ad, killing_form, the Jacobi check and
 to_json_dict all read it, so a bracket costs one term per pair of
-nonzero coordinates with a nonzero bracket.  from_matrices factors the
-flattened basis matrices once (linalg.ColumnCoordinates) and reads each
-commutator's coordinates off that factorisation, which proves them by
+nonzero coordinates with a nonzero bracket.  from_matrices spans the
+flattened basis matrices once (a linalg.Subspace) and reads each
+commutator's coordinates off its pivots, which proves them by
 multiplying back, so a basis that is not closed is still rejected.  A
 CartanDecomposition g = g0 (+) m is checked from the structure constants
 alone: bracket relations, Killing orthogonality, definiteness of the
@@ -35,14 +35,12 @@ from operator import mul
 from .errors import (
     BadDecomposition,
     DimensionMismatch,
-    Inconsistent,
     InputError,
     JacobiViolation,
     NotInImage,
     NotRegular,
 )
 from .linalg import (
-    ColumnCoordinates,
     IntegerEchelon,
     Matrix,
     Subspace,
@@ -142,8 +140,11 @@ class LieAlgebra:
         """Structure constants of a matrix Lie algebra on the given basis.
 
         mats: independent square matrices closed under the commutator.
-        The flattened basis is factored once; each commutator's
-        coordinates are read off it and proved by multiplying back.
+        The flattened basis is spanned once; each commutator's
+        coordinates over the span's canonical basis are read off its
+        pivots and proved by multiplying back, then written over the
+        given basis through the inverse of its block on the pivots (see
+        Tableau.jet_coordinates for why that needs no further check).
         """
         if not mats:
             raise InputError("need at least one basis matrix")
@@ -153,22 +154,22 @@ class LieAlgebra:
             if m.nrows != sz or m.ncols != sz:
                 raise DimensionMismatch("basis matrices must share a square shape")
         flat = [[x for row in m.rows for x in row] for m in mats]
-        try:
-            coords = ColumnCoordinates(Matrix.from_columns(flat, nrows=sz * sz))
-        except Inconsistent:
-            raise InputError("basis matrices are linearly dependent") from None
+        span = Subspace(sz * sz, flat)
+        if span.dim != len(mats):
+            raise InputError("basis matrices are linearly dependent")
+        inverse = Matrix([[f[p] for f in flat] for p in span.pivots],
+                         ncols=len(mats)).inverse()
         brackets = []
         for i in range(len(mats)):
             for j in range(i + 1, len(mats)):
                 comm = mats[i].matmul(mats[j]).sub(mats[j].matmul(mats[i]))
-                try:
-                    coeffs = coords.of_vector([x for row in comm.rows for x in row])
-                except Inconsistent:
+                coords = span.coordinates([x for row in comm.rows for x in row])
+                if coords is None:
                     raise InputError(
                         "matrices are not closed under the commutator "
                         "(failure at pair (%d, %d))" % (i, j)
-                    ) from None
-                for k, c in enumerate(coeffs):
+                    )
+                for k, c in enumerate(inverse.matvec(coords)):
                     if c:
                         brackets.append((i, j, k, c))
         return cls(len(mats), brackets)

@@ -5,10 +5,7 @@ products (matmul and matvec) skip zero entries: the Koszul, embedding and
 contraction matrices of the Spencer and tableau layers are mostly 0 or
 +-1.  Skipping a zero drops only a zero term, so products stay exact and
 the canonical bases below do not depend on which entries were skipped.
-A full-column-rank matrix that is solved against many times is factored
-once as a ColumnCoordinates, which reads a solution off pivot rows and
-proves it by multiplying back.  Everything is exact: no floating point,
-no tolerance thresholds.
+Everything is exact: no floating point, no tolerance thresholds.
 
 Storage is dense Fraction at the API boundary; elimination is sparse and
 fraction-free over Python ints.  There is one elimination routine, the
@@ -17,12 +14,16 @@ IntegerEchelon: each row is scaled by the lcm of its denominators
 a {column: int} dict of its nonzero entries, and reduced against at most
 one primitive row per pivot column.  Ranks are its length.  Matrix.rref
 back-substitutes the echelon and divides each row by its pivot once, at
-the end, which gives the canonical reduced row-echelon form; kernels,
-solutions, inverses and Subspace bases are read off that.  Subspaces of
-Q^N are kept in that canonical basis, which makes equality of subspaces
-a syntactic comparison of the stored rows, together with the same rows
-as primitive integers (Subspace.integer_rows), which callers that work
-on integer rows read instead of clearing the basis again.
+the end, which gives the canonical reduced row-echelon form, and solve
+reads its solutions off that.  Kernels are the echelon's integer kernel
+divided by the entry at each vector's free column, and inverses come
+from integer_inverse, so each job has one route.  Subspaces of Q^N are
+built from an echelon in the same canonical basis, which makes equality
+of subspaces a syntactic comparison of the stored rows, together with
+the same rows as primitive integers (Subspace.integer_rows), which
+callers that work on integer rows read instead of clearing the basis
+again.  Coordinates over that basis are read off the pivots and proved
+by multiplying back.
 
 A caller that keeps a matrix as integer rows over one positive
 denominator (cleared) multiplies with integer_matmul and inverts with
@@ -427,9 +428,18 @@ class Matrix:
         return len(self._echelon())
 
     def kernel(self) -> list[Vector]:
-        """A canonical basis of the null space (one vector per free column)."""
-        red, pivots = self.rref()
-        return _kernel_of_rref(red.rows, pivots, self.ncols)
+        """A canonical basis of the null space: one vector per free column,
+        1 there and 0 at the other free columns.
+
+        Each is the echelon's integer kernel vector divided by its entry
+        at the free column, which is its last nonzero entry, since every
+        pivot row that uses the column starts left of it.
+        """
+        basis = []
+        for v in self._echelon().kernel(self.ncols):
+            d = next(x for x in reversed(v) if x)
+            basis.append([Fraction(x, d) for x in v])
+        return basis
 
     def _augmented_rref(self, rhs: Sequence[Fraction]) -> tuple[list[Vector], list[int]]:
         """rref of [self | rhs], checked consistent: its rows and pivots."""
@@ -450,67 +460,16 @@ class Matrix:
         return _solution_of_rref(rows, pivots, self.ncols)
 
     def inverse(self) -> "Matrix":
+        """The inverse by integer_inverse of the cleared rows; Inconsistent
+        when the matrix is singular."""
         if self.nrows != self.ncols:
             raise DimensionMismatch("only square matrices can be inverted")
-        aug = self.hstack(Matrix.identity(self.nrows))
-        red, pivots = aug.rref()
-        if pivots != list(range(self.nrows)):
-            raise Inconsistent("matrix is singular")
-        return Matrix._of([row[self.nrows:] for row in red.rows], self.nrows)
-
-
-class ColumnCoordinates:
-    """Coordinates over the columns of a full-column-rank matrix, factored once.
-
-    `rows` picks m.ncols rows of m on which m is invertible and `inverse`
-    is the inverse of m restricted to them (None when that restriction is
-    the identity).  Both default to the first independent rows, found by
-    one rref of the transpose.  The coordinates of v are read off as
-    inverse * v[rows]; they solve m * x = v exactly when the product
-    m * x reproduces v, which is checked, so a wrong choice of rows can
-    only reject a vector, never return a false solution.  Full column
-    rank makes the solution unique, hence equal to Matrix.solve.
-    """
-
-    __slots__ = ("matrix", "rows", "inverse")
-
-    def __init__(self, m: Matrix, rows: Sequence[int] | None = None,
-                 inverse: Matrix | None = None):
-        if rows is None:
-            _, rows = m.transpose().rref()
-            if len(rows) != m.ncols:
-                raise Inconsistent("columns are linearly dependent")
-            inverse = Matrix._of([m.rows[i] for i in rows], m.ncols).inverse()
-        self.matrix = m
-        self.rows = list(rows)
-        self.inverse = inverse
-
-    def of_vector(self, v: Sequence[Fraction]) -> Vector:
-        """The x with m * x = v; Inconsistent when v is outside the column space."""
-        if len(v) != self.matrix.nrows:
-            raise DimensionMismatch("rhs length mismatch")
-        x = [frac(v[i]) for i in self.rows]
-        if self.inverse is not None:
-            x = self.inverse.matvec(x)
-        if self.matrix.matvec(x) != list(v):
-            raise Inconsistent("right-hand side is not in the column space")
-        return x
-
-
-def _kernel_of_rref(rows: list[Vector], pivots: list[int], ncols: int) -> list[Vector]:
-    """The canonical null-space basis of the first ncols columns of a
-    reduced row-echelon form whose pivots all lie among them."""
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
-        v = [_ZERO] * ncols
-        v[f] = _ONE
-        for i, p in enumerate(pivots):
-            v[p] = -rows[i][f]
-        basis.append(v)
-    return basis
+        rows, den = cleared(self)
+        inverse, inv_den = integer_inverse(rows)
+        # self = rows / den, so self^-1 = den * rows^-1 = den * inverse / inv_den
+        return Matrix._of(
+            [[Fraction(den * x, inv_den) for x in row] for row in inverse], self.ncols
+        )
 
 
 def _solution_of_rref(rows: list[Vector], pivots: list[int], ncols: int) -> Vector:
@@ -529,38 +488,30 @@ class Subspace:
     span, because construction always reduces the generators.  pivots[i]
     is the leading column of basis[i].  integer_rows[i] is basis[i] as
     primitive integers with a positive pivot, the one integer row that
-    clear_denominators gives for it: from_echelon keeps the echelon's
-    rows, and a Subspace built from generators clears its basis on the
-    first read.
+    clear_denominators gives for it.  Both constructors read all three
+    off an IntegerEchelon: from_echelon off the caller's, and a Subspace
+    built from generators off the echelon of the generators cleared of
+    denominators.
     """
 
-    __slots__ = ("ambient_dim", "basis", "pivots", "_integer_rows")
+    __slots__ = ("ambient_dim", "basis", "pivots", "integer_rows")
 
     def __init__(self, ambient_dim: int, generators: Sequence[Sequence] = ()):
         gens = [vec(g) for g in generators]
         for g in gens:
             if len(g) != ambient_dim:
                 raise DimensionMismatch("generator length does not match ambient dimension")
-        red, pivots = Matrix._of(gens, ambient_dim).rref()
         self.ambient_dim = ambient_dim
-        self.basis = red.rows[: len(pivots)]
-        self.pivots = pivots
-        self._integer_rows = None
+        self.basis, self.pivots, self.integer_rows = _rref_rows(
+            IntegerEchelon(map(clear_denominators, gens)), ambient_dim)
 
     @classmethod
     def from_echelon(cls, ambient_dim: int, echelon: IntegerEchelon) -> "Subspace":
         """The span of the rows of an integer echelon in Q^ambient_dim."""
         s = object.__new__(cls)
         s.ambient_dim = ambient_dim
-        s.basis, s.pivots, s._integer_rows = _rref_rows(echelon, ambient_dim)
+        s.basis, s.pivots, s.integer_rows = _rref_rows(echelon, ambient_dim)
         return s
-
-    @property
-    def integer_rows(self) -> list[list[int]]:
-        """The basis rows as primitive integers with positive pivots."""
-        if self._integer_rows is None:
-            self._integer_rows = list(map(clear_denominators, self.basis))
-        return self._integer_rows
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
@@ -587,19 +538,23 @@ class Subspace:
         return self.coordinates(v) is not None
 
     def coordinates(self, v: Sequence[Fraction]) -> Vector | None:
-        """Coefficients of v over the stored basis, or None if v is outside."""
+        """Coefficients of v over the stored basis, or None if v is outside.
+
+        basis[i] is 1 at pivots[i] and 0 at the other pivots, so the only
+        candidate coefficients are the entries of v at the pivots; v lies
+        in the span exactly when the basis rows times them sum back to v.
+        """
         if len(v) != self.ambient_dim:
             raise DimensionMismatch("vector length does not match ambient dimension")
         w = vec(v)
-        coords = []
-        for row, p in zip(self.basis, self.pivots):
-            c = w[p]
-            coords.append(c)
+        coords = [w[p] for p in self.pivots]
+        acc = [_ZERO] * self.ambient_dim
+        for c, row in zip(coords, self.basis):
             if c:
-                w = [a - c * b for a, b in zip(w, row)]
-        if any(w):
-            return None
-        return coords
+                for k, x in enumerate(row):
+                    if x:
+                        acc[k] += c * x
+        return coords if acc == w else None
 
     def annihilator_matrix(self) -> Matrix:
         """A matrix whose kernel is exactly this subspace."""
@@ -623,8 +578,6 @@ class Subspace:
 
     def is_subspace_of(self, other: "Subspace") -> bool:
         return all(other.contains(v) for v in self.basis)
-
-
 
 
 def kernel(m: Matrix) -> Subspace:

@@ -294,19 +294,6 @@ class PolyMap:
     def __reduce__(self):
         return (PolyMap, (self.num_vars, self.components))
 
-    @classmethod
-    def linear(cls, matrix_rows: Sequence[Sequence], num_vars: int) -> "PolyMap":
-        """The linear map with the given matrix, as polynomials."""
-        comps = []
-        for row in matrix_rows:
-            if len(row) != num_vars:
-                raise DimensionMismatch("matrix width != num_vars")
-            comps.append(
-                Polynomial(num_vars, {tuple(int(i == j) for j in range(num_vars)): frac(c)
-                                      for i, c in enumerate(row)})
-            )
-        return cls(num_vars, comps)
-
     @property
     def dim(self) -> int:
         return len(self.components)

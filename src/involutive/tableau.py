@@ -35,19 +35,12 @@ from .bases import multiindex_remove, sym_basis, sym_raise
 from .errors import (
     CapExceeded,
     DimensionMismatch,
-    Inconsistent,
     InputError,
     NotInImage,
     StructureViolation,
     UnstableGenericity,
 )
-from .linalg import (
-    ColumnCoordinates,
-    IntegerEchelon,
-    Matrix,
-    Subspace,
-    clear_denominators,
-)
+from .linalg import IntegerEchelon, Matrix, Subspace, clear_denominators
 
 DEFAULT_MAX_DIM = 20000
 
@@ -124,7 +117,9 @@ class Tableau:
     Jet coordinates: level 0 is written over the flattened generators in
     their given order (the dependent variables of a system), each level
     h >= 1 over the canonical reduced basis of A^(h).  jet_basis and
-    jet_coordinates are the one place that convention lives.
+    jet_coordinates are the one place that convention lives; the
+    coordinates of every level are read off the pivots of A^(h)
+    (Subspace.coordinates).
 
     integer_basis(h) is the integer rows of A^(h) (Subspace.integer_rows)
     laid out as the flattened generators of view_at_level(h); the
@@ -138,11 +133,11 @@ class Tableau:
     (_view_positions, over bases.sym_raise).
 
     Every value derived from the tableau, other than the levels, is kept
-    in one write-once memo (see memo), keyed by the name of the function
-    that builds it and its arguments: generator_coordinates,
-    integer_basis per level, contraction per (h, i), characters per
-    (level, seed), spencer's jet Gram matrices per level and its
-    differential ranks and harmonic splits per (q, p).  No memoised
+    in one write-once memo (see memo), keyed by the name of what it is
+    and its arguments: the generator_inverse that jet_coordinates reads
+    at level 0, integer_basis per level, contraction per (h, i),
+    characters per (level, seed), spencer's jet Gram matrices per level
+    and its differential ranks and harmonic splits per (q, p).  No memoised
     value refers back to the tableau, so a tableau is freed by reference
     counting.
     """
@@ -246,20 +241,6 @@ class Tableau:
             return self._gen_vectors
         return self.level(h).basis
 
-    def generator_coordinates(self):
-        """The flattened generators as a ColumnCoordinates, built once.
-
-        Its rows are the pivots of the canonical span A^(0); the
-        generators restricted there are invertible because they span it.
-        """
-        def build():
-            pivots = self._levels[0].pivots
-            gens = Matrix.from_columns(self._gen_vectors, nrows=self.a_dim * self.b_dim)
-            inverse = Matrix([gens.rows[i] for i in pivots], ncols=self.dim).inverse()
-            return ColumnCoordinates(gens, pivots, inverse)
-
-        return self.memo(("generator_coordinates",), build)
-
     def integer_basis(self, h=0):
         """An integer basis of A^(h) in the layout of the flattened
         generators of view_at_level(h), built once per level.
@@ -279,15 +260,26 @@ class Tableau:
         return self.memo(("integer_basis", h), build)
 
     def jet_coordinates(self, h, v):
-        """Coordinates of v over jet_basis(h); NotInImage when v is outside."""
-        if h == 0:
-            try:
-                return self.generator_coordinates().of_vector(v)
-            except Inconsistent as exc:
-                raise NotInImage("vector does not lie in A^(0)") from exc
+        """Coordinates of v over jet_basis(h); NotInImage when v is outside.
+
+        c = level(h).coordinates(v) proves v in A^(h) and gives its
+        coordinates over the canonical basis.  At h = 0 the coordinates
+        over the generators are x = P^-1 c, where P[i][beta] = G_beta[p_i]
+        is the block of the flattened generators on the pivots p_i of
+        A^(0), invertible because they span A^(0); P^-1 is memoised as
+        "generator_inverse".  No product with the generators is needed:
+        P x = c says that sum_beta x_beta G_beta and v agree on the
+        pivots, both lie in A^(0), and projecting onto the pivots is
+        injective on A^(0), so they are equal.
+        """
         coords = self.level(h).coordinates(v)
         if coords is None:
             raise NotInImage("vector does not lie in A^(%d)" % h)
+        if h == 0:
+            inverse = self.memo(("generator_inverse",), lambda: Matrix(
+                [[g[p] for g in self._gen_vectors] for p in self._levels[0].pivots],
+                ncols=self.dim).inverse())
+            coords = inverse.matvec(coords)
         return coords
 
     def prolong(self):

@@ -8,14 +8,14 @@ one capped, shared monomial table.  fraction_mul, fraction_substitute
 and fraction_linear_combination are the poly kernels with a Fraction
 operation at every inner step, the references for the integer kernels
 behind Polynomial.mul, Polynomial.compose, PolyMap.compose and
-linear_combination.  The dense_ad_* routines give the
-adjoint matrices of a Lie algebra as dense Fraction rows (commutator
-coordinates by Matrix.solve), the oracle for the sparse structure
-constants of LieAlgebra.  dense_det and dense_definiteness are the
-Fraction Gaussian elimination and the minor-by-minor Sylvester test that
-liealg.definiteness replaced with one Bareiss elimination;
-bracket_into_per_pair is the pair-by-pair Subspace.contains check that
-one rank test replaced.  view_route_involutive_index is the involutive
+linear_combination; polymap_linear writes a matrix as a PolyMap.  The
+dense_ad_* routines give the adjoint matrices of a Lie algebra as dense
+Fraction rows (commutator coordinates by Matrix.solve), the oracle for
+the sparse structure constants of LieAlgebra.  dense_det and
+dense_definiteness are the Fraction Gaussian elimination and the
+minor-by-minor Sylvester test that liealg.definiteness replaced with
+one Bareiss elimination; bracket_into_per_pair is the pair-by-pair
+Subspace.contains check that one rank test replaced.  view_route_involutive_index is the involutive
 index search that builds the view tableau of every order and prolongs
 it, the oracle for the search on the prolongation tower.
 vote_characters is the five-flag vote alone, with no zero-level, witness
@@ -66,12 +66,11 @@ from involutive.linalg import (
     IntegerEchelon,
     Matrix,
     Subspace,
-    _kernel_of_rref,
     _solution_of_rref,
     clear_denominators,
     kernel,
 )
-from involutive.poly import Polynomial
+from involutive.poly import Polynomial, PolyMap
 from involutive.spencer import HarmonicSplit, SpencerCell, delta
 from involutive.tableau import (
     _FLAG_ATTEMPTS,
@@ -156,6 +155,19 @@ def compose_oracle(p, subs):
     return out
 
 
+def polymap_linear(matrix_rows, num_vars):
+    """The linear map with the given matrix, as a PolyMap."""
+    comps = []
+    for row in matrix_rows:
+        if len(row) != num_vars:
+            raise DimensionMismatch("matrix width != num_vars")
+        comps.append(
+            Polynomial(num_vars, {tuple(int(i == j) for j in range(num_vars)): Fraction(c)
+                                  for i, c in enumerate(row)})
+        )
+    return PolyMap(num_vars, comps)
+
+
 def _polynomial(num_vars, terms):
     """A Polynomial over terms, dropping the zero coefficients."""
     return Polynomial(num_vars, {e: c for e, c in terms.items() if c})
@@ -232,6 +244,21 @@ def solve_affine(m, rhs):
     rows, pivots = m._augmented_rref(rhs)
     return (_solution_of_rref(rows, pivots, m.ncols),
             _kernel_of_rref(rows, pivots, m.ncols))
+
+
+def _kernel_of_rref(rows, pivots, ncols):
+    """The canonical null-space basis of the first ncols columns of a
+    reduced row-echelon form whose pivots all lie among them."""
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for i, p in enumerate(pivots):
+            v[p] = -rows[i][f]
+        basis.append(v)
+    return basis
 
 
 def dense_ad_from_brackets(dim, brackets):

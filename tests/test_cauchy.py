@@ -7,7 +7,12 @@ from fractions import Fraction
 
 import pytest
 
-from dense_oracles import compose_oracle, section_polar_counts, solve_affine
+from dense_oracles import (
+    compose_oracle,
+    polymap_linear,
+    section_polar_counts,
+    solve_affine,
+)
 from involutive import cauchy
 from involutive.bases import sym_basis
 from involutive.cauchy import (
@@ -341,7 +346,7 @@ def corrupt(sol, alpha, bump):
         Polynomial(n, {tuple(int(k == i) for k in range(n)): 1, (0,) * n: -sol.x0[i]})
         for i in range(n)
     ]
-    adapted = PolyMap.linear(sol.nf.basis_a.rows, n).components
+    adapted = polymap_linear(sol.nf.basis_a.rows, n).components
     for maps, subs in ((sol.q_maps, back), (sol.u_maps, adapted)):
         comps = list(maps[0].components)
         comps[alpha] = comps[alpha].add(bump.compose(subs))
@@ -457,7 +462,7 @@ def test_adapted_series_is_the_translated_solution():
                 for i in range(n)
             ]
             translated = sol.q_maps[0].compose(shift)
-            adapted = sol.u_maps[0].compose(PolyMap.linear(a_inv.rows, n).components, degree)
+            adapted = sol.u_maps[0].compose(polymap_linear(a_inv.rows, n).components, degree)
             assert adapted == translated, (name, seed)
 
 

@@ -606,6 +606,22 @@ def test_seed_from_environment(wavemap_file, capsys, monkeypatch):
     assert report["seed"] == 7
 
 
+def test_non_integer_environment_seed_is_bad_input(wavemap_file, capsys, monkeypatch):
+    # a seed the environment cannot give is bad input (exit 2) with a
+    # report, not a traceback; a given --seed still ignores the variable
+    monkeypatch.setenv("ARTIFACT_SEED", "abc")
+    message = "ARTIFACT_SEED must be an integer, got 'abc'"
+    assert main(["tableau", wavemap_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: %s\n" % message
+    assert main(["tableau", wavemap_file, "--json"]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"] == message and report["seed"] is None
+    assert report["results"] == {} and report["certificates"] == []
+    assert main(["tableau", wavemap_file, "--seed", "3", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 3
+
+
 def test_zero_tableau_report(tmp_path, capsys):
     t = Tableau(2, 3, [])
     path = tmp_path / "zero.json"

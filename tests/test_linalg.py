@@ -5,10 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from dense_oracles import dense_kernel, dense_rref, solve_affine
+from dense_oracles import dense_kernel, dense_rref, dense_span, solve_affine
 from involutive.errors import DimensionMismatch, Inconsistent, InputError
 from involutive.linalg import (
-    ColumnCoordinates,
     IntegerEchelon,
     Matrix,
     Subspace,
@@ -241,30 +240,30 @@ def test_matvec_matches_dense_oracle():
         Matrix.zeros(2, 3).matvec([Fraction(0)] * 2)
 
 
-def test_column_coordinates_match_solve():
+def test_subspace_coordinates_match_solve():
+    # coordinates read off the pivots and proved by one product agree with
+    # Matrix.solve on the transposed basis: inside the span, outside it,
+    # and on plain int vectors, as the B^{0,2} membership check sends them
     rng = random.Random(2008)
-    found = 0
-    while found < 40:
-        k = rng.randint(0, 5)
-        m = sparse_rational_matrix(rng, rng.randint(k, 7), k)
-        if m.rank() < k:
-            continue
-        found += 1
-        coords = ColumnCoordinates(m)
-        inside = m.matvec([Fraction(rng.randint(-5, 5)) for _ in range(m.ncols)])
-        assert coords.of_vector(inside) == m.solve(inside)
-        outside = [Fraction(rng.randint(-5, 5)) for _ in range(m.nrows)]
-        try:
-            expected = m.solve(outside)
-        except Inconsistent:
-            with pytest.raises(Inconsistent):
-                coords.of_vector(outside)
-        else:
-            assert coords.of_vector(outside) == expected
-    with pytest.raises(Inconsistent):
-        ColumnCoordinates(Matrix([[1, 2], [2, 4], [0, 0]]))
+    for m in oracle_cases(rng, 120):
+        s = Subspace(m.ncols, m.rows)
+        basis_t = Matrix.from_columns(s.basis, nrows=m.ncols)
+        inside = m.transpose().matvec([Fraction(rng.randint(-5, 5)) for _ in range(m.nrows)])
+        outside = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(m.ncols)]
+        ints = [rng.randint(-5, 5) for _ in range(m.ncols)]
+        for v in (inside, outside, ints, *s.basis[:1]):
+            try:
+                expected = basis_t.solve(v)
+            except Inconsistent:
+                assert s.coordinates(v) is None and not s.contains(v)
+            else:
+                assert s.coordinates(v) == expected and s.contains(v)
+                assert all(type(x) is Fraction for x in s.coordinates(v))
+        assert s.coordinates(inside) is not None
     with pytest.raises(DimensionMismatch):
-        ColumnCoordinates(Matrix.identity(2)).of_vector([Fraction(1)])
+        Subspace(2, [[1, 0]]).coordinates([Fraction(1)])
+    with pytest.raises(InputError):
+        Subspace(2, [[1, 0]]).coordinates(["1/0", 0])
 
 
 def test_matmul_shape_mismatch_raises():
@@ -277,6 +276,25 @@ def test_matmul_shape_mismatch_raises():
 def test_inverse_singular_raises():
     with pytest.raises(Inconsistent):
         Matrix([[1, 2], [2, 4]]).inverse()
+
+
+def test_inverse_and_kernel_shapes():
+    # the integer routes behind Matrix.inverse and Matrix.kernel keep the
+    # degenerate shapes, the messages and the Fraction entries
+    assert Matrix.zeros(0, 0).inverse() == Matrix.zeros(0, 0)
+    for m in (Matrix.zeros(2, 3), Matrix.zeros(0, 2)):
+        with pytest.raises(DimensionMismatch, match="only square matrices can be inverted"):
+            m.inverse()
+    with pytest.raises(Inconsistent, match="matrix is singular"):
+        Matrix([["1/2", 1], [1, 2]]).inverse()
+    inv = Matrix([["1/2", 0], [3, "-2/3"]]).inverse()
+    assert inv.rows == [[2, 0], [9, Fraction(-3, 2)]]
+    assert all(type(x) is Fraction for row in inv.rows for x in row)
+    assert Matrix.zeros(0, 2).kernel() == [vec([1, 0]), vec([0, 1])]
+    assert Matrix.zeros(2, 0).kernel() == []
+    ker = Matrix([[2, 4, 0, 6], [0, 3, 1, 2]]).kernel()
+    assert ker == [vec(["2/3", "-1/3", 1, 0]), vec(["-5/3", "-2/3", 0, 1])]
+    assert all(type(x) is Fraction for v in ker for x in v)
 
 
 def test_coordinates_and_contains():
@@ -315,17 +333,20 @@ def test_frac_reads_strings_as_fraction_does(text):
 
 
 def test_subspace_integer_rows_clear_the_basis():
-    # from_echelon keeps the echelon's primitive rows; a Subspace built
-    # from generators clears its Fraction basis on the first read; both
-    # are the rows clear_denominators gives for the canonical basis
+    # a Subspace built from generators and one built from_echelon over the
+    # same rows cleared of denominators agree on basis, pivots and
+    # integer_rows, and the integer rows are the ones clear_denominators
+    # gives for the canonical basis
     for m in oracle_cases(random.Random(2011), 200):
         from_gens = Subspace(m.ncols, m.rows)
         echelon = IntegerEchelon(clear_denominators(row) for row in m.rows)
         from_ints = Subspace.from_echelon(m.ncols, echelon)
+        assert from_gens.basis == from_ints.basis == dense_span(m.rows, m.ncols)
+        assert from_gens.pivots == from_ints.pivots
         expected = [clear_denominators(v) for v in from_gens.basis]
         assert from_gens.integer_rows == expected == from_ints.integer_rows
-        assert from_gens.integer_rows is from_gens.integer_rows
         assert all(type(x) is int for row in expected for x in row)
+        assert all(type(x) is Fraction for row in from_gens.basis for x in row)
         assert all(row[p] > 0 for row, p in zip(expected, from_gens.pivots))
 
 

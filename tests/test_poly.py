@@ -16,6 +16,7 @@ from dense_oracles import (
     fraction_linear_combination,
     fraction_mul,
     fraction_substitute,
+    polymap_linear,
 )
 from involutive import poly
 from involutive.errors import DimensionMismatch, InputError
@@ -189,7 +190,7 @@ def test_truncate_and_lowest_degree():
 
 
 def test_polymap_linear_and_compose():
-    pm = PolyMap.linear([[1, 2], [0, 1]], 2)
+    pm = polymap_linear([[1, 2], [0, 1]], 2)
     assert pm.eval([3, 4]) == [Fraction(11), Fraction(4)]
     # composing the linear map with substitutions is evaluation of the rows
     subs = [Polynomial(1, {(1,): 1}), Polynomial(1, {(0,): 2})]
