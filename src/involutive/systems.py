@@ -66,6 +66,7 @@ from .linalg import (
     IntegerEchelon,
     Matrix,
     Subspace,
+    cleared,
     integer_columns,
 )
 from .poly import Polynomial, PolyMap, linear_combination
@@ -634,17 +635,24 @@ def build_gg0_system(cd):
     Hom(a, p), and Phi the p-projection of -[[A_i, F], [A_j, F]].
 
     The ordered basis of a must consist of regular elements; the
-    commutator values must project cleanly onto p.
+    commutator values must project cleanly onto p.  The bases of a and b
+    are cleared to integer rows over one denominator each, so that every
+    u = [A_i, B_beta] is one integer_bracket over a common scale, and
+    coordinates in p are read off its pivots (integer_coords_p).
     """
     cd.require_regular_basis()
     alg = cd.algebra
     n = cd.n
-    a_basis = cd.a_basis
-    b_basis = cd.b.basis
+    a_rows, a_den = cleared(Matrix(cd.a_basis, ncols=alg.dim))
+    b_rows, b_den = cleared(cd.b.basis_matrix())
+    scale = alg.den * a_den * b_den
+    # u[i][beta] = scale * [a_i, b_beta]
+    u = [[alg.integer_bracket(a, b) for b in b_rows] for a in a_rows]
     p_dim = cd.p.dim
     gens = []
-    for bv in b_basis:
-        cols = [cd.coords_p(alg.bracket(bv, av)) for av in a_basis]
+    for beta in range(len(b_rows)):
+        cols = [[Fraction(-c, scale) for c in cd.integer_coords_p(u[i][beta])]
+                for i in range(n)]
         gens.append(Matrix.from_columns(cols, nrows=p_dim))
     try:
         t = Tableau(n, p_dim, gens)
@@ -660,12 +668,9 @@ def build_gg0_system(cd):
             coeff = {}
             for beta in range(s):
                 for gamma in range(s):
-                    v = alg.bracket(
-                        alg.bracket(a_basis[i], b_basis[beta]),
-                        alg.bracket(a_basis[j], b_basis[gamma]),
-                    )
                     try:
-                        pc = cd.coords_p(v)
+                        pc = cd.integer_coords_p(
+                            alg.integer_bracket(u[i][beta], u[j][gamma]))
                     except NotInImage as exc:
                         raise BadDecomposition(
                             "[[a,b],[a,b]] does not take values in p"
@@ -674,12 +679,13 @@ def build_gg0_system(cd):
                     e[n + beta] += 1
                     e[n + gamma] += 1
                     key = tuple(e)
-                    cur = coeff.get(key, [Fraction(0)] * p_dim)
-                    coeff[key] = [x - y for x, y in zip(cur, pc)]
+                    cur = coeff.get(key)
+                    coeff[key] = pc if cur is None else [x + y for x, y in zip(cur, pc)]
             for a in range(p_dim):
-                terms = {exp: vec[a] for exp, vec in coeff.items() if vec[a]}
+                terms = {exp: -v[a] for exp, v in coeff.items() if v[a]}
                 if terms:
-                    phi[(a, i, j)] = Polynomial(nv, terms)
+                    phi[(a, i, j)] = Polynomial.from_numerators(
+                        nv, terms, alg.den * scale * scale)
     return System(t, phi)
 
 
@@ -696,36 +702,26 @@ def build_wavemap_system(algebra):
     m = algebra.dim
     r = 2 * m
     gens = []
-    for c in range(m):
-        g = [[Fraction(0)] * 2 for _ in range(r)]
-        g[m + c][0] = Fraction(1)
-        gens.append(Matrix(g, ncols=2))
-    for c in range(m):
-        g = [[Fraction(0)] * 2 for _ in range(r)]
-        g[c][1] = Fraction(1)
-        gens.append(Matrix(g, ncols=2))
+    for col, shift in ((0, m), (1, 0)):
+        for c in range(m):
+            g = [[0] * 2 for _ in range(r)]
+            g[shift + c][col] = 1
+            gens.append(Matrix(g, ncols=2))
     t = Tableau(2, r, gens)
     nv = 2 + r
-    bracket_polys = []
-    for c in range(m):
-        terms = {}
-        for d in range(m):
-            ed = [Fraction(0)] * m
-            ed[d] = Fraction(1)
-            for e in range(m):
-                ee = [Fraction(0)] * m
-                ee[e] = Fraction(1)
-                coeff = algebra.bracket(ed, ee)[c]
-                if coeff:
-                    exp = [0] * nv
-                    exp[2 + d] += 1
-                    exp[2 + m + e] += 1
-                    key = tuple(exp)
-                    terms[key] = terms.get(key, Fraction(0)) + coeff
-        bracket_polys.append(Polynomial(nv, terms))
+    units = [[int(i == j) for j in range(m)] for i in range(m)]
+    terms = [{} for _ in range(m)]
+    for d in range(m):
+        for e in range(m):
+            exp = [0] * nv
+            exp[2 + d] += 1
+            exp[2 + m + e] += 1
+            for c, x in enumerate(algebra.integer_bracket(units[d], units[e])):
+                if x:
+                    terms[c][tuple(exp)] = x
     phi = {}
     for c in range(m):
-        if not bracket_polys[c].is_zero():
-            phi[(c, 0, 1)] = bracket_polys[c]
-            phi[(m + c, 0, 1)] = bracket_polys[c]
+        if terms[c]:
+            phi[(c, 0, 1)] = phi[(m + c, 0, 1)] = Polynomial.from_numerators(
+                nv, terms[c], algebra.den)
     return System(t, phi)

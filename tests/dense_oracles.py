@@ -15,7 +15,13 @@ the sparse structure constants of LieAlgebra.  dense_det and
 dense_definiteness are the Fraction Gaussian elimination and the
 minor-by-minor Sylvester test that liealg.definiteness replaced with
 one Bareiss elimination; bracket_into_per_pair is the pair-by-pair
-Subspace.contains check that one rank test replaced.  view_route_involutive_index is the involutive
+Subspace.contains check that one rank test replaced.  FractionLieAlgebra,
+fraction_cartan, fraction_is_regular and fraction_gg0_system are the
+Fraction route of liealg and of build_gg0_system: Fraction structure
+constants, commutator coordinates by Subspace.coordinates, centralizers
+and Killing complements by Matrix.kernel (fraction_annihilated) and
+Gram matrices in Fractions (fraction_gram), the oracle for the integer
+numerators and integer rows of the Lie-algebra layer.  view_route_involutive_index is the involutive
 index search that builds the view tableau of every order and prolongs
 it, the oracle for the search on the prolongation tower.
 vote_characters is the five-flag vote alone, with no zero-level, witness
@@ -72,6 +78,7 @@ from involutive.linalg import (
 )
 from involutive.poly import Polynomial, PolyMap
 from involutive.spencer import HarmonicSplit, SpencerCell, delta
+from involutive.systems import System
 from involutive.tableau import (
     _FLAG_ATTEMPTS,
     _FLAG_BASE_BOUND,
@@ -366,6 +373,151 @@ def dense_definiteness(gram):
 def bracket_into_per_pair(alg, basis1, basis2, target):
     """[x, y] in target for every pair, one Subspace.contains each."""
     return all(target.contains(alg.bracket(x, y)) for x in basis1 for y in basis2)
+
+
+class FractionLieAlgebra:
+    """The Fraction route of LieAlgebra: the structure constants as one
+    sparse table {(i, j): {k: c}} of nonzero Fractions, read off matrices
+    through Subspace.coordinates and Matrix.inverse, the oracle for the
+    integer numerators of liealg.  Neither constructor checks Jacobi."""
+
+    def __init__(self, dim, brackets):
+        self.dim = dim
+        self.table = {}
+        for i, j, k, c in brackets:
+            c = Fraction(c)
+            if c:
+                self.table.setdefault((i, j), {})[k] = c
+                self.table.setdefault((j, i), {})[k] = -c
+
+    @classmethod
+    def from_matrices(cls, mats):
+        """The commutator coordinates over the canonical basis of the
+        flattened span, proved by Subspace.coordinates and written over the
+        given basis through the inverse of its block on the pivots; the
+        same InputError texts as LieAlgebra.from_matrices."""
+        mats = [m if isinstance(m, Matrix) else Matrix(m) for m in mats]
+        flat = [[x for row in m.rows for x in row] for m in mats]
+        span = Subspace(len(flat[0]), flat)
+        if span.dim != len(mats):
+            raise InputError("basis matrices are linearly dependent")
+        inverse = Matrix([[f[p] for f in flat] for p in span.pivots],
+                         ncols=len(mats)).inverse()
+        brackets = []
+        for i in range(len(mats)):
+            for j in range(i + 1, len(mats)):
+                comm = mats[i].matmul(mats[j]).sub(mats[j].matmul(mats[i]))
+                coords = span.coordinates([x for row in comm.rows for x in row])
+                if coords is None:
+                    raise InputError(
+                        "matrices are not closed under the commutator "
+                        "(failure at pair (%d, %d))" % (i, j)
+                    )
+                brackets += [(i, j, k, c) for k, c in enumerate(inverse.matvec(coords))]
+        return cls(len(mats), brackets)
+
+    def bracket(self, x, y):
+        out = [Fraction(0)] * self.dim
+        for i, xi in enumerate(x):
+            for j, yj in enumerate(y):
+                for k, v in self.table.get((i, j), {}).items():
+                    out[k] += Fraction(xi) * Fraction(yj) * v
+        return out
+
+    def killing_form(self):
+        d = self.dim
+        by_entry = {}
+        for (j, k), col in self.table.items():
+            for l, c in col.items():
+                by_entry.setdefault((k, l), []).append((j, c))
+        rows = [[Fraction(0)] * d for _ in range(d)]
+        for (i, l), col in self.table.items():
+            for k, c in col.items():
+                for j, c2 in by_entry.get((k, l), ()):
+                    rows[i][j] += c * c2
+        return Matrix(rows, ncols=d)
+
+    def to_json_dict(self):
+        entries = sorted((i, j, k, c) for (i, j), col in self.table.items()
+                         if i < j for k, c in col.items())
+        return {"dim": self.dim, "brackets": [[i, j, k, str(c)] for i, j, k, c in entries]}
+
+
+def fraction_annihilated(basis, of_basis, pairing, d):
+    """{X in span(basis) : pairing(X, v) = 0 for all v in of_basis} by
+    Matrix.kernel of the condition columns, recombined in Fractions."""
+    if not basis:
+        return Subspace(d, [])
+    cols = [[c for v in of_basis for c in pairing(x, v)] for x in basis]
+    gens = []
+    for cv in Matrix.from_columns(cols).kernel():
+        w = [Fraction(0)] * d
+        for c, x in zip(cv, basis):
+            w = [wi + c * xi for wi, xi in zip(w, x)]
+        gens.append(w)
+    return Subspace(d, gens)
+
+
+def fraction_gram(killing, basis):
+    """The Gram matrix of the Fraction basis under the Killing Matrix."""
+    rows = [[sum(a * b for a, b in zip(killing.matvec(x), y)) for y in basis]
+            for x in basis]
+    return Matrix(rows, ncols=len(basis))
+
+
+def fraction_cartan(alg, g0_basis, a_basis):
+    """The subspaces of a CartanDecomposition of the FractionLieAlgebra by
+    the Fraction route, unchecked: g0, m, a, b, g_a, p, the centralizer of
+    a in m, and the dense_definiteness of the Killing form on g0 and m."""
+    d = alg.dim
+    killing = alg.killing_form()
+
+    def killing_pairing(x, v):
+        return [sum(a * b for a, b in zip(x, killing.matvec(v)))]
+
+    g0, a = Subspace(d, g0_basis), Subspace(d, a_basis)
+    out = {"g0": g0, "a": a}
+    out["m"] = m = fraction_annihilated(Matrix.identity(d).rows, g0.basis, killing_pairing, d)
+    out["b"] = fraction_annihilated(m.basis, a.basis, killing_pairing, d)
+    out["g_a"] = fraction_annihilated(g0.basis, a.basis, alg.bracket, d)
+    out["p"] = fraction_annihilated(g0.basis, out["g_a"].basis, killing_pairing, d)
+    out["centralizer"] = fraction_annihilated(m.basis, a.basis, alg.bracket, d)
+    out["definiteness"] = [dense_definiteness(fraction_gram(killing, s.basis))
+                           for s in (g0, m)]
+    return out
+
+
+def fraction_is_regular(alg, spaces, a_elem):
+    """ad_A : b -> p injective, by Fraction p-coordinates and Matrix.rank."""
+    cols = [spaces["p"].coordinates(alg.bracket(a_elem, x)) for x in spaces["b"].basis]
+    return Matrix.from_columns(cols, nrows=spaces["p"].dim).rank() == len(cols)
+
+
+def fraction_gg0_system(alg, spaces, a_basis):
+    """build_gg0_system by the Fraction route: Fraction brackets and
+    p-coordinates from Subspace.coordinates."""
+    n, b_basis, p = len(a_basis), spaces["b"].basis, spaces["p"]
+    gens = [Matrix.from_columns([p.coordinates(alg.bracket(bv, av)) for av in a_basis],
+                                nrows=p.dim) for bv in b_basis]
+    t = Tableau(n, p.dim, gens)
+    nv = n + t.dim
+    phi = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            coeff = {}
+            for beta, bb in enumerate(b_basis):
+                for gamma, bg in enumerate(b_basis):
+                    v = alg.bracket(alg.bracket(a_basis[i], bb), alg.bracket(a_basis[j], bg))
+                    e = [0] * nv
+                    e[n + beta] += 1
+                    e[n + gamma] += 1
+                    cur = coeff.get(tuple(e), [Fraction(0)] * p.dim)
+                    coeff[tuple(e)] = [x - y for x, y in zip(cur, p.coordinates(v))]
+            for a in range(p.dim):
+                terms = {exp: c[a] for exp, c in coeff.items() if c[a]}
+                if terms:
+                    phi[(a, i, j)] = Polynomial(nv, terms)
+    return System(t, phi)
 
 
 def vote_characters(tab, seed=0, h=0):

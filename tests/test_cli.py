@@ -279,6 +279,22 @@ def test_examples_cover_all_fixtures(tmp_path):
         assert sys_.tableau.dim >= 1
 
 
+BUILTIN_DIGESTS = {
+    "gg0:sl3": "69c04418468de9a5c3890bf0b42ad0c1e73292a4aff9dfca47cb68063e1f09c5",
+    "gg0:sl2": "02d840cd568d1a9a90eb39ad92bb9e0e90e4c872ecc434cd040ffce226ab34c1",
+    "wavemap:su2": "18034a15cfc8c7b3159546500b6c135e2994102243607d6437913095e2193c2c",
+    "wavemap:abelian": "80c68d51343c0475e8131b2db9f00c4b7d7805736c348094db6051193b13beba",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_DIGESTS))
+def test_builtin_example_files_are_pinned(name, tmp_path):
+    # the sha256 of every file that `examples NAME --out FILE` writes
+    out = tmp_path / "example.json"
+    assert main(["examples", name, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == BUILTIN_DIGESTS[name]
+
+
 def test_tableau_command_json(wavemap_file, capsys):
     code = main(
         [

@@ -2,10 +2,12 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from dense_oracles import (
+    FractionLieAlgebra,
     bracket_into_per_pair,
     dense_ad_from_brackets,
     dense_ad_from_matrices,
@@ -13,16 +15,22 @@ from dense_oracles import (
     dense_det,
     dense_jacobi_holds,
     dense_killing,
+    fraction_cartan,
+    fraction_gg0_system,
+    fraction_gram,
+    fraction_is_regular,
 )
 from involutive.errors import (
     BadDecomposition,
     InputError,
     JacobiViolation,
+    NotInImage,
     NotRegular,
 )
 from involutive.liealg import (
     CartanDecomposition,
     _bracket_into,
+    _gram,
     LieAlgebra,
     abelian_algebra,
     definiteness,
@@ -33,6 +41,7 @@ from involutive.liealg import (
     su2_algebra,
 )
 from involutive.linalg import Matrix, Subspace
+from involutive.systems import build_gg0_system
 
 
 def test_det_examples():
@@ -203,11 +212,14 @@ def test_sl3_decomposition_dimensions():
 
 
 def test_sl3_definiteness():
+    # the Gram matrices on integer rows under den^2 K, and the Fraction
+    # Gram matrices on the canonical bases, have the same verdicts
     cd = sl3_decomposition()
-    from involutive.liealg import _gram
-
-    assert definiteness(_gram(cd.killing, cd.g0.basis)) == "negative"
-    assert definiteness(_gram(cd.killing, cd.m.basis)) == "positive"
+    killing = cd.algebra._killing_numerators()
+    for space, verdict in ((cd.g0, "negative"), (cd.m, "positive")):
+        rows = space.integer_rows
+        assert definiteness(_gram(killing, rows, rows)) == verdict
+        assert definiteness(fraction_gram(cd.algebra.killing_form(), space.basis)) == verdict
 
 
 def test_sl3_regular_basis():
@@ -365,8 +377,8 @@ def test_from_matrices_rejects_dependent_basis():
 def test_corrupted_table_raises_jacobi_violation():
     # [e0, e1] = e2 + e0 in su(2): the cyclic sum on (0, 1, 2) is e1
     g = su2_algebra()
-    g._table[0, 1] = {2: Fraction(1), 0: Fraction(1)}
-    g._table[1, 0] = {2: Fraction(-1), 0: Fraction(-1)}
+    g._table[0, 1] = {2: 1, 0: 1}
+    g._table[1, 0] = {2: -1, 0: -1}
     with pytest.raises(JacobiViolation):
         g._check_jacobi()
     # one constant of sl(3) changed at a time: the sparse check rejects
@@ -392,3 +404,111 @@ def test_corrupted_table_raises_jacobi_violation():
             with pytest.raises(JacobiViolation):
                 LieAlgebra.from_json_dict(data)
     assert violations >= 6
+
+
+@pytest.mark.parametrize("data", [
+    {"dim": 3.7, "brackets": []},
+    {"dim": True, "brackets": []},
+    {"dim": "3", "brackets": []},
+    {"dim": 3, "brackets": [[0.9, 1, 2, "1"]]},
+    {"dim": 3, "brackets": [[0, True, 2, "1"]]},
+])
+def test_json_takes_dimension_and_indices_only_as_integers(data):
+    with pytest.raises(InputError, match="must be an integer|must be integers"):
+        LieAlgebra.from_json_dict(data)
+
+
+SL2_G0, SL2_A = [[0, 1, -1]], [[1, 0, 0]]
+SL3_G0 = [[1, 0, 0, -1, 0, 0, 0, 0], [0, 1, 0, 0, -1, 0, 0, 0], [0, 0, 1, 0, 0, -1, 0, 0]]
+SL3_A = [[0, 0, 0, 0, 0, 0, 1, 1], [0, 0, 0, 0, 0, 0, 0, 1]]
+
+
+def rescaled_decompositions(rng, count):
+    """sl(2) and sl(3) on the bases s_k M_k, with nonzero rational s_k,
+    and the same g0 and a written in the rescaled coordinates v_k / s_k."""
+    out = []
+    for t in range(count):
+        mats, g0, a = ((sl2_matrices(), SL2_G0, SL2_A) if t % 2 else
+                       (sl3_matrices(), SL3_G0, SL3_A))
+        scales = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 6), rng.randint(1, 6))
+                  for _ in mats]
+        out.append(([m * s for m, s in zip(mats, scales)],
+                    [[Fraction(x) / s for x, s in zip(v, scales)] for v in g0],
+                    [[Fraction(x) / s for x, s in zip(v, scales)] for v in a]))
+    return out
+
+
+def test_integer_route_matches_fraction_route():
+    # structure constants, Killing form, every canonical basis, regularity
+    # and the gg0 system agree bit for bit with the Fraction route
+    rng = random.Random(3203)
+    cases = [(sl2_matrices(), SL2_G0, SL2_A), (sl3_matrices(), SL3_G0, SL3_A)]
+    cases += rescaled_decompositions(rng, 30)
+    fractional = regular = singular = outside = 0
+    for mats, g0, a in cases:
+        alg = LieAlgebra.from_matrices(mats)
+        oracle = FractionLieAlgebra.from_matrices(mats)
+        assert alg.to_json_dict() == oracle.to_json_dict()
+        assert alg.killing_form() == oracle.killing_form()
+        assert alg.den == lcm(*(c.denominator for col in oracle.table.values()
+                                for c in col.values()))
+        fractional += alg.den > 1
+        cd = CartanDecomposition(alg, g0, a)
+        spaces = fraction_cartan(oracle, g0, a)
+        for name in ("g0", "m", "a", "b", "g_a", "p"):
+            space = getattr(cd, name)
+            assert space == spaces[name]
+            assert space.pivots == spaces[name].pivots
+            assert space.integer_rows == spaces[name].integer_rows
+        assert spaces["centralizer"] == cd.a
+        assert spaces["definiteness"] == ["negative", "positive"]
+        for _ in range(4):
+            c = [rng.randint(-2, 2) for _ in a]
+            elem = [sum(ci * Fraction(v[k]) for ci, v in zip(c, a)) for k in range(alg.dim)]
+            verdict = cd.is_regular(elem)
+            assert verdict == fraction_is_regular(oracle, spaces, elem)
+            regular += verdict
+            singular += not verdict
+        assert (build_gg0_system(cd).to_json_dict()
+                == fraction_gg0_system(oracle, spaces, cd.a_basis).to_json_dict())
+        # integer p-coordinates: inside p as Subspace.coordinates, outside refused
+        for x in cd.p.integer_rows + [[rng.randint(-2, 2) for _ in range(alg.dim)]]:
+            v = [sum(3 * y for y in col) for col in zip(x, *cd.p.integer_rows)]
+            for w in (v, [c + (k == rng.randrange(alg.dim)) for k, c in enumerate(v)]):
+                expected = cd.p.coordinates(w)
+                if expected is None:
+                    outside += 1
+                    with pytest.raises(NotInImage):
+                        cd.integer_coords_p(w)
+                else:
+                    assert cd.integer_coords_p(w) == expected
+    assert fractional >= 20 and regular >= 20 and singular >= 20 and outside >= 60
+    for alg, brackets in ((su2_algebra(), SU2_BRACKETS), (abelian_algebra(2), [])):
+        oracle = FractionLieAlgebra(alg.dim, brackets)
+        assert alg.to_json_dict() == oracle.to_json_dict()
+        assert alg.killing_form() == oracle.killing_form()
+
+
+def test_negative_cases_keep_type_and_text():
+    h, e, f = sl2_matrices()
+    sl3 = LieAlgebra.from_matrices(sl3_matrices())
+    sl2 = LieAlgebra.from_matrices(sl2_matrices())
+    bad = [
+        ([h, e, f, e.add(f)], InputError, "basis matrices are linearly dependent"),
+        ([sl3_matrices()[0], sl3_matrices()[2]], InputError,
+         "matrices are not closed under the commutator (failure at pair (0, 1))"),
+    ]
+    for mats, kind, text in bad:
+        for route in (LieAlgebra.from_matrices, FractionLieAlgebra.from_matrices):
+            with pytest.raises(kind) as info:
+                route(mats)
+            assert str(info.value) == text
+    with pytest.raises(BadDecomposition, match=r"^a is not maximal abelian in m$"):
+        CartanDecomposition(sl3, SL3_G0, SL3_A[:1])
+    # g0 = span(H): the Killing form is positive there
+    with pytest.raises(BadDecomposition,
+                       match=r"^Killing form is not negative definite on g0$"):
+        CartanDecomposition(sl2, [[1, 0, 0]], [[0, 1, 1]])
+    with pytest.raises(JacobiViolation,
+                       match=r"^Jacobi identity fails on basis triple \(0, 1, 2\)$"):
+        LieAlgebra(3, [(0, 1, 2, 1), (1, 2, 1, 1)])

@@ -9,6 +9,10 @@ dense oracles this needs no second implementation, so it checks the
 answers themselves: the canonical bases, the pivot-read coordinates of
 the contractions and the inverses behind them all change with the
 coordinates, and the invariants must not.
+
+The same holds for a matrix Lie algebra: conjugating every basis matrix
+by P keeps every commutator's coordinates, so the structure constants
+must not change, while the pivots of the flattened span do.
 """
 
 from __future__ import annotations
@@ -16,7 +20,8 @@ from __future__ import annotations
 import random
 
 from involutive.errors import CapExceeded, InputError
-from involutive.linalg import Matrix
+from involutive.liealg import LieAlgebra, sl2_matrices, sl3_matrices
+from involutive.linalg import Matrix, Subspace
 from involutive.spencer import cohomology_dim
 from involutive.tableau import Tableau, cartan_test, involutive_index
 
@@ -78,3 +83,28 @@ def test_tableau_invariants_under_change_of_coordinates():
         assert p.matmul(p_inv) == Matrix.identity(t.a_dim)
         image = Tableau(t.a_dim, t.b_dim, [q.matmul(g).matmul(p_inv) for g in t.generators])
         assert invariants(image) == invariants(t), t.to_json_dict()
+
+
+def test_lie_algebra_under_conjugation():
+    # sl(2) and sl(3) span conjugation-invariant subspaces, so their pivots
+    # stay and the basis block on them changes; the upper triangular
+    # matrices of gl(3) move their span, and so the pivots too
+    rng = random.Random(2032)
+    borel = [Matrix([[int((r, c) == cell) for c in range(3)] for r in range(3)])
+             for cell in [(r, c) for r in range(3) for c in range(r, 3)]]
+    blocks = moved = 0
+    for mats in (sl2_matrices(), sl3_matrices(), borel):
+        sz = mats[0].nrows
+        want = LieAlgebra.from_matrices(mats).to_json_dict()
+        span = Subspace(sz * sz, [sum(m.rows, []) for m in mats])
+        block = [[sum(m.rows, [])[p] for m in mats] for p in span.pivots]
+        for _ in range(15):
+            p = unimodular(rng, sz)
+            p_inv = p.inverse()
+            assert all(x.denominator == 1 for row in p_inv.rows for x in row)
+            image = [p.matmul(m).matmul(p_inv) for m in mats]
+            assert LieAlgebra.from_matrices(image).to_json_dict() == want
+            pivots = Subspace(sz * sz, [sum(m.rows, []) for m in image]).pivots
+            moved += pivots != span.pivots
+            blocks += [[sum(m.rows, [])[p] for m in image] for p in pivots] != block
+    assert blocks >= 40 and moved >= 10

@@ -161,7 +161,7 @@ def test_gg0_sl3_phi_matches_bracket_oracle():
         v = alg.bracket(
             alg.bracket(cd.a_basis[0], f), alg.bracket(cd.a_basis[1], f)
         )
-        expected = [-x for x in cd.coords_p(v)]
+        expected = [-x for x in cd.p.coordinates(v)]
         point = [Fraction(0), Fraction(0)] + q
         for a in range(3):
             assert sys.phi_component(a, 0, 1).eval(point) == expected[a]
