@@ -12,11 +12,11 @@ Subcommands:
 Every command accepts --json for a machine-readable report carrying the
 same numbers as the human output, a --seed (falling back to the
 ARTIFACT_SEED environment variable, then 0; a non-integer ARTIFACT_SEED
-is bad input), and resource caps
-(--max-dim, --max-degree) that fail loudly with exit code 3.  The seed
-is the only setting of the random flags that certify Cartan
-characters; a failed certification (exit 1) may pass under another
-seed.
+is bad input), and resource caps (--max-dim, --max-degree) that fail
+loudly with exit code 3; a cap below its least value (--max-dim < 1,
+--max-degree < 0) is bad input.  The seed is the only setting of the
+random flags that certify Cartan characters; a failed certification
+(exit 1) may pass under another seed.
 
 Exit codes: 0 all requested checks passed, 1 a check failed, 2 bad
 input, 3 resource cap exceeded.  `tableau` is a report, not a check: it
@@ -346,6 +346,8 @@ def cmd_cauchy(args):
         raise InputError("--verify needs --degree >= 1")
     if args.degree < 0:
         raise InputError("truncation degree must be >= 0, got %d" % args.degree)
+    if args.max_degree < 0:
+        raise InputError("--max-degree must be >= 0, got %d" % args.max_degree)
     if args.degree > args.max_degree:
         raise CapExceeded(
             "degree %d exceeds the cap %d (raise --max-degree to override)"
@@ -535,6 +537,8 @@ def main(argv=None):
     try:
         if args.seed is None:
             args.seed = _environment_seed()
+        if args.max_dim < 1:
+            raise InputError("--max-dim must be >= 1, got %d" % args.max_dim)
         passed, results, certificates = args.func(args)
         code = 0 if passed else 1
         error = None

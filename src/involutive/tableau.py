@@ -680,46 +680,41 @@ def cartan_test(tab, seed=0, h=0):
 def involutive_index(tab, h_max, seed=0):
     """Least order k <= h_max at which A^(k) passes the Cartan test.
 
-    Order h runs cartan_test(tab, h=h) on the tower, order 0 with the
-    caller's seed so that a Cartan test the caller ran is reused: the
-    characters come off integer_basis(h) and the bound is checked against
-    dim A^(h+1), so the search needs A^(h_max + 1), ambient dimension
-    b_dim * |S^(h_max + 2)|, within the tableau's max_dim.  An involutive
-    order is usually proved by one witness flag, a zero order by no flag,
-    and a non-involutive one by one flag at the rank bound or else by
-    the vote (see characters); every order h >= 1 draws its seed from
-    the search's own Random(seed) whichever way it is proved.  Every
-    further prolongation up to h_max is re-tested rather than assumed
-    involutive.  Raises CapExceeded with the observed trajectory when no
+    Orders h <= k run cartan_test(tab, h=h) on the tower: order 0 with
+    the caller's seed, so that a Cartan test the caller ran is reused,
+    and each order h >= 1 with a seed drawn from the search's own
+    Random(seed) (see cartan_test for the flags a test draws).  A
+    prolongation of an involutive tableau is involutive with characters
+    s'_j = s_j + ... + s_n, so each order above k is derived from the one
+    below, with no flag, and checked exactly: dim A^(h+1) must equal its
+    Cartan bound, else StructureViolation.  So the search needs
+    A^(h_max + 1), ambient b_dim * |S^(h_max + 2)|, within the tableau's
+    max_dim.  Raises CapExceeded with the observed trajectory when no
     order passes.
     """
     if h_max < 0:
         raise InputError("h_max must be >= 0, got %d" % h_max)
     rng = random.Random(seed)
     trajectory = []
-    k = None
-    k_chars = None
+    k = k_chars = None
     for h in range(h_max + 1):
-        drawn = rng.randrange(2**32)  # also at h = 0: orders >= 1 keep their flags
-        res = cartan_test(tab, seed=drawn if h else seed, h=h)
+        if k is None:
+            drawn = rng.randrange(2**32)  # also at h = 0: orders >= 1 keep their flags
+            res = cartan_test(tab, seed=drawn if h else seed, h=h)
+            s = res["characters"].s
+            if res["involutive"]:
+                k, k_chars = h, res["characters"]
+        else:
+            s = tuple(sum(s[j:]) for j in range(len(s)))
+            bound = sum(j * x for j, x in enumerate(s, 1))
+            if tab.dim_at(h + 1) != bound:
+                raise StructureViolation(
+                    "order %d: dim A^(%d) = %d, not the Cartan bound %d of the "
+                    "characters prolonged from order %d"
+                    % (h, h + 1, tab.dim_at(h + 1), bound, k))
         trajectory.append(
-            {
-                "h": h,
-                "dim": tab.dim_at(h),
-                "characters": res["characters"].s,
-                "involutive": res["involutive"],
-            }
+            {"h": h, "dim": tab.dim_at(h), "characters": s, "involutive": k is not None}
         )
-        if res["involutive"]:
-            if k is None:
-                k = h
-                k_chars = res["characters"]
-        elif k is not None:
-            raise UnstableGenericity(
-                "order %d failed the Cartan test although order %d passed; "
-                "sampled flags were not generic (trajectory: %r)"
-                % (h, k, trajectory)
-            )
     if k is None:
         raise CapExceeded(
             "no involutive prolongation up to order %d; trajectory: %r"

@@ -23,7 +23,8 @@ and Killing complements by Matrix.kernel (fraction_annihilated) and
 Gram matrices in Fractions (fraction_gram), the oracle for the integer
 numerators and integer rows of the Lie-algebra layer.  view_route_involutive_index is the involutive
 index search that builds the view tableau of every order and prolongs
-it, the oracle for the search on the prolongation tower.
+it, the oracle for the search on the prolongation tower, which tests
+the orders up to the index and derives those above it.
 vote_characters is the five-flag vote alone, with no zero-level, witness
 or rank-bound shortcut, the oracle for the certificates of
 tableau.characters.
@@ -545,8 +546,9 @@ def vote_characters(tab, seed=0, h=0):
 
 def view_route_involutive_index(tab, h_max, seed=0):
     """The involutive index with A^(h) built as view_at_level(h) and that
-    tableau tested (and prolonged) on its own, order by order; the same
-    seeds, trajectory and errors as tableau.involutive_index."""
+    tableau tested (and prolonged) on its own, order by order, above the
+    index too; the same trajectory as tableau.involutive_index, and its
+    seeds at every order h >= 1 (the search tests order 0 with seed)."""
     rng = random.Random(seed)
     trajectory = []
     k = None

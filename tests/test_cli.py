@@ -520,6 +520,10 @@ def test_negative_tower_order_is_exit_two(wavemap_file, capsys):
     (["cauchy", "--degree", "-1", "--verify"], "--verify needs --degree >= 1"),
     (["cauchy", "--degree", "0", "--verify"], "--verify needs --degree >= 1"),
     (["cauchy", "--degree", "-1"], "truncation degree must be >= 0, got -1"),
+    (["cauchy", "--max-degree", "-1"], "--max-degree must be >= 0, got -1"),
+    (["tableau", "--max-dim", "0"], "--max-dim must be >= 1, got 0"),
+    (["spencer", "--max-dim", "-1"], "--max-dim must be >= 1, got -1"),
+    (["cauchy", "--max-dim", "0"], "--max-dim must be >= 1, got 0"),
 ])
 def test_negative_orders_are_exit_two(argv, error, wavemap_file, data_file, capsys):
     files = [wavemap_file] + ([data_file] if argv[0] == "cauchy" else [])

@@ -662,8 +662,10 @@ def test_tower_route_matches_view_route():
 
 
 def test_involutive_index_matches_view_route():
+    # The oracle tests every order on its own view tableau; the search
+    # derives the orders above k from the characters at k.
     rng = random.Random(3111)
-    found = capped = 0
+    found = capped = derived = above_zero = 0
     for t in tower_pool(rng):
         seed = rng.randrange(2**32)
         for h_max in (0, 3):
@@ -677,7 +679,25 @@ def test_involutive_index_matches_view_route():
                 continue
             assert involutive_index(fresh, h_max, seed=seed) == expected
             found += 1
+            derived += h_max - expected["k"]
+            above_zero += expected["k"] >= 1
     assert found >= 30 and capped >= 3
+    assert derived >= 40 and above_zero >= 5
+
+
+def test_corrupt_level_above_the_index_is_a_structure_violation():
+    # full_tableau(2, 1) is involutive at k = 0 with dim A^(h) = h + 2.
+    # Order h >= 1 is derived and checked against dim A^(h+1), so a level
+    # A^(h+1) replaced by a smaller space is refused at order h, before
+    # any level above it is read.
+    assert involutive_index(full_tableau(2, 1), 3)["k"] == 0
+    for corrupt in (2, 3, 4):
+        t = full_tableau(2, 1)
+        level = t.level(corrupt)
+        t._levels[corrupt] = Subspace(level.ambient_dim, level.basis[1:])
+        with pytest.raises(StructureViolation, match="order %d: " % (corrupt - 1)):
+            involutive_index(t, 3)
+        assert memoised(t, "characters") == {(0, 0)}
 
 
 def test_characters_memo(monkeypatch):
@@ -723,10 +743,11 @@ def test_characters_memo(monkeypatch):
 
 def test_involutive_index_reuses_the_callers_order_zero_test(monkeypatch):
     # order 0 is tested with the caller's seed, so a Cartan test the caller
-    # already ran is not sampled again; only order 1 draws a new flag, and
-    # on this involutive tableau that one flag is a witness
-    t = full_tableau(2, 2)
-    first = cartan_test(t, seed=7)["characters"]
+    # already ran is not sampled again.  On the involutive full tableau no
+    # order draws a flag: the orders above k = 0 are derived.  On the
+    # tableau in Hom(Q^2, Q^3) with characters (2, 1) and dim A^(1) = 3,
+    # order 0 fails (its test took a vote) and only order 1 = k draws a
+    # flag, a witness.
     evaluated = []
     original = tableau_module.character_partial_sums
 
@@ -734,10 +755,19 @@ def test_involutive_index_reuses_the_callers_order_zero_test(monkeypatch):
         evaluated.append(h)
         return original(tab, flag, h)
 
-    monkeypatch.setattr(tableau_module, "character_partial_sums", counting)
-    out = involutive_index(t, 1, seed=7)
-    assert out["k"] == 0 and out["involutive_characters"] is first
-    assert evaluated == [1]
+    below = Tableau(2, 3, [[[0, 0], [1, 0], [0, 0]],
+                           [[1, 1], [0, -1], [0, -1]],
+                           [[0, 0], [0, -1], [0, 0]]])
+    for t, k, flags in ((full_tableau(2, 2), 0, []), (below, 1, [1])):
+        first = cartan_test(t, seed=7)["characters"]
+        monkeypatch.setattr(tableau_module, "character_partial_sums", counting)
+        out = involutive_index(t, 3, seed=7)
+        monkeypatch.setattr(tableau_module, "character_partial_sums", original)
+        assert out["k"] == k and out["trajectory"][0]["characters"] == first.s
+        assert (out["involutive_characters"] is first) == (k == 0)
+        assert evaluated == flags
+        assert max(h for h, _ in memoised(t, "characters")) == k
+        evaluated.clear()
 
 
 def test_failed_certification_is_not_memoised(monkeypatch):

@@ -57,12 +57,13 @@ class _Lib:
 
 def test_involutive_index_counts_flags_at_every_order():
     # tableau.flags_evaluated counts the character_partial_sums spans, so
-    # the index search must reach that entry point at every order h that
-    # draws flags, through cartan_test and characters, and not a private
-    # copy.  An involutive order is proved by its first flag alone (a
-    # witness), and so is an order whose first flag reaches the rank bound
-    # min(dim A, j dim b); a zero order draws no flag; any other order is
-    # voted in rounds of _FLAG_SAMPLES flags.
+    # the index search must reach that entry point at every order h <= k
+    # that draws flags, through cartan_test and characters, and not a
+    # private copy.  An involutive order is proved by its first flag alone
+    # (a witness), and so is an order whose first flag reaches the rank
+    # bound min(dim A, j dim b); a zero order draws no flag; any other
+    # order is voted in rounds of _FLAG_SAMPLES flags.  The orders above k
+    # are derived from the characters at k: no Cartan test, no flag.
     tracer = load_tracer()
     h_max = 3
     with fresh_involutive():
@@ -78,13 +79,13 @@ def test_involutive_index_counts_flags_at_every_order():
         # and dim A^(1) = 3 < 4, involutive from order 1 on
         cases = [
             (tab.Tableau(2, 2, [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]),
-             0, [1, 1, 1, 1]),
+             0, [1, 0, 0, 0]),
             (tab.Tableau(3, 3, [[[0, 2, -1], [2, 0, 0], [2, 0, 1]]]),
              1, [1, 0, 0, 0]),
             (tab.Tableau(2, 3, [[[0, 0], [1, 0], [0, 0]],
                                 [[1, 1], [0, -1], [0, -1]],
                                 [[0, 0], [0, -1], [0, 0]]]),
-             1, [votes, 1, 1, 1]),
+             1, [votes, 1, 0, 0]),
         ]
         indices = []
         for t, _, _ in cases:
@@ -100,13 +101,16 @@ def test_involutive_index_counts_flags_at_every_order():
             parent = spans[parent][3]
         return parent
 
-    tests = [i for i, span in enumerate(spans) if span[0] == "tableau.cartan_test"]
-    assert len(tests) == len(cases) * (h_max + 1)
-    per_order = {i: 0 for i in tests}
+    searches = [i for i, span in enumerate(spans)
+                if span[0] == "tableau.involutive_index"]
+    tests = {i: 0 for i, span in enumerate(spans) if span[0] == "tableau.cartan_test"}
     for i, span in enumerate(spans):
         if span[0] == "tableau.character_partial_sums":
             assert spans[span[3]][0] == "tableau.characters"
-            per_order[ancestor(i, "tableau.cartan_test")] += 1
-    counts = [per_order[i] for i in tests]
-    assert counts == [c for _, _, flags in cases for c in flags]
+            tests[ancestor(i, "tableau.cartan_test")] += 1
+    for search, (_, k, flags) in zip(searches, cases):
+        counts = [c for i, c in tests.items()
+                  if ancestor(i, "tableau.involutive_index") == search]
+        assert counts == flags[:k + 1] and not any(flags[k + 1:])
+    assert len(tests) == sum(k + 1 for _, k, _ in cases)
     assert not any(span[0] == "tableau.view_at_level" for span in spans)
