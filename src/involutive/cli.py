@@ -12,11 +12,11 @@ Subcommands:
 Every command accepts --json for a machine-readable report carrying the
 same numbers as the human output, a --seed (falling back to the
 ARTIFACT_SEED environment variable, then 0; a non-integer ARTIFACT_SEED
-is bad input), and resource caps (--max-dim, --max-degree) that fail
-loudly with exit code 3; a cap below its least value (--max-dim < 1,
---max-degree < 0) is bad input.  The seed is the only setting of the
-random flags that certify Cartan characters; a failed certification
-(exit 1) may pass under another seed.
+is bad input), and resource caps (--max-dim, --max-degree, --max-order)
+that fail loudly with exit code 3; a cap below its least value
+(--max-dim < 1, --max-degree < 0, --max-order < 0) is bad input.  The
+seed is the only setting of the random flags that certify Cartan
+characters; a failed certification (exit 1) may pass under another seed.
 
 Exit codes: 0 all requested checks passed, 1 a check failed, 2 bad
 input, 3 resource cap exceeded.  `tableau` is a report, not a check: it
@@ -139,6 +139,8 @@ def cmd_tableau(args):
     top = args.prolong if args.prolong is not None else 1
     if top < 0:
         raise InputError("--prolong must be >= 0, got %d" % top)
+    if args.max_order < 0:
+        raise InputError("--max-order must be >= 0, got %d" % args.max_order)
     results["prolongation_dims"] = [t.dim_at(h) for h in range(top + 1)]
     test = cartan_test(t, seed=seed)
     results["characters"] = list(test["characters"].s)
@@ -348,6 +350,8 @@ def cmd_cauchy(args):
         raise InputError("truncation degree must be >= 0, got %d" % args.degree)
     if args.max_degree < 0:
         raise InputError("--max-degree must be >= 0, got %d" % args.max_degree)
+    if args.max_order < 0:
+        raise InputError("--max-order must be >= 0, got %d" % args.max_order)
     if args.degree > args.max_degree:
         raise CapExceeded(
             "degree %d exceeds the cap %d (raise --max-degree to override)"

@@ -186,9 +186,7 @@ class JetVars:
         self.tableau = tableau
         self.top = top
         self.n = tableau.a_dim
-        self.dims = [tableau.dim] + [
-            tableau.level(s).dim for s in range(1, top + 1)
-        ]
+        self.dims = [tableau.dim_at(s) for s in range(top + 1)]
         self.offsets = []
         off = self.n
         for d in self.dims:

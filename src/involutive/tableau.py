@@ -126,7 +126,9 @@ class Tableau:
     character ranks at order h are taken over it with an IntegerEchelon.
     Prolongation runs over integers too: each step reads the integer rows
     of A^(h) and solves its symmetry constraints in an IntegerEchelon
-    (see _prolong_once).
+    (see _prolong_once).  dim_at(h) of a level not yet built takes only
+    the rank of those constraints, n dim A^(h-1) - rank, and builds no
+    basis of A^(h).
     contraction(h, i) is the map i(e_i): A^(h) -> A^(h-1) in jet
     coordinates (A^(-1) = b), shared by the tower and the Spencer
     differential; it and the view layout read the same position list
@@ -137,9 +139,11 @@ class Tableau:
     and its arguments: the generator_inverse that jet_coordinates reads
     at level 0, integer_basis per level, contraction per (h, i),
     characters per (level, seed), spencer's jet Gram matrices per level
-    and its differential ranks and harmonic splits per (q, p).  No memoised
-    value refers back to the tableau, so a tableau is freed by reference
-    counting.
+    and its differential ranks and harmonic splits per (q, p).  The one
+    entry that is not kept for good is the symmetry-constraint echelon
+    that dim_at stores under ("constraints", h-1): level(h) takes it out
+    of the memo and completes A^(h) from it.  No memoised value refers
+    back to the tableau, so a tableau is freed by reference counting.
     """
 
     def __init__(self, a_dim, b_dim, generators, max_dim=DEFAULT_MAX_DIM):
@@ -227,9 +231,10 @@ class Tableau:
         with self._lock:
             while len(self._levels) <= h:
                 prev_h = len(self._levels) - 1
+                # the lock is held, and memo() takes it: read _memo directly
                 nxt = _prolong_once(
                     self.a_dim, self.b_dim, self._levels[prev_h], prev_h,
-                    self.max_dim,
+                    self.max_dim, self._memo.pop(("constraints", prev_h), None),
                 )
                 self._levels.append(nxt)
         return self._levels[h]
@@ -287,7 +292,28 @@ class Tableau:
         return self.level(1)
 
     def dim_at(self, h):
-        return self.level(h).dim
+        """dim A^(h), without building A^(h) when it is not built yet.
+
+        A built level is read.  Otherwise A^(h-1) is built and dim A^(h) =
+        n dim A^(h-1) - rank of the symmetry constraints of the step (see
+        _prolong_once), so only the rank is taken.  The cap on the ambient
+        of A^(h) applies as in level(h), with the same CapExceeded, before
+        the zero-level shortcut.  The constraint echelon is memoised under
+        ("constraints", h-1) until level(h) completes A^(h) from it, so
+        nothing is eliminated twice.
+        """
+        if h < 0:
+            raise InputError("prolongation order must be >= 0, got %d" % h)
+        if h < len(self._levels):
+            return self._levels[h].dim
+        prev = self.level(h - 1)
+        _level_ambient(self.a_dim, self.b_dim, h, self.max_dim)
+        if prev.dim == 0:
+            return 0
+        echelon, _ = self.memo(
+            ("constraints", h - 1),
+            lambda: _symmetry_constraints(self.a_dim, self.b_dim, prev, h - 1))
+        return self.a_dim * prev.dim - len(echelon)
 
     def view_at_level(self, h):
         """A^(h) regarded as a tableau inside Hom(a, b (x) S^h(a*)).
@@ -361,45 +387,32 @@ def _view_positions(n, r, h):
     ]
 
 
-def _prolong_once(n, r, prev, prev_h, max_dim):
-    """One prolongation step: from A^(prev_h) to A^(prev_h + 1).
-
-    Solves the explicit symmetry-constraint system: writing the candidate
-    contractions as c_i = i(e_i) T = sum_beta q^beta_i T_beta over a
-    basis {T_beta} of the previous level, T exists exactly when
-
-        c_i[b, L + e_j] = c_j[b, L + e_i]
-
-    for all b, all L in S^{prev_h}(a*) and all i < j (both sides are the
-    coefficient of m_{L + e_i + e_j} in T).  The kernel of that system
-    maps bijectively onto A^(prev_h + 1): T[b, M] = c_i[b, J] for any one
-    (J, i) with J + e_i = M.  Both index maps are read off sym_raise.
-
-    Everything runs over the integers: T_beta is the integer row of
-    A^(prev_h), its canonical basis vector cleared of denominators
-    (rescaling T_beta only rescales the unknowns q^beta_i), which the
-    previous step kept from its echelon; the constraints are sparse integer
-    rows of an IntegerEchelon, whose integer kernel gives integer tensors,
-    and the level is the canonical span of those.
-    """
-    h1 = prev_h + 2  # symmetric degree of the next level
-    size_next = sym_basis(n, h1).size
-    size_prev = sym_basis(n, h1 - 1).size
-    ambient = r * size_next
+def _level_ambient(n, r, h, max_dim):
+    """The ambient dimension r * |S^{h+1}| of A^(h); CapExceeded when it
+    exceeds max_dim."""
+    ambient = r * sym_basis(n, h + 1).size
     if ambient > max_dim:
         raise CapExceeded(
             "prolongation ambient dimension %d exceeds cap %d" % (ambient, max_dim)
         )
+    return ambient
+
+
+def _symmetry_constraints(n, r, prev, prev_h):
+    """The symmetry-constraint system of one prolongation step from a
+    nonzero A^(prev_h) (see _prolong_once), as (echelon, entries).
+
+    entries lists, for each column (b, J) of the previous level, the
+    nonzero (beta, T_beta[b, J]) over its integer rows; the unknown
+    q^beta_i is column i * d + beta of the IntegerEchelon.
+    """
+    size_prev = sym_basis(n, prev_h + 1).size
     d = prev.dim
-    if d == 0:
-        return Subspace(ambient, [])
     basis = prev.integer_rows
-    # column (b, J) of the previous level -> its nonzero (beta, T_beta[b, J])
     entries = [
         [(beta, x) for beta, v in enumerate(basis) if (x := v[pos])]
         for pos in range(r * size_prev)
     ]
-    unknowns = n * d  # q index: i * d + beta
     echelon = IntegerEchelon()
     for b in range(r):
         off = b * size_prev
@@ -411,12 +424,52 @@ def _prolong_once(n, r, prev, prev_h, max_dim):
                     for beta, x in at_i:
                         row[j * d + beta] = -x
                     echelon.add(row)
+    return echelon, entries
+
+
+def _prolong_once(n, r, prev, prev_h, max_dim, constraints=None):
+    """One prolongation step: from A^(prev_h) to A^(prev_h + 1).
+
+    Solves the explicit symmetry-constraint system: writing the candidate
+    contractions as c_i = i(e_i) T = sum_beta q^beta_i T_beta over a
+    basis {T_beta} of the previous level, T exists exactly when
+
+        c_i[b, L + e_j] = c_j[b, L + e_i]
+
+    for all b, all L in S^{prev_h}(a*) and all i < j (both sides are the
+    coefficient of m_{L + e_i + e_j} in T).  The kernel of that system
+    maps bijectively onto A^(prev_h + 1): T[b, M] = c_i[b, J] for any one
+    (J, i) with J + e_i = M.  Both index maps are read off sym_raise.  So
+    dim A^(prev_h + 1) = n d - rank for d = dim A^(prev_h), which is how
+    Tableau.dim_at counts a level without building it.
+
+    The step has two parts: _symmetry_constraints eliminates the system,
+    and the level is completed from its kernel.  constraints is that
+    system when the caller already holds it (as dim_at leaves it),
+    otherwise it is built here.  The cap on the ambient of the new level
+    is tested first, before the zero-level shortcut.
+
+    Everything runs over the integers: T_beta is the integer row of
+    A^(prev_h), its canonical basis vector cleared of denominators
+    (rescaling T_beta only rescales the unknowns q^beta_i), which the
+    previous step kept from its echelon; the constraints are sparse integer
+    rows of an IntegerEchelon, whose integer kernel gives integer tensors,
+    and the level is the canonical span of those.
+    """
+    ambient = _level_ambient(n, r, prev_h + 1, max_dim)
+    d = prev.dim
+    if d == 0:
+        return Subspace(ambient, [])
+    echelon, entries = constraints or _symmetry_constraints(n, r, prev, prev_h)
+    h1 = prev_h + 2  # symmetric degree of the next level
+    size_next = sym_basis(n, h1).size
+    size_prev = sym_basis(n, h1 - 1).size
     back = {}  # M -> one (J, i) with J + e_i = M
     for red, up in enumerate(sym_raise(n, h1 - 1)):
         for i, m_idx in enumerate(up):
             back.setdefault(m_idx, (red, i))
     out = IntegerEchelon()
-    for q in echelon.kernel(unknowns):
+    for q in echelon.kernel(n * d):  # q index: i * d + beta
         t = {}
         for b in range(r):
             off_next = b * size_next
@@ -647,9 +700,11 @@ def cartan_test(tab, seed=0, h=0):
     Returns {"involutive", "bound", "dim_A1", "characters"} where bound is
     s_1 + 2 s_2 + ... + n s_n of the characters of A^(h) and dim_A1 is
     the dimension of its first prolongation, which is A^(h+1) of the
-    tower: (A^(h))^(1) = A^(h+1).  So only A^(h+1) has to fit in the
-    tableau's max_dim (CapExceeded otherwise), and no view tableau is
-    built or prolonged.
+    tower: (A^(h))^(1) = A^(h+1).  Only that dimension is read, through
+    tab.dim_at, which takes the rank of the symmetry constraints on A^(h)
+    and builds no basis of A^(h+1) unless it is built already.  The
+    ambient of A^(h+1) must still fit the tableau's max_dim (CapExceeded
+    otherwise), and no view tableau is built or prolonged.
     The inequality dim_A1 <= bound holds for every flag F: sigma_j(F) <=
     sigma_j(generic) and sigma_n(F) = dim A, so bound(F) >= bound(generic)
     >= dim A^(1).  A violation is an internal inconsistency: it raises
@@ -687,10 +742,11 @@ def involutive_index(tab, h_max, seed=0):
     prolongation of an involutive tableau is involutive with characters
     s'_j = s_j + ... + s_n, so each order above k is derived from the one
     below, with no flag, and checked exactly: dim A^(h+1) must equal its
-    Cartan bound, else StructureViolation.  So the search needs
-    A^(h_max + 1), ambient b_dim * |S^(h_max + 2)|, within the tableau's
-    max_dim.  Raises CapExceeded with the observed trajectory when no
-    order passes.
+    Cartan bound, else StructureViolation.  Every dim A^(h+1) is read
+    through tab.dim_at, so A^(h_max + 1) is counted by the rank of its
+    symmetry constraints and its basis is not built; its ambient, b_dim *
+    |S^(h_max + 2)|, must still fit the tableau's max_dim.  Raises
+    CapExceeded with the observed trajectory when no order passes.
     """
     if h_max < 0:
         raise InputError("h_max must be >= 0, got %d" % h_max)

@@ -524,6 +524,10 @@ def test_negative_tower_order_is_exit_two(wavemap_file, capsys):
     (["tableau", "--max-dim", "0"], "--max-dim must be >= 1, got 0"),
     (["spencer", "--max-dim", "-1"], "--max-dim must be >= 1, got -1"),
     (["cauchy", "--max-dim", "0"], "--max-dim must be >= 1, got 0"),
+    (["tableau", "--max-order", "-1"], "--max-order must be >= 0, got -1"),
+    (["tableau", "--max-order", "-1", "--involutive-index"],
+     "--max-order must be >= 0, got -1"),
+    (["cauchy", "--max-order", "-1"], "--max-order must be >= 0, got -1"),
 ])
 def test_negative_orders_are_exit_two(argv, error, wavemap_file, data_file, capsys):
     files = [wavemap_file] + ([data_file] if argv[0] == "cauchy" else [])

@@ -391,10 +391,28 @@ def test_prolongation_cache_concurrent():
     with ThreadPoolExecutor(max_workers=8) as ex:
         results = list(ex.map(lambda _: t.level(2), range(16)))
     assert all(r is results[0] for r in results)
+    # counting and building race on the kept constraint echelons
+    expected = [full_tableau(2, 3).level(h) for h in range(5)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        t = full_tableau(2, 3)
+        calls = [(h, read) for h in range(1, 5) for read in ("dim", "level")] * 2
+        with ThreadPoolExecutor(max_workers=8) as ex:
+            got = list(ex.map(lambda c: t.dim_at(c[0]) if c[1] == "dim"
+                              else t.level(c[0]), calls, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for (h, read), value in zip(calls, got):
+        if read == "dim":
+            assert value == expected[h].dim
+        else:
+            assert value is t.level(h) and value.basis == expected[h].basis
 
 
 MEMOISED = ("generator_inverse", "integer_basis", "contraction",
-            "characters", "delta_rank", "harmonic_split", "jet_gram")
+            "characters", "delta_rank", "harmonic_split", "jet_gram",
+            "constraints")
 
 
 def test_tableau_with_every_memo_is_freed_by_refcount():
@@ -406,6 +424,7 @@ def test_tableau_with_every_memo_is_freed_by_refcount():
     assert verify_structure_equations(sys_, tower)["all_passed"]
     cartan_test(t, seed=5)
     t.jet_coordinates(0, t.jet_basis(0)[0])
+    t.dim_at(len(t._levels))
     assert all(memoised(t, name) for name in MEMOISED)
     assert len(t._levels) >= 3
     ref = weakref.ref(t)
@@ -533,6 +552,8 @@ def test_json_round_trip():
 def test_character_errors():
     with pytest.raises(InputError):
         full_tableau(2, 1).level(-1)
+    with pytest.raises(InputError, match="order must be >= 0, got -1"):
+        full_tableau(2, 1).dim_at(-1)
 
 
 def test_character_partial_sums_shape():
@@ -698,6 +719,71 @@ def test_corrupt_level_above_the_index_is_a_structure_violation():
         with pytest.raises(StructureViolation, match="order %d: " % (corrupt - 1)):
             involutive_index(t, 3)
         assert memoised(t, "characters") == {(0, 0)}
+
+
+def test_dim_at_counts_an_unbuilt_level_by_rank():
+    # dim A^(h) = n dim A^(h-1) - rank of the symmetry constraints, with
+    # A^(h) left unbuilt; the dual route agrees where it is cheap.
+    rng = random.Random(3112)
+    for t in tower_pool(rng):
+        blob = t.to_json_dict()
+        for h in range(5):
+            counted = Tableau.from_json_dict(blob)
+            dim = counted.dim_at(h)
+            assert len(counted._levels) == max(h, 1)
+            built = Tableau.from_json_dict(blob)
+            assert dim == built.level(h).dim, (blob, h)
+            if 1 <= h <= 2:
+                assert dim == prolong_via_intersection(built, h).dim
+
+
+def test_level_after_dim_at_completes_from_the_kept_constraints(monkeypatch):
+    # level(h) after dim_at(h) takes the constraint echelon out of the
+    # memo instead of eliminating again, and builds the same Subspace,
+    # bit for bit, as level(h) on a fresh tableau.
+    eliminated = []
+    original = tableau_module._symmetry_constraints
+
+    def counting(n, r, prev, prev_h):
+        eliminated.append(prev_h)
+        return original(n, r, prev, prev_h)
+
+    monkeypatch.setattr(tableau_module, "_symmetry_constraints", counting)
+    rng = random.Random(3113)
+    for t in tower_pool(rng):
+        blob = t.to_json_dict()
+        for h in range(1, 5):
+            direct = Tableau.from_json_dict(blob).level(h)
+            counted = Tableau.from_json_dict(blob)
+            del eliminated[:]
+            counted.dim_at(h)
+            nonzero = [s for s in range(h) if counted.dim_at(s)]
+            assert memoised(counted, "constraints") == (
+                {(h - 1,)} if h - 1 in nonzero else set())
+            level = counted.level(h)
+            assert eliminated == nonzero
+            assert memoised(counted, "constraints") == set()
+            assert (level.basis, level.pivots, level.integer_rows) == \
+                (direct.basis, direct.pivots, direct.integer_rows)
+
+
+def test_dim_at_and_level_refuse_the_same_cap():
+    # The ambient of A^(h) in Hom(Q^3, Q^3) is 3 |S^(h+1)|: 45 at h = 3
+    # and 63 at h = 4.  The cap of A^(h) is tested before the zero-level
+    # shortcut, so the zero tableau and the skew tableau, whose levels
+    # above 0 are zero, are refused like the full one.
+    skew = [[[0, 1, 0], [-1, 0, 0], [0, 0, 0]]]
+    for gens in ([], skew, full_tableau(3, 3).generators):
+        for h, cap in ((3, 44), (4, 45), (4, 62)):
+            need = 3 * sym_basis(3, h + 1).size
+            error = "prolongation ambient dimension %d exceeds cap %d" % (need, cap)
+            with pytest.raises(CapExceeded) as counted:
+                Tableau(3, 3, gens, max_dim=cap).dim_at(h)
+            with pytest.raises(CapExceeded) as built:
+                Tableau(3, 3, gens, max_dim=cap).level(h)
+            assert str(counted.value) == str(built.value) == error
+            assert Tableau(3, 3, gens, max_dim=need).dim_at(h) == \
+                Tableau(3, 3, gens).level(h).dim
 
 
 def test_characters_memo(monkeypatch):
