@@ -116,6 +116,12 @@ def _load_system(args, path):
     return System.from_json_dict(blob, args.max_dim)
 
 
+def _at_least(flag, value, least):
+    """InputError when the value of flag is below its least value."""
+    if value < least:
+        raise InputError("%s must be >= %d, got %d" % (flag, least, value))
+
+
 def build_example(name):
     if name == "gg0:sl3":
         return build_gg0_system(sl3_decomposition())
@@ -137,10 +143,8 @@ def cmd_tableau(args):
     certificates = []
     passed = True
     top = args.prolong if args.prolong is not None else 1
-    if top < 0:
-        raise InputError("--prolong must be >= 0, got %d" % top)
-    if args.max_order < 0:
-        raise InputError("--max-order must be >= 0, got %d" % args.max_order)
+    _at_least("--prolong", top, 0)
+    _at_least("--max-order", args.max_order, 0)
     results["prolongation_dims"] = [t.dim_at(h) for h in range(top + 1)]
     test = cartan_test(t, seed=seed)
     results["characters"] = list(test["characters"].s)
@@ -203,10 +207,8 @@ def cmd_spencer(args):
     passed = True
     q_max = args.q_max
     p_max = args.p_max if args.p_max is not None else t.a_dim
-    if q_max < 1:
-        raise InputError("--q-max must be >= 1, got %d" % q_max)
-    if p_max < 0:
-        raise InputError("--p-max must be >= 0, got %d" % p_max)
+    _at_least("--q-max", q_max, 1)
+    _at_least("--p-max", p_max, 0)
     table = {}
     for q in range(1, q_max + 1):
         row = {}
@@ -348,10 +350,8 @@ def cmd_cauchy(args):
         raise InputError("--verify needs --degree >= 1")
     if args.degree < 0:
         raise InputError("truncation degree must be >= 0, got %d" % args.degree)
-    if args.max_degree < 0:
-        raise InputError("--max-degree must be >= 0, got %d" % args.max_degree)
-    if args.max_order < 0:
-        raise InputError("--max-order must be >= 0, got %d" % args.max_order)
+    _at_least("--max-degree", args.max_degree, 0)
+    _at_least("--max-order", args.max_order, 0)
     if args.degree > args.max_degree:
         raise CapExceeded(
             "degree %d exceeds the cap %d (raise --max-degree to override)"
@@ -541,8 +541,7 @@ def main(argv=None):
     try:
         if args.seed is None:
             args.seed = _environment_seed()
-        if args.max_dim < 1:
-            raise InputError("--max-dim must be >= 1, got %d" % args.max_dim)
+        _at_least("--max-dim", args.max_dim, 1)
         passed, results, certificates = args.func(args)
         code = 0 if passed else 1
         error = None

@@ -32,7 +32,8 @@ not depend on this choice; harmonic representatives and sigma do, so the
 choice is fixed here once.  The adjoint of a differential with matrix D
 between cells with Gram matrices G_src, G_dst is G_src^{-1} D^T G_dst,
 not the bare transpose, because the cell bases are not orthonormal;
-codifferential forms it.  A harmonic split needs only the spaces the
+codifferential forms it on integer rows, inverting only the jet Gram
+matrix of its source level.  A harmonic split needs only the spaces the
 adjoints cut out, and those are G-orthogonal complements inside its own
 cell: Ker delta*_in = kernel(D_in^T G) and B_{q,p} = kernel(K^T G) for
 a basis K of Ker delta_out, and H^{q,p} is one kernel of the stacked
@@ -48,7 +49,10 @@ D_out kills H and dim B + dim H = dim Ker delta.
 Because G is positive definite, G-orthogonal parts are independent, and
 these checks imply Ker delta = B (+) H, Ker delta* = H (+) B_ and that
 the three parts fill the cell (see HarmonicSplit), with no sum or
-intersection of subspaces formed.
+intersection of subspaces formed.  So delta maps B_ one-to-one onto its
+image, and sigma (HarmonicSplit.sigma_on_columns) needs only a
+factorisation of delta restricted to B_, each answer proved by one
+integer product.
 
 Cell coordinates order the basis of A^(q-1) first (Tableau.jet_basis:
 the tableau generators for q = 1, the canonical reduced basis of the
@@ -63,8 +67,6 @@ reference the tests compare delta against.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
-from math import factorial
 
 from .bases import (
     GradedCoords,
@@ -86,7 +88,6 @@ from .linalg import (
     IntegerEchelon,
     Matrix,
     Subspace,
-    clear_denominators,
     cleared,
     frac,
     integer_columns,
@@ -256,28 +257,40 @@ def two_acyclicity_report(t, q_cap, seed=0, k=None):
 
 def codifferential(t, q, p):
     """Matrix of delta*_{q,p}: C^{q-1,p+1} -> C^{q,p}, the Gram adjoint of
-    the outgoing differential of C^{q,p}.  Its image is B_{q,p}."""
+    the outgoing differential of C^{q,p}.  Its image is B_{q,p}.
+
+    G_src^{-1} D^T G_dst with D from _delta and both Gram matrices from
+    _jet_gram: G = p!/den (G_jet (x) I) gives G_src^{-1} = den/p!
+    (G_jet^{-1} (x) I), so only G_jet of level q - 1 is inverted, on
+    integer rows, and no cell is built."""
     if q < 1:
         raise InputError("codifferential needs q >= 1, got %d" % q)
     if p >= t.a_dim:
         raise InputError("codifferential needs p < a_dim, got p = %d" % p)
-    cell = SpencerCell(t, q, p)
-    dst = SpencerCell(t, q - 1, p + 1)
-    if cell.dim == 0 or dst.dim == 0:
-        return Matrix.zeros(cell.dim, dst.dim)
-    d = delta(cell)
-    return _adjoint(d, cell.gram, dst.gram)
+    if p < 0:
+        raise InputError("Spencer cell needs p >= 0, got %d" % p)
+    w_src, w_dst = ext_basis(t.a_dim, p).size, ext_basis(t.a_dim, p + 1).size
+    g_src, den_src = _jet_gram(t, q - 1)
+    g_dst, den_dst = _jet_gram(t, q - 2)
+    dim, dst_dim = len(g_src) * w_src, len(g_dst) * w_dst
+    if dim == 0 or dst_dim == 0:
+        return Matrix.zeros(dim, dst_dim)
+    d_rows, d_den = cleared(_delta(t, q, p, dim))
+    inverse, inv_den = integer_inverse(g_src)
+    # G_dst carries (p+1)!/den_dst and G_src^-1 den_src/p!, whose
+    # factorials leave p + 1; D = d_rows / d_den
+    scale = Fraction((p + 1) * den_src, den_dst * inv_den * d_den)
+    product = integer_matmul(
+        integer_matmul(_cell_gram(inverse, w_src), integer_columns(d_rows, dim)),
+        _cell_gram(g_dst, w_dst),
+    )
+    return Matrix._of([[scale * x for x in row] for row in product], dst_dim)
 
 
 def _span(dim, vectors):
     """The Subspace of Q^dim spanned by integer vectors, through the
     integer echelon."""
     return Subspace.from_echelon(dim, IntegerEchelon(vectors))
-
-
-def _adjoint(d, gram_src, gram_dst):
-    """Adjoint of d: src -> dst with respect to the cell Gram matrices."""
-    return gram_src.inverse().matmul(d.transpose().matmul(gram_dst))
 
 
 def _orthogonal(u, v, gram):
@@ -301,9 +314,7 @@ class HarmonicSplit:
       b_up      image of delta from C^{q+1,p-1}            (B^{q,p})
       harmonic  Ker delta  intersected with  Ker adjoint   (H^{q,p})
       b_down    image of the adjoint of the outgoing delta (B_{q,p})
-      sigma_matrix  matrix of the inverse of delta restricted to b_down,
-                written in the bases (image of delta in C^{q-1,p+1}) ->
-                (basis of b_down); square of size dim b_down
+      d_out     matrix of delta out of the cell, C^{q,p} -> C^{q-1,p+1}
 
     No cell is built: the Gram matrix of C^{q,p} is G = p! (G_jet (x)
     I_C(n,p)) in the cell order alpha * C(n,p) + k, with G_jet =
@@ -311,10 +322,10 @@ class HarmonicSplit:
     of b for q = 0), memoised on the tableau (_jet_gram), and delta out
     of the cell comes from _delta.  Its rank is stored in the tableau's
     rank memo, so cohomology_dim builds no cell for it afterwards.  The
-    split keeps the cell's dimension dim and G cleared once, as the
-    integer rows of G_jet (x) I of which G is a positive multiple; gram
-    builds G itself as a Matrix on first read.  So it holds no reference
-    to the tableau.  A negative q or p raises InputError.  G is
+    split keeps the cell's dimension dim, G as the integer rows of
+    G_jet (x) I, of which G is a positive multiple, and each differential
+    cleared to integer rows once; it holds no reference to the tableau.
+    A negative q or p raises InputError.  G is
     positive definite (E^T diag(g) E with E injective and g > 0), so the
     adjoint spaces are G-orthogonal complements: Ker delta*_in is the
     complement of Im delta_in, kernel(D_in^T G), and B_{q,p} = Im
@@ -341,8 +352,15 @@ class HarmonicSplit:
     that H and B_ lie in Ker D_in^T G = Ker delta*_in, which has
     dimension dim C - rank D_in = dim H + dim B_ by (b), so Ker delta* =
     H (+) B_.  Hence also dim H = dim Ker delta - rank delta_in = dim
-    H^{q,p}.  Any failure raises StructureViolation.  sigma is checked
-    by multiplying back: delta o sigma = identity on the image.
+    H^{q,p}.  Any failure raises StructureViolation.
+
+    sigma is solved with a factorisation of delta restricted to B_
+    alone.  B (+) H = Ker delta and B (+) H (+) B_ fills the cell, so B_
+    is a complement of Ker delta and delta maps it one-to-one onto
+    Im delta.  _build_sigma checks that injectivity directly, by the rank
+    of R = D_out B_down^T, and keeps the factorisation of R;
+    _coordinates proves each answer by one integer product, and
+    sigma_on_columns raises NotInImage for a target outside the image.
     """
 
     def __init__(self, tableau, q, p):
@@ -354,20 +372,22 @@ class HarmonicSplit:
         self.p = p
         n = tableau.a_dim
         w = ext_basis(n, p).size
-        jet_gram, self._jet_den = _jet_gram(tableau, q - 1)
+        jet_gram = _jet_gram(tableau, q - 1)[0]
         self.dim = dim = len(jet_gram) * w
         self._gram_rows = g = _cell_gram(jet_gram, w)
         self.d_out = _delta(tableau, q, p, dim)
+        self._d_out_rows, self._d_den = cleared(self.d_out)
         if p >= 1:
             src_dim = tableau.dim_at(q) * ext_basis(n, p - 1).size
             d_in = _delta(tableau, q + 1, p - 1, src_dim)
         else:
             d_in = Matrix.zeros(dim, 0)
         self._has_target = q >= 1 and p < n and dim > 0
-        d_in_columns = integer_columns(cleared(d_in)[0], d_in.ncols)
+        d_in_rows = cleared(d_in)[0]
+        d_in_columns = integer_columns(d_in_rows, d_in.ncols)
         self.b_up = _span(dim, d_in_columns)
         # Ker delta_out, then H = Ker [D_out; D_in^T G] in the same echelon
-        echelon = IntegerEchelon(map(clear_denominators, self.d_out.rows))
+        echelon = IntegerEchelon(self._d_out_rows)
         rank_out = len(echelon)
         ker_out = echelon.kernel(dim)
         if q >= 1 and p < n:
@@ -380,19 +400,14 @@ class HarmonicSplit:
             self.b_down = _span(dim, b_down)
         else:
             self.b_down = Subspace(dim, [])
-        self._verify(d_in, len(ker_out))
-        self.sigma_matrix = self._build_sigma()
+        self._verify(d_in_rows, len(ker_out))
+        self._build_sigma()
 
-    @cached_property
-    def gram(self):
-        """The Gram matrix G of the cell as a Matrix, built on first read."""
-        scale = Fraction(factorial(self.p), self._jet_den)
-        return Matrix._of([[scale * x for x in row] for row in self._gram_rows], self.dim)
-
-    def _verify(self, d_in, ker_dim):
-        """Checks (a)-(c) of the class docstring; d_in is the matrix of the
-        incoming differential and ker_dim the dimension of Ker delta_out.
-        Every product runs on integer rows (see _orthogonal)."""
+    def _verify(self, d_in_rows, ker_dim):
+        """Checks (a)-(c) of the class docstring; d_in_rows is the matrix
+        of the incoming differential as integer rows and ker_dim the
+        dimension of Ker delta_out.  Every product runs on integer rows
+        (see _orthogonal)."""
         if self.dim == 0:
             return
         g = self._gram_rows
@@ -411,10 +426,10 @@ class HarmonicSplit:
                 "harmonic components of C^{%d,%d} do not sum to the cell"
                 % (self.q, self.p)
             )
-        d_out = list(map(clear_denominators, self.d_out.rows))
+        d_out = self._d_out_rows
         if not (
             self.b_up.dim + self.harmonic.dim == ker_dim
-            and _zero_rows(integer_matmul(d_out, cleared(d_in)[0]))
+            and _zero_rows(integer_matmul(d_out, d_in_rows))
             and _zero_rows(integer_matmul(
                 d_out, integer_columns(self.harmonic.integer_rows, self.dim)))
         ):
@@ -423,19 +438,19 @@ class HarmonicSplit:
             )
 
     def _build_sigma(self):
-        """Solve delta(sigma(w)) = w for each basis vector of the image.
+        """Factor delta restricted to b_down for sigma_on_columns.
 
-        delta restricted to b_down, R = D_out B_down^T, is kept as integer
-        rows with the first rows on which it is invertible and the
-        fraction-free inverse there (linalg.integer_inverse), for
-        sigma_on_columns.  Dependent columns of R raise StructureViolation.
+        R = D_out B_down^T, over the integer rows of the basis of b_down,
+        is kept as integer rows with the first rows on which it is
+        invertible and the fraction-free inverse there
+        (linalg.integer_inverse).  Dependent columns of R raise
+        StructureViolation.
         """
         if not self._has_target:
-            return Matrix.zeros(0, 0)
-        d_rows, d_den = cleared(self.d_out)
-        b_rows, b_den = cleared(self.b_down.basis_matrix())
+            return
+        b_rows = self.b_down.integer_rows
         self._b_down_columns = integer_columns(b_rows, self.dim)
-        restricted = integer_matmul(d_rows, self._b_down_columns)
+        restricted = integer_matmul(self._d_out_rows, self._b_down_columns)
         k = len(b_rows)
         # the first independent rows of R are the pivots of its transpose
         rows = IntegerEchelon(integer_columns(restricted, k)).reduced()[1]
@@ -444,28 +459,14 @@ class HarmonicSplit:
                 "sigma failed to invert delta at (q,p)=(%d,%d)" % (self.q, self.p)
             )
         inverse, inv_den = integer_inverse([restricted[i] for i in rows])
-        # R = restricted / (d_den b_den), and R[rows]^-1 = inverse * d_den
-        # b_den / inv_den
+        # R = restricted / d_den, and R[rows]^-1 = inverse * d_den / inv_den
         self._restricted = (restricted, rows, inverse, inv_den)
-        self._d_den = d_den
-        m = self.d_out.nrows
-        image = _span(m, integer_columns(d_rows, self.dim)).basis_matrix()
-        image_rows, den = cleared(image)
-        try:
-            y, y_den = self._coordinates(integer_columns(image_rows, m), den)
-        except Inconsistent as exc:
-            raise StructureViolation(
-                "sigma failed to invert delta at (q,p)=(%d,%d)"
-                % (self.q, self.p)
-            ) from exc
-        scale = Fraction(d_den * b_den, y_den)
-        return Matrix._of([[scale * v for v in row] for row in y], k)
 
     def _coordinates(self, targets, den):
         """(y, y_den): the Y with R Y = targets / den for R of _build_sigma,
-        as integer rows with Y = y * d_den * b_den / y_den, for the
-        denominators d_den of D_out and b_den of the basis of b_down;
-        Inconsistent when a column of targets is outside the image of R."""
+        as integer rows with Y = y * d_den / y_den, for the denominator
+        d_den of D_out; Inconsistent when a column of targets is outside
+        the image of R."""
         restricted, rows, inverse, inv_den = self._restricted
         if not rows:
             if not _zero_rows(targets):
@@ -515,13 +516,6 @@ class HarmonicSplit:
         if scale.numerator != 1:
             rows = [[scale.numerator * v for v in row] for row in rows]
         return rows, scale.denominator
-
-    def sigma_on_cell_coords(self, target_cell_coords):
-        """Preimage in B_{q,p} of a target given in C^{q-1,p+1} coordinates:
-        sigma_on_columns on one column."""
-        column, den = cleared(Matrix._of([[frac(x)] for x in target_cell_coords], 1))
-        rows, den = self.sigma_on_columns(column, den, 1)
-        return [Fraction(row[0], den) for row in rows]
 
 
 def _jet_gram(t, h):
@@ -593,8 +587,9 @@ def sigma(t, q, p):
                 % (q - 1, p + 1, target.q, target.p)
             )
         cy = target_cell.coordinates_of(list(target.coords))
-        cx = split.sigma_on_cell_coords(cy)
+        column, den = cleared(Matrix._of([[x] for x in cy], 1))
+        rows, den = split.sigma_on_columns(column, den, 1)
+        cx = [Fraction(row[0], den) for row in rows]
         return GradedCoords(q, p, cell.embed_coords(cx))
 
     return apply
-

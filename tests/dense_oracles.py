@@ -32,6 +32,8 @@ AdjointHarmonicSplit and adjoint_sigma build a harmonic split from three
 Spencer cells and the Gram adjoints of both differentials, and check it
 by comparing subspaces, the oracle for the split read off the Gram
 matrix of its own cell and certified by products and dimensions;
+_adjoint, formed with the inverse of a dense cell Gram matrix, is also
+the oracle for spencer.codifferential on the integer jet Gram matrices;
 dense_cohomology_dim counts H^{q,p} with the dense Koszul differential
 on the cell embeddings.  solve_affine reads one solution and a kernel
 basis off one rref of [m | rhs], the oracle for the integer-echelon
@@ -75,6 +77,7 @@ from involutive.linalg import (
     Subspace,
     _solution_of_rref,
     clear_denominators,
+    cleared,
     kernel,
 )
 from involutive.poly import Polynomial, PolyMap
@@ -589,7 +592,7 @@ class AdjointHarmonicSplit(HarmonicSplit):
     the inverse of a Gram matrix, and H their intersection.  Its own
     _verify compares subspaces: the parts are pairwise G-orthogonal, they
     sum to the cell, and Ker delta = B (+) H and Ker delta* = H (+) B_ by
-    equality of canonical bases.  sigma and dims are those of
+    equality of canonical bases.  sigma_on_columns and dims are those of
     HarmonicSplit; _target_cell is the cell C^{q-1,p+1} when delta out
     is nonzero."""
 
@@ -624,6 +627,7 @@ class AdjointHarmonicSplit(HarmonicSplit):
             adj_out = Matrix.zeros(cell.dim, 0)
         self._has_target = self._target_cell is not None
         self.d_out = d_out
+        self._d_out_rows, self._d_den = cleared(d_out)
         self.b_up = _image(d_in) if cell.dim else Subspace(0, [])
         self.b_down = _image(adj_out)
         full = Subspace.full(cell.dim)
@@ -631,7 +635,7 @@ class AdjointHarmonicSplit(HarmonicSplit):
         ker_adj_in = kernel(adj_in) if adj_in.nrows else full
         self.harmonic = ker_out.intersect(ker_adj_in)
         self._verify(ker_out, ker_adj_in)
-        self.sigma_matrix = self._build_sigma()
+        self._build_sigma()
 
     def _verify(self, ker_out, ker_adj_in):
         cell = self.cell
@@ -673,7 +677,9 @@ def adjoint_sigma(t, q, p):
         if (target.q, target.p) != (q - 1, p + 1):
             raise DimensionMismatch("sigma target has the wrong bidegree")
         cy = target_cell.coordinates_of(list(target.coords))
-        cx = split.sigma_on_cell_coords(cy)
+        column, den = cleared(Matrix([[x] for x in cy], 1))
+        rows, den = split.sigma_on_columns(column, den, 1)
+        cx = [Fraction(row[0], den) for row in rows]
         return GradedCoords(q, p, split.cell.embed_coords(cx))
 
     return apply

@@ -11,6 +11,7 @@ import pytest
 
 from dense_oracles import (
     AdjointHarmonicSplit,
+    _adjoint,
     adjoint_sigma,
     dense_cohomology_dim,
     tableau_from_vectors,
@@ -24,7 +25,14 @@ from involutive.errors import (
     NotInImage,
     StructureViolation,
 )
-from involutive.linalg import Matrix, Subspace
+from involutive.cli import EXAMPLE_NAMES, build_example
+from involutive.linalg import (
+    Matrix,
+    Subspace,
+    clear_denominators,
+    cleared,
+    integer_columns,
+)
 from involutive.spencer import (
     HarmonicSplit,
     SpencerCell,
@@ -157,12 +165,9 @@ def test_cell_coordinates_match_solve_oracle():
                     bd = Matrix.from_columns(split.b_down.basis, nrows=cell.dim)
                     restricted = d.matmul(bd)
                     image_basis = Subspace(target.dim, d.transpose().rows).basis
-                    assert split.sigma_matrix.transpose().rows == [
-                        restricted.solve(w) for w in image_basis
+                    assert _preimages(split, image_basis) == [
+                        bd.matvec(restricted.solve(w)) for w in image_basis
                     ]
-                    assert split.sigma_on_cell_coords(image_basis[0]) == bd.matvec(
-                        restricted.solve(image_basis[0])
-                    )
 
 
 def test_complex_lines_euler_characteristic_and_delta_squared():
@@ -300,13 +305,30 @@ def _outcome(build):
         return type(exc)
 
 
+def _preimages(split, targets):
+    """split.sigma_on_columns on targets, vectors in C^{q-1,p+1}
+    coordinates taken as the columns of one matrix: one preimage vector
+    in C^{q,p} per target."""
+    m = split.d_out.nrows
+    rows, den = cleared(Matrix(targets, m))
+    x, x_den = split.sigma_on_columns(integer_columns(rows, m), den, len(targets))
+    return [[Fraction(v, x_den) for v in column]
+            for column in integer_columns(x, len(targets))]
+
+
+def _image_basis(split):
+    """The canonical basis of the image of delta out of the split's cell."""
+    d = split.d_out
+    return Subspace(d.nrows, d.transpose().rows).basis
+
+
 def _split_record(split):
     return (
         split.dims(),
         split.b_up.basis,
         split.harmonic.basis,
         split.b_down.basis,
-        (split.sigma_matrix.nrows, split.sigma_matrix.ncols, split.sigma_matrix.rows),
+        _preimages(split, _image_basis(split)),
         (split.d_out.nrows, split.d_out.ncols, split.d_out.rows),
     )
 
@@ -363,17 +385,20 @@ def test_gram_complement_split_matches_the_adjoint_route():
 
 def _throwaway_split():
     """A fresh split of C^{1,3} of the infinite-type tableau, where B, H
-    and B_ are all nonzero (dims 15, 1, 4), with its incoming
-    differential and dim Ker delta."""
+    and B_ are all nonzero (dims 15, 1, 4), with the integer rows of its
+    incoming differential, dim Ker delta and the Gram matrix of the
+    reference cell."""
     t = infinite_type_tableau()
     split = HarmonicSplit(t, 1, 3)
     assert all(split.dims())
-    return split, delta(SpencerCell(t, 2, 2)), split.dim - split.d_out.rank()
+    d_in = cleared(delta(SpencerCell(t, 2, 2)))[0]
+    return split, d_in, split.dim - split.d_out.rank(), SpencerCell(t, 1, 3).gram
 
 
-def _functional(split, v):
-    """The row (G v)^T, pairing a cell vector with v."""
-    return Matrix([split.gram.matvec(v)])
+def _functional(gram, v):
+    """The integer row (G v)^T up to a positive factor, pairing a cell
+    vector with v."""
+    return clear_denominators(gram.matvec(v))
 
 
 @pytest.mark.parametrize("premise", [
@@ -381,7 +406,7 @@ def _functional(split, v):
     "delta_squared_nonzero", "harmonic_outside_ker_delta", "ker_delta_dim",
 ])
 def test_each_split_certificate_check_fails_on_its_own(premise):
-    split, d_in, ker_dim = _throwaway_split()
+    split, d_in, ker_dim, gram = _throwaway_split()
     split._verify(d_in, ker_dim)
     dim = split.dim
     if premise == "b_down_not_orthogonal_to_b":
@@ -393,17 +418,29 @@ def test_each_split_certificate_check_fails_on_its_own(premise):
         message = "do not sum to the cell"
     elif premise == "delta_squared_nonzero":
         # <b, .> with b in B kills H but not Im delta_in
-        split.d_out = split.d_out.vstack(_functional(split, split.b_up.basis[0]))
+        split._d_out_rows = split._d_out_rows + [_functional(gram, split.b_up.basis[0])]
         message = "Ker delta != B (+) H"
     elif premise == "harmonic_outside_ker_delta":
         # <h, .> with h in H kills Im delta_in but not H
-        split.d_out = split.d_out.vstack(_functional(split, split.harmonic.basis[0]))
+        split._d_out_rows = split._d_out_rows + [
+            _functional(gram, split.harmonic.basis[0])]
         message = "Ker delta != B (+) H"
     else:
         ker_dim += 1
         message = "Ker delta != B (+) H"
     with pytest.raises(StructureViolation, match=re.escape(message)):
         split._verify(d_in, ker_dim)
+
+
+def test_sigma_check_refuses_a_b_down_that_meets_ker_delta():
+    # delta is injective on B_{q,p} only because B_ misses Ker delta; a
+    # b_down with a vector of H in it leaves R = D_out B_down^T singular
+    split = _throwaway_split()[0]
+    h = split.harmonic.basis[0]
+    split.b_down = Subspace(split.dim, [h] + split.b_down.basis[1:])
+    with pytest.raises(StructureViolation,
+                       match=re.escape("sigma failed to invert delta at (q,p)=(1,3)")):
+        split._build_sigma()
 
 
 def test_adjointness_exact():
@@ -427,6 +464,66 @@ def test_adjointness_exact():
                     a * b for a, b in zip(dst.gram.matvec(zeta), d.matvec(rho))
                 )
                 assert left == right
+
+
+def test_codifferential_matches_the_dense_adjoint():
+    # G_src^{-1} D^T G_dst from the integer jet Gram matrices against the
+    # adjoint formed with the Gram matrices of the dense cells, bit for bit
+    rng = random.Random(2035)
+    cases = [full_tableau(2, 2), wavemap1_tableau(), skew_tableau(),
+             Tableau(2, 2, []), Tableau(1, 1, [[[1]]]), full_tableau(3, 1)]
+    while len(cases) < 24:
+        n, r = rng.randint(1, 3), rng.randint(1, 3)
+        cases.append(random_tableau(rng, n, r, rng.randint(0, min(4, n * r))))
+    nonzero = 0
+    for t in cases:
+        for q in range(1, 4):
+            for p in range(t.a_dim):
+                cell, dst = SpencerCell(t, q, p), SpencerCell(t, q - 1, p + 1)
+                got = codifferential(t, q, p)
+                assert got == _adjoint(delta(cell), cell.gram, dst.gram), (
+                    t.to_json_dict(), q, p)
+                nonzero += any(map(any, got.rows))
+    assert nonzero >= 60, nonzero
+
+
+@pytest.mark.parametrize("q, p, error", [
+    (0, 0, "codifferential needs q >= 1, got 0"),
+    (0, -1, "codifferential needs q >= 1, got 0"),
+    (1, 2, "codifferential needs p < a_dim, got p = 2"),
+    (2, 3, "codifferential needs p < a_dim, got p = 3"),
+    (1, -1, "Spencer cell needs p >= 0, got -1"),
+])
+def test_codifferential_errors(q, p, error):
+    with pytest.raises(InputError) as info:
+        codifferential(full_tableau(2, 2), q, p)
+    assert str(info.value) == error
+
+
+def test_splits_sigma_and_codifferential_build_no_cell(monkeypatch):
+    # a harmonic split, its sigma_on_columns and the codifferential read
+    # the jet Gram matrices and the contractions; the dense SpencerCell is
+    # only the reference the tests compare against
+    def refuse(*args):
+        raise AssertionError("a dense Spencer cell was built")
+
+    tableaux = [build_example(name).tableau for name in EXAMPLE_NAMES]
+    tableaux.append(full_tableau(2, 2))
+    monkeypatch.setattr(SpencerCell, "__init__", refuse)
+    solved = 0
+    for t in tableaux:
+        for q in range(4):
+            for p in range(t.a_dim + 1):
+                split = harmonic_split(t, q, p)
+                targets = _image_basis(split)
+                for w, x in zip(targets, _preimages(split, targets)):
+                    assert split.d_out.matvec(x) == w
+                    solved += 1
+                if q >= 1 and p < t.a_dim:
+                    d_star = codifferential(t, q, p)
+                    shape = (d_star.nrows, d_star.ncols)
+                    assert shape == (split.dim, split.d_out.nrows)
+    assert solved >= 100, solved
 
 
 def test_involutivity_iff_vanishing_cohomology_corpus():
@@ -495,10 +592,15 @@ def test_sigma_membership_errors():
 
 
 def test_sigma_delta_identity_on_split():
-    # delta o sigma = id on B^{q-1,p+1}, via the stored square matrix
-    t = wavemap1_tableau()
-    split = harmonic_split(t, 1, 1)
-    assert split.sigma_matrix.nrows == split.b_down.dim
+    # delta o sigma = id on B^{q-1,p+1}, and sigma lands in B_{q,p}
+    for t in (wavemap1_tableau(), full_tableau(2, 2), infinite_type_tableau()):
+        for q, p in ((1, 0), (1, 1), (2, 1)):
+            split = harmonic_split(t, q, p)
+            targets = _image_basis(split)
+            assert len(targets) == split.b_down.dim
+            for w, x in zip(targets, _preimages(split, targets)):
+                assert split.d_out.matvec(x) == w
+                assert split.b_down.contains(x)
 
 
 def test_spencer_table():
