@@ -19,7 +19,10 @@ seed is the only setting of the random flags that certify Cartan
 characters; a failed certification (exit 1) may pass under another seed.
 
 Exit codes: 0 all requested checks passed, 1 a check failed, 2 bad
-input, 3 resource cap exceeded.  `tableau` is a report, not a check: it
+input, 3 resource cap exceeded.  Each cmd_* returns its results and its
+certificates and holds no verdict of its own; main derives the code from
+the certificates, 0 exactly when every one passed, and from the error
+class when a command raised.  `tableau` is a report, not a check: it
 records the Cartan verdict in its cartan_test certificate and exits 0
 whether or not the tableau is involutive.
 
@@ -141,7 +144,6 @@ def cmd_tableau(args):
     seed = args.seed
     results = {"a_dim": t.a_dim, "b_dim": t.b_dim, "dim": t.dim}
     certificates = []
-    passed = True
     top = args.prolong if args.prolong is not None else 1
     _at_least("--prolong", top, 0)
     _at_least("--max-order", args.max_order, 0)
@@ -166,7 +168,7 @@ def cmd_tableau(args):
         results["involutive_index"] = idx["k"]
         results["involutive_characters"] = list(idx["involutive_characters"].s)
         results["character_trajectory"] = idx["trajectory"]
-    return passed, results, certificates
+    return results, certificates
 
 
 def _human_tableau(results):
@@ -204,7 +206,6 @@ def cmd_spencer(args):
     t = _load_tableau(args, args.file)
     results = {}
     certificates = []
-    passed = True
     q_max = args.q_max
     p_max = args.p_max if args.p_max is not None else t.a_dim
     _at_least("--q-max", q_max, 1)
@@ -227,14 +228,13 @@ def cmd_spencer(args):
                 "method": "exact_cohomology(q=1..%d)" % rep["checked_q_range"][1],
             }
         )
-        passed = passed and rep["two_acyclic"]
     if args.harmonic:
         splits = {}
         for q in range(1, q_max + 1):
             split = harmonic_split(t, q, 1)
             splits[q] = split.dims()
         results["harmonic_split_dims"] = splits
-    return passed, results, certificates
+    return results, certificates
 
 
 def _human_spencer(results):
@@ -270,7 +270,6 @@ def cmd_system(args):
         "quasilinear_homogeneous": sys_.is_quasilinear_homogeneous(),
     }
     certificates = []
-    passed = True
     if args.check:
         b02 = check_phi_in_B02(sys_)
         results["phi_in_B02"] = b02
@@ -286,7 +285,6 @@ def cmd_system(args):
                 "method": tor["method"],
             }
         )
-        passed = passed and b02["passed"] and tor["passed"]
     if args.structure and args.tower is None:
         raise InputError("--structure needs --tower H")
     if args.tower is not None:
@@ -307,8 +305,7 @@ def cmd_system(args):
                     "method": "exact_polynomial_identities(order=%d)" % args.tower,
                 }
             )
-            passed = passed and rep["all_passed"]
-    return passed, results, certificates
+    return results, certificates
 
 
 def _human_system(results):
@@ -363,7 +360,6 @@ def cmd_cauchy(args):
     nf = normal_form(t, seed=args.seed, h=k)
     results = {"k": k, "s": list(nf.s), "degree": args.degree}
     certificates = []
-    passed = True
     sol = solve_formal(sys_, tower, nf, data, args.degree,
                        max_degree=args.max_degree)
     results["solution"] = sol.to_json_dict()
@@ -377,7 +373,6 @@ def cmd_cauchy(args):
                 "method": "exact_expansion",
             }
         )
-        passed = passed and rep["clean"]
     if args.polar:
         results["polar_dims"] = polar_dims(t, nf)
         results["restricted_polar"] = restricted_polar_check(t, nf)
@@ -388,7 +383,7 @@ def cmd_cauchy(args):
                 "method": "exact_rank(flag from normal form)",
             }
         )
-    return passed, results, certificates
+    return results, certificates
 
 
 def _human_cauchy(results):
@@ -435,7 +430,7 @@ def cmd_examples(args):
         results = {"name": args.name, "written": args.out}
     else:
         results = {"name": args.name, "system": sys_.to_json_dict()}
-    return True, results, []
+    return results, []
 
 
 def _human_examples(results):
@@ -542,18 +537,16 @@ def main(argv=None):
         if args.seed is None:
             args.seed = _environment_seed()
         _at_least("--max-dim", args.max_dim, 1)
-        passed, results, certificates = args.func(args)
-        code = 0 if passed else 1
+        results, certificates = args.func(args)
         error = None
+        # tableau is a report: its cartan_test certificate sets no exit code
+        code = 0 if args.command == "tableau" or all(c["passed"] for c in certificates) else 1
     except CapExceeded as exc:
-        passed, results, certificates = False, {}, []
-        code, error = 3, str(exc)
+        results, certificates, code, error = {}, [], 3, str(exc)
     except InputError as exc:
-        passed, results, certificates = False, {}, []
-        code, error = 2, str(exc)
+        results, certificates, code, error = {}, [], 2, str(exc)
     except InvolutiveError as exc:
-        passed, results, certificates = False, {}, []
-        code, error = 1, str(exc)
+        results, certificates, code, error = {}, [], 1, str(exc)
         retry_seed = isinstance(exc, UnstableGenericity)
     elapsed = time.perf_counter() - start
     report = {
@@ -578,7 +571,7 @@ def main(argv=None):
                 print(line)
             print(
                 "[%s] %s in %.3fs"
-                % (args.command, "ok" if passed else "CHECK FAILED", elapsed)
+                % (args.command, "ok" if code == 0 else "CHECK FAILED", elapsed)
             )
     return code
 

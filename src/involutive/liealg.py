@@ -5,12 +5,13 @@ constructor enforces antisymmetry and the Jacobi identity exactly.  As
 in a Polynomial, the constants are integer numerators over one positive
 denominator den that shares no factor with them, kept in one sparse
 table {(i, j): {k: den * c_{ij}^k}} of the nonzero constants.  Brackets,
-ad, killing_form, the Jacobi check and to_json_dict all read it, and
-Fractions are built only for returned values.  from_matrices clears the
-basis matrices to one denominator, spans them in one IntegerEchelon,
-forms each commutator with integer_matmul and reads its coordinates
-through the integer_inverse of the basis block on the pivots, proved by
-one integer product, so a basis that is not closed is still rejected.
+den^2 times the Killing form, the Jacobi check and to_json_dict all read
+it, and Fractions are built only for returned values.  from_matrices
+clears the basis matrices to one denominator, spans them in one
+IntegerEchelon, forms each commutator with integer_matmul and reads its
+coordinates through the integer_inverse of the basis block on the
+pivots, proved by one integer product, so a basis that is not closed is
+still rejected.
 
 A CartanDecomposition g = g0 (+) m is checked from the structure
 constants alone: bracket relations, Killing orthogonality, definiteness
@@ -244,13 +245,6 @@ class LieAlgebra:
         """[x, y] for coordinate vectors x, y."""
         return [Fraction(c) / self.den for c in self.integer_bracket(vec(x), vec(y))]
 
-    def ad(self, x):
-        """The adjoint matrix of the coordinate vector x: column j is [x, e_j]."""
-        x = vec(x)
-        if len(x) != self.dim:
-            raise DimensionMismatch("vector does not match the algebra dimension")
-        return Matrix.from_columns([self.bracket(x, e) for e in Matrix.identity(self.dim).rows])
-
     def _killing_numerators(self):
         """den^2 K as integer rows, K_{ij} = sum of c_{il}^k c_{jk}^l."""
         d = self.dim
@@ -265,10 +259,6 @@ class LieAlgebra:
                 for j, c2 in by_entry.get((k, l), ()):
                     rows[i][j] += c * c2
         return rows
-
-    def killing_form(self):
-        """Gram matrix K_{ij} = trace(ad_i ad_j) = sum of c_{il}^k c_{jk}^l."""
-        return Matrix(self._killing_numerators(), ncols=self.dim) * Fraction(1, self.den ** 2)
 
     def to_json_dict(self):
         entries = sorted(

@@ -8,8 +8,12 @@ the canonical bases below do not depend on which entries were skipped.
 Everything is exact: no floating point, no tolerance thresholds.
 
 Storage is dense Fraction at the API boundary; elimination is sparse and
-fraction-free over Python ints.  There is one elimination routine, the
-IntegerEchelon: each row is scaled by the lcm of its denominators
+fraction-free over Python ints.  Ranks, kernels, reduced forms and
+subspaces come from one elimination routine, the IntegerEchelon; the
+two other passes are integer_inverse, a dense fraction-free Gauss-Jordan
+elimination on [m | I] (below), and the Bareiss pass of
+liealg.definiteness, which reads signs of leading minors.  In the
+IntegerEchelon each row is scaled by the lcm of its denominators
 (clear_denominators), which changes no rank and no row space, stored as
 a {column: int} dict of its nonzero entries, and reduced against at most
 one primitive row per pivot column.  Ranks are its length.  Matrix.rref
@@ -575,9 +579,6 @@ class Subspace:
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatch("ambient dimensions differ")
         return Subspace(self.ambient_dim, self.basis + other.basis)
-
-    def is_subspace_of(self, other: "Subspace") -> bool:
-        return all(other.contains(v) for v in self.basis)
 
 
 def kernel(m: Matrix) -> Subspace:

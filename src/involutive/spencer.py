@@ -96,6 +96,19 @@ from .linalg import (
 )
 from .tableau import involutive_index
 
+
+def _check_bidegree(name, q, p, q_least=0, p_below=None):
+    """InputError naming the entry point when (q, p) is not a bidegree it
+    takes: q >= q_least and p >= 0, and p < p_below (the a_dim of the
+    tableau) when p_below is given."""
+    if q < q_least:
+        raise InputError("%s needs q >= %d, got %d" % (name, q_least, q))
+    if p < 0:
+        raise InputError("%s needs p >= 0, got %d" % (name, p))
+    if p_below is not None and p >= p_below:
+        raise InputError("%s needs p < a_dim, got p = %d" % (name, p))
+
+
 class SpencerCell:
     """One cell C^{q,p}(A) with its embedding into b (x) S^q (x) Lambda^p.
 
@@ -106,10 +119,7 @@ class SpencerCell:
     """
 
     def __init__(self, tableau, q, p):
-        if q < 0:
-            raise InputError("Spencer cell needs q >= 0, got %d" % q)
-        if p < 0:
-            raise InputError("Spencer cell needs p >= 0, got %d" % p)
+        _check_bidegree("SpencerCell", q, p)
         n, r = tableau.a_dim, tableau.b_dim
         self.tableau = tableau
         self.q = q
@@ -216,8 +226,7 @@ def cohomology_dim(t, q, p):
     q = 0), and the ranks come from the tableau's memo (see _delta_rank),
     so a cell is built only for a differential not yet ranked.
     """
-    if q < 0 or p < 0:
-        raise InputError("cohomology needs q, p >= 0, got (%d, %d)" % (q, p))
+    _check_bidegree("cohomology_dim", q, p)
     dim = (t.dim_at(q - 1) if q else t.b_dim) * ext_basis(t.a_dim, p).size
     h = dim - _delta_rank(t, q, p) - (_delta_rank(t, q + 1, p - 1) if p else 0)
     if h < 0:
@@ -263,12 +272,7 @@ def codifferential(t, q, p):
     _jet_gram: G = p!/den (G_jet (x) I) gives G_src^{-1} = den/p!
     (G_jet^{-1} (x) I), so only G_jet of level q - 1 is inverted, on
     integer rows, and no cell is built."""
-    if q < 1:
-        raise InputError("codifferential needs q >= 1, got %d" % q)
-    if p >= t.a_dim:
-        raise InputError("codifferential needs p < a_dim, got p = %d" % p)
-    if p < 0:
-        raise InputError("Spencer cell needs p >= 0, got %d" % p)
+    _check_bidegree("codifferential", q, p, q_least=1, p_below=t.a_dim)
     w_src, w_dst = ext_basis(t.a_dim, p).size, ext_basis(t.a_dim, p + 1).size
     g_src, den_src = _jet_gram(t, q - 1)
     g_dst, den_dst = _jet_gram(t, q - 2)
@@ -364,10 +368,7 @@ class HarmonicSplit:
     """
 
     def __init__(self, tableau, q, p):
-        if q < 0 or p < 0:
-            raise InputError(
-                "harmonic split needs q, p >= 0, got (%d, %d)" % (q, p)
-            )
+        _check_bidegree("harmonic_split", q, p)
         self.q = q
         self.p = p
         n = tableau.a_dim
@@ -570,10 +571,7 @@ def sigma(t, q, p):
     returning GradedCoords in bidegree (q, p).  NotInImage is raised when
     the target fails the membership check.
     """
-    if q < 1:
-        raise InputError("sigma needs q >= 1, got %d" % q)
-    if p >= t.a_dim:
-        raise InputError("sigma needs p < a_dim, got p = %d" % p)
+    _check_bidegree("sigma", q, p, q_least=1, p_below=t.a_dim)
     split = harmonic_split(t, q, p)
     cell = SpencerCell(t, q, p)
     target_cell = SpencerCell(t, q - 1, p + 1)

@@ -65,7 +65,6 @@ from .errors import (
 from .linalg import (
     IntegerEchelon,
     Matrix,
-    Subspace,
     cleared,
     integer_columns,
 )
@@ -333,17 +332,21 @@ def _polymap_from_rows(num_vars, exps, rows, den):
 
 def check_phi_in_B02(sys):
     """Certificate that Phi takes values in B^{0,2}(A), checked by
-    subspace membership monomial by monomial.  A failure raises
-    StructureViolation with a witness.  delta^{1,1} is written straight
-    from the contractions; the cell itself is not built.
+    membership monomial by monomial, in sorted order.  A failure raises
+    StructureViolation with the first monomial outside as its witness.
+    delta^{1,1} is written straight from the contractions; the cell
+    itself is not built.  One integer echelon is seeded with the columns
+    of delta^{1,1}, so its length is dim B^{0,2}, and a monomial vector
+    lies outside exactly when the echelon keeps it.
     """
     t = sys.tableau
     cell_dim = t.dim * t.a_dim  # dim C^{1,1} = dim A * C(n, 1)
-    d11 = _delta(t, 1, 1, cell_dim)
-    b02 = Subspace(d11.nrows, d11.transpose().rows)
+    d11_rows = cleared(_delta(t, 1, 1, cell_dim))[0]
+    b02 = IntegerEchelon(integer_columns(d11_rows, cell_dim))
+    b02_dim = len(b02)
     monos, _ = _polymap_monomials(sys.phi_cell_map())
-    for exp, vec in sorted(monos.items()):
-        if not b02.contains(vec):
+    for exp in sorted(monos):
+        if b02.add(monos[exp]):
             raise StructureViolation(
                 "phi monomial %r has a coefficient outside B^{0,2}" % (exp,)
             )
@@ -351,7 +354,7 @@ def check_phi_in_B02(sys):
         "passed": True,
         "method": "expansion",
         "monomials": len(monos),
-        "b02_dim": b02.dim,
+        "b02_dim": b02_dim,
         "cell_dim": cell_dim,
     }
 

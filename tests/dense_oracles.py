@@ -15,8 +15,10 @@ the sparse structure constants of LieAlgebra.  dense_det and
 dense_definiteness are the Fraction Gaussian elimination and the
 minor-by-minor Sylvester test that liealg.definiteness replaced with
 one Bareiss elimination; bracket_into_per_pair is the pair-by-pair
-Subspace.contains check that one rank test replaced.  FractionLieAlgebra,
-fraction_cartan, fraction_is_regular and fraction_gg0_system are the
+Subspace.contains check that one rank test replaced.  ad, killing_form
+and is_subspace_of are the adjoint matrix and the Fraction Killing form
+of a LieAlgebra and subspace inclusion, which only the tests read.
+FractionLieAlgebra, fraction_cartan, fraction_is_regular and fraction_gg0_system are the
 Fraction route of liealg and of build_gg0_system: Fraction structure
 constants, commutator coordinates by Subspace.coordinates, centralizers
 and Killing complements by Matrix.kernel (fraction_annihilated) and
@@ -81,7 +83,7 @@ from involutive.linalg import (
     kernel,
 )
 from involutive.poly import Polynomial, PolyMap
-from involutive.spencer import HarmonicSplit, SpencerCell, delta
+from involutive.spencer import HarmonicSplit, SpencerCell, _check_bidegree, delta
 from involutive.systems import System
 from involutive.tableau import (
     _FLAG_ATTEMPTS,
@@ -379,6 +381,27 @@ def bracket_into_per_pair(alg, basis1, basis2, target):
     return all(target.contains(alg.bracket(x, y)) for x in basis1 for y in basis2)
 
 
+def ad(alg, x):
+    """The adjoint matrix of the coordinate vector x under a LieAlgebra:
+    column j is [x, e_j]."""
+    x = [Fraction(c) for c in x]
+    if len(x) != alg.dim:
+        raise DimensionMismatch("vector does not match the algebra dimension")
+    return Matrix.from_columns([alg.bracket(x, e) for e in Matrix.identity(alg.dim).rows])
+
+
+def killing_form(alg):
+    """The Gram matrix K_{ij} = trace(ad_i ad_j) of a LieAlgebra, read off
+    the integer numerators den^2 K that CartanDecomposition works on."""
+    return Matrix(alg._killing_numerators(), ncols=alg.dim) * Fraction(1, alg.den ** 2)
+
+
+def is_subspace_of(u, v):
+    """u inside v, for Subspaces of one ambient space: every basis
+    vector of u passes v.contains."""
+    return all(v.contains(x) for x in u.basis)
+
+
 class FractionLieAlgebra:
     """The Fraction route of LieAlgebra: the structure constants as one
     sparse table {(i, j): {k: c}} of nonzero Fractions, read off matrices
@@ -664,10 +687,7 @@ class AdjointHarmonicSplit(HarmonicSplit):
 
 def adjoint_sigma(t, q, p):
     """spencer.sigma over an AdjointHarmonicSplit and its target cell."""
-    if q < 1:
-        raise InputError("sigma needs q >= 1, got %d" % q)
-    if p >= t.a_dim:
-        raise InputError("sigma needs p < a_dim, got p = %d" % p)
+    _check_bidegree("sigma", q, p, q_least=1, p_below=t.a_dim)
     split = AdjointHarmonicSplit(t, q, p)
     target_cell = split._target_cell or SpencerCell(t, q - 1, p + 1)
 
@@ -850,7 +870,7 @@ def fraction_construct(t, cv, flag):
             )
         u_spaces.append(u)
     for rho in range(1, nu):
-        if not u_spaces[rho].is_subspace_of(u_spaces[rho - 1]):
+        if not is_subspace_of(u_spaces[rho], u_spaces[rho - 1]):
             raise BadDecomposition(
                 "image filtration is not nested at step %d" % (rho + 1)
             )

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from dense_oracles import dense_kernel, dense_rref, dense_span, solve_affine
+from dense_oracles import dense_kernel, dense_rref, dense_span, is_subspace_of, solve_affine
 from involutive.errors import DimensionMismatch, Inconsistent, InputError
 from involutive.linalg import (
     IntegerEchelon,
@@ -106,7 +106,7 @@ def test_intersect_dimension_formula_random():
         u = Subspace(amb, [[Fraction(rng.randint(-3, 3)) for _ in range(amb)] for _ in range(rng.randint(0, amb))])
         v = Subspace(amb, [[Fraction(rng.randint(-3, 3)) for _ in range(amb)] for _ in range(rng.randint(0, amb))])
         inter = u.intersect(v)
-        assert inter.is_subspace_of(u) and inter.is_subspace_of(v)
+        assert is_subspace_of(inter, u) and is_subspace_of(inter, v)
         assert u.dim + v.dim - u.sum(v).dim == inter.dim
 
 

@@ -492,11 +492,30 @@ def test_codifferential_matches_the_dense_adjoint():
     (0, -1, "codifferential needs q >= 1, got 0"),
     (1, 2, "codifferential needs p < a_dim, got p = 2"),
     (2, 3, "codifferential needs p < a_dim, got p = 3"),
-    (1, -1, "Spencer cell needs p >= 0, got -1"),
+    (1, -1, "codifferential needs p >= 0, got -1"),
 ])
 def test_codifferential_errors(q, p, error):
     with pytest.raises(InputError) as info:
         codifferential(full_tableau(2, 2), q, p)
+    assert str(info.value) == error
+
+
+@pytest.mark.parametrize("build, q, p, error", [
+    (SpencerCell, -1, 0, "SpencerCell needs q >= 0, got -1"),
+    (SpencerCell, 1, -1, "SpencerCell needs p >= 0, got -1"),
+    (cohomology_dim, -1, 0, "cohomology_dim needs q >= 0, got -1"),
+    (cohomology_dim, 1, -1, "cohomology_dim needs p >= 0, got -1"),
+    (harmonic_split, 0, -1, "harmonic_split needs p >= 0, got -1"),
+    (sigma, 0, 0, "sigma needs q >= 1, got 0"),
+    (sigma, 1, -1, "sigma needs p >= 0, got -1"),
+    (sigma, 1, 2, "sigma needs p < a_dim, got p = 2"),
+    (adjoint_sigma, 1, -1, "sigma needs p >= 0, got -1"),
+])
+def test_bidegree_errors_name_the_entry_point(build, q, p, error):
+    # every (q, p) check of the spencer layer has one text, naming the
+    # function that refused the bidegree; the oracle sigma shares it
+    with pytest.raises(InputError) as info:
+        build(full_tableau(2, 2), q, p)
     assert str(info.value) == error
 
 

@@ -217,6 +217,19 @@ def test_phi_outside_b02_is_rejected():
         check_phi_in_B02(bad)
     good = System(t, {(0, 0, 1): Polynomial.variable(3, 0)})
     assert check_phi_in_B02(good)["passed"]
+    # in sorted order the constant monomial lies in B^{0,2} and the
+    # second, x1, is the first outside; x0, also outside, is not named
+    bad = System(t, {(0, 0, 1): Polynomial(3, {(0, 0, 0): 1, (1, 0, 0): 1}),
+                     (1, 0, 1): Polynomial(3, {(0, 1, 0): 1, (1, 0, 0): 1})})
+    with pytest.raises(StructureViolation) as info:
+        check_phi_in_B02(bad)
+    assert str(info.value) == (
+        "phi monomial (0, 1, 0) has a coefficient outside B^{0,2}")
+    good = System(t, {(0, 0, 1): Polynomial(3, {(0, 0, 0): 1, (0, 1, 0): 2, (1, 0, 0): 1})})
+    assert check_phi_in_B02(good) == {
+        "passed": True, "method": "expansion", "monomials": 3,
+        "b02_dim": 1, "cell_dim": 2,
+    }
 
 
 # ------------------------------------------------------- torsion condition
